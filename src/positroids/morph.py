@@ -24,7 +24,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import _reduced, rank_dp
+from .rank import rank_dp
 
 __all__ = [
     "GapStatus",
@@ -49,7 +49,6 @@ class GapStatus(Enum):
 
 class ExchangeKind(Enum):
     BASIS_EXCHANGE = "basis-exchange"
-    INTERVAL_EXCHANGE = "interval-exchange"
     MIMIC = "mimic"
 
 
@@ -350,7 +349,7 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     candidate: frozenset[int] | None = None
     try:
         if P.perm.fixed_points:
-            inner, relabel = _reduced(P)
+            inner, relabel = P._reduced
             if inner.n == 0:
                 candidate = frozenset(P.perm.black)
             else:

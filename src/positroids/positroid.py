@@ -3,24 +3,33 @@
 A positroid on {1..n} is stored as a decorated permutation pi together with
 its derived necklace (I_1, ..., I_n). The necklace entry I_k is the set of
 weak k-exceedances of pi: elements j with j strictly before pi^{-1}(j) in
-the cyclic order starting at k, plus the black fixed points. Membership of
-an arbitrary d-subset is decided by the Gale-order test against the
-necklace, so no basis list is ever materialized unless asked for.
+the cyclic order starting at k, plus the black fixed points. The necklace
+is built once per construction, in O(n·d): I_1 from that definition, then
+each I_{k+1} from I_k by the transition rule I_{k+1} = (I_k minus k) plus
+pi(k) (Postnikov, arXiv math/0609764 §16–17). Membership of an arbitrary
+d-subset is decided by the Gale-order test against the necklace, so no
+basis list is ever materialized unless asked for.
+
+Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
+is made; code that holds one indexes it with raw (x - k) % n arithmetic.
+Everything a Positroid derives lazily (Gale positions, arrow rows, its
+reduction) is cached on the Positroid itself and freed with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
-from .cyclic import gale_leq, position
+from .cyclic import CyclicInterval
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
     "DecoratedPermutation",
     "GrassmannNecklace",
+    "ArrowTable",
     "Positroid",
     "necklace_of",
     "permutation_of",
@@ -34,6 +43,13 @@ __all__ = [
 BASIS_ENUMERATION_CAP = 20
 
 _COLOR_NAMES = ("white", "black")
+
+
+def _check_ints(values: Iterable, what: str) -> None:
+    """Reject anything but plain ints; bool is an int subclass and rejected too."""
+    if not {int}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValidationError(f"{what} must be integers, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,11 @@ class DecoratedPermutation:
     black: frozenset[int]
 
     def __post_init__(self) -> None:
+        _check_ints((self.n,), "n")
         if self.n < 0:
             raise ValidationError("n must be nonnegative")
+        _check_ints(self.images, "permutation entries")
+        _check_ints(self.white | self.black, "colored elements")
         if len(self.images) != self.n:
             raise ValidationError(
                 f"one-line notation has {len(self.images)} entries, expected {self.n}"
@@ -114,13 +133,15 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoratedPermutation":
-        if not isinstance(obj, dict) or "pi" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("pi"), list):
             raise ValidationError('permutation JSON must be an object with a "pi" list')
         images = tuple(obj["pi"])
         n = obj.get("n", len(images))
         if n != len(images):
             raise ValidationError(f'"n" is {n} but "pi" has {len(images)} entries')
         colors = obj.get("colors", {})
+        if not isinstance(colors, dict):
+            raise ValidationError('"colors" must be an object')
         white, black = set(), set()
         for key, value in colors.items():
             try:
@@ -146,6 +167,7 @@ class GrassmannNecklace:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        _check_ints((self.n, self.d), "n and d")
         if self.n < 0:
             raise ValidationError("n must be nonnegative")
         if len(self.sets) != self.n:
@@ -153,26 +175,36 @@ class GrassmannNecklace:
         for i, I in enumerate(self.sets, start=1):
             if len(I) != self.d:
                 raise ValidationError(f"I_{i} has size {len(I)}, expected d = {self.d}")
-            for x in I:
-                if not 1 <= x <= self.n:
-                    raise ValidationError(f"I_{i} contains {x}, outside 1..{self.n}")
+        # the entries are checked once each on the union of the sets, which
+        # has at most n elements when the transition rule holds
+        entries = frozenset().union(*self.sets)
+        _check_ints(entries, "necklace entries")
+        lo, hi = (min(entries), max(entries)) if entries else (1, self.n)
+        if lo < 1 or hi > self.n:
+            x = lo if lo < 1 else hi
+            i = next(i for i, I in enumerate(self.sets, start=1) if x in I)
+            raise ValidationError(f"I_{i} contains {x}, outside 1..{self.n}")
         for i in range(1, self.n + 1):
             cur = self.sets[i - 1]
-            nxt = self.sets[i % self.n]
+            lost = cur - self.sets[i % self.n]
+            if not lost or lost == {i}:
+                continue
             if i not in cur:
-                if nxt != cur:
-                    raise ValidationError(
-                        f"transition broken at {i}: {i} is missing from I_{i} "
-                        f"but I_{i + 1} differs from I_{i}"
-                    )
-            elif not (cur - {i}) <= nxt:
                 raise ValidationError(
-                    f"transition broken at {i}: I_{i + 1} does not contain I_{i} minus {{{i}}}"
+                    f"transition broken at {i}: {i} is missing from I_{i} "
+                    f"but I_{i + 1} differs from I_{i}"
                 )
+            raise ValidationError(
+                f"transition broken at {i}: I_{i + 1} does not contain I_{i} minus {{{i}}}"
+            )
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]], n: int | None = None) -> "GrassmannNecklace":
-        frozen = tuple(frozenset(s) for s in sets)
+        raw = [tuple(s) for s in sets]
+        for i, entries in enumerate(raw, start=1):
+            # before freezing: {1, True} would collapse to {1} and hide the bool
+            _check_ints(entries, f"entries of I_{i}")
+        frozen = tuple(frozenset(s) for s in raw)
         if n is None:
             n = len(frozen)
         d = len(frozen[0]) if frozen else 0
@@ -192,6 +224,8 @@ class GrassmannNecklace:
         if not isinstance(obj, dict) or "sets" not in obj:
             raise ValidationError('necklace JSON must be an object with a "sets" list')
         sets = obj["sets"]
+        if not isinstance(sets, list) or not all(isinstance(I, list) for I in sets):
+            raise ValidationError('"sets" must be a list of lists')
         n = obj.get("n", len(sets))
         if n != len(sets):
             raise ValidationError(f'"n" is {n} but "sets" has {len(sets)} entries')
@@ -199,22 +233,24 @@ class GrassmannNecklace:
 
 
 def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
-    """The necklace I_k = weak k-exceedances of the permutation.
+    """The necklace I_k = weak k-exceedances of the permutation, in O(n·d).
 
     j lands in I_k when j comes strictly before pi^{-1}(j) in the cyclic
-    order starting at k, or when j is a black fixed point.
+    order starting at k, or when j is a black fixed point. Only I_1 is read
+    off that definition. Moving the cut from k to k+1 changes the relative
+    order of k and nothing else, so a fixed point k leaves the set alone,
+    and a non-fixed k (always in I_k) leaves it while pi(k) joins.
     """
     n = perm.n
+    members = set(perm.black)
+    members.update(j for j, pre in enumerate(perm._inverse, start=1) if j < pre)
     sets = []
-    for k in range(1, n + 1):
-        members = set(perm.black)
-        for j in range(1, n + 1):
-            pre = perm.pi_inv(j)
-            if pre != j and position(j, k, n) < position(pre, k, n):
-                members.add(j)
+    for k, image in enumerate(perm.images, start=1):
         sets.append(frozenset(members))
-    d = len(sets[0]) if sets else 0
-    return GrassmannNecklace(n, d, tuple(sets))
+        if image != k:
+            members.remove(k)
+            members.add(image)
+    return GrassmannNecklace(n, len(members), tuple(sets))
 
 
 def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
@@ -225,37 +261,107 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
     black; if i is not in I_i then pi(i) = i colored white.
     """
     n = neck.n
-    images = [0] * n
+    images = list(range(1, n + 1))
     white, black = set(), set()
-    for i in range(1, n + 1):
-        cur = neck.at(i)
-        nxt = neck.at(i + 1)
+    for i, cur in enumerate(neck.sets, start=1):
         if i not in cur:
-            images[i - 1] = i
             white.add(i)
-        elif nxt == cur:
-            images[i - 1] = i
-            black.add(i)
+            continue
+        # the necklace obeys the transition rule, so at most one element is new
+        gained = neck.sets[i % n] - cur
+        if gained:
+            (images[i - 1],) = gained
         else:
-            gained = nxt - (cur - {i})
-            if len(gained) != 1:
-                raise ValidationError(
-                    f"transition at {i} gains {sorted(gained)}, expected one element"
-                )
-            images[i - 1] = next(iter(gained))
+            black.add(i)
     return DecoratedPermutation(n, tuple(images), frozenset(white), frozenset(black))
+
+
+class ArrowTable:
+    """Per-anchor prefix counts of arrows, one O(n) row per anchor on demand.
+
+    A CW-arrow is the cyclic interval [x, pi(x)], a CCW-arrow is
+    [x, pi^{-1}(x)]. An arrow [x, y] is counted in the interval [a, b] when
+    both ends lie in the interval and x comes before y reading from the
+    anchor a. On every proper interval this is plain containment of the
+    arrow; anchoring only matters for the full circle, where it makes
+    cw(full) = n - d and ccw(full) = d so that the rank identities of
+    positroids.rank stay valid. Singleton arrows of fixed points count
+    toward cw when white, ccw when black.
+
+    Row `cw_row(a)[L]` counts the CW-arrows inside the L elements read from
+    a (likewise `ccw_row`). A row is built in O(n) the first time its anchor
+    is asked for and kept, so a query touching s anchors costs O(s·n) once
+    and O(1) per interval afterwards. Each Positroid owns one table.
+    """
+
+    def __init__(self, perm: DecoratedPermutation) -> None:
+        self.perm = perm
+        self._cw_rows: dict[int, tuple[int, ...]] = {}
+        self._ccw_rows: dict[int, tuple[int, ...]] = {}
+
+    def _row(self, anchor: int, ends: tuple[int, ...], singletons: frozenset[int]) -> tuple[int, ...]:
+        n = self.perm.n
+        bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
+        for x, y in enumerate(ends, start=1):
+            px = (x - anchor) % n
+            if y == x:
+                if x in singletons:
+                    bucket[px + 1] += 1
+            else:
+                py = (y - anchor) % n
+                if px < py:
+                    bucket[py + 1] += 1
+        return tuple(accumulate(bucket))
+
+    def cw_row(self, anchor: int) -> tuple[int, ...]:
+        row = self._cw_rows.get(anchor)
+        if row is None:
+            row = self._cw_rows[anchor] = self._row(anchor, self.perm.images, self.perm.white)
+        return row
+
+    def ccw_row(self, anchor: int) -> tuple[int, ...]:
+        row = self._ccw_rows.get(anchor)
+        if row is None:
+            row = self._ccw_rows[anchor] = self._row(anchor, self.perm._inverse, self.perm.black)
+        return row
+
+    def cw(self, T: CyclicInterval) -> int:
+        if T.is_empty:
+            return 0
+        return self.cw_row(T.a)[len(T)]
+
+    def ccw(self, T: CyclicInterval) -> int:
+        if T.is_empty:
+            return 0
+        return self.ccw_row(T.a)[len(T)]
 
 
 @dataclass(frozen=True)
 class Positroid:
-    """A positroid, carried by its decorated permutation plus cached necklace."""
+    """A positroid, carried by its decorated permutation plus its necklace."""
 
     perm: DecoratedPermutation
     necklace: GrassmannNecklace
 
     def __post_init__(self) -> None:
-        if self.necklace != necklace_of(self.perm):
+        # Both inputs are already validated, and a necklace obeys the
+        # transition rule, so it is the necklace of perm exactly when every
+        # step k drops k and gains pi(k), keeps a black fixed point and
+        # skips a white one: O(n) membership tests instead of a rebuild.
+        perm, sets = self.perm, self.necklace.sets
+        n = perm.n
+        if self.necklace.n != n:
             raise ValidationError("necklace does not match the permutation")
+        for k, image in enumerate(perm.images, start=1):
+            cur, nxt = sets[k - 1], sets[k % n]
+            if image != k:
+                ok = k in cur and image in nxt and image not in cur
+            elif k in perm.black:
+                ok = k in cur and k in nxt
+            else:
+                ok = k not in cur
+            if not ok:
+                raise ValidationError("necklace does not match the permutation")
 
     @classmethod
     def from_permutation(cls, perm: DecoratedPermutation) -> "Positroid":
@@ -272,7 +378,7 @@ class Positroid:
 
     @classmethod
     def from_necklace(cls, neck: GrassmannNecklace) -> "Positroid":
-        return cls.from_permutation(permutation_of(neck))
+        return cls(permutation_of(neck), neck)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Positroid":
@@ -288,6 +394,15 @@ class Positroid:
     @property
     def d(self) -> int:
         return self.necklace.d
+
+    @cached_property
+    def _arrows(self) -> ArrowTable:
+        # one table per positroid; its rows fill in as queries need them
+        return ArrowTable(self.perm)
+
+    @cached_property
+    def _reduced(self) -> tuple["Positroid", dict[int, int]]:
+        return reduce(self)
 
     @cached_property
     def _necklace_positions(self) -> tuple[tuple[int, ...], ...]:

@@ -12,18 +12,25 @@ where minelts is the fewest elements a basis can have in the open gap
 interval indices gives an upper bound on rank(E), and the minimum over all
 of them is exact. rank() enumerates the partitions (certificate included),
 rank_dp() gets the same value by dynamic programming in O(s^3).
+
+Arrow counts come from the positroid's own ArrowTable (see
+positroids.positroid): a query reads one O(n) prefix row per anchor where
+one of its gaps starts, built on first use and kept on the Positroid, so a
+single-interval query costs O(n) and repeated queries reuse the rows.
+Queries on positroids with loops or coloops run on the reduction, which is
+likewise computed once and kept on the Positroid. Nothing is cached at
+module level, so memory is freed with the positroid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .cyclic import CyclicInterval, IntervalDecomposition, decompose, open_interval
 from .errors import EnumerationLimitError, ValidationError
-from .positroid import Positroid, reduce
+from .positroid import ArrowTable, Positroid
 
 __all__ = [
     "DEFAULT_PARTITION_LIMIT",
@@ -154,63 +161,9 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
         yield NonCrossingPartition(s, raw)
 
 
-@dataclass(frozen=True)
-class ArrowTable:
-    """Per-anchor prefix counts of arrows, O(n^2) space, O(1) per query.
-
-    An arrow [x, y] is counted in the interval [a, b] when both ends lie in
-    the interval and x comes before y reading from the anchor a. On every
-    proper interval this is plain containment of the arrow; anchoring only
-    matters for the full circle, where it makes cw(full) = n - d and
-    ccw(full) = d so that the rank identities above stay valid. Singleton
-    arrows of fixed points count toward cw when white, ccw when black.
-    """
-
-    n: int
-    cw_prefix: tuple[tuple[int, ...], ...]
-    ccw_prefix: tuple[tuple[int, ...], ...]
-
-    def cw(self, T: CyclicInterval) -> int:
-        if T.is_empty:
-            return 0
-        return self.cw_prefix[T.a - 1][len(T)]
-
-    def ccw(self, T: CyclicInterval) -> int:
-        if T.is_empty:
-            return 0
-        return self.ccw_prefix[T.a - 1][len(T)]
-
-
-@lru_cache(maxsize=None)
 def arrow_table(P: Positroid) -> ArrowTable:
-    n = P.n
-    perm = P.perm
-    cw_rows, ccw_rows = [], []
-    for c in range(1, n + 1):
-        cw_bucket = [0] * n
-        ccw_bucket = [0] * n
-        for x in range(1, n + 1):
-            y = perm.pi(x)
-            if y == x:
-                if x in perm.white:
-                    cw_bucket[(x - c) % n] += 1
-                else:
-                    ccw_bucket[(x - c) % n] += 1
-                continue
-            px, py = (x - c) % n, (y - c) % n
-            if px < py:
-                cw_bucket[py] += 1
-            z = perm.pi_inv(x)
-            pz = (z - c) % n
-            if px < pz:
-                ccw_bucket[pz] += 1
-        cw_pref, ccw_pref = [0], [0]
-        for p in range(n):
-            cw_pref.append(cw_pref[-1] + cw_bucket[p])
-            ccw_pref.append(ccw_pref[-1] + ccw_bucket[p])
-        cw_rows.append(tuple(cw_pref))
-        ccw_rows.append(tuple(ccw_pref))
-    return ArrowTable(n, tuple(cw_rows), tuple(ccw_rows))
+    """The arrow counts of P; their rows are built lazily and kept on P."""
+    return P._arrows
 
 
 def cw_count(P: Positroid, T: CyclicInterval) -> int:
@@ -226,24 +179,18 @@ def ccw_count(P: Positroid, T: CyclicInterval) -> int:
 def rank_of_interval(P: Positroid, a: int, b: int) -> int:
     """rank([a, b]), as the necklace intersection |I_a ∩ [a,b]|.
 
-    The arrow-count formula |[a,b]| - cw([a,b]) is computed alongside and
-    asserted equal.
+    Equals |[a,b]| - cw([a,b]); the tests check that identity everywhere.
     """
     iv = CyclicInterval.span(a, b, P.n)
-    value = len(P.necklace.at(a) & iv.members)
-    assert value == len(iv) - cw_count(P, iv), "cw-arrow formula disagrees with necklace"
-    return value
+    return len(P.necklace.at(a) & iv.members)
 
 
 def min_elements(P: Positroid, b: int, a: int) -> int:
     """Fewest elements a basis can have in the open gap (b, a).
 
-    Equals ccw((b, a)); the identity minelts = d - rank([a,b]) is asserted.
+    Equals ccw((b, a)) and also d - rank([a,b]); the tests check both.
     """
-    gap = open_interval(b, a, P.n)
-    value = ccw_count(P, gap)
-    assert value == P.d - rank_of_interval(P, a, b), "gap count disagrees with rank"
-    return value
+    return ccw_count(P, open_interval(b, a, P.n))
 
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
@@ -285,20 +232,20 @@ class RankCertificate:
     all_bounds: tuple[tuple[NonCrossingPartition, int], ...] | None = None
 
 
-@lru_cache(maxsize=None)
-def _reduced(P: Positroid) -> tuple[Positroid, dict[int, int]]:
-    return reduce(P)
-
-
 def _gap_matrix(P: Positroid, decomp: IntervalDecomposition) -> list[list[int]]:
-    """w[i][j] = ccw over the open gap from interval i's end to interval j's start."""
+    """w[i][j] = ccw over the open gap from interval i's end to interval j's start.
+
+    The gap (b, a) is the (a - b - 1) % n elements read from b + 1, so row i
+    is one lookup per j into the ccw row anchored just after interval i.
+    """
     table = arrow_table(P)
     n = decomp.n
-    s = decomp.s
-    return [
-        [table.ccw(open_interval(decomp.intervals[i][1], decomp.intervals[j][0], n)) for j in range(s)]
-        for i in range(s)
-    ]
+    starts = [a for a, _ in decomp.intervals]
+    w = []
+    for _, b in decomp.intervals:
+        row = table.ccw_row(b % n + 1)
+        w.append([row[(a - b - 1) % n] for a in starts])
+    return w
 
 
 def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
@@ -314,7 +261,7 @@ def _strip_fixed(P: Positroid, members: frozenset[int]) -> tuple[Positroid, froz
     Returns the reduced positroid, the relabeled query set, and the number
     of coloops of P inside the query (each worth one unit of rank).
     """
-    reduced_P, relabel = _reduced(P)
+    reduced_P, relabel = P._reduced
     bonus = len(members & P.perm.black)
     image = frozenset(relabel[x] for x in members if x in relabel)
     return reduced_P, image, bonus

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator
 
-from positroids import Positroid, enumerate_bases
+from positroids import DecoratedPermutation, Positroid, enumerate_bases
 
 
 def derangements(n: int) -> Iterator[tuple[int, ...]]:
@@ -20,14 +20,19 @@ def fixed_point_free_positroids(n: int) -> Iterator[Positroid]:
         yield Positroid.from_oneline(p)
 
 
-def decorated_positroids(n: int) -> Iterator[Positroid]:
+def decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
     """Every decorated permutation of [n]: each fixed point colored both ways."""
     for p in permutations(range(1, n + 1)):
         fixed = [i for i in range(1, n + 1) if p[i - 1] == i]
         for mask in range(1 << len(fixed)):
             white = [f for k, f in enumerate(fixed) if not mask >> k & 1]
             black = [f for k, f in enumerate(fixed) if mask >> k & 1]
-            yield Positroid.from_oneline(p, white, black)
+            yield DecoratedPermutation.from_oneline(p, white, black)
+
+
+def decorated_positroids(n: int) -> Iterator[Positroid]:
+    for perm in decorated_permutations(n):
+        yield Positroid.from_permutation(perm)
 
 
 def random_fpf_positroid(n: int, rng: random.Random) -> Positroid:

@@ -328,6 +328,27 @@ class TestErrorPaths:
         assert code == 2
         assert "internal error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pi", [[1, "2"], [2.0, 1], [True, 2]])
+    def test_non_integer_permutation_entry(self, capsys, tmp_path, pi):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pi": pi}))
+        code = main(["necklace", "--perm", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "must be integers" in captured.err
+
+    def test_non_integer_necklace_entry(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sets": [[1, "2"], [2, 1]]}))
+        code, obj = run_json(capsys, ["check", "--necklace", str(bad)])
+        assert code == 1
+        assert obj["valid"] is False
+        assert "must be integers" in obj["error"]
+        code = main(["necklace", "--necklace", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_verb(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -14,7 +14,12 @@ from positroids import (
     rank_bruteforce,
     reduce,
 )
-from helpers import all_subsets, decorated_positroids, fixed_point_free_positroids
+from helpers import (
+    all_subsets,
+    decorated_permutations,
+    decorated_positroids,
+    fixed_point_free_positroids,
+)
 
 REF_NECKLACE = (
     {1, 3, 4, 5, 10, 11, 12},
@@ -70,7 +75,22 @@ class TestDecoratedPermutation:
         assert "colors" not in plain.to_json()
         assert DecoratedPermutation.from_json({"pi": [2, 1]}) == plain
 
+    @pytest.mark.parametrize("images", [(1, "2"), (2.0, 1), (True, 2), (2, False)])
+    def test_entries_must_be_plain_ints(self, images):
+        with pytest.raises(ValidationError, match="integers"):
+            DecoratedPermutation.from_oneline(images)
+
+    def test_colors_and_n_must_be_plain_ints(self):
+        with pytest.raises(ValidationError, match="integers"):
+            DecoratedPermutation.from_oneline((1, 2), white=(1.0,), black=(2,))
+        with pytest.raises(ValidationError, match="integers"):
+            DecoratedPermutation(2.0, (2, 1), frozenset(), frozenset())
+
     def test_json_validation(self):
+        with pytest.raises(ValidationError):
+            DecoratedPermutation.from_json({"pi": 3})
+        with pytest.raises(ValidationError):
+            DecoratedPermutation.from_json({"pi": [1], "colors": ["1"]})
         with pytest.raises(ValidationError):
             DecoratedPermutation.from_json({"n": 3, "pi": [2, 1]})
         with pytest.raises(ValidationError):
@@ -105,6 +125,25 @@ class TestNecklace:
         with pytest.raises(ValidationError):  # out of range
             GrassmannNecklace.from_sets(({4}, {4}, {4}), 3)
 
+    @pytest.mark.parametrize(
+        "sets", [([1, "2"], [2, 1]), ([1, 2.0], [2, 1]), ([True, 2], [2, 1]), ([1, 2], [2, True])]
+    )
+    def test_entries_must_be_plain_ints(self, sets):
+        with pytest.raises(ValidationError, match="integers"):
+            GrassmannNecklace.from_sets(sets, 2)
+
+    def test_direct_construction_checks_entries(self):
+        with pytest.raises(ValidationError, match="integers"):
+            GrassmannNecklace(2, 1, (frozenset({"1"}), frozenset({"1"})))
+        with pytest.raises(ValidationError, match="outside"):
+            GrassmannNecklace(2, 1, (frozenset({0}), frozenset({0})))
+
+    def test_json_shape_checked(self):
+        with pytest.raises(ValidationError):
+            GrassmannNecklace.from_json({"sets": [1, 2]})
+        with pytest.raises(ValidationError):
+            GrassmannNecklace.from_json({"sets": "12"})
+
     def test_black_fixed_point_transition_allowed(self):
         # I_i can stay put even when i is a member: that is a coloop
         neck = GrassmannNecklace.from_sets(({1, 2}, {1, 2}, {1, 2}), 3)
@@ -126,6 +165,34 @@ class TestNecklace:
             GrassmannNecklace.from_json({"n": 2, "sets": [[1]]})
 
 
+def weak_exceedance_necklace(perm: DecoratedPermutation) -> list[frozenset[int]]:
+    """I_k straight from the definition, with no transition rule."""
+    n = perm.n
+    inverse = {y: x for x, y in enumerate(perm.images, start=1)}
+    return [
+        frozenset(
+            j
+            for j in range(1, n + 1)
+            if j in perm.black or (inverse[j] != j and (j - k) % n < (inverse[j] - k) % n)
+        )
+        for k in range(1, n + 1)
+    ]
+
+
+class TestNecklaceOf:
+    def test_matches_weak_exceedance_definition(self):
+        # every decorated permutation with n <= 6, loops and coloops included
+        count = 0
+        for n in range(7):
+            for perm in decorated_permutations(n):
+                assert list(necklace_of(perm).sets) == weak_exceedance_necklace(perm), perm
+                count += 1
+        assert count == 1 + 2 + 5 + 16 + 65 + 326 + 1957  # sum_k n!/k!, OEIS A000522
+
+    def test_reference(self, ref_positroid):
+        assert list(ref_positroid.necklace.sets) == weak_exceedance_necklace(ref_positroid.perm)
+
+
 class TestPermNecklaceRoundtrip:
     def test_reference(self, ref_positroid):
         assert permutation_of(ref_positroid.necklace) == ref_positroid.perm
@@ -144,6 +211,31 @@ class TestPositroid:
         other = necklace_of(DecoratedPermutation.from_oneline(tuple(range(2, 15)) + (1,)))
         with pytest.raises(ValidationError):
             Positroid(ref_positroid.perm, other)
+
+    def test_matching_is_decided_exactly(self):
+        # every (permutation, necklace) pair with n <= 5: the O(n) match test
+        # accepts exactly the necklace built from the permutation
+        for n in range(6):
+            perms = list(decorated_permutations(n))
+            necklaces = [necklace_of(perm) for perm in perms]
+            for perm, own in zip(perms, necklaces):
+                for neck in necklaces:
+                    if neck == own:
+                        assert Positroid(perm, neck).necklace == own
+                    else:
+                        with pytest.raises(ValidationError):
+                            Positroid(perm, neck)
+
+    def test_size_mismatch_rejected(self):
+        neck = necklace_of(DecoratedPermutation.from_oneline((2, 3, 1)))
+        with pytest.raises(ValidationError):
+            Positroid(DecoratedPermutation.from_oneline((2, 1)), neck)
+
+    def test_from_necklace_keeps_the_necklace(self):
+        for P in decorated_positroids(4):
+            Q = Positroid.from_necklace(P.necklace)
+            assert Q == P
+            assert Q.necklace is P.necklace
 
     def test_json_roundtrip(self, ref_positroid):
         assert Positroid.from_json(ref_positroid.to_json()) == ref_positroid

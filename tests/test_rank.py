@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from positroids import (
     NonCrossingPartition,
     Positroid,
     ValidationError,
+    arrow_table,
     bound_for_partition,
     ccw_count,
     cw_count,
@@ -20,6 +24,7 @@ from positroids import (
     rank_bruteforce,
     rank_dp,
     rank_of_interval,
+    witness_basis,
 )
 from helpers import all_subsets, decorated_positroids
 
@@ -109,17 +114,65 @@ class TestArrowCounts:
         assert cw_count(P, CyclicInterval.span(5, 5, 5)) == 0   # coloop: the reverse
         assert ccw_count(P, CyclicInterval.span(5, 5, 5)) == 1
 
-    def test_interval_identities_everywhere(self):
-        # |[a,b]| - cw([a,b]) == |I_a cap [a,b]| and d - that == ccw((b,a)),
-        # for every decorated permutation of [4] and every interval
-        for P in decorated_positroids(4):
-            for a in range(1, 5):
-                for b in range(1, 5):
-                    iv = CyclicInterval.span(a, b, 4)
+    def test_rows_match_brute_force_containment(self):
+        # every interval of every decorated positroid with n <= 6, the full
+        # circle read from each anchor included
+        for n in range(1, 7):
+            for P in decorated_positroids(n):
+                images = P.perm.images
+                inverse = {y: x for x, y in enumerate(images, start=1)}
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        T = CyclicInterval.span(a, b, n)
+                        pos = {x: (x - a) % n for x in T.members}
+                        cw = sum(
+                            x in P.perm.white if images[x - 1] == x
+                            else images[x - 1] in pos and pos[x] < pos[images[x - 1]]
+                            for x in pos
+                        )
+                        ccw = sum(
+                            x in P.perm.black if inverse[x] == x
+                            else inverse[x] in pos and pos[x] < pos[inverse[x]]
+                            for x in pos
+                        )
+                        assert (cw_count(P, T), ccw_count(P, T)) == (cw, ccw), (P.perm, a, b)
+                        if T.is_full:
+                            assert (cw, ccw) == (n - P.d, P.d)
+
+    def test_interval_identities_everywhere(self, ref_positroid):
+        # rank([a,b]) == |[a,b]| - cw([a,b]) == |I_a cap [a,b]| and
+        # minelts((b,a)) == d - rank([a,b]), for every interval of the
+        # reference positroid and of every decorated positroid with n <= 5
+        pool = [P for n in range(1, 6) for P in decorated_positroids(n)]
+        for P in pool + [ref_positroid]:
+            for a in range(1, P.n + 1):
+                for b in range(1, P.n + 1):
+                    iv = CyclicInterval.span(a, b, P.n)
                     rk = rank_of_interval(P, a, b)
                     assert rk == len(iv) - cw_count(P, iv)
                     assert rk == len(P.necklace.at(a) & iv.members)
                     assert min_elements(P, b, a) == P.d - rk
+
+
+class TestCaches:
+    def test_one_interval_query_builds_one_row(self, ref_positroid):
+        P = Positroid.from_oneline(ref_positroid.perm.images)
+        rank_dp(P, {3, 4, 5})
+        assert len(arrow_table(P)._ccw_rows) == 1 and not arrow_table(P)._cw_rows
+        rank_dp(P, E4)  # two gaps, starting after 3 and after 10
+        assert sorted(arrow_table(P)._ccw_rows) == [4, 6, 11]
+
+    def test_positroid_is_freed_after_queries(self):
+        # nothing at module level keeps a queried positroid alive
+        P = Positroid.from_oneline((1, 3, 4, 2, 6, 5, 7), white=(1,), black=(7,))
+        E = {1, 2, 5, 7}
+        rank_dp(P, E)
+        rank(P, E)
+        witness_basis(P, E)
+        ref = weakref.ref(P)
+        del P
+        gc.collect()
+        assert ref() is None
 
 
 class TestIntervalRank:
