@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .cyclic import CyclicInterval, IntervalDecomposition, decompose, open_interval
@@ -339,6 +340,7 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     block containing interval u is a chain u = j_0 < j_1 < ... < j_k, the
     runs strictly between consecutive chain nodes partition independently,
     and the block pays d minus the gap weights along its cyclic closure.
+    The tables are filled bottom-up, with no recursion, so any s runs.
     """
     members = frozenset(E)
     bonus = 0
@@ -348,33 +350,24 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     s = decomp.s
     if s == 0:
         return bonus
-    w = _gap_matrix(P, decomp)
+    # into[j - 1][i - 1] = w[i - 1][j - 1], the gap from interval i's end
+    # to interval j's start, so every DP term below reads row slices
+    into = list(zip(*_gap_matrix(P, decomp)))
     d = P.d
-
-    chain_memo: dict[tuple[int, int], int] = {}
-    seg_memo: dict[tuple[int, int], int] = {}
-
-    def chain(u: int, j: int) -> int:
-        # cheapest open chain of u's block from u to current endpoint j,
-        # interiors between chain nodes already partitioned; the block's
-        # own d and closing edge w[j][u] are paid by seg()
-        if u == j:
-            return 0
-        key = (u, j)
-        if key not in chain_memo:
-            chain_memo[key] = min(
-                chain(u, jp) - w[jp - 1][j - 1] + seg(jp + 1, j - 1) for jp in range(u, j)
-            )
-        return chain_memo[key]
-
-    def seg(u: int, v: int) -> int:
-        if u > v:
-            return 0
-        key = (u, v)
-        if key not in seg_memo:
-            seg_memo[key] = min(
-                chain(u, j) + d - w[j - 1][u - 1] + seg(j + 1, v) for j in range(u, v + 1)
-            )
-        return seg_memo[key]
-
-    return seg(1, s) + bonus
+    # seg_to[v][u] = the least total bound over the non-crossing partitions
+    # of intervals u..v, 0 when u > v. Filled for u from s down to 1: an
+    # entry reads only ranges that start after u and chain values left of it.
+    seg_to = [[0] * (s + 2) for _ in range(s + 1)]
+    for u in range(s, 0, -1):
+        # chain[j]: cheapest open chain of u's block from u to its current
+        # endpoint j, the runs between chain nodes already partitioned; the
+        # block's own d and closing edge into u are paid by seg
+        chain = [0] * (s + 1)
+        closing = into[u - 1]
+        for j in range(u, s + 1):
+            if j > u:
+                steps = map(sub, chain[u:j], into[j - 1][u - 1:j - 1])
+                chain[j] = min(map(add, steps, seg_to[j - 1][u + 1:j + 1]))
+            blocks = map(sub, chain[u:j + 1], closing[u - 1:j])
+            seg_to[j][u] = d + min(map(add, blocks, seg_to[j][u + 1:j + 2]))
+    return seg_to[s][1] + bonus

@@ -1,9 +1,20 @@
 """Realizable matroids from exact rational matrices.
 
-Maximal minors are computed with fractions.Fraction throughout: a subset of
-columns is a basis iff its minor is nonzero, and the matroid is a positroid
-iff every maximal minor is nonnegative. No floating point anywhere; matrix
-entries arrive as integers or "p/q" strings.
+Entries are exact rationals: integers, Fractions or "p/q" strings, never
+floating point. Minors are computed over the integers. Each row is scaled by
+the positive lcm of its denominators, which changes no minor's sign and no
+minor's zero-ness; the rational minor is the integer one divided by the
+product of those lcms. Integer minors come from fraction-free (Bareiss)
+elimination, whose every division is exact.
+
+One lex-order scan (_lex_minors) yields the minor of every r-subset of
+columns. It walks the prefix tree of the subsets: each column prefix is
+eliminated once, for all of its extensions, and a prefix whose newest column
+lies in the span of the earlier ones yields zeros for its whole subtree. A
+subset is a basis iff its minor is nonzero, and the matroid is a positroid
+iff every maximal minor is nonnegative, so positroid_from_matrix reads both
+off that one scan. Its Grassmann necklace comes from the columns directly:
+I_k is the greedy basis of the columns read cyclically from k.
 """
 
 from __future__ import annotations
@@ -11,13 +22,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Iterable, Iterator
+from itertools import chain, combinations
+from math import comb, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .cyclic import position
-from .errors import EnumerationLimitError, NotAPositroidError, ValidationError
-from .positroid import GrassmannNecklace, Positroid, enumerate_bases
+from .errors import (
+    ContractViolationError,
+    EnumerationLimitError,
+    NotAPositroidError,
+    ValidationError,
+)
+from .positroid import (
+    BASIS_ENUMERATION_CAP,
+    GrassmannNecklace,
+    Positroid,
+    _check_ints,
+    enumerate_bases,
+)
 
 __all__ = [
     "RationalMatrix",
@@ -95,63 +117,150 @@ class RationalMatrix:
 
     def column_submatrix(self, cols: Iterable[int]) -> list[list[Fraction]]:
         """Rows restricted to the 1-based columns, in the given order."""
-        idx = list(cols)
+        idx = self._columns(cols)
         return [[row[c - 1] for c in idx] for row in self.entries]
 
+    def _columns(self, cols: Iterable[int]) -> tuple[int, ...]:
+        """The column indices, each checked to be a plain int in 1..n."""
+        idx = tuple(cols)
+        _check_ints(idx, "column indices")
+        for c in idx:
+            if not 1 <= c <= self.n:
+                raise ValidationError(f"column {c} outside 1..{self.n}")
+        return idx
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = [list(row) for row in rows]
-    k = len(m)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col]), None)
+
+def _integer_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The columns of the rows, each row scaled to integers, and the scale.
+
+    Row i is multiplied by the lcm of its denominators. A minor of the
+    scaled columns is the rational minor times the returned scale, the
+    product of those positive lcms.
+    """
+    scaled = []
+    scale = 1
+    for row in rows:
+        m = lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    return [list(col) for col in zip(*scaled)], scale
+
+
+# Fraction-free elimination. A column is a list of integer coordinates; a
+# pivot (idx, value, rest) is a reduced column's first nonzero coordinate,
+# its value and its other coordinates. Reducing a column by a pivot clears
+# and drops coordinate idx. After t reductions every coordinate is a
+# (t+1)x(t+1) minor of the columns involved, so dividing by the previous
+# pivot's value (Bareiss) is exact, and the last pivot's value is the whole
+# minor up to the sign of the order in which coordinates were dropped.
+
+_Pivot = tuple[int, int, list[int]]
+
+
+def _pivot(v: list[int]) -> _Pivot | None:
+    """The pivot of a reduced column; None if it is zero (dependent)."""
+    for idx, x in enumerate(v):
+        if x:
+            return idx, x, v[:idx] + v[idx + 1:]
+    return None
+
+
+def _reduce(v: list[int], pivot: _Pivot, prev: int) -> list[int]:
+    """One Bareiss step on v; prev is the value of the pivot before this one."""
+    idx, value, rest = pivot
+    f = v[idx]
+    return [(value * x - f * y) // prev for x, y in zip(v[:idx] + v[idx + 1:], rest)]
+
+
+class _Independent:
+    """Columns added one at a time; each is kept iff independent of those kept."""
+
+    def __init__(self) -> None:
+        self.pivots: list[_Pivot] = []
+        self.sign = 1
+
+    def add(self, v: list[int]) -> bool:
+        prev = 1
+        for pivot in self.pivots:
+            v = _reduce(v, pivot, prev)
+            prev = pivot[1]
+        pivot = _pivot(v)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, k):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                for c in range(col, k):
-                    m[r][c] -= factor * m[col][c]
-    return det
+            return False
+        self.pivots.append(pivot)
+        if pivot[0] & 1:
+            self.sign = -self.sign
+        return True
+
+    def minor(self) -> int:
+        """The determinant of the kept columns in the order added, once square."""
+        return self.sign * self.pivots[-1][1] if self.pivots else 1
+
+
+def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(cols, integer minor) for every r-subset of the columns, in lex order.
+
+    Depth-first down the prefix tree, with an explicit stack of nodes
+    (candidates, next child, prefix, prev, sign): the candidates are the
+    columns after the prefix, reduced against it; prev is the prefix's last
+    pivot value and sign the parity of its dropped coordinates. A node with
+    one column left to choose has one coordinate left per candidate, the
+    minor. Raises EnumerationLimitError past MINOR_SCAN_CAP subsets.
+    """
+    n = len(columns)
+    if comb(n, r) > MINOR_SCAN_CAP:
+        raise EnumerationLimitError(
+            f"scanning C({n},{r}) column subsets exceeds the cap {MINOR_SCAN_CAP}"
+        )
+    if r == 0:
+        yield (), 1
+        return
+    stack = [(list(enumerate(columns, start=1)), 0, (), 1, 1)]
+    while stack:
+        cands, i, prefix, prev, sign = stack.pop()
+        need = r - len(prefix)
+        if need == 1:
+            for col, v in cands:
+                yield prefix + (col,), sign * v[0]
+            continue
+        if i > len(cands) - need:
+            continue
+        stack.append((cands, i + 1, prefix, prev, sign))
+        col, v = cands[i]
+        pivot = _pivot(v)
+        if pivot is None:
+            for rest in combinations([c for c, _ in cands[i + 1:]], need - 1):
+                yield prefix + (col,) + rest, 0
+            continue
+        reduced = [(c, _reduce(w, pivot, prev)) for c, w in cands[i + 1:]]
+        stack.append((reduced, 0, prefix + (col,), pivot[1], -sign if pivot[0] & 1 else sign))
 
 
 def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
-    idx = tuple(cols)
+    """The minor on the given columns, in the given order (so its sign follows it)."""
+    idx = A._columns(cols)
     if len(idx) != A.r:
         raise ValidationError(f"maximal minors take exactly {A.r} columns, got {len(idx)}")
-    if A.r == 0:
-        return Fraction(1)
-    return _det(A.column_submatrix(idx))
+    columns, scale = _integer_columns(A.column_submatrix(idx))
+    chosen = _Independent()
+    if not all(chosen.add(v) for v in columns):
+        return Fraction(0)
+    return Fraction(chosen.minor(), scale)
 
 
-def _column_subsets(A: RationalMatrix) -> Iterator[tuple[int, ...]]:
-    if comb(A.n, A.r) > MINOR_SCAN_CAP:
-        raise EnumerationLimitError(
-            f"scanning C({A.n},{A.r}) column subsets exceeds the cap {MINOR_SCAN_CAP}"
-        )
-    return combinations(range(1, A.n + 1), A.r)
+def _rank(columns: list[list[int]]) -> int:
+    chosen = _Independent()
+    return sum(chosen.add(v) for v in columns)
 
 
 def row_rank(A: RationalMatrix) -> int:
-    m = [list(row) for row in A.entries]
-    rank = 0
-    for col in range(A.n):
-        pivot = next((r for r in range(rank, A.r) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, A.r):
-            factor = m[r][col] / m[rank][col]
-            if factor:
-                for c in range(col, A.n):
-                    m[r][c] -= factor * m[rank][c]
-        rank += 1
-    return rank
+    return _rank(_integer_columns(A.entries)[0])
+
+
+def _require_full_row_rank(A: RationalMatrix, columns: list[list[int]]) -> None:
+    rank = _rank(columns)
+    if rank != A.r:
+        raise ValidationError(f"matrix row rank is {rank}, less than the row count {A.r}")
 
 
 @dataclass(frozen=True)
@@ -199,21 +308,18 @@ class BasisCollection:
 
 def matroid_from_matrix(A: RationalMatrix) -> BasisCollection:
     """Bases = column subsets with nonzero maximal minor. Needs full row rank."""
-    rank = row_rank(A)
-    if rank != A.r:
-        raise ValidationError(f"matrix row rank is {rank}, less than the row count {A.r}")
-    bases = frozenset(
-        frozenset(cols) for cols in _column_subsets(A) if maximal_minor(A, cols) != 0
-    )
+    columns, _ = _integer_columns(A.entries)
+    _require_full_row_rank(A, columns)
+    bases = frozenset(frozenset(cols) for cols, value in _lex_minors(columns, A.r) if value)
     return BasisCollection(A.n, A.r, bases)
 
 
 def first_negative_minor(A: RationalMatrix) -> tuple[tuple[int, ...], Fraction] | None:
     """The lexicographically first column subset with a negative minor, if any."""
-    for cols in _column_subsets(A):
-        value = maximal_minor(A, cols)
+    columns, scale = _integer_columns(A.entries)
+    for cols, value in _lex_minors(columns, A.r):
         if value < 0:
-            return cols, value
+            return cols, Fraction(value, scale)
     return None
 
 
@@ -255,17 +361,55 @@ def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
     return neck
 
 
+def _greedy_necklace(columns: list[list[int]], r: int) -> tuple[frozenset[int], ...]:
+    """I_k = the columns kept greedily when they are read cyclically from k."""
+    n = len(columns)
+    sets = []
+    for k in range(n):
+        chosen = _Independent()
+        members = []
+        for c in chain(range(k, n), range(k)):
+            if chosen.add(columns[c]):
+                members.append(c + 1)
+                if len(members) == r:
+                    break
+        sets.append(frozenset(members))
+    return tuple(sets)
+
+
 def positroid_from_matrix(A: RationalMatrix) -> Positroid:
-    """The positroid of a full-row-rank matrix with nonnegative maximal minors."""
-    collection = matroid_from_matrix(A)
-    witness = first_negative_minor(A)
-    if witness is not None:
-        cols, value = witness
-        raise ValidationError(
-            f"matrix is not totally nonnegative: minor at columns "
-            f"{tuple(cols)} equals {value}"
-        )
-    return Positroid.from_necklace(necklace_from_bases(collection))
+    """The positroid of a full-row-rank matrix with nonnegative maximal minors.
+
+    One scan of the minors stops at the first negative one and otherwise
+    keeps the nonzero subsets. The necklace comes from greedy column choice;
+    for n <= BASIS_ENUMERATION_CAP the bases of the resulting positroid are
+    compared with the scanned nonzero subsets. A matrix with nonnegative
+    minors realizes a positroid, so an invalid necklace or a mismatch means
+    a library bug and raises ContractViolationError.
+    """
+    columns, scale = _integer_columns(A.entries)
+    _require_full_row_rank(A, columns)
+    nonzero = []
+    for cols, value in _lex_minors(columns, A.r):
+        if value < 0:
+            raise ValidationError(
+                f"matrix is not totally nonnegative: minor at columns "
+                f"{cols} equals {Fraction(value, scale)}"
+            )
+        if value:
+            nonzero.append(cols)
+    sets = _greedy_necklace(columns, A.r)
+    try:
+        necklace = GrassmannNecklace(A.n, A.r, sets)
+    except ValidationError as exc:
+        raise ContractViolationError(f"greedy necklace of a TNN matrix is invalid: {exc}") from exc
+    P = Positroid.from_necklace(necklace)
+    if A.n <= BASIS_ENUMERATION_CAP:
+        if frozenset(enumerate_bases(P)) != frozenset(map(frozenset, nonzero)):
+            raise ContractViolationError(
+                "the necklace of a TNN matrix does not generate its nonzero minors"
+            )
+    return P
 
 
 def random_tnn_matrix(

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import pytest
@@ -293,3 +294,23 @@ def test_wrapping_decomposition_rank(ref_positroid):
     E = {13, 14, 1, 5, 6}
     assert rank(ref_positroid, E).value == rank_bruteforce(ref_positroid, E)
     assert rank_dp(ref_positroid, E) == rank(ref_positroid, E).value
+
+
+def test_rank_dp_runs_in_bounded_stack_depth():
+    # the uniform positroid U(60, 240), pi(i) = i + 60: every 60 elements
+    # form a basis, so the 120 odd elements (s = 120 intervals) have rank 60
+    n, d = 240, 60
+    P = Positroid.from_oneline(tuple((i + d - 1) % n + 1 for i in range(1, n + 1)))
+    E = range(1, n + 1, 2)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        value = rank_dp(P, E)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == d

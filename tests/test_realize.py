@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from positroids import (
     BasisCollection,
+    ContractViolationError,
     EnumerationLimitError,
     NotAPositroidError,
     Positroid,
@@ -21,8 +23,46 @@ from positroids import (
     random_tnn_matrix,
     row_rank,
 )
+from positroids import realize
+from positroids.cli import main
 
 A_ROWS = ((1, 0, -3, -1), (0, 1, 4, 0))
+
+ENTRIES = (0, 1, -1, 2, -2, 3, -3, "1/2", "-2/3")
+
+# a column index that is not a plain int in 1..4, for the 2x4 A_ROWS
+BAD_COLUMNS = [(-1, 2), (0, 2), (True, 2), (1, 5), (1.0, 2)]
+
+
+def leibniz(rows):
+    """Determinant as the signed sum over permutations, in Fractions."""
+    k = len(rows)
+    total = Fraction(0)
+    for p in permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(k):
+            term *= Fraction(rows[i][p[i]])
+        total += term
+    return total
+
+
+def seeded_matrices(seed, count):
+    """Random matrices with r <= 4, n <= 8, zero and repeated columns included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(1, 4)
+        n = rng.randint(r, 8)
+        rows = [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(r)]
+        if rng.random() < 0.4:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        if n > 1 and rng.random() < 0.4:
+            src, dst = rng.sample(range(n), 2)
+            for row in rows:
+                row[dst] = row[src]
+        yield RationalMatrix.from_rows(rows)
 
 
 class TestRationalMatrix:
@@ -60,6 +100,11 @@ class TestRationalMatrix:
         assert A.column_submatrix([3, 1]) == [[Fraction(-3), Fraction(1)],
                                               [Fraction(4), Fraction(0)]]
 
+    @pytest.mark.parametrize("cols", BAD_COLUMNS)
+    def test_column_submatrix_rejects_bad_columns(self, cols):
+        with pytest.raises(ValidationError, match="column"):
+            RationalMatrix.from_rows(A_ROWS).column_submatrix(cols)
+
 
 class TestMinors:
     def test_reference_minors(self):
@@ -76,6 +121,29 @@ class TestMinors:
         A = RationalMatrix.from_rows(A_ROWS)
         with pytest.raises(ValidationError):
             maximal_minor(A, (1, 2, 3))
+
+    @pytest.mark.parametrize("cols", BAD_COLUMNS)
+    def test_bad_columns_rejected(self, cols):
+        with pytest.raises(ValidationError, match="column"):
+            maximal_minor(RationalMatrix.from_rows(A_ROWS), cols)
+
+    def test_sign_follows_column_order(self):
+        A = RationalMatrix.from_rows(A_ROWS)
+        assert maximal_minor(A, (1, 3)) == 4
+        assert maximal_minor(A, (3, 1)) == -4
+
+    def test_every_minor_matches_leibniz(self):
+        rng = random.Random(11)
+        for A in seeded_matrices(3, 150):
+            columns, scale = realize._integer_columns(A.entries)
+            scanned = list(realize._lex_minors(columns, A.r))
+            assert [cols for cols, _ in scanned] == list(combinations(range(1, A.n + 1), A.r))
+            for cols, value in scanned:
+                expected = leibniz(A.column_submatrix(cols))
+                assert Fraction(value, scale) == expected, (A, cols)
+                assert maximal_minor(A, cols) == expected, (A, cols)
+                shuffled = rng.sample(cols, len(cols))
+                assert maximal_minor(A, shuffled) == leibniz(A.column_submatrix(shuffled))
 
     def test_row_rank(self):
         assert row_rank(RationalMatrix.from_rows(A_ROWS)) == 2
@@ -101,6 +169,31 @@ class TestNonnegativity:
         cols, value = first_negative_minor(C)
         assert cols == (1, 3)
         assert value == Fraction(-1)
+
+    def test_exact_rational_witness(self):
+        # minors (1,2) = 1/3, (1,3) = 3/10, (1,4) = 0, (2,3) = -2/9
+        rows = [["1/2", 0, "1/3", 0], [0, "2/3", "3/5", 0]]
+        assert first_negative_minor(RationalMatrix.from_rows(rows)) == ((2, 3), Fraction(-2, 9))
+
+    def test_witness_matches_brute_force(self):
+        for A in seeded_matrices(5, 150):
+            expected = next(
+                (
+                    (cols, value)
+                    for cols in combinations(range(1, A.n + 1), A.r)
+                    if (value := leibniz(A.column_submatrix(cols))) < 0
+                ),
+                None,
+            )
+            assert first_negative_minor(A) == expected, A
+
+    def test_cli_prints_the_rational_witness(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([["1/2", 0, "1/3", 0], [0, "2/3", "3/5", 0]]))
+        code = main(["check", "--matrix", str(path)])
+        obj = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert obj["negative_minor"] == {"columns": [2, 3], "value": "-2/9"}
 
 
 class TestBasisCollection:
@@ -176,6 +269,45 @@ class TestPositroidFromMatrix:
         with pytest.raises(ValidationError, match="row rank"):
             positroid_from_matrix(RationalMatrix.from_rows([[1, 1], [1, 1]]))
 
+    def test_rank_check_runs_before_the_cap(self):
+        # C(30, 13) is past the scan cap, but the rank is 12
+        rows = [[int(i == j) for j in range(30)] for i in range(12)]
+        rows.append(rows[0])
+        A = RationalMatrix.from_rows(rows)
+        for convert in (positroid_from_matrix, matroid_from_matrix):
+            with pytest.raises(ValidationError, match="row rank is 12, less than the row count"):
+                convert(A)
+
+    def test_matches_the_basis_collection_path(self):
+        rng = random.Random(2024)
+        loops = coloops = 0
+        for _ in range(220):
+            n = rng.randint(1, 9)
+            A = random_tnn_matrix(rng.randint(1, n), n, rng, ops=rng.randint(0, 14))
+            # a positive rational row scale keeps every minor's sign
+            scales = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in A.entries]
+            A = RationalMatrix.from_rows(
+                [[v * c for v in row] for row, c in zip(A.entries, scales)]
+            )
+            P = positroid_from_matrix(A)
+            assert P == Positroid.from_necklace(necklace_from_bases(matroid_from_matrix(A)))
+            loops += bool(P.perm.white)
+            coloops += bool(P.perm.black)
+        assert loops > 20 and coloops > 20
+
+    def test_failed_recheck_is_a_contract_violation(self, monkeypatch):
+        A = RationalMatrix.from_rows(A_ROWS)
+        monkeypatch.setattr(realize, "enumerate_bases", lambda P: iter([frozenset({1, 2})]))
+        with pytest.raises(ContractViolationError, match="nonzero minors"):
+            positroid_from_matrix(A)
+
+    def test_invalid_greedy_necklace_is_a_contract_violation(self, monkeypatch):
+        A = RationalMatrix.from_rows(A_ROWS)
+        sets = (frozenset({1, 2}), frozenset({1, 3}), frozenset({3, 4}), frozenset({2, 4}))
+        monkeypatch.setattr(realize, "_greedy_necklace", lambda columns, r: sets)
+        with pytest.raises(ContractViolationError, match="necklace"):
+            positroid_from_matrix(A)
+
 
 class TestRandomTnn:
     def test_seeded_instances(self):
@@ -197,5 +329,6 @@ class TestRandomTnn:
 def test_minor_scan_cap():
     rng = random.Random(0)
     A = random_tnn_matrix(13, 30, rng, ops=4)
-    with pytest.raises(EnumerationLimitError):
-        is_totally_nonnegative(A)
+    for scan in (is_totally_nonnegative, matroid_from_matrix, positroid_from_matrix):
+        with pytest.raises(EnumerationLimitError):
+            scan(A)
