@@ -49,7 +49,6 @@ from .positroid import (
     GrassmannNecklace,
     Positroid,
     enumerate_bases,
-    is_basis,
     loops_and_coloops,
     necklace_of,
     permutation_of,
@@ -117,7 +116,6 @@ __all__ = [
     "GrassmannNecklace",
     "Positroid",
     "enumerate_bases",
-    "is_basis",
     "loops_and_coloops",
     "necklace_of",
     "permutation_of",

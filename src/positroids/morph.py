@@ -9,7 +9,6 @@ with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -38,8 +37,6 @@ __all__ = [
     "align_basis",
     "witness_basis",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class GapStatus(Enum):
@@ -318,35 +315,17 @@ def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
     return result
 
 
-def _greedy_witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
-    """Greedy witness with rank_dp as the independence oracle."""
-    chosen: set[int] = set()
-    for x in sorted(members):
-        if rank_dp(P, chosen | {x}) == len(chosen) + 1:
-            chosen.add(x)
-    for x in range(1, P.n + 1):
-        if len(chosen) == P.d:
-            break
-        if x in members:
-            continue
-        if rank_dp(P, chosen | {x}) == len(chosen) + 1:
-            chosen.add(x)
-    B = frozenset(chosen)
-    if not (P.is_basis(B) and len(B & members) == target):
-        raise ContractViolationError("greedy witness construction failed")
-    return B
-
-
 def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
     Follows the morph recursion; loops and coloops are stripped first and
-    the coloops put back at the end. If the construction ever misses its
-    target the greedy fallback takes over (logged, never silent).
+    the coloops put back at the end. The result is checked to be a basis
+    meeting E in rank(E) elements: a construction that misses that target,
+    or that fails inside with a ValidationError, raises
+    ContractViolationError.
     """
     members = frozenset(E)
     target = rank_dp(P, members)
-    candidate: frozenset[int] | None = None
     try:
         if P.perm.fixed_points:
             inner, relabel = P._reduced
@@ -359,13 +338,11 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
                 candidate = frozenset(back[x] for x in inner_witness) | P.perm.black
         else:
             candidate = _witness_rec(P, decompose(members, P.n))
-    except (ValidationError, ContractViolationError) as exc:
-        logger.warning("witness construction fell back to greedy search: %s", exc)
-        candidate = None
-    if candidate is not None and P.is_basis(candidate) and len(candidate & members) == target:
-        return candidate
-    if candidate is not None:
-        logger.warning(
-            "constructed witness misses the rank target; falling back to greedy search"
+    except ValidationError as exc:
+        raise ContractViolationError(f"witness construction failed: {exc}") from exc
+    if not (P.is_basis(candidate) and len(candidate & members) == target):
+        raise ContractViolationError(
+            f"constructed witness {sorted(candidate)} is not a basis meeting E "
+            f"in rank(E) = {target} elements"
         )
-    return _greedy_witness(P, members, target)
+    return candidate

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from positroids import ContractViolationError
+from positroids import ContractViolationError, morph
 from positroids.cli import main
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
@@ -116,6 +116,12 @@ class TestRankVerb:
         assert obj["witness"] == [1, 3, 4, 5, 10, 11, 12]
         assert obj["bounds"]["{{1,2}}"] == 3
         assert obj["bounds"]["{{1},{2}}"] == 5
+
+    def test_witness_missing_its_target_exits_2(self, capsys, ref_perm_file, monkeypatch):
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: frozenset(range(1, 8)))
+        code = main(["rank", "--perm", ref_perm_file, "--set", "1-3,8-10", "--witness"])
+        assert code == 2
+        assert "internal error:" in capsys.readouterr().err
 
     def test_empty_set(self, capsys, ref_perm_file):
         code, obj = run_json(capsys, ["rank", "--perm", ref_perm_file, "--set", ""])

@@ -13,6 +13,7 @@ from positroids import (
     interval_exchange,
     is_compatible,
     mimic,
+    morph,
     morph_sequence,
     rank_bruteforce,
     witness_basis,
@@ -207,3 +208,17 @@ class TestWitness:
             W = witness_basis(P, E)
             assert P.is_basis(W)
             assert len(W & E) == rank_bruteforce(P, E)
+
+    def test_missed_target_is_a_contract_violation(self, ref_positroid, monkeypatch):
+        # {1..7} is not a basis of the reference positroid
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: frozenset(range(1, 8)))
+        with pytest.raises(ContractViolationError, match="not a basis"):
+            witness_basis(ref_positroid, E4)
+
+    def test_failure_inside_is_a_contract_violation(self, ref_positroid, monkeypatch):
+        def broken(P, decomp):
+            raise ValidationError("element 0 out of range")
+
+        monkeypatch.setattr(morph, "_witness_rec", broken)
+        with pytest.raises(ContractViolationError, match="witness construction failed"):
+            witness_basis(ref_positroid, E4)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from positroids import (
@@ -7,7 +10,6 @@ from positroids import (
     Positroid,
     ValidationError,
     enumerate_bases,
-    is_basis,
     loops_and_coloops,
     necklace_of,
     permutation_of,
@@ -206,6 +208,40 @@ class TestPermNecklaceRoundtrip:
             assert permutation_of(necklace_of(P.perm)) == P.perm
 
 
+def necklace_positions(P: Positroid) -> list[list[int]]:
+    """Row k - 1: the positions of I_k's members read from k, sorted."""
+    return [sorted((x - k) % P.n for x in P.necklace.at(k)) for k in range(1, P.n + 1)]
+
+
+def gale_reference(P: Positroid, B, positions=None) -> bool:
+    """Oh's theorem read literally: |B| = d and B >=_k I_k for every k in 1..n."""
+    B, n = frozenset(B), P.n
+    if len(B) != P.d:
+        return False
+    for k, ipos in enumerate(positions or necklace_positions(P), start=1):
+        bpos = sorted([(x - k) % n for x in B])
+        if any(bp < ip for bp, ip in zip(bpos, ipos)):
+            return False
+    return True
+
+
+def random_decorated_positroid(n: int, fixed: int, rng: random.Random) -> Positroid:
+    """pi fixes `fixed` random elements, each colored at random, and moves the rest."""
+    points = rng.sample(range(1, n + 1), fixed)
+    moved = [x for x in range(1, n + 1) if x not in points]
+    while True:
+        targets = moved[:]
+        rng.shuffle(targets)
+        if all(a != b for a, b in zip(moved, targets)):
+            break
+    images = list(range(1, n + 1))
+    for a, b in zip(moved, targets):
+        images[a - 1] = b
+    black = [x for x in points if rng.random() < 0.5]
+    white = [x for x in points if x not in black]
+    return Positroid.from_oneline(images, white, black)
+
+
 class TestPositroid:
     def test_mismatched_necklace_rejected(self, ref_positroid):
         other = necklace_of(DecoratedPermutation.from_oneline(tuple(range(2, 15)) + (1,)))
@@ -245,13 +281,53 @@ class TestPositroid:
         assert ref_positroid.is_basis({4, 7, 8, 10, 11, 13, 14})
         assert not ref_positroid.is_basis({1, 2, 3, 4, 5, 6, 7})
         assert not ref_positroid.is_basis({1, 4})  # wrong size
-        assert is_basis(ref_positroid, REF_NECKLACE[0])
+        assert ref_positroid.is_basis(REF_NECKLACE[0])
         with pytest.raises(ValidationError):
             ref_positroid.is_basis({0, 1, 2, 3, 4, 5, 6})
 
     def test_necklace_members_are_bases(self, ref_positroid):
         for k in range(1, 15):
             assert ref_positroid.is_basis(ref_positroid.necklace.at(k))
+
+    def test_out_of_range_raises_whatever_the_size(self, ref_positroid):
+        for B in ({0}, {1, 15}, {15}, {-1, 1, 2, 3, 4, 5, 6, 7}):
+            with pytest.raises(ValidationError, match="out of range"):
+                ref_positroid.is_basis(B)
+
+    @pytest.mark.parametrize("B", [{True}, {1.0}, {"a"}, [1, "a"], (2, None)])
+    def test_non_integer_elements_are_refused(self, B):
+        P = Positroid.from_oneline([2, 3, 1])
+        assert P.d == 1
+        with pytest.raises(ValidationError, match="must be integers"):
+            P.is_basis(B)
+
+    def test_matches_the_gale_reference_on_every_subset(self):
+        # every anchor k in 1..n in the reference, only k in B in the code
+        checked = 0
+        for n in range(7):
+            for perm in decorated_permutations(n):
+                P = Positroid.from_permutation(perm)
+                for B in all_subsets(n):
+                    assert P.is_basis(B) == gale_reference(P, B), (perm, sorted(B))
+                    checked += 1
+        assert checked == 136_873
+
+    def test_matches_the_gale_reference_at_n150(self):
+        rng = random.Random(150)
+        outcomes = set()
+        for fixed in (0, 12):
+            P = random_decorated_positroid(150, fixed, rng)
+            positions = necklace_positions(P)
+            ground = range(1, P.n + 1)
+            for k in ground:
+                I = P.necklace.at(k)
+                assert P.is_basis(I) and gale_reference(P, I, positions), k
+                outside = [y for y in ground if y not in I]
+                B = (I - {rng.choice(sorted(I))}) | {rng.choice(outside)}
+                expected = gale_reference(P, B, positions)
+                assert P.is_basis(B) == expected, (k, sorted(B))
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestEnumerateBases:
@@ -270,6 +346,22 @@ class TestEnumerateBases:
         from math import comb
 
         assert sum(1 for _ in enumerate_bases(P)) == comb(n, d)
+
+    def test_matches_the_gale_reference_in_lex_order(self):
+        extremes = set()
+        for n in range(7):
+            for perm in decorated_permutations(n):
+                P = Positroid.from_permutation(perm)
+                expected = [
+                    frozenset(c)
+                    for c in combinations(range(1, n + 1), P.d)
+                    if gale_reference(P, c)
+                ]
+                assert list(enumerate_bases(P)) == expected, perm
+                if n and P.d in (0, n):
+                    extremes.add(P.d == n)
+        # all loops (d = 0) and all coloops (d = n) are both among them
+        assert extremes == {False, True}
 
     def test_cap(self):
         P = Positroid.from_oneline(tuple(range(2, 22)) + (1,))
