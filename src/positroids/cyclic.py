@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -30,6 +31,13 @@ __all__ = [
     "parse_set_spec",
     "format_set_spec",
 ]
+
+
+def _check_ints(values: Iterable, what: str) -> None:
+    """Reject anything but plain ints; bool is an int subclass and rejected too."""
+    if not {int}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValidationError(f"{what} must be integers, got {bad!r}")
 
 
 def _check_element(x: int, n: int) -> None:
@@ -83,6 +91,7 @@ class CyclicInterval:
         if (self.a is None) != (self.b is None):
             raise ValidationError("either both or neither endpoint must be None")
         if self.a is not None:
+            _check_ints((self.a, self.b), "interval endpoints")
             _check_element(self.a, self.n)
             _check_element(self.b, self.n)
 
@@ -109,7 +118,7 @@ class CyclicInterval:
     def __len__(self) -> int:
         if self.a is None:
             return 0
-        return position(self.b, self.a, self.n) + 1
+        return (self.b - self.a) % self.n + 1
 
     def contains(self, x: int) -> bool:
         if self.a is None:
@@ -128,13 +137,12 @@ class CyclicInterval:
         return pa <= pb <= position(self.b, self.a, self.n)
 
     def elements(self) -> Iterator[int]:
-        """Yield the elements clockwise from a to b."""
+        """The elements clockwise from a to b: one range, or two if it wraps."""
         if self.a is None:
-            return
-        x = self.a
-        for _ in range(len(self)):
-            yield x
-            x = next_element(x, self.n)
+            return iter(())
+        if self.a <= self.b:
+            return iter(range(self.a, self.b + 1))
+        return chain(range(self.a, self.n + 1), range(1, self.b + 1))
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -255,21 +263,26 @@ class IntervalDecomposition:
         return IntervalDecomposition(self.n, chosen)
 
 
+def _check_subset(members: Iterable[int], n: int) -> None:
+    _check_ints(members, "set elements")
+    for x in members:
+        _check_element(x, n)
+
+
 def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
     """Write a subset of {1..n} as its maximal cyclic intervals."""
     mem = set(members)
-    for x in mem:
-        _check_element(x, n)
+    _check_subset(mem, n)
     if not mem:
         return IntervalDecomposition(n, ())
     if len(mem) == n:
         return IntervalDecomposition(n, ((1, n),))
-    starts = [x for x in mem if prev_element(x, n) not in mem]
+    starts = [x for x in mem if (x - 2) % n + 1 not in mem]
     intervals = []
     for a in sorted(starts):
         b = a
-        while next_element(b, n) in mem:
-            b = next_element(b, n)
+        while b % n + 1 in mem:
+            b = b % n + 1
         intervals.append((a, b))
     return IntervalDecomposition(n, tuple(intervals))
 

@@ -19,7 +19,6 @@ from .cyclic import (
     decompose,
     half_open,
     open_interval,
-    position,
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
@@ -100,39 +99,40 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     return result
 
 
-def _check_window(P: Positroid, c: int, window: tuple[int, int]) -> tuple[int, int]:
+def _window_arcs(
+    P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
+) -> tuple[frozenset[int], frozenset[int], frozenset[int], bool]:
+    """I_c, the arcs (b, c) and [c, d] of the window (b, d], and whether J is
+    compatible: J ⊇ I_c on the first arc and J ⊆ I_c on the second."""
     b, d = window
     if not half_open(b, d, P.n).contains(c):
         raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
-    return b, d
+    Ic = P.necklace.at(c)
+    before = open_interval(b, c, P.n).members
+    after = CyclicInterval.span(c, d, P.n).members
+    return Ic, before, after, (Ic & before) <= J and (J & after) <= Ic
 
 
 def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]) -> bool:
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
-    b, d = _check_window(P, c, window)
-    J = frozenset(J)
-    Ic = P.necklace.at(c)
-    before = open_interval(b, c, P.n).members
-    after = CyclicInterval.span(c, d, P.n).members
-    return (Ic & before) <= J and (J & after) <= (Ic & after)
+    return _window_arcs(P, frozenset(J), c, window)[3]
 
 
 def _mimic_parts(
     P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int], GapStatus]:
-    b, d = _check_window(P, c, window)
-    if not is_compatible(P, J, c, window):
+    Ic, before, after, compatible = _window_arcs(P, J, c, window)
+    b, d = window
+    if not compatible:
         raise ValidationError(
             f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic"
         )
     n = P.n
-    Ic = P.necklace.at(c)
-    over = (J - Ic) & open_interval(b, c, n).members
-    after = CyclicInterval.span(c, d, n).members
+    over = (J - Ic) & before
     missing = (Ic - J) & after
     alpha = min(len(over), len(missing))
-    removed = tuple(sorted(over, key=lambda x: position(x, b, n), reverse=True)[:alpha])
-    added = tuple(sorted(missing, key=lambda x: position(x, b, n))[:alpha])
+    removed = tuple(sorted(over, key=lambda x: (x - b) % n, reverse=True)[:alpha])
+    added = tuple(sorted(missing, key=lambda x: (x - b) % n)[:alpha])
     result = (J - set(removed)) | set(added)
     status = GapStatus.GAP_FREE if result & after == Ic & after else GapStatus.HAS_GAPS
     return removed, added, result, status
@@ -155,9 +155,9 @@ def mimic(
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
     """States J^0 .. J^{s-1} starting from interval i of E.
 
-    Intervals are relabeled so interval i comes first; J^0 = I_{a_i}, and
-    stage t mimics the necklace member of the (t+1)-st relabeled interval
-    in the window (b_t, b_s].
+    The intervals are read cyclically from interval i; J^0 = I_{a_i}, and
+    stage t mimics the necklace member of the (t+1)-st interval in that
+    order, in the window (b_t, b_s].
     """
     s = E.s
     if not 1 <= i <= s:
@@ -211,7 +211,7 @@ def align_basis(
     own = CyclicInterval.span(a_i, b_i, n).members
 
     def key(x: int) -> int:
-        return position(x, a_i, n)
+        return (x - a_i) % n
 
     def record(e: int, f: int) -> None:
         if trace is not None:
@@ -250,10 +250,10 @@ def align_basis(
 
 
 def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
-    """A basis maximizing the union of decomp's intervals (fixed-point-free P)."""
+    """A basis maximizing the union of decomp's intervals."""
     s = decomp.s
     if s == 0:
-        return P.necklace.at(1)
+        return P.necklace.at(1) if P.n else frozenset()
     if s == 1:
         return P.necklace.at(decomp.intervals[0][0])
     seqs = [morph_sequence(P, decomp, i) for i in range(1, s + 1)]
@@ -279,7 +279,7 @@ def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
     n = P.n
 
     def filled(g: int, x: int) -> bool:
-        # does J^g already agree with I at relabeled start g+1, through end x
+        # does J^g already agree with I at rotated start g+1, through end x
         arc = CyclicInterval.span(starts[g], ends[x - 1], n).members
         return seq[g].members & arc == P.necklace.at(starts[g]) & arc
 
@@ -289,7 +289,7 @@ def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
                 return g
         raise ContractViolationError("merge scan failed; stage 0 must always match")
 
-    pieces: list[tuple[int, int]] = []  # (g, x): relabeled intervals g+1..x
+    pieces: list[tuple[int, int]] = []  # (g, x): rotated intervals g+1..x
     x = t
     while x > 0:
         g = gamma(x)
@@ -318,26 +318,15 @@ def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
 def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
-    Follows the morph recursion; loops and coloops are stripped first and
-    the coloops put back at the end. The result is checked to be a basis
-    meeting E in rank(E) elements: a construction that misses that target,
-    or that fails inside with a ValidationError, raises
-    ContractViolationError.
+    Follows the morph recursion on P itself; loops and coloops need no
+    special case. The result is checked to be a basis meeting E in rank(E)
+    elements: a construction that misses that target, or that fails inside
+    with a ValidationError, raises ContractViolationError.
     """
     members = frozenset(E)
     target = rank_dp(P, members)
     try:
-        if P.perm.fixed_points:
-            inner, relabel = P._reduced
-            if inner.n == 0:
-                candidate = frozenset(P.perm.black)
-            else:
-                image = frozenset(relabel[x] for x in members if x in relabel)
-                back = {new: old for old, new in relabel.items()}
-                inner_witness = witness_basis(inner, image)
-                candidate = frozenset(back[x] for x in inner_witness) | P.perm.black
-        else:
-            candidate = _witness_rec(P, decompose(members, P.n))
+        candidate = _witness_rec(P, decompose(members, P.n))
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
     if not (P.is_basis(candidate) and len(candidate & members) == target):

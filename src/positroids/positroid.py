@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval
+from .cyclic import CyclicInterval, _check_ints
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
@@ -47,19 +47,12 @@ BASIS_ENUMERATION_CAP = 20
 _COLOR_NAMES = ("white", "black")
 
 
-def _check_ints(values: Iterable, what: str) -> None:
-    """Reject anything but plain ints; bool is an int subclass and rejected too."""
-    if not {int}.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) is not int)
-        raise ValidationError(f"{what} must be integers, got {bad!r}")
-
-
 @dataclass(frozen=True)
 class DecoratedPermutation:
     """A bijection of {1..n} with each fixed point colored white or black.
 
-    n = 0 is allowed as a degenerate case so that reduce() is total; it
-    never arises from user input.
+    n = 0 is allowed as a degenerate case: reduce() yields it when every
+    element is fixed, and the JSON {"n": 0, "pi": []} reads as it.
     """
 
     n: int

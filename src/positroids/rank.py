@@ -17,9 +17,10 @@ Arrow counts come from the positroid's own ArrowTable (see
 positroids.positroid): a query reads one O(n) prefix row per anchor where
 one of its gaps starts, built on first use and kept on the Positroid, so a
 single-interval query costs O(n) and repeated queries reuse the rows.
-Queries on positroids with loops or coloops run on the reduction, which is
-likewise computed once and kept on the Positroid. Nothing is cached at
-module level, so memory is freed with the positroid.
+rank() and rank_dp() answer queries on positroids with loops or coloops on
+the reduction, which is likewise computed once and kept on the Positroid;
+witness_basis (positroids.morph) works on the positroid itself. Nothing is
+cached at module level, so memory is freed with the positroid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, IntervalDecomposition, decompose, open_interval
+from .cyclic import CyclicInterval, IntervalDecomposition, _check_subset, decompose, open_interval
 from .errors import EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
 
@@ -261,7 +262,9 @@ def _strip_fixed(P: Positroid, members: frozenset[int]) -> tuple[Positroid, froz
 
     Returns the reduced positroid, the relabeled query set, and the number
     of coloops of P inside the query (each worth one unit of rank).
+    E is checked on P's own ground set first, as decompose() checks it.
     """
+    _check_subset(members, P.n)
     reduced_P, relabel = P._reduced
     bonus = len(members & P.perm.black)
     image = frozenset(relabel[x] for x in members if x in relabel)

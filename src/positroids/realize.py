@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cyclic import position
+from .cyclic import _check_ints, position
 from .errors import (
     ContractViolationError,
     EnumerationLimitError,
@@ -37,7 +37,6 @@ from .positroid import (
     BASIS_ENUMERATION_CAP,
     GrassmannNecklace,
     Positroid,
-    _check_ints,
     enumerate_bases,
 )
 

@@ -128,6 +128,14 @@ class TestRankVerb:
         assert code == 0
         assert obj["rank"] == 0
 
+    def test_empty_ground_set_witness(self, capsys, tmp_path):
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"n": 0, "pi": []}))
+        code, obj = run_json(capsys, ["rank", "--perm", str(path), "--set", "", "--witness"])
+        assert code == 0
+        assert obj["rank"] == 0
+        assert obj["witness"] == []
+
     def test_reduced_output(self, capsys, colored_perm_file):
         code, obj = run_json(capsys, ["rank", "--perm", colored_perm_file, "--set", "1,2,5"])
         assert code == 0

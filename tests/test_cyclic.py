@@ -57,6 +57,16 @@ class TestCyclicInterval:
         assert list(iv.elements()) == [12, 13, 14, 1, 2]
         assert iv.contains(1)
         assert not iv.contains(3)
+        # every span on up to 7 elements reads as the clockwise walk a..b
+        for n in range(1, 8):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    walk = [a]
+                    while walk[-1] != b:
+                        walk.append(next_element(walk[-1], n))
+                    iv = CyclicInterval.span(a, b, n)
+                    assert list(iv.elements()) == walk, (n, a, b)
+                    assert iv.members == set(walk) and len(iv) == len(walk)
 
     def test_singleton_and_full(self):
         assert len(CyclicInterval.span(9, 9, 14)) == 1
@@ -79,6 +89,11 @@ class TestCyclicInterval:
     def test_mixed_none_rejected(self):
         with pytest.raises(ValidationError):
             CyclicInterval(14, 3, None)
+
+    @pytest.mark.parametrize("a, b", [(True, 3), (2, 3.0), ("1", 3)])
+    def test_non_int_endpoints_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="must be integers"):
+            CyclicInterval.span(a, b, 5)
 
     def test_containment(self):
         assert interval_contains((13, 7), (4, 6), 14)
@@ -125,6 +140,11 @@ class TestDecompose:
     def test_wrapping_interval(self):
         assert decompose({1, 4}, 4).intervals == ((4, 1),)
         assert decompose({14, 1, 2, 8}, 14).intervals == ((8, 8), (14, 2))
+
+    @pytest.mark.parametrize("members", [{True}, {True, 2}, {2.0}, {"a"}])
+    def test_non_int_members_rejected(self, members):
+        with pytest.raises(ValidationError, match="must be integers"):
+            decompose(members, 5)
 
     def test_empty_and_full(self):
         assert decompose((), 14).s == 0

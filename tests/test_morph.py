@@ -15,7 +15,9 @@ from positroids import (
     mimic,
     morph,
     morph_sequence,
+    rank,
     rank_bruteforce,
+    rank_dp,
     witness_basis,
 )
 from helpers import all_subsets, decorated_positroids
@@ -194,13 +196,18 @@ class TestWitness:
         assert P.is_basis(full) and len(full) == 7
 
     def test_exhaustive_small(self):
-        # every decorated permutation of [4], every subset: the witness is a
-        # basis meeting E in exactly rank(E) elements
-        for P in decorated_positroids(4):
-            for E in all_subsets(4):
-                W = witness_basis(P, E)
-                assert P.is_basis(W), (P.perm, E)
-                assert len(W & E) == rank_bruteforce(P, E), (P.perm, E)
+        # every decorated permutation of [n], 0 <= n <= 5, every subset:
+        # rank, rank_dp and the witness all attain the brute-force rank, with
+        # the loops and coloops left in place for the witness
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    expected = rank_bruteforce(P, E)
+                    assert rank(P, E).value == expected, (P.perm, E)
+                    assert rank_dp(P, E) == expected, (P.perm, E)
+                    W = witness_basis(P, E)
+                    assert P.is_basis(W), (P.perm, E)
+                    assert len(W & E) == expected, (P.perm, E)
 
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))

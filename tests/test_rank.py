@@ -282,6 +282,32 @@ class TestRank:
         assert rank_dp(P, {2}) == 0
 
 
+DECORATED = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
+QUERIES = {
+    "rank": lambda P, E: rank(P, E).value,
+    "rank_dp": rank_dp,
+    "witness_basis": witness_basis,
+}
+
+
+class TestQueryValidation:
+    """Every query checks E on P's own ground set, fixed points or not."""
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("E", [{99}, {0, 2}, {6}])
+    def test_out_of_range_with_fixed_points(self, query, E):
+        with pytest.raises(ValidationError, match=r"out of range 1\.\.5"):
+            QUERIES[query](DECORATED, E)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("E", [{True, 2}, {2.0}, {"a"}])
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_non_int_elements(self, query, E, fixed, ref_positroid):
+        P = DECORATED if fixed else ref_positroid
+        with pytest.raises(ValidationError, match="must be integers"):
+            QUERIES[query](P, E)
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.sets(st.integers(1, 14)))
 def test_rank_dp_matches_enumeration_on_reference(members):
