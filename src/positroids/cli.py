@@ -142,16 +142,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     P = _load_positroid(args)
     members = parse_set_spec(args.set, P.n)
     cert = rank(P, members, all_bounds=True, limit=args.limit_s)
-    assert cert.all_bounds is not None
+    bounds = cert.all_bounds or ()  # never None here: all_bounds was asked for
     obj: dict[str, Any] = {
         "set": format_set_spec(members, P.n),
         "s": cert.decomposition.s,
-        "bounds": {str(p): v for p, v in cert.all_bounds},
+        "bounds": {str(p): v for p, v in bounds},
         "rank": cert.value,
     }
     if cert.reduced:
         obj["reduced"] = True
-    lines = [f"nbd {p} = {v}" for p, v in cert.all_bounds]
+    lines = [f"nbd {p} = {v}" for p, v in bounds]
     lines.append(f"minimum (= rank) = {cert.value}")
     _emit(args, obj, lines)
     return 0

@@ -263,16 +263,21 @@ class IntervalDecomposition:
         return IntervalDecomposition(self.n, chosen)
 
 
-def _check_subset(members: Iterable[int], n: int) -> None:
-    _check_ints(members, "set elements")
-    for x in members:
-        _check_element(x, n)
+def _checked_subset(members: Iterable[int], n: int) -> frozenset[int]:
+    """members as a subset of {1..n}, checked before it is frozen: a set
+    would collapse {1, True} to whichever came first and hide the bool."""
+    elements = tuple(members)
+    _check_ints(elements, "set elements")
+    mem = frozenset(elements)
+    if mem:
+        _check_element(min(mem), n)
+        _check_element(max(mem), n)
+    return mem
 
 
 def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
     """Write a subset of {1..n} as its maximal cyclic intervals."""
-    mem = set(members)
-    _check_subset(mem, n)
+    mem = _checked_subset(members, n)
     if not mem:
         return IntervalDecomposition(n, ())
     if len(mem) == n:

@@ -16,6 +16,7 @@ from typing import Iterable
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _checked_subset,
     decompose,
     half_open,
     open_interval,
@@ -89,7 +90,7 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     the precondition was violated and ContractViolationError says so.
     """
     iv = CyclicInterval.span(a, b, P.n)
-    J = frozenset(J)
+    J = _checked_subset(J, P.n)
     result = (J - iv.members) | (P.necklace.at(a) & iv.members)
     if not P.is_basis(result):
         raise ContractViolationError(
@@ -115,7 +116,7 @@ def _window_arcs(
 
 def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]) -> bool:
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
-    return _window_arcs(P, frozenset(J), c, window)[3]
+    return _window_arcs(P, _checked_subset(J, P.n), c, window)[3]
 
 
 def _mimic_parts(
@@ -148,7 +149,7 @@ def mimic(
     Requires is_compatible(P, J, c, window). The status reports whether the
     result agrees with I_c on all of [c, d] (gap-free) or gaps remain.
     """
-    removed, added, result, status = _mimic_parts(P, frozenset(J), c, window)
+    removed, added, result, status = _mimic_parts(P, _checked_subset(J, P.n), c, window)
     return result, status
 
 
@@ -194,7 +195,7 @@ def align_basis(
     s = E.s
     if not 1 <= i <= s:
         raise ValidationError(f"interval index {i} out of range 1..{s}")
-    B = frozenset(B)
+    B = _checked_subset(B, P.n)
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
     target = rank_dp(P, E.members)
@@ -323,7 +324,7 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     elements: a construction that misses that target, or that fails inside
     with a ValidationError, raises ContractViolationError.
     """
-    members = frozenset(E)
+    members = _checked_subset(E, P.n)
     target = rank_dp(P, members)
     try:
         candidate = _witness_rec(P, decompose(members, P.n))

@@ -1,12 +1,12 @@
 """Decorated permutations, Grassmann necklaces, and the positroids they define.
 
-A positroid on {1..n} is stored as a decorated permutation pi together with
-its derived necklace (I_1, ..., I_n). The necklace entry I_k is the set of
-weak k-exceedances of pi: elements j with j strictly before pi^{-1}(j) in
-the cyclic order starting at k, plus the black fixed points. The necklace
-is built once per construction, in O(n·d): I_1 from that definition, then
-each I_{k+1} from I_k by the transition rule I_{k+1} = (I_k minus k) plus
-pi(k) (Postnikov, arXiv math/0609764 §16–17). Membership of an arbitrary
+A positroid on {1..n} is stored as its decorated permutation pi alone. The
+necklace entry I_k is the set of weak k-exceedances of pi: elements j with
+j strictly before pi^{-1}(j) in the cyclic order starting at k, plus the
+black fixed points. The necklace is built when first read, in O(n·d): I_1
+from that definition, then each I_{k+1} from I_k by the transition rule
+I_{k+1} = (I_k minus k) plus pi(k) (Postnikov, arXiv math/0609764 §16–17);
+d = |I_1| takes O(n) and no necklace. Membership of an arbitrary
 d-subset is decided by the Gale-order test against the necklace (Oh, 2011),
 so no basis list is ever materialized unless asked for. The test sorts B
 once and then makes one O(d) comparison per anchor b in B; enumerating the
@@ -14,8 +14,8 @@ bases walks only the subsets that pass their first member's own condition.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
-Everything a Positroid derives lazily (Gale floors, arrow rows, its
-reduction) is cached on the Positroid itself and freed with it.
+Everything a Positroid derives lazily (necklace, d, Gale floors, arrow
+rows, its reduction) is cached on the Positroid itself and freed with it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, _check_ints
+from .cyclic import CyclicInterval, _check_ints, _checked_subset
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
@@ -163,8 +163,8 @@ class GrassmannNecklace:
 
     def __post_init__(self) -> None:
         _check_ints((self.n, self.d), "n and d")
-        if self.n < 0:
-            raise ValidationError("n must be nonnegative")
+        if not 0 <= self.d <= self.n:
+            raise ValidationError(f"need 0 <= d <= n, got n = {self.n}, d = {self.d}")
         if len(self.sets) != self.n:
             raise ValidationError(f"necklace has {len(self.sets)} sets, expected {self.n}")
         for i, I in enumerate(self.sets, start=1):
@@ -227,6 +227,13 @@ class GrassmannNecklace:
         return cls.from_sets(sets, n)
 
 
+def _first_entry(perm: DecoratedPermutation) -> set[int]:
+    """I_1: the black fixed points and every j with j < pi^{-1}(j)."""
+    members = set(perm.black)
+    members.update(j for j, pre in enumerate(perm._inverse, start=1) if j < pre)
+    return members
+
+
 def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
     """The necklace I_k = weak k-exceedances of the permutation, in O(n·d).
 
@@ -237,8 +244,7 @@ def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
     and a non-fixed k (always in I_k) leaves it while pi(k) joins.
     """
     n = perm.n
-    members = set(perm.black)
-    members.update(j for j, pre in enumerate(perm._inverse, start=1) if j < pre)
+    members = _first_entry(perm)
     sets = []
     for k, image in enumerate(perm.images, start=1):
         sets.append(frozenset(members))
@@ -333,34 +339,14 @@ class ArrowTable:
 
 @dataclass(frozen=True)
 class Positroid:
-    """A positroid, carried by its decorated permutation plus its necklace."""
+    """A positroid, carried by its decorated permutation alone; the necklace
+    and d are derived from perm when first read, so reduce() builds none."""
 
     perm: DecoratedPermutation
-    necklace: GrassmannNecklace
-
-    def __post_init__(self) -> None:
-        # Both inputs are already validated, and a necklace obeys the
-        # transition rule, so it is the necklace of perm exactly when every
-        # step k drops k and gains pi(k), keeps a black fixed point and
-        # skips a white one: O(n) membership tests instead of a rebuild.
-        perm, sets = self.perm, self.necklace.sets
-        n = perm.n
-        if self.necklace.n != n:
-            raise ValidationError("necklace does not match the permutation")
-        for k, image in enumerate(perm.images, start=1):
-            cur, nxt = sets[k - 1], sets[k % n]
-            if image != k:
-                ok = k in cur and image in nxt and image not in cur
-            elif k in perm.black:
-                ok = k in cur and k in nxt
-            else:
-                ok = k not in cur
-            if not ok:
-                raise ValidationError("necklace does not match the permutation")
 
     @classmethod
     def from_permutation(cls, perm: DecoratedPermutation) -> "Positroid":
-        return cls(perm, necklace_of(perm))
+        return cls(perm)
 
     @classmethod
     def from_oneline(
@@ -369,15 +355,19 @@ class Positroid:
         white: Iterable[int] = (),
         black: Iterable[int] = (),
     ) -> "Positroid":
-        return cls.from_permutation(DecoratedPermutation.from_oneline(images, white, black))
+        return cls(DecoratedPermutation.from_oneline(images, white, black))
 
     @classmethod
     def from_necklace(cls, neck: GrassmannNecklace) -> "Positroid":
-        return cls(permutation_of(neck), neck)
+        P = cls(permutation_of(neck))
+        # permutation_of inverts necklace_of on a valid necklace, so the
+        # validated input is exactly the necklace P would derive
+        vars(P)["necklace"] = neck
+        return P
 
     @classmethod
     def from_json(cls, obj: dict) -> "Positroid":
-        return cls.from_permutation(DecoratedPermutation.from_json(obj))
+        return cls(DecoratedPermutation.from_json(obj))
 
     def to_json(self) -> dict:
         return self.perm.to_json()
@@ -386,9 +376,13 @@ class Positroid:
     def n(self) -> int:
         return self.perm.n
 
-    @property
+    @cached_property
     def d(self) -> int:
-        return self.necklace.d
+        return len(_first_entry(self.perm))
+
+    @cached_property
+    def necklace(self) -> GrassmannNecklace:
+        return necklace_of(self.perm)
 
     @cached_property
     def _arrows(self) -> ArrowTable:
@@ -432,12 +426,7 @@ class Positroid:
         table built once per positroid: O(d log d + d^2) with the d^2 part in
         C-level slice comparisons.
         """
-        elements = tuple(B)
-        _check_ints(elements, "basis elements")
-        ordered = sorted(set(elements))
-        if ordered and (ordered[0] < 1 or ordered[-1] > self.n):
-            x = ordered[0] if ordered[0] < 1 else ordered[-1]
-            raise ValidationError(f"element {x} out of range 1..{self.n}")
+        ordered = sorted(_checked_subset(B, self.n))
         if len(ordered) != self.d:
             return False
         return self._gale_holds(ordered)

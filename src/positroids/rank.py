@@ -30,7 +30,7 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, IntervalDecomposition, _check_subset, decompose, open_interval
+from .cyclic import CyclicInterval, IntervalDecomposition, _checked_subset, decompose, open_interval
 from .errors import EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
 
@@ -261,10 +261,9 @@ def _strip_fixed(P: Positroid, members: frozenset[int]) -> tuple[Positroid, froz
     """Map a rank query onto the loopless/coloopless reduction of P.
 
     Returns the reduced positroid, the relabeled query set, and the number
-    of coloops of P inside the query (each worth one unit of rank).
-    E is checked on P's own ground set first, as decompose() checks it.
+    of coloops of P inside the query (each worth one unit of rank). The
+    caller has already checked members on P's own ground set.
     """
-    _check_subset(members, P.n)
     reduced_P, relabel = P._reduced
     bonus = len(members & P.perm.black)
     image = frozenset(relabel[x] for x in members if x in relabel)
@@ -285,7 +284,7 @@ def rank(
     partition in enumeration order. Enumeration is capped at `limit`
     intervals (after reduction); past that use rank_dp, which needs no cap.
     """
-    members = frozenset(E)
+    members = _checked_subset(E, P.n)
     bonus = 0
     reduced_flag = False
     if P.perm.fixed_points:
@@ -311,16 +310,15 @@ def rank(
         )
     w = _gap_matrix(P, decomp)
     d = P.d
-    best: int | None = None
-    best_raw: tuple[tuple[int, ...], ...] | None = None
+    best = 0
+    best_raw: tuple[tuple[int, ...], ...] = ()
     collected: list[tuple[NonCrossingPartition, int]] = []
     for raw in _raw_ncps(tuple(range(1, s + 1))):
         bound = sum(_block_bound(block, w, d) for block in raw)
-        if best is None or bound < best:
+        if not best_raw or bound < best:
             best, best_raw = bound, raw
         if all_bounds:
             collected.append((NonCrossingPartition(s, raw), bound))
-    assert best is not None and best_raw is not None
     partition = NonCrossingPartition(s, best_raw)
     per_block = tuple(_block_bound(block, w, d) for block in best_raw)
     if all_bounds:
@@ -345,7 +343,7 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     and the block pays d minus the gap weights along its cyclic closure.
     The tables are filled bottom-up, with no recursion, so any s runs.
     """
-    members = frozenset(E)
+    members = _checked_subset(E, P.n)
     bonus = 0
     if P.perm.fixed_points:
         P, members, bonus = _strip_fixed(P, members)

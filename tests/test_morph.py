@@ -177,6 +177,29 @@ class TestAlignBasis:
                 assert out & window == P.necklace.at(a_i) & window
 
 
+# each call is valid on the reference positroid as long as `extra` is empty
+MORPH_ENTRY_POINTS = {
+    "interval_exchange": lambda P, extra: interval_exchange(
+        P, [1, 4, 7, 8, 10, 11, 13, *extra], 13, 2
+    ),
+    "is_compatible": lambda P, extra: is_compatible(P, [*P.necklace.at(2), *extra], 7, (4, 10)),
+    "mimic": lambda P, extra: mimic(P, [*P.necklace.at(2), *extra], 7, (4, 10)),
+    "align_basis": lambda P, extra: align_basis(
+        P, [*P.necklace.at(2), *extra], decompose({2, 3, 4, 5}, 14), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", MORPH_ENTRY_POINTS)
+@pytest.mark.parametrize("extra", ["x", 99, 2.0])
+def test_set_arguments_are_checked(ref_positroid, entry, extra):
+    # 2.0 == 2 lands on a member of the set or of the exchanged interval, so
+    # freezing the set before the check would hide it
+    MORPH_ENTRY_POINTS[entry](ref_positroid, ())
+    with pytest.raises(ValidationError):
+        MORPH_ENTRY_POINTS[entry](ref_positroid, (extra,))
+
+
 class TestWitness:
     def test_reference(self, ref_positroid):
         W = witness_basis(ref_positroid, E4)

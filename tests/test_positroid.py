@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,9 @@ from positroids import (
     loops_and_coloops,
     necklace_of,
     permutation_of,
+    rank,
     rank_bruteforce,
+    rank_dp,
     reduce,
 )
 from helpers import (
@@ -139,6 +142,8 @@ class TestNecklace:
             GrassmannNecklace(2, 1, (frozenset({"1"}), frozenset({"1"})))
         with pytest.raises(ValidationError, match="outside"):
             GrassmannNecklace(2, 1, (frozenset({0}), frozenset({0})))
+        with pytest.raises(ValidationError, match="d <= n"):  # d = 3 with no sets to check
+            GrassmannNecklace(0, 3, ())
 
     def test_json_shape_checked(self):
         with pytest.raises(ValidationError):
@@ -243,29 +248,30 @@ def random_decorated_positroid(n: int, fixed: int, rng: random.Random) -> Positr
 
 
 class TestPositroid:
-    def test_mismatched_necklace_rejected(self, ref_positroid):
-        other = necklace_of(DecoratedPermutation.from_oneline(tuple(range(2, 15)) + (1,)))
-        with pytest.raises(ValidationError):
-            Positroid(ref_positroid.perm, other)
+    def test_perm_is_the_only_field(self):
+        assert [f.name for f in fields(Positroid)] == ["perm"]
 
-    def test_matching_is_decided_exactly(self):
-        # every (permutation, necklace) pair with n <= 5: the O(n) match test
-        # accepts exactly the necklace built from the permutation
-        for n in range(6):
-            perms = list(decorated_permutations(n))
-            necklaces = [necklace_of(perm) for perm in perms]
-            for perm, own in zip(perms, necklaces):
-                for neck in necklaces:
-                    if neck == own:
-                        assert Positroid(perm, neck).necklace == own
-                    else:
-                        with pytest.raises(ValidationError):
-                            Positroid(perm, neck)
+    def test_everything_is_derived_from_the_permutation(self):
+        # every decorated permutation with n <= 6, loops and coloops included
+        for n in range(7):
+            for perm in decorated_permutations(n):
+                neck = necklace_of(perm)
+                P = Positroid.from_permutation(perm)
+                assert P.necklace == neck
+                assert P.d == neck.d
+                assert Positroid.from_necklace(neck).perm == perm
 
-    def test_size_mismatch_rejected(self):
-        neck = necklace_of(DecoratedPermutation.from_oneline((2, 3, 1)))
-        with pytest.raises(ValidationError):
-            Positroid(DecoratedPermutation.from_oneline((2, 1)), neck)
+    def test_necklace_is_built_only_when_read(self, ref_positroid):
+        P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
+        Q = Positroid.from_json(ref_positroid.to_json())
+        assert (P.d, Q.d) == (2, 7)
+        assert "necklace" not in vars(P) and "necklace" not in vars(Q)
+        assert rank_dp(P, {2, 4, 5}) == 2
+        assert rank(P, {3}).value == 1
+        inner = P._reduced[0]
+        assert "necklace" not in vars(inner) and "necklace" not in vars(P)
+        assert P.necklace is P.necklace
+        assert "necklace" in vars(P)
 
     def test_from_necklace_keeps_the_necklace(self):
         for P in decorated_positroids(4):

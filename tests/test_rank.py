@@ -300,7 +300,7 @@ class TestQueryValidation:
             QUERIES[query](DECORATED, E)
 
     @pytest.mark.parametrize("query", QUERIES)
-    @pytest.mark.parametrize("E", [{True, 2}, {2.0}, {"a"}])
+    @pytest.mark.parametrize("E", [{True, 2}, {2.0}, {"a"}, [1, True], [True, 1]])
     @pytest.mark.parametrize("fixed", [True, False])
     def test_non_int_elements(self, query, E, fixed, ref_positroid):
         P = DECORATED if fixed else ref_positroid
