@@ -321,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_PARTITION_LIMIT,
         metavar="N",
-        help="max interval count for partition enumeration (default %(default)s)",
+        help="max interval count for a certificate (default %(default)s)",
     )
 
     p_bounds = sub.add_parser(
@@ -370,12 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (ValidationError, EnumerationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractViolationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+    except (ValidationError, EnumerationLimitError, ContractViolationError) as exc:
+        logging.getLogger("positroids").debug("%s failed", args.verb, exc_info=True)
+        internal = isinstance(exc, ContractViolationError)
+        print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return 2 if internal else 1
 
 
 if __name__ == "__main__":

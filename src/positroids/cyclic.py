@@ -277,7 +277,11 @@ def _checked_subset(members: Iterable[int], n: int) -> frozenset[int]:
 
 def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
     """Write a subset of {1..n} as its maximal cyclic intervals."""
-    mem = _checked_subset(members, n)
+    return _intervals_of(_checked_subset(members, n), n)
+
+
+def _intervals_of(mem: frozenset[int], n: int) -> IntervalDecomposition:
+    """decompose() for a set that _checked_subset has already checked."""
     if not mem:
         return IntervalDecomposition(n, ())
     if len(mem) == n:

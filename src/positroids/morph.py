@@ -17,7 +17,7 @@ from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
     _checked_subset,
-    decompose,
+    _intervals_of,
     half_open,
     open_interval,
 )
@@ -324,10 +324,11 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     elements: a construction that misses that target, or that fails inside
     with a ValidationError, raises ContractViolationError.
     """
-    members = _checked_subset(E, P.n)
-    target = rank_dp(P, members)
+    elements = tuple(E)
+    target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
+    members = frozenset(elements)
     try:
-        candidate = _witness_rec(P, decompose(members, P.n))
+        candidate = _witness_rec(P, _intervals_of(members, P.n))
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
     if not (P.is_basis(candidate) and len(candidate & members) == target):

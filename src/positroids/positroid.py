@@ -344,6 +344,12 @@ class Positroid:
 
     perm: DecoratedPermutation
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.perm, DecoratedPermutation):
+            raise ValidationError(
+                f"a Positroid takes a DecoratedPermutation, not {type(self.perm).__name__}"
+            )
+
     @classmethod
     def from_permutation(cls, perm: DecoratedPermutation) -> "Positroid":
         return cls(perm)

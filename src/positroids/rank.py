@@ -10,8 +10,8 @@ CCW-arrow is [x, pi^{-1}(x)]. For a cyclic interval T = [a, b]:
 where minelts is the fewest elements a basis can have in the open gap
 (b, a). For a union E of s intervals, every non-crossing partition of the
 interval indices gives an upper bound on rank(E), and the minimum over all
-of them is exact. rank() enumerates the partitions (certificate included),
-rank_dp() gets the same value by dynamic programming in O(s^3).
+of them is exact. rank_dp() and rank() (with its certificate) read it off one
+O(s^3) table; only enumerate_ncp() and all_bounds=True list partitions.
 
 Arrow counts come from the positroid's own ArrowTable (see
 positroids.positroid): a query reads one O(n) prefix row per anchor where
@@ -30,8 +30,8 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, IntervalDecomposition, _checked_subset, decompose, open_interval
-from .errors import EnumerationLimitError, ValidationError
+from .cyclic import CyclicInterval, IntervalDecomposition, _checked_subset, _intervals_of, open_interval
+from .errors import ContractViolationError, EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
 
 __all__ = [
@@ -108,41 +108,40 @@ class NonCrossingPartition:
         return "{" + inner + "}"
 
 
-def _raw_ncps(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Non-crossing partitions of an ascending element tuple, as raw blocks.
+def _heads(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The blocks of lo..hi that contain lo, by size and then lexicographically."""
+    for k in range(hi - lo + 1):
+        for extra in combinations(range(lo + 1, hi + 1), k):
+            yield (lo,) + extra
 
-    The block containing the smallest element is chosen first (growing by
-    size, then lexicographically); the runs between its members partition
-    independently. Blocks come out sorted by smallest element, so results
+
+def _runs(block: tuple[int, ...], hi: int) -> list[tuple[int, int]]:
+    """The nonempty ranges between block's members and after its last one up to hi."""
+    return [(x + 1, y - 1) for x, y in zip(block, block[1:] + (hi + 1,)) if y > x + 1]
+
+
+def _raw_ncps(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Non-crossing partitions of the range lo..hi, as raw blocks.
+
+    The head block, the one containing lo, is chosen first in _heads order;
+    the runs between its members partition independently, the first run
+    varying slowest. Blocks come out sorted by smallest element, so results
     are already canonical. Streams in O(s^2) memory.
     """
-    if not elems:
+    if lo > hi:
         yield ()
         return
-    head, rest = elems[0], elems[1:]
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            block = (head,) + extra
-            segments: list[tuple[int, ...]] = []
-            cut = block + (None,)
-            j = 0
-            for t in range(len(extra) + 1):
-                seg = []
-                while j < len(rest) and (cut[t + 1] is None or rest[j] < cut[t + 1]):
-                    if rest[j] > cut[t]:
-                        seg.append(rest[j])
-                    j += 1
-                segments.append(tuple(seg))
-            for tail in _segment_products(tuple(segments), 0):
-                yield (block,) + tail
+    for block in _heads(lo, hi):
+        for tail in _run_products(_runs(block, hi), 0):
+            yield (block,) + tail
 
 
-def _segment_products(segments: tuple[tuple[int, ...], ...], i: int) -> Iterator[tuple]:
-    if i == len(segments):
+def _run_products(runs: list[tuple[int, int]], i: int) -> Iterator[tuple]:
+    if i == len(runs):
         yield ()
         return
-    for head in _raw_ncps(segments[i]):
-        for tail in _segment_products(segments, i + 1):
+    for head in _raw_ncps(*runs[i]):
+        for tail in _run_products(runs, i + 1):
             yield head + tail
 
 
@@ -159,7 +158,7 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
             f"enumerating non-crossing partitions of {s} intervals exceeds the "
             f"limit {limit}; rank_dp computes the rank without a certificate"
         )
-    for raw in _raw_ncps(tuple(range(1, s + 1))):
+    for raw in _raw_ncps(1, s):
         yield NonCrossingPartition(s, raw)
 
 
@@ -197,25 +196,24 @@ def min_elements(P: Positroid, b: int, a: int) -> int:
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
     """d minus the sum of ccw over the gaps of E; 0 when E is empty."""
-    if E.s == 0:
-        return 0
-    table = arrow_table(P)
-    return P.d - sum(table.ccw(g) for g in E.gaps())
+    return _block_bound(tuple(range(1, E.s + 1)), _gap_matrix(P, E), P.d) if E.s else 0
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
     """Upper bound nbd(E, Π): sum of natural bounds over Π's blocks of intervals."""
     if ncp.s != E.s:
         raise ValidationError(f"partition of {ncp.s} blocks a decomposition with s = {E.s}")
-    return sum(natural_bound(P, E.restrict(block)) for block in ncp.blocks)
+    w = _gap_matrix(P, E)
+    return sum(_block_bound(block, w, P.d) for block in ncp.blocks)
 
 
 @dataclass(frozen=True)
 class RankCertificate:
     """rank(E) together with the non-crossing partition that attains it.
 
-    `partition` indexes the intervals of `decomposition` and attains the
-    minimum; value = sum(per_block_bounds) + coloop_bonus. When the
+    `partition` indexes the intervals of `decomposition` and is the first
+    partition in enumeration order to attain the minimum; it and value =
+    sum(per_block_bounds) + coloop_bonus are read off the rank table. When the
     positroid has loops or coloops, the query is answered on the reduced
     (fixed-point-free, relabeled) positroid: `reduced` is then True,
     `decomposition` and `partition` refer to the relabeled ground set (see
@@ -257,107 +255,35 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
     return acc
 
 
-def _strip_fixed(P: Positroid, members: frozenset[int]) -> tuple[Positroid, frozenset[int], int]:
-    """Map a rank query onto the loopless/coloopless reduction of P.
-
-    Returns the reduced positroid, the relabeled query set, and the number
-    of coloops of P inside the query (each worth one unit of rank). The
-    caller has already checked members on P's own ground set.
-    """
-    reduced_P, relabel = P._reduced
-    bonus = len(members & P.perm.black)
-    image = frozenset(relabel[x] for x in members if x in relabel)
-    return reduced_P, image, bonus
-
-
-def rank(
-    P: Positroid,
-    E: Iterable[int],
-    *,
-    all_bounds: bool = False,
-    limit: int = DEFAULT_PARTITION_LIMIT,
-) -> RankCertificate:
-    """rank(E) as the minimum of nbd(E, Π) over non-crossing partitions Π.
-
-    Every Π is an upper bound and at least one is tight, so the minimum is
-    the exact rank. The returned certificate carries the first optimal
-    partition in enumeration order. Enumeration is capped at `limit`
-    intervals (after reduction); past that use rank_dp, which needs no cap.
-    """
+def _query(P: Positroid, E: Iterable[int]) -> tuple[Positroid, IntervalDecomposition, int]:
+    """E checked on P's ground set, then mapped onto P's reduction: the positroid
+    answering the query, E's decomposition there, and the coloops of P in E."""
     members = _checked_subset(E, P.n)
-    bonus = 0
-    reduced_flag = False
-    if P.perm.fixed_points:
-        P, members, bonus = _strip_fixed(P, members)
-        reduced_flag = True
-    decomp = decompose(members, P.n)
-    s = decomp.s
-    if s == 0:
-        empty = NonCrossingPartition(0, ())
-        return RankCertificate(
-            value=bonus,
-            decomposition=decomp,
-            partition=empty,
-            per_block_bounds=(),
-            coloop_bonus=bonus,
-            reduced=reduced_flag,
-            all_bounds=((empty, 0),) if all_bounds else None,
-        )
-    if s > limit:
-        raise EnumerationLimitError(
-            f"E decomposes into {s} intervals, past the certificate limit {limit}; "
-            f"rank_dp computes the value without enumerating partitions"
-        )
-    w = _gap_matrix(P, decomp)
-    d = P.d
-    best = 0
-    best_raw: tuple[tuple[int, ...], ...] = ()
-    collected: list[tuple[NonCrossingPartition, int]] = []
-    for raw in _raw_ncps(tuple(range(1, s + 1))):
-        bound = sum(_block_bound(block, w, d) for block in raw)
-        if not best_raw or bound < best:
-            best, best_raw = bound, raw
-        if all_bounds:
-            collected.append((NonCrossingPartition(s, raw), bound))
-    partition = NonCrossingPartition(s, best_raw)
-    per_block = tuple(_block_bound(block, w, d) for block in best_raw)
-    if all_bounds:
-        collected.sort(key=lambda pair: (len(pair[0].blocks), pair[0].blocks))
-    return RankCertificate(
-        value=best + bonus,
-        decomposition=decomp,
-        partition=partition,
-        per_block_bounds=per_block,
-        coloop_bonus=bonus,
-        reduced=reduced_flag,
-        all_bounds=tuple(collected) if all_bounds else None,
-    )
+    if not P.perm.fixed_points:
+        return P, _intervals_of(members, P.n), 0
+    reduced_P, relabel = P._reduced
+    image = frozenset(relabel[x] for x in members if x in relabel)
+    return reduced_P, _intervals_of(image, reduced_P.n), len(members & P.perm.black)
 
 
-def rank_dp(P: Positroid, E: Iterable[int]) -> int:
-    """Same value as rank(...).value, in O(s^3) without touching partitions.
+def _rank_table(P: Positroid, decomp: IntervalDecomposition) -> tuple[list[list[int]], list[list[int]]]:
+    """(seg_to, w): seg_to[v][u] is the least total bound over the
+    non-crossing partitions of intervals u..v (0 when u > v), w the gap matrix.
 
     A non-crossing partition decomposes like a polygon triangulation: the
     block containing interval u is a chain u = j_0 < j_1 < ... < j_k, the
     runs strictly between consecutive chain nodes partition independently,
     and the block pays d minus the gap weights along its cyclic closure.
-    The tables are filled bottom-up, with no recursion, so any s runs.
+    Filled bottom-up in O(s^3), with no recursion, so any s runs.
     """
-    members = _checked_subset(E, P.n)
-    bonus = 0
-    if P.perm.fixed_points:
-        P, members, bonus = _strip_fixed(P, members)
-    decomp = decompose(members, P.n)
+    w = _gap_matrix(P, decomp)
     s = decomp.s
-    if s == 0:
-        return bonus
     # into[j - 1][i - 1] = w[i - 1][j - 1], the gap from interval i's end
     # to interval j's start, so every DP term below reads row slices
-    into = list(zip(*_gap_matrix(P, decomp)))
+    into = list(zip(*w))
     d = P.d
-    # seg_to[v][u] = the least total bound over the non-crossing partitions
-    # of intervals u..v, 0 when u > v. Filled for u from s down to 1: an
-    # entry reads only ranges that start after u and chain values left of it.
+    # filled for u from s down to 1: an entry reads only ranges that start
+    # after u and chain values left of it
     seg_to = [[0] * (s + 2) for _ in range(s + 1)]
     for u in range(s, 0, -1):
         # chain[j]: cheapest open chain of u's block from u to its current
@@ -371,4 +297,68 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
                 chain[j] = min(map(add, steps, seg_to[j - 1][u + 1:j + 1]))
             blocks = map(sub, chain[u:j + 1], closing[u - 1:j])
             seg_to[j][u] = d + min(map(add, blocks, seg_to[j][u + 1:j + 2]))
-    return seg_to[s][1] + bonus
+    return seg_to, w
+
+
+def rank(
+    P: Positroid,
+    E: Iterable[int],
+    *,
+    all_bounds: bool = False,
+    limit: int = DEFAULT_PARTITION_LIMIT,
+) -> RankCertificate:
+    """rank(E) as the minimum of nbd(E, Π) over non-crossing partitions Π.
+
+    Every Π is an upper bound and at least one is tight, so the minimum is
+    the exact rank; it is read off the rank_dp table. The certificate is
+    the first optimal partition in enumeration order, found by a walk down
+    that table that tries at most 2^(s-1) head blocks. It is capped at
+    `limit` intervals (after reduction); past that use rank_dp, which needs
+    no cap. Only all_bounds enumerates all Catalan(s) partitions.
+    """
+    Q, decomp, bonus = _query(P, E)
+    s = decomp.s
+    if s > max(limit, 0):
+        raise EnumerationLimitError(
+            f"E decomposes into {s} intervals, past the certificate limit {limit}; "
+            f"rank_dp computes the value without enumerating partitions"
+        )
+    seg_to, w = _rank_table(Q, decomp)
+    d = Q.d
+    # a partition is optimal iff its head block's bound plus its runs' entries
+    # reach its range's entry and each run is optimal; so take the first such
+    # head, then walk its runs in order: blocks come out in enumeration order
+    best: list[tuple[int, ...]] = []
+    pending = [(1, s)] if s else []
+    while pending:
+        lo, hi = pending.pop()
+        for block in _heads(lo, hi):
+            runs = _runs(block, hi)
+            if _block_bound(block, w, d) + sum(seg_to[b][a] for a, b in runs) == seg_to[hi][lo]:
+                break
+        else:
+            raise ContractViolationError(
+                f"no partition of intervals {lo}..{hi} attains the rank table's {seg_to[hi][lo]}"
+            )
+        best.append(block)
+        pending.extend(reversed(runs))
+    return RankCertificate(
+        value=seg_to[s][1] + bonus,
+        decomposition=decomp,
+        partition=NonCrossingPartition(s, tuple(best)),
+        per_block_bounds=tuple(_block_bound(block, w, d) for block in best),
+        coloop_bonus=bonus,
+        reduced=Q is not P,
+        all_bounds=tuple(sorted(
+            ((NonCrossingPartition(s, raw), sum(_block_bound(b, w, d) for b in raw))
+             for raw in _raw_ncps(1, s)),
+            key=lambda pair: (len(pair[0].blocks), pair[0].blocks),
+        )) if all_bounds else None,
+    )
+
+
+def rank_dp(P: Positroid, E: Iterable[int]) -> int:
+    """Same value as rank(...).value, in O(s^3) without touching partitions:
+    the corner entry of the table rank() reads its certificate from."""
+    Q, decomp, bonus = _query(P, E)
+    return _rank_table(Q, decomp)[0][decomp.s][1] + bonus

@@ -6,7 +6,16 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator
 
-from positroids import DecoratedPermutation, Positroid, enumerate_bases
+from positroids import (
+    DecoratedPermutation,
+    Positroid,
+    bound_for_partition,
+    decompose,
+    enumerate_bases,
+    enumerate_ncp,
+    natural_bound,
+    reduce,
+)
 
 
 def derangements(n: int) -> Iterator[tuple[int, ...]]:
@@ -53,3 +62,14 @@ def brute_rank_table(P: Positroid) -> dict[frozenset[int], int]:
     """rank of every subset of [n], from one basis enumeration."""
     bases = list(enumerate_bases(P))
     return {E: max(len(B & E) for B in bases) for E in all_subsets(P.n)}
+
+
+def first_min_by_enumeration(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...]]:
+    """(value, blocks, per-block bounds) of the first partition in
+    enumerate_ncp order whose bound_for_partition is least, on P's reduction:
+    the rank certificate by plain enumeration."""
+    Q, relabel = reduce(P)
+    D = decompose({relabel[x] for x in E if x in relabel}, Q.n)
+    best = min(enumerate_ncp(D.s), key=lambda ncp: bound_for_partition(Q, D, ncp))
+    per_block = tuple(natural_bound(Q, D.restrict(block)) for block in best.blocks)
+    return sum(per_block) + len(frozenset(E) & P.perm.black), best.blocks, per_block

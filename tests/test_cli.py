@@ -1,9 +1,10 @@
 import io
 import json
+import logging
 
 import pytest
 
-from positroids import ContractViolationError, morph
+from positroids import ContractViolationError, ValidationError, morph
 from positroids.cli import main
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
@@ -341,6 +342,22 @@ class TestErrorPaths:
         code = main(["repro"])
         assert code == 2
         assert "internal error:" in capsys.readouterr().err
+
+    def test_caught_errors_are_logged_at_debug(self, capsys, caplog, monkeypatch):
+        def boom(args):
+            raise ContractViolationError("wires crossed")
+
+        monkeypatch.setitem(main.__globals__["_COMMANDS"], "repro", boom)
+        caplog.set_level(logging.DEBUG, logger="positroids")
+        assert main(["necklace"]) == 1
+        assert capsys.readouterr().err.startswith("error: no positroid given")
+        assert main(["repro"]) == 2
+        assert capsys.readouterr().err.startswith("internal error: wires crossed")
+        records = [r for r in caplog.records if r.name == "positroids"]
+        assert [(r.levelno, r.exc_info[0]) for r in records] == [
+            (logging.DEBUG, ValidationError),
+            (logging.DEBUG, ContractViolationError),
+        ]
 
     @pytest.mark.parametrize("pi", [[1, "2"], [2.0, 1], [True, 2]])
     def test_non_integer_permutation_entry(self, capsys, tmp_path, pi):

@@ -251,6 +251,11 @@ class TestPositroid:
     def test_perm_is_the_only_field(self):
         assert [f.name for f in fields(Positroid)] == ["perm"]
 
+    @pytest.mark.parametrize("perm", [[2, 3, 1], None, "231"])
+    def test_perm_must_be_a_decorated_permutation(self, perm):
+        with pytest.raises(ValidationError, match="DecoratedPermutation"):
+            Positroid(perm)
+
     def test_everything_is_derived_from_the_permutation(self):
         # every decorated permutation with n <= 6, loops and coloops included
         for n in range(7):

@@ -1,4 +1,7 @@
 import gc
+import importlib
+import json
+import random
 import sys
 import weakref
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import (
+    ContractViolationError,
     CyclicInterval,
     EnumerationLimitError,
     NonCrossingPartition,
@@ -27,7 +31,11 @@ from positroids import (
     rank_of_interval,
     witness_basis,
 )
-from helpers import all_subsets, decorated_positroids
+from positroids.cli import main
+from helpers import all_subsets, decorated_positroids, first_min_by_enumeration
+
+RANK_MODULE = importlib.import_module("positroids.rank")
+CYCLIC_MODULE = importlib.import_module("positroids.cyclic")
 
 E4 = frozenset({1, 2, 3, 8, 9, 10})
 E5 = frozenset({1, 2, 7, 8, 9, 10, 13})
@@ -308,11 +316,123 @@ class TestQueryValidation:
             QUERIES[query](P, E)
 
 
+def small_d_positroid(n: int, rng: random.Random) -> Positroid:
+    """Up to two increasing cycles, every other element a loop: d <= 2, so
+    many partitions tie for the least bound."""
+    owner = [rng.choice((0, 1, 1, 1, 2, 2, 2)) for _ in range(n)]
+    images = list(range(1, n + 1))
+    for c in (1, 2):
+        cycle = [x for x in range(1, n + 1) if owner[x - 1] == c]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            images[x - 1] = y
+    return Positroid.from_oneline(images, white=[x for x in range(1, n + 1) if images[x - 1] == x])
+
+
+class TestOneEngine:
+    """rank() reads its certificate off the rank_dp table; plain enumeration
+    of the partitions is the reference it must match, ties included."""
+
+    @staticmethod
+    def certificate(P, E):
+        cert = rank(P, E)
+        return cert.value, cert.partition.blocks, cert.per_block_bounds
+
+    def test_first_minimum_on_every_small_decorated_positroid(self):
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    assert self.certificate(P, E) == first_min_by_enumeration(P, E), (P.perm, E)
+
+    def test_first_minimum_where_ties_are_common(self):
+        rng = random.Random(2024)
+        ties = 0
+        for trial in range(800):
+            n = rng.randint(8, 12)
+            P = small_d_positroid(n, rng)
+            assert P.d <= 2
+            if trial % 2:
+                E = frozenset(x for x in range(1, n + 1) if rng.random() < 0.5)
+            else:  # about every other element: more intervals
+                E = frozenset(x for x in range(1, n + 1) if x % 2 != (rng.random() < 0.15))
+            expected = first_min_by_enumeration(P, E)
+            assert self.certificate(P, E) == expected, (P.perm, sorted(E))
+            bounds = rank(P, E, all_bounds=True).all_bounds
+            ties += sum(v == sum(expected[2]) for _, v in bounds) > 1
+        assert ties > 50
+
+    def test_walk_checks_the_table(self, monkeypatch, capsys, tmp_path, ref_positroid):
+        build = RANK_MODULE._rank_table
+
+        def one_lower(P, decomp):
+            seg_to, w = build(P, decomp)
+            seg_to[decomp.s][1] -= 1
+            return seg_to, w
+
+        monkeypatch.setattr(RANK_MODULE, "_rank_table", one_lower)
+        with pytest.raises(ContractViolationError, match="attains"):
+            rank(ref_positroid, E5)
+        perm = tmp_path / "perm.json"
+        perm.write_text(json.dumps(ref_positroid.to_json()))
+        assert main(["rank", "--perm", str(perm), "--set", "1-3,8-10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: no partition")
+
+    def test_enumeration_only_for_all_bounds(self, monkeypatch, ref_positroid):
+        def refuse(lo, hi):
+            raise AssertionError("partitions enumerated")
+
+        monkeypatch.setattr(RANK_MODULE, "_raw_ncps", refuse)
+        assert rank(ref_positroid, E5).value == 5
+        with pytest.raises(AssertionError, match="enumerated"):
+            rank(ref_positroid, E5, all_bounds=True)
+
+    def test_certificate_past_catalan_reach(self):
+        # s = 16 at the default cap, where Catalan(16) is 35 million
+        # partitions. In U(2, 64) every block is worth 2, so the one block of
+        # all 16 intervals is the only optimum: the last of the 2^15 heads
+        # the walk tries, its worst case
+        n, d = 64, 2
+        P = Positroid.from_oneline(tuple((i + d - 1) % n + 1 for i in range(1, n + 1)))
+        E = [x for x in range(1, n + 1) if (x - 1) % 4 < 2]
+        cert = rank(P, E)
+        assert cert.decomposition.s == 16
+        assert cert.partition.blocks == (tuple(range(1, 17)),)
+        assert cert.value == cert.per_block_bounds[0] == rank_dp(P, E) == 2
+
+
+class TestChecksOnce:
+    """A query set is checked once; internal calls pass it along."""
+
+    @pytest.fixture
+    def set_checks(self, monkeypatch):
+        seen = []
+        check = CYCLIC_MODULE._check_ints
+
+        def counting(values, what):
+            seen.append(what)
+            return check(values, what)
+
+        monkeypatch.setattr(CYCLIC_MODULE, "_check_ints", counting)
+        return lambda: seen.count("set elements")
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_one_interval(self, set_checks, fixed, ref_positroid):
+        P = DECORATED if fixed else ref_positroid
+        E = [2, 3, 4]
+        rank(P, E)
+        assert set_checks() == 1
+        rank_dp(P, E)
+        assert set_checks() == 2
+        witness_basis(P, E)  # E once, and the final is_basis of the result
+        assert set_checks() == 4
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.sets(st.integers(1, 14)))
 def test_rank_dp_matches_enumeration_on_reference(members):
     P = Positroid.from_oneline((2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12))
-    assert rank_dp(P, members) == rank(P, members).value
+    assert rank_dp(P, members) == first_min_by_enumeration(P, members)[0]
 
 
 def test_wrapping_decomposition_rank(ref_positroid):
