@@ -40,6 +40,12 @@ def _check_ints(values: Iterable, what: str) -> None:
         raise ValidationError(f"{what} must be integers, got {bad!r}")
 
 
+def _check_ground(m: int, n: int) -> None:
+    """Reject an argument on {1..m} paired with a positroid on {1..n}."""
+    if m != n:
+        raise ValidationError(f"argument lives on 1..{m}, but the positroid on 1..{n}")
+
+
 def _check_element(x: int, n: int) -> None:
     if not 1 <= x <= n:
         raise ValidationError(f"element {x} out of range 1..{n}")
@@ -200,20 +206,23 @@ class IntervalDecomposition:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for a, b in self.intervals:
-            iv = CyclicInterval.span(a, b, self.n)
-            if seen & iv.members:
-                raise ValidationError("intervals overlap")
-            seen |= iv.members
-        if len(self.intervals) > 1:
-            for idx, (a, b) in enumerate(self.intervals):
-                nxt = self.intervals[(idx + 1) % len(self.intervals)][0]
-                if next_element(b, self.n) == nxt:
-                    raise ValidationError("adjacent intervals must be merged")
-        starts = [a for a, _ in self.intervals]
+        n, intervals = self.n, self.intervals
+        starts = [a for a, _ in intervals]
+        endpoints = starts + [b for _, b in intervals]
+        _check_ints(endpoints, "interval endpoints")
+        for x in endpoints:
+            _check_element(x, n)
         if starts != sorted(starts):
             raise ValidationError("intervals must be sorted by left endpoint")
+        if len(intervals) > 1:
+            # sorted intervals are disjoint iff each fits in the room up to
+            # the next start, and maximal iff none fills that room exactly
+            lengths = [(b - a) % n + 1 for a, b in intervals]
+            room = [(nxt - a) % n for a, nxt in zip(starts, starts[1:] + starts[:1])]
+            if any(length > r for length, r in zip(lengths, room)):
+                raise ValidationError("intervals overlap")
+            if any(length == r for length, r in zip(lengths, room)):
+                raise ValidationError("adjacent intervals must be merged")
 
     @property
     def s(self) -> int:

@@ -5,17 +5,24 @@ repeatedly mimics the necklace member of the next interval inside a shrinking
 window, trading excessive elements for missing ones. Tracking where the
 mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
+One private walker yields the stages: morph_sequence lists them, the witness
+advances all s walkers lazily and stops at the first gap-free basis. Its
+pieces are aligned without align_basis's checks; the one check of the
+construction is witness_basis's final test of its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _check_ground,
+    _check_ints,
     _checked_subset,
     _intervals_of,
     half_open,
@@ -153,6 +160,19 @@ def mimic(
     return result, status
 
 
+def _stages(P: Positroid, order: tuple[tuple[int, int], ...], i: int) -> Iterator[MorphState]:
+    """morph_sequence's states one at a time, for intervals already rotated to start at i."""
+    s = len(order)
+    members = P.necklace.at(order[0][0])
+    yield MorphState(i, 0, members, None, None, None, None)
+    for t in range(1, s):
+        window = (order[t - 1][1], order[s - 1][1])
+        center = order[t][0]
+        removed, added, members, status = _mimic_parts(P, members, center, window)
+        record = ExchangeRecord(ExchangeKind.MIMIC, removed, added)
+        yield MorphState(i, t, members, status, window, center, record)
+
+
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
     """States J^0 .. J^{s-1} starting from interval i of E.
 
@@ -160,21 +180,12 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
     stage t mimics the necklace member of the (t+1)-st interval in that
     order, in the window (b_t, b_s].
     """
+    _check_ints((i,), "start index")
+    _check_ground(E.n, P.n)
     s = E.s
     if not 1 <= i <= s:
         raise ValidationError(f"start index {i} out of range 1..{s}")
-    order = [(i - 1 + k) % s for k in range(s)]
-    starts = [E.intervals[k][0] for k in order]
-    ends = [E.intervals[k][1] for k in order]
-    members = P.necklace.at(starts[0])
-    states = [MorphState(i, 0, members, None, None, None, None)]
-    for t in range(1, s):
-        window = (ends[t - 1], ends[s - 1])
-        center = starts[t]
-        removed, added, members, status = _mimic_parts(P, members, center, window)
-        record = ExchangeRecord(ExchangeKind.MIMIC, removed, added)
-        states.append(MorphState(i, t, members, status, window, center, record))
-    return states
+    return list(_stages(P, E.intervals[i - 1:] + E.intervals[:i - 1], i))
 
 
 def align_basis(
@@ -191,7 +202,11 @@ def align_basis(
     before a_i is flushed (largest first, partners tried in the order
     starting at a_i), then the missing part of I_{a_i} on [a_i, b_i] is
     pulled in. Pass a list as `trace` to receive the exchange records.
+    witness_basis aligns its pieces without these checks; its own final
+    check covers them.
     """
+    _check_ints((i,), "interval index")
+    _check_ground(E.n, P.n)
     s = E.s
     if not 1 <= i <= s:
         raise ValidationError(f"interval index {i} out of range 1..{s}")
@@ -204,93 +219,85 @@ def align_basis(
             f"basis meets the set in {len(B & E.members)} elements, "
             f"but the maximum is {target}"
         )
+    return _align(P, B, *E.intervals[i - 1], E.intervals[(i - 2) % s][1], trace)
+
+
+def _align(
+    P: Positroid, B: frozenset[int], a_i: int, b_i: int, b_prev: int,
+    trace: list[ExchangeRecord] | None,
+) -> frozenset[int]:
+    """align_basis's exchanges, unchecked, for [a_i, b_i] after an interval ending at b_prev."""
     n = P.n
-    a_i, b_i = E.intervals[i - 1]
-    b_prev = E.intervals[(i - 2) % s][1]
     Ia = P.necklace.at(a_i)
-    gap = open_interval(b_prev, a_i, n).members
-    own = CyclicInterval.span(a_i, b_i, n).members
 
     def key(x: int) -> int:
         return (x - a_i) % n
 
-    def record(e: int, f: int) -> None:
-        if trace is not None:
-            trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (f,)))
-
-    while True:
-        excess = (B & gap) - Ia
-        if not excess:
-            break
+    # read from a_i, [a_i, b_i] is key <= own and the gap (b_prev, a_i) is key > gap
+    own, gap = key(b_i), key(b_prev)
+    while excess := [x for x in B - Ia if key(x) > gap]:
         e = max(excess, key=key)
         for f in sorted(Ia - B, key=key):
             candidate = (B - {e}) | {f}
             if P.is_basis(candidate):
-                record(e, f)
+                if trace is not None:
+                    trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (f,)))
                 B = candidate
                 break
         else:
             raise ContractViolationError(f"no exchange partner found for {e}")
-    while True:
-        missing = (Ia & own) - B
-        if not missing:
-            break
+    while missing := [x for x in Ia - B if key(x) <= own]:
         g = min(missing, key=key)
         for e in sorted(B - Ia, key=key):
             candidate = (B - {e}) | {g}
             if P.is_basis(candidate):
-                record(e, g)
+                if trace is not None:
+                    trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (g,)))
                 B = candidate
                 break
         else:
             raise ContractViolationError(f"no exchange partner found for {g}")
-    window = half_open(b_prev, b_i, n).members
-    if B & window != Ia & window:
+    # the window (b_prev, b_i] is the gap and [a_i, b_i] together
+    if any(key(x) <= own or key(x) > gap for x in B ^ Ia):
         raise ContractViolationError("alignment finished without window agreement")
     return B
 
 
-def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
-    """A basis maximizing the union of decomp's intervals."""
-    s = decomp.s
+def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    """A basis maximizing the union of the sorted, maximal intervals (a, b)."""
+    s = len(intervals)
     if s == 0:
         return P.necklace.at(1) if P.n else frozenset()
-    if s == 1:
-        return P.necklace.at(decomp.intervals[0][0])
-    seqs = [morph_sequence(P, decomp, i) for i in range(1, s + 1)]
-    found: tuple[int, int] | None = None
-    for t in range(1, s):
-        for i in range(1, s + 1):
-            state = seqs[i - 1][t]
-            if state.status is GapStatus.GAP_FREE and P.is_basis(state.members):
-                found = (i, t)
-                break
-        if found:
+    rotations = [intervals[i:] + intervals[:i] for i in range(s)]
+    walkers = [_stages(P, order, i + 1) for i, order in enumerate(rotations)]
+    seqs = [[next(walker)] for walker in walkers]
+    # stage t of every walker before stage t + 1 of any: the first gap-free
+    # basis in that order decides, and no later stage is ever built
+    for t, i in product(range(1, s), range(s)):
+        state = next(walkers[i])
+        seqs[i].append(state)
+        if state.status is GapStatus.GAP_FREE and P.is_basis(state.members):
             break
-    if found is None:
+    else:
         # every stage kept gaps everywhere, so the fully morphed set is a
         # basis meeting each gap of E minimally: it attains the one-block bound
+        # (with s == 1 that is I_{a_1} itself)
         return seqs[0][s - 1].members
 
-    i, t = found
-    order = [(i - 1 + k) % s for k in range(s)]
-    starts = [decomp.intervals[k][0] for k in order]
-    ends = [decomp.intervals[k][1] for k in order]
-    seq = seqs[i - 1]
+    order, seq = rotations[i], seqs[i]
     n = P.n
 
-    def filled(g: int, x: int) -> bool:
-        # does J^g already agree with I at rotated start g+1, through end x
-        arc = CyclicInterval.span(starts[g], ends[x - 1], n).members
-        return seq[g].members & arc == P.necklace.at(starts[g]) & arc
-
     def gamma(x: int) -> int:
+        # the last stage g < x that already agrees with I_a, a = order[g][0],
+        # on the arc from a to the end of order[x - 1]; stage 0 always does
         for g in range(x - 1, -1, -1):
-            if filled(g, x):
+            a = order[g][0]
+            span = (order[x - 1][1] - a) % n
+            if not any((y - a) % n <= span for y in seq[g].members ^ P.necklace.at(a)):
                 return g
         raise ContractViolationError("merge scan failed; stage 0 must always match")
 
-    pieces: list[tuple[int, int]] = []  # (g, x): rotated intervals g+1..x
+    pieces: list[tuple[int, int]] = []  # (g, x): rotated intervals g..x-1
     x = t
     while x > 0:
         g = gamma(x)
@@ -298,18 +305,14 @@ def _witness_rec(P: Positroid, decomp: IntervalDecomposition) -> frozenset[int]:
         x = g
     pieces.append((t, s))  # the tail the gap-free stage fully filled
 
-    spliced = set(seq[t].members)
+    spliced = seq[t].members
     for g, x in pieces:
-        chosen = [order[k] + 1 for k in range(g, x)]
-        piece = decomp.restrict(chosen)
-        arc = CyclicInterval.span(starts[g], ends[x - 1], n).members
-        K = _witness_rec(P, piece)
-        anchor = next(
-            idx for idx, (aa, _) in enumerate(piece.intervals, start=1) if aa == starts[g]
-        )
-        K = align_basis(P, K, piece, anchor)
-        spliced -= arc
-        spliced |= K & arc
+        (a, b), b_prev = order[g], order[x - 1][1]
+        # each piece is maximal on its own, and its anchor (a, b) follows the
+        # interval ending at b_prev; the piece spans the arc [a, b_prev]
+        K = _align(P, _witness_rec(P, tuple(sorted(order[g:x]))), a, b, b_prev, None)
+        span = (b_prev - a) % n
+        spliced = {y for y in spliced if (y - a) % n > span} | {y for y in K if (y - a) % n <= span}
     result = frozenset(spliced)
     if len(result) != P.d:
         raise ContractViolationError("splice changed the set's size")
@@ -320,7 +323,9 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
     Follows the morph recursion on P itself; loops and coloops need no
-    special case. The result is checked to be a basis meeting E in rank(E)
+    special case. Morph stages are built only up to the first gap-free
+    basis, and the pieces are spliced unchecked. The result is then checked,
+    the construction's one check, to be a basis meeting E in rank(E)
     elements: a construction that misses that target, or that fails inside
     with a ValidationError, raises ContractViolationError.
     """
@@ -328,7 +333,7 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
     members = frozenset(elements)
     try:
-        candidate = _witness_rec(P, _intervals_of(members, P.n))
+        candidate = _witness_rec(P, _intervals_of(members, P.n).intervals)
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
     if not (P.is_basis(candidate) and len(candidate & members) == target):

@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, _check_ints, _checked_subset
+from .cyclic import CyclicInterval, _check_ground, _check_ints, _checked_subset
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
@@ -327,11 +327,13 @@ class ArrowTable:
         return row
 
     def cw(self, T: CyclicInterval) -> int:
+        _check_ground(T.n, self.perm.n)
         if T.is_empty:
             return 0
         return self.cw_row(T.a)[len(T)]
 
     def ccw(self, T: CyclicInterval) -> int:
+        _check_ground(T.n, self.perm.n)
         if T.is_empty:
             return 0
         return self.ccw_row(T.a)[len(T)]

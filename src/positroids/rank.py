@@ -30,7 +30,15 @@ from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, IntervalDecomposition, _checked_subset, _intervals_of, open_interval
+from .cyclic import (
+    CyclicInterval,
+    IntervalDecomposition,
+    _check_ground,
+    _check_ints,
+    _checked_subset,
+    _intervals_of,
+    open_interval,
+)
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
 
@@ -67,10 +75,12 @@ class NonCrossingPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_ints((self.s,), "s")
         owner: dict[int, int] = {}
         for bi, block in enumerate(self.blocks):
             if not block:
                 raise ValidationError("empty block")
+            _check_ints(block, "block elements")
             if list(block) != sorted(block):
                 raise ValidationError(f"block {block} is not ascending")
             for x in block:
@@ -151,6 +161,7 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
     Deterministic order (first block grows from {1} upward). s = 0 yields
     the single empty partition. Guarded by `limit` since the count explodes.
     """
+    _check_ints((s,), "s")
     if s < 0:
         raise ValidationError("s must be nonnegative")
     if s > limit:
@@ -238,6 +249,7 @@ def _gap_matrix(P: Positroid, decomp: IntervalDecomposition) -> list[list[int]]:
     The gap (b, a) is the (a - b - 1) % n elements read from b + 1, so row i
     is one lookup per j into the ccw row anchored just after interval i.
     """
+    _check_ground(decomp.n, P.n)
     table = arrow_table(P)
     n = decomp.n
     starts = [a for a, _ in decomp.intervals]

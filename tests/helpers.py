@@ -52,6 +52,25 @@ def random_fpf_positroid(n: int, rng: random.Random) -> Positroid:
             return Positroid.from_oneline(p)
 
 
+def random_decorated_positroid(n: int, rng: random.Random, fixed: int = 4) -> Positroid:
+    """A random permutation of [n] with up to `fixed` extra fixed points, each
+    fixed point colored white or black at random."""
+    p = list(range(1, n + 1))
+    rng.shuffle(p)
+    for x in rng.sample(range(1, n + 1), rng.randrange(fixed + 1)):
+        j = p.index(x)
+        p[x - 1], p[j] = x, p[x - 1]
+    black = [x for x in range(1, n + 1) if p[x - 1] == x and rng.random() < 0.5]
+    white = [x for x in range(1, n + 1) if p[x - 1] == x and x not in black]
+    return Positroid.from_oneline(p, white=white, black=black)
+
+
+def random_union(n: int, s: int, rng: random.Random) -> frozenset[int]:
+    """A subset of [n] made of exactly s maximal cyclic intervals, 2s <= n."""
+    cuts = sorted(rng.sample(range(1, n + 1), 2 * s))
+    return frozenset(x for k in range(s) for x in range(cuts[2 * k], cuts[2 * k + 1]))
+
+
 def all_subsets(n: int) -> Iterator[frozenset[int]]:
     for size in range(n + 1):
         for combo in combinations(range(1, n + 1), size):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,43 @@ class TestDecompose:
             IntervalDecomposition(14, ((1, 3), (4, 5)))  # adjacent, not maximal
         with pytest.raises(ValidationError):
             IntervalDecomposition(14, ((7, 10), (1, 2)))  # unsorted
+
+    @pytest.mark.parametrize("intervals, message", [
+        (((1, 3), (3, 5)), "overlap"),
+        (((2, 3), (5, 2)), "overlap"),  # the last interval wraps onto the first
+        (((2, 2), (2, 4)), "overlap"),  # same start
+        (((1, 3), (4, 5)), "adjacent"),
+        (((3, 4), (6, 2)), "adjacent"),  # wraps up to the element before 3
+        (((4, 5), (1, 2)), "sorted"),
+        (((1, 2.0),), "integers"),
+        (((None, None),), "integers"),
+        (((0, 2),), "out of range"),
+        (((5, 7),), "out of range"),
+    ])
+    def test_invalid_construction_messages(self, intervals, message):
+        with pytest.raises(ValidationError, match=message):
+            IntervalDecomposition(6, intervals)
+
+    def test_endpoint_check_matches_member_sets(self):
+        # the O(s) check from endpoints accepts exactly the sorted tuples of
+        # disjoint intervals that leave a gap after each one (s > 1)
+        for n in range(1, 6):
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+            for s in range(4):
+                for intervals in product(pairs, repeat=s):
+                    arcs = [CyclicInterval.span(a, b, n).members for a, b in intervals]
+                    union = frozenset().union(*arcs)
+                    valid = (
+                        sum(map(len, arcs)) == len(union)
+                        and [a for a, _ in intervals] == sorted(a for a, _ in intervals)
+                        and (s < 2 or all(b % n + 1 not in union for _, b in intervals))
+                    )
+                    try:
+                        IntervalDecomposition(n, intervals)
+                    except ValidationError:
+                        assert not valid, (n, intervals)
+                    else:
+                        assert valid, (n, intervals)
 
 
 @settings(deadline=None)

@@ -1,10 +1,13 @@
 import pytest
 
+import random
+
 from positroids import (
     ContractViolationError,
     ExchangeKind,
     ExchangeRecord,
     GapStatus,
+    IntervalDecomposition,
     Positroid,
     ValidationError,
     align_basis,
@@ -20,7 +23,7 @@ from positroids import (
     rank_dp,
     witness_basis,
 )
-from helpers import all_subsets, decorated_positroids
+from helpers import all_subsets, decorated_positroids, random_decorated_positroid, random_union
 
 E4 = frozenset({1, 2, 3, 8, 9, 10})
 
@@ -252,3 +255,69 @@ class TestWitness:
         monkeypatch.setattr(morph, "_witness_rec", broken)
         with pytest.raises(ContractViolationError, match="witness construction failed"):
             witness_basis(ref_positroid, E4)
+
+
+class TestGroundSetAndIndices:
+    """A decomposition on another ground set, or an index that is not a plain
+    int, is refused before any stage or exchange is computed."""
+
+    def test_morph_sequence_refuses_another_ground_set(self, ref_positroid):
+        with pytest.raises(ValidationError, match="1..20"):
+            morph_sequence(ref_positroid, decompose({16, 17}, 20), 1)
+
+    def test_align_basis_refuses_another_ground_set(self, ref_positroid):
+        with pytest.raises(ValidationError, match="1..10"):
+            align_basis(ref_positroid, ref_positroid.necklace.at(2), decompose({2, 3, 4, 5}, 10), 1)
+
+    def test_morph_sequence_refuses_a_bool_index(self, ref_positroid):
+        with pytest.raises(ValidationError, match="integers"):
+            morph_sequence(ref_positroid, decompose(E4, 14), True)
+
+    def test_align_basis_refuses_a_float_index(self, ref_positroid):
+        args = (ref_positroid, ref_positroid.necklace.at(2), decompose({2, 3, 4, 5}, 14))
+        assert align_basis(*args, 1) == ref_positroid.necklace.at(2)
+        with pytest.raises(ValidationError, match="integers"):
+            align_basis(*args, 1.0)
+
+
+class TestLazyWitness:
+    def test_no_public_reentry(self, ref_positroid, monkeypatch):
+        # the recursion walks private stages and aligns without re-checks:
+        # rank_dp runs once, for the final check, and the public morph entry
+        # points and IntervalDecomposition.restrict not at all
+        calls = {"rank_dp": 0, "morph_sequence": 0, "align_basis": 0, "restrict": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("rank_dp", "morph_sequence", "align_basis"):
+            monkeypatch.setattr(morph, name, counted(name, getattr(morph, name)))
+        monkeypatch.setattr(
+            IntervalDecomposition, "restrict", counted("restrict", IntervalDecomposition.restrict)
+        )
+        rng = random.Random(60)
+        P60 = random_decorated_positroid(60, rng)
+        queries = [(ref_positroid, E4), (ref_positroid, {1, 2, 7, 8, 9, 10, 13})]
+        queries += [(P60, random_union(60, s, rng)) for s in (3, 6, 9)]
+        for P, E in queries:
+            before = dict(calls)
+            W = witness_basis(P, E)
+            assert P.is_basis(W)
+            assert {k: calls[k] - before[k] for k in calls} == {
+                "rank_dp": 1, "morph_sequence": 0, "align_basis": 0, "restrict": 0
+            }, (P.perm, sorted(E))
+
+    def test_seeded_deep_recursion(self):
+        # large n and many intervals, which the exhaustive small sweep never
+        # reaches: every witness is a basis attaining rank_dp
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randrange(40, 151)
+            P = random_decorated_positroid(n, rng)
+            E = random_union(n, rng.randrange(1, 13), rng)
+            W = witness_basis(P, E)
+            assert P.is_basis(W), (P.perm, sorted(E))
+            assert len(W & E) == rank_dp(P, E), (P.perm, sorted(E))

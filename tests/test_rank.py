@@ -64,6 +64,12 @@ class TestNonCrossingPartition:
     def test_empty(self):
         assert NonCrossingPartition.from_blocks(0, []).blocks == ()
 
+    @pytest.mark.parametrize("s, blocks", [(2, ((1.0, 2),)), (1, ((True,),)), (True, ((1,),))])
+    def test_non_int_data_rejected(self, s, blocks):
+        # 1.0 == 1 and True == 1 would pass every range and cover check
+        with pytest.raises(ValidationError, match="integers"):
+            NonCrossingPartition(s, blocks)
+
 
 class TestEnumerateNCP:
     def test_catalan_counts(self):
@@ -91,6 +97,11 @@ class TestEnumerateNCP:
         with pytest.raises(ValidationError):
             list(enumerate_ncp(-1))
 
+    @pytest.mark.parametrize("s", [2.5, True, "2"])
+    def test_non_int_s_rejected(self, s):
+        with pytest.raises(ValidationError, match="integers"):
+            list(enumerate_ncp(s))
+
 
 class TestArrowCounts:
     def test_reference_cw(self, ref_positroid):
@@ -107,6 +118,15 @@ class TestArrowCounts:
         }
         for (b, a), value in expected.items():
             assert ccw_count(P, open_interval(b, a, 14)) == value, (b, a)
+
+    @pytest.mark.parametrize("count", [cw_count, ccw_count])
+    def test_another_ground_set_refused(self, ref_positroid, count):
+        # [16, 18] does not exist on the 14-element ground set; the empty
+        # interval of another ground set is refused too
+        with pytest.raises(ValidationError, match="1..20"):
+            count(ref_positroid, CyclicInterval.span(16, 18, 20))
+        with pytest.raises(ValidationError, match="1..10"):
+            count(ref_positroid, CyclicInterval.empty(10))
 
     def test_full_circle(self, ref_positroid):
         P = ref_positroid
@@ -220,6 +240,18 @@ class TestBounds:
             bound_for_partition(
                 ref_positroid, decompose(E5, 14), NonCrossingPartition.from_blocks(2, [(1, 2)])
             )
+
+    def test_natural_bound_refuses_another_ground_set(self, ref_positroid):
+        # on n = 10 the gaps would be read off the 14-element arrow rows
+        with pytest.raises(ValidationError, match="1..10"):
+            natural_bound(ref_positroid, decompose({9, 10, 1, 2, 5}, 10))
+        with pytest.raises(ValidationError, match="1..20"):
+            natural_bound(ref_positroid, decompose({3, 4, 16, 17}, 20))
+
+    def test_bound_for_partition_refuses_another_ground_set(self, ref_positroid):
+        ncp = NonCrossingPartition.from_blocks(2, [(1, 2)])
+        with pytest.raises(ValidationError, match="1..20"):
+            bound_for_partition(ref_positroid, decompose({3, 4, 16, 17}, 20), ncp)
 
     def test_every_bound_is_above_rank(self, ref_positroid):
         E = decompose(E5, 14)
