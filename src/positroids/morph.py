@@ -13,9 +13,11 @@ construction is witness_basis's final test of its result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import product, repeat
+from operator import mod, sub
 from typing import Iterable, Iterator
 
 from .cyclic import (
@@ -26,7 +28,6 @@ from .cyclic import (
     _checked_subset,
     _intervals_of,
     half_open,
-    open_interval,
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
@@ -107,42 +108,58 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     return result
 
 
+def _positions(S: frozenset[int], b: int, n: int) -> list[int]:
+    """S's members as positions (x - b - 1) % n, counted from b + 1, sorted."""
+    return sorted(map(mod, map(sub, S, repeat(b + 1)), repeat(n)))
+
+
 def _window_arcs(
     P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], bool]:
-    """I_c, the arcs (b, c) and [c, d] of the window (b, d], and whether J is
-    compatible: J ⊇ I_c on the first arc and J ⊆ I_c on the second."""
+) -> tuple[list[int], list[int], bool]:
+    """The sorted positions of J's members outside I_c on the arc (b, c) of
+    the window (b, d] and of I_c's members outside J on [c, d], and whether J
+    is compatible: J ⊇ I_c on (b, c) and J ⊆ I_c on [c, d].
+
+    Counted from b + 1, the window is the positions up to d's, so (b, b] is
+    the full circle; (b, c) lies below c's position and [c, d] from it on.
+    """
     b, d = window
     if not half_open(b, d, P.n).contains(c):
         raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
+    n = P.n
     Ic = P.necklace.at(c)
-    before = open_interval(b, c, P.n).members
-    after = CyclicInterval.span(c, d, P.n).members
-    return Ic, before, after, (Ic & before) <= J and (J & after) <= Ic
+    extra, lack = _positions(J - Ic, b, n), _positions(Ic - J, b, n)
+    pc, past_d = (c - b - 1) % n, (d - b - 1) % n + 1
+    k = bisect_left(extra, pc)
+    compatible = (not lack or lack[0] >= pc) and k == bisect_left(extra, past_d)
+    return extra[:k], lack[:bisect_left(lack, past_d)], compatible
 
 
 def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]) -> bool:
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
-    return _window_arcs(P, _checked_subset(J, P.n), c, window)[3]
+    return _window_arcs(P, _checked_subset(J, P.n), c, window)[2]
 
 
 def _mimic_parts(
     P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int], GapStatus]:
-    Ic, before, after, compatible = _window_arcs(P, J, c, window)
+    over, missing, compatible = _window_arcs(P, J, c, window)
     b, d = window
     if not compatible:
         raise ValidationError(
             f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic"
         )
     n = P.n
-    over = (J - Ic) & before
-    missing = (Ic - J) & after
     alpha = min(len(over), len(missing))
-    removed = tuple(sorted(over, key=lambda x: (x - b) % n, reverse=True)[:alpha])
-    added = tuple(sorted(missing, key=lambda x: (x - b) % n)[:alpha])
+    # back from positions to elements: the last alpha of the excess, last
+    # first, and the first alpha missing ones in (x - b) % n order, which
+    # puts b itself first when the window is the full circle (b, b]
+    removed = tuple((p + b) % n + 1 for p in reversed(over[len(over) - alpha:]))
+    added = tuple(sorted(((p + b) % n + 1 for p in missing), key=lambda x: (x - b) % n)[:alpha])
     result = (J - set(removed)) | set(added)
-    status = GapStatus.GAP_FREE if result & after == Ic & after else GapStatus.HAS_GAPS
+    # J ⊆ I_c on [c, d] already and only `added` lands there, so the result
+    # agrees with I_c on [c, d] exactly when every missing element was added
+    status = GapStatus.GAP_FREE if alpha == len(missing) else GapStatus.HAS_GAPS
     return removed, added, result, status
 
 

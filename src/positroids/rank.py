@@ -11,7 +11,9 @@ where minelts is the fewest elements a basis can have in the open gap
 (b, a). For a union E of s intervals, every non-crossing partition of the
 interval indices gives an upper bound on rank(E), and the minimum over all
 of them is exact. rank_dp() and rank() (with its certificate) read it off one
-O(s^3) table; only enumerate_ncp() and all_bounds=True list partitions.
+O(s^3) table, which builds its s^2/2 chain steps once and spends the about
+s^3/3 remaining additions in C-level min/map; only enumerate_ncp() and
+all_bounds=True list partitions.
 
 Arrow counts come from the positroid's own ArrowTable (see
 positroids.positroid): a query reads one O(n) prefix row per anchor where
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, sub
+from operator import add
 from typing import Iterable, Iterator
 
 from .cyclic import (
@@ -286,29 +288,48 @@ def _rank_table(P: Positroid, decomp: IntervalDecomposition) -> tuple[list[list[
     block containing interval u is a chain u = j_0 < j_1 < ... < j_k, the
     runs strictly between consecutive chain nodes partition independently,
     and the block pays d minus the gap weights along its cyclic closure.
-    Filled bottom-up in O(s^3), with no recursion, so any s runs.
+    Filled bottom-up in O(s^3), with no recursion, so any s runs. A chain
+    step i -> j costs seg_to[j-1][i+1] - w[i-1][j-1] whatever block start
+    it serves, so the s^2/2 steps are built once; the about s^3/3 remaining
+    additions run inside C-level min/map over lists that are only appended to.
     """
     w = _gap_matrix(P, decomp)
     s = decomp.s
-    # into[j - 1][i - 1] = w[i - 1][j - 1], the gap from interval i's end
-    # to interval j's start, so every DP term below reads row slices
-    into = list(zip(*w))
     d = P.d
+    # into[u - 1][i - 1] = w[i - 1][u - 1], the closing gap of a block that
+    # starts at u and ends at i
+    into = list(zip(*w))
+    seg_to = [[0] * (s + 2) for _ in range(s + 1)]
+    # back[v] = seg_to[v][v+1], seg_to[v][v], ... down to the latest u: row v
+    # read leftwards from its empty end, one entry appended per u
+    back = [[0] for _ in range(s + 1)]
+    # steps[j] = the steps i -> j for i = j-1 down to the latest u, likewise
+    steps = [[] for _ in range(s + 1)]
     # filled for u from s down to 1: an entry reads only ranges that start
     # after u and chain values left of it
-    seg_to = [[0] * (s + 2) for _ in range(s + 1)]
     for u in range(s, 0, -1):
-        # chain[j]: cheapest open chain of u's block from u to its current
-        # endpoint j, the runs between chain nodes already partitioned; the
-        # block's own d and closing edge into u are paid by seg
-        chain = [0] * (s + 1)
+        # column u of the steps: seg_to[j-1][u+1] is final, back[j-1]'s last entry
+        out = w[u - 1]
+        for j in range(u + 1, s + 1):
+            steps[j].append(back[j - 1][-1] - out[j - 1])
+        # chain[k]: cheapest open chain of u's block from u to u + k, the runs
+        # between chain nodes already partitioned; closed[k]: that chain closed
+        # into a block, its d and closing edge into u paid
         closing = into[u - 1]
-        for j in range(u, s + 1):
-            if j > u:
-                steps = map(sub, chain[u:j], into[j - 1][u - 1:j - 1])
-                chain[j] = min(map(add, steps, seg_to[j - 1][u + 1:j + 1]))
-            blocks = map(sub, chain[u:j + 1], closing[u - 1:j])
-            seg_to[j][u] = d + min(map(add, blocks, seg_to[j][u + 1:j + 2]))
+        chain = [0]
+        closed = [d - closing[u - 1]]
+        seg_to[u][u] = closed[0]
+        back[u].append(closed[0])
+        for j in range(u + 1, s + 1):
+            # reversed() lines both lists up from j's side; map stops at the
+            # shorter one, so nothing is sliced
+            c = min(map(add, reversed(chain), steps[j]))
+            chain.append(c)
+            closed.append(d + c - closing[j - 1])
+            row = back[j]
+            v = min(map(add, reversed(closed), row))
+            seg_to[j][u] = v
+            row.append(v)
     return seg_to, w
 
 

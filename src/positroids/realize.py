@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cyclic import _check_ints, position
+from .cyclic import _check_ints
 from .errors import (
     ContractViolationError,
     EnumerationLimitError,
@@ -337,8 +337,9 @@ def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
     """
     n, bases = B.n, B.bases
     sets = []
+    # the collection checked its members against 1..n, so raw offsets serve
     for k in range(1, n + 1):
-        best = min(bases, key=lambda S: tuple(sorted(position(x, k, n) for x in S)))
+        best = min(bases, key=lambda S: sorted((x - k) % n for x in S))
         sets.append(frozenset(best))
     try:
         neck = GrassmannNecklace(n, B.d, tuple(sets))

@@ -92,3 +92,24 @@ def first_min_by_enumeration(P: Positroid, E) -> tuple[int, tuple, tuple[int, ..
     best = min(enumerate_ncp(D.s), key=lambda ncp: bound_for_partition(Q, D, ncp))
     per_block = tuple(natural_bound(Q, D.restrict(block)) for block in best.blocks)
     return sum(per_block) + len(frozenset(E) & P.perm.black), best.blocks, per_block
+
+
+def reference_rank_table(w: list[list[int]], d: int) -> list[list[int]]:
+    """seg_to[v][u], the least total bound over the non-crossing partitions of
+    intervals u..v (0 when u > v), for the gap matrix w of s intervals: the
+    chain recurrence of the rank table, every term summed on its own."""
+    s = len(w)
+    seg_to = [[0] * (s + 2) for _ in range(s + 1)]
+    for u in range(s, 0, -1):
+        # chain[j]: u's block as an open chain u .. j, the runs between its
+        # nodes partitioned
+        chain = [0] * (s + 1)
+        for j in range(u, s + 1):
+            if j > u:
+                chain[j] = min(
+                    chain[i] - w[i - 1][j - 1] + seg_to[j - 1][i + 1] for i in range(u, j)
+                )
+            seg_to[j][u] = d + min(
+                chain[i] - w[i - 1][u - 1] + seg_to[j][i + 1] for i in range(u, j + 1)
+            )
+    return seg_to

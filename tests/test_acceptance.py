@@ -170,12 +170,16 @@ def test_criterion_7_randomized_oracle():
 
 
 def test_criterion_8_dynamic_program():
-    with criterion(8, "interval dynamic program agrees everywhere"):
+    with criterion(8, "interval dynamic program and certificates agree everywhere", limit=60.0):
         assert SMALL_RECORDS and RANDOM_RECORDS
-        for P, E, expected in SMALL_RECORDS:
+        for P, E, expected in SMALL_RECORDS + RANDOM_RECORDS:
             assert rank_dp(P, E) == expected, (P.perm.images, sorted(E))
-        for P, E, expected in RANDOM_RECORDS:
-            assert rank_dp(P, E) == expected, (P.perm.images, sorted(E))
+            # the certificate read off the table is the first optimal
+            # partition in enumeration order, with the same per-block bounds
+            cert = rank(P, E)
+            if cert.decomposition.s <= 10:
+                got = (cert.value, cert.partition.blocks, cert.per_block_bounds)
+                assert got == first_min_by_enumeration(P, E), (P.perm.images, sorted(E))
         rng = random.Random(5150)
         produced = 0
         while produced < 100:

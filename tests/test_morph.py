@@ -4,6 +4,7 @@ import random
 
 from positroids import (
     ContractViolationError,
+    CyclicInterval,
     ExchangeKind,
     ExchangeRecord,
     GapStatus,
@@ -18,6 +19,7 @@ from positroids import (
     mimic,
     morph,
     morph_sequence,
+    open_interval,
     rank,
     rank_bruteforce,
     rank_dp,
@@ -92,6 +94,62 @@ class TestMimic:
         result, status = mimic(ref_positroid, I7, 7, (4, 10))
         assert result == I7
         assert status is GapStatus.GAP_FREE
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def _set_arcs(P, c, window):
+    """I_c and the arcs (b, c) and [c, d] of the window (b, d], as member sets."""
+    b, d = window
+    if not half_open(b, d, P.n).contains(c):
+        raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
+    return P.necklace.at(c), open_interval(b, c, P.n).members, CyclicInterval.span(c, d, P.n).members
+
+
+def _set_compatible(P, J, c, window):
+    Ic, before, after = _set_arcs(P, c, window)
+    return (Ic & before) <= J and (J & after) <= Ic
+
+
+def _set_mimic_parts(P, J, c, window):
+    Ic, before, after = _set_arcs(P, c, window)
+    b, d = window
+    n = P.n
+    if not _set_compatible(P, J, c, window):
+        raise ValidationError(f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic")
+    over = (J - Ic) & before
+    missing = (Ic - J) & after
+    alpha = min(len(over), len(missing))
+    removed = tuple(sorted(over, key=lambda x: (x - b) % n, reverse=True)[:alpha])
+    added = tuple(sorted(missing, key=lambda x: (x - b) % n)[:alpha])
+    result = (J - set(removed)) | set(added)
+    status = GapStatus.GAP_FREE if result & after == Ic & after else GapStatus.HAS_GAPS
+    return removed, added, result, status
+
+
+class TestWindowArcs:
+    def test_position_space_matches_member_sets(self):
+        # every decorated positroid with n <= 4, every J, center and window,
+        # the full-circle windows (b, b] included: is_compatible, mimic and
+        # _mimic_parts give the set-based reference's values and messages
+        for n in range(1, 5):
+            cases = [(c, (b, d)) for c in range(1, n + 1)
+                     for b in range(1, n + 1) for d in range(1, n + 1)]
+            for P in decorated_positroids(n):
+                for J in all_subsets(n):
+                    for case in cases:
+                        args = (P, J, *case)
+                        assert _outcome(is_compatible, *args) == _outcome(_set_compatible, *args), args
+                        parts = _outcome(_set_mimic_parts, *args)
+                        assert _outcome(morph._mimic_parts, *args) == parts, args
+                        if parts[0] == "ok":
+                            parts = ("ok", parts[1][2:])
+                        assert _outcome(mimic, *args) == parts, args
 
 
 class TestMorphSequence:

@@ -32,7 +32,15 @@ from positroids import (
     witness_basis,
 )
 from positroids.cli import main
-from helpers import all_subsets, decorated_positroids, first_min_by_enumeration
+from helpers import (
+    all_subsets,
+    brute_rank_table,
+    decorated_positroids,
+    first_min_by_enumeration,
+    random_decorated_positroid,
+    random_union,
+    reference_rank_table,
+)
 
 RANK_MODULE = importlib.import_module("positroids.rank")
 CYCLIC_MODULE = importlib.import_module("positroids.cyclic")
@@ -431,6 +439,37 @@ class TestOneEngine:
         assert cert.decomposition.s == 16
         assert cert.partition.blocks == (tuple(range(1, 17)),)
         assert cert.value == cert.per_block_bounds[0] == rank_dp(P, E) == 2
+
+
+class TestRankTable:
+    """Every entry of the table rank() and rank_dp() read, not only the corner."""
+
+    def test_every_entry_is_a_rank_on_small_decorated_positroids(self):
+        # seg_to[v][u] is the rank, on the reduction, of intervals u..v
+        for n in range(6):
+            for P in decorated_positroids(n):
+                Q = RANK_MODULE._query(P, ())[0]
+                brute = brute_rank_table(Q)
+                for E in all_subsets(n):
+                    _, decomp, _ = RANK_MODULE._query(P, E)
+                    seg_to, _ = RANK_MODULE._rank_table(Q, decomp)
+                    runs = [CyclicInterval.span(a, b, Q.n).members for a, b in decomp.intervals]
+                    for v in range(1, decomp.s + 1):
+                        for u in range(1, v + 2):
+                            union = frozenset().union(*runs[u - 1:v])
+                            assert seg_to[v][u] == brute[union], (P.perm, sorted(E), u, v)
+
+    def test_every_entry_matches_the_per_term_recurrence(self):
+        rng = random.Random(4711)
+        sizes = set()
+        for k in range(40):
+            P = random_decorated_positroid(150, rng)
+            Q, decomp, _ = RANK_MODULE._query(P, random_union(150, 1 + k * 59 // 39, rng))
+            seg_to, w = RANK_MODULE._rank_table(Q, decomp)
+            assert w == RANK_MODULE._gap_matrix(Q, decomp)
+            assert seg_to == reference_rank_table(w, Q.d), (P.perm, decomp)
+            sizes.add(decomp.s)
+        assert max(sizes) > 50 and min(sizes) <= 2
 
 
 class TestChecksOnce:

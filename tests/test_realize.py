@@ -26,6 +26,8 @@ from positroids import (
 from positroids import realize
 from positroids.cli import main
 
+from helpers import decorated_positroids
+
 A_ROWS = ((1, 0, -3, -1), (0, 1, 4, 0))
 
 ENTRIES = (0, 1, -1, 2, -2, 3, -3, "1/2", "-2/3")
@@ -245,8 +247,21 @@ class TestNecklaceFromBases:
         # one parallel class {1,3}, another {2,4}: a matroid, but its Gale
         # minima generate extra bases like {1,3}
         B = BasisCollection.from_sets([{1, 2}, {1, 4}, {2, 3}, {3, 4}], n=4)
-        with pytest.raises(NotAPositroidError):
+        with pytest.raises(NotAPositroidError, match="but not a positroid"):
             necklace_from_bases(B)
+
+    def test_non_matroid_rejected(self):
+        # past 20 elements the exchange axiom is not checked on construction;
+        # the minima of these two bases break the necklace transition rule
+        B = BasisCollection.from_sets([{1, 2}, {3, 4}], n=21)
+        with pytest.raises(NotAPositroidError, match="nor a matroid"):
+            necklace_from_bases(B)
+
+    def test_every_small_decorated_positroid(self):
+        for n in range(6):
+            for P in decorated_positroids(n):
+                bases = BasisCollection.from_sets(enumerate_bases(P), n)
+                assert necklace_from_bases(bases) == P.necklace, P.perm
 
 
 class TestPositroidFromMatrix:
