@@ -46,7 +46,17 @@ def _check_ground(m: int, n: int) -> None:
         raise ValidationError(f"argument lives on 1..{m}, but the positroid on 1..{n}")
 
 
+def _check_nonnegative(value: int, what: str) -> None:
+    """Reject anything but a plain int at least 0, such as a ground-set size."""
+    _check_ints((value,), what)
+    if value < 0:
+        raise ValidationError(f"{what} must be nonnegative")
+
+
 def _check_element(x: int, n: int) -> None:
+    """Reject anything but a plain int in 1..n; bool is rejected too."""
+    if type(x) is not int:
+        raise ValidationError(f"elements must be integers, got {x!r}")
     if not 1 <= x <= n:
         raise ValidationError(f"element {x} out of range 1..{n}")
 
@@ -92,12 +102,10 @@ class CyclicInterval:
     b: int | None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError("n must be nonnegative")
+        _check_nonnegative(self.n, "n")
         if (self.a is None) != (self.b is None):
             raise ValidationError("either both or neither endpoint must be None")
         if self.a is not None:
-            _check_ints((self.a, self.b), "interval endpoints")
             _check_element(self.a, self.n)
             _check_element(self.b, self.n)
 
@@ -207,9 +215,9 @@ class IntervalDecomposition:
 
     def __post_init__(self) -> None:
         n, intervals = self.n, self.intervals
+        _check_nonnegative(n, "n")
         starts = [a for a, _ in intervals]
         endpoints = starts + [b for _, b in intervals]
-        _check_ints(endpoints, "interval endpoints")
         for x in endpoints:
             _check_element(x, n)
         if starts != sorted(starts):
@@ -286,6 +294,7 @@ def _checked_subset(members: Iterable[int], n: int) -> frozenset[int]:
 
 def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
     """Write a subset of {1..n} as its maximal cyclic intervals."""
+    _check_nonnegative(n, "n")
     return _intervals_of(_checked_subset(members, n), n)
 
 

@@ -167,8 +167,10 @@ def mimic(
     P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]
 ) -> tuple[frozenset[int], GapStatus]:
     """Trade J's biggest excessive elements before c for I_c's first missing
-    elements from c on, as many as both sides allow ("biggest"/"first" in the
-    order that starts right after the window's open end).
+    elements from c on, as many as both sides allow. The excess is ranked in
+    the order that starts right after the window's open end b; the missing
+    elements are added in (x - b) % n order, which is the same order on a
+    proper window but puts b itself first on the full circle (b, b].
 
     Requires is_compatible(P, J, c, window). The status reports whether the
     result agrees with I_c on all of [c, d] (gap-free) or gaps remain.

@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator
 
-from .cyclic import CyclicInterval, _check_ground, _check_ints, _checked_subset
+from .cyclic import _check_element, _check_ints, _check_nonnegative, _checked_subset
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
@@ -61,9 +61,7 @@ class DecoratedPermutation:
     black: frozenset[int]
 
     def __post_init__(self) -> None:
-        _check_ints((self.n,), "n")
-        if self.n < 0:
-            raise ValidationError("n must be nonnegative")
+        _check_nonnegative(self.n, "n")
         _check_ints(self.images, "permutation entries")
         _check_ints(self.white | self.black, "colored elements")
         if len(self.images) != self.n:
@@ -100,13 +98,11 @@ class DecoratedPermutation:
         return tuple(inv)
 
     def pi(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValidationError(f"element {i} out of range 1..{self.n}")
+        _check_element(i, self.n)
         return self.images[i - 1]
 
     def pi_inv(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise ValidationError(f"element {j} out of range 1..{self.n}")
+        _check_element(j, self.n)
         return self._inverse[j - 1]
 
     @property
@@ -278,65 +274,42 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
 
 
 class ArrowTable:
-    """Per-anchor prefix counts of arrows, one O(n) row per anchor on demand.
+    """Per-anchor prefix counts of CCW-arrows, one O(n) row per anchor on demand.
 
-    A CW-arrow is the cyclic interval [x, pi(x)], a CCW-arrow is
-    [x, pi^{-1}(x)]. An arrow [x, y] is counted in the interval [a, b] when
-    both ends lie in the interval and x comes before y reading from the
-    anchor a. On every proper interval this is plain containment of the
-    arrow; anchoring only matters for the full circle, where it makes
-    cw(full) = n - d and ccw(full) = d so that the rank identities of
-    positroids.rank stay valid. Singleton arrows of fixed points count
-    toward cw when white, ccw when black.
+    A CCW-arrow is the cyclic interval [x, pi^{-1}(x)], and a black fixed
+    point is one of its own. Row `ccw_row(a)[L]` counts those whose ends lie
+    in the L elements read from a with x before y reading from a: plain
+    containment on every proper interval, and `row[n]` = |I_a| = d on the
+    full circle. This one row kind answers every interval count of
+    positroids.rank: the gap (b, a) completing [a, b] is a prefix of the row
+    anchored after b, rank([a, b]) = d - ccw((b, a)) and cw([a, b]) =
+    |[a, b]| - rank([a, b]).
 
-    Row `cw_row(a)[L]` counts the CW-arrows inside the L elements read from
-    a (likewise `ccw_row`). A row is built in O(n) the first time its anchor
-    is asked for and kept, so a query touching s anchors costs O(s·n) once
-    and O(1) per interval afterwards. Each Positroid owns one table.
+    A row is built the first time its anchor is asked for and kept, so a
+    query touching s anchors costs O(s·n) once and O(1) per interval
+    afterwards. Each Positroid owns one table.
     """
 
     def __init__(self, perm: DecoratedPermutation) -> None:
         self.perm = perm
-        self._cw_rows: dict[int, tuple[int, ...]] = {}
-        self._ccw_rows: dict[int, tuple[int, ...]] = {}
-
-    def _row(self, anchor: int, ends: tuple[int, ...], singletons: frozenset[int]) -> tuple[int, ...]:
-        n = self.perm.n
-        bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
-        for x, y in enumerate(ends, start=1):
-            px = (x - anchor) % n
-            if y == x:
-                if x in singletons:
-                    bucket[px + 1] += 1
-            else:
-                py = (y - anchor) % n
-                if px < py:
-                    bucket[py + 1] += 1
-        return tuple(accumulate(bucket))
-
-    def cw_row(self, anchor: int) -> tuple[int, ...]:
-        row = self._cw_rows.get(anchor)
-        if row is None:
-            row = self._cw_rows[anchor] = self._row(anchor, self.perm.images, self.perm.white)
-        return row
+        self._rows: dict[int, tuple[int, ...]] = {}
 
     def ccw_row(self, anchor: int) -> tuple[int, ...]:
-        row = self._ccw_rows.get(anchor)
+        row = self._rows.get(anchor)
         if row is None:
-            row = self._ccw_rows[anchor] = self._row(anchor, self.perm._inverse, self.perm.black)
+            n, black = self.perm.n, self.perm.black
+            bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
+            for x, y in enumerate(self.perm._inverse, start=1):
+                px = (x - anchor) % n
+                if y == x:
+                    if x in black:
+                        bucket[px + 1] += 1
+                else:
+                    py = (y - anchor) % n
+                    if px < py:
+                        bucket[py + 1] += 1
+            row = self._rows[anchor] = tuple(accumulate(bucket))
         return row
-
-    def cw(self, T: CyclicInterval) -> int:
-        _check_ground(T.n, self.perm.n)
-        if T.is_empty:
-            return 0
-        return self.cw_row(T.a)[len(T)]
-
-    def ccw(self, T: CyclicInterval) -> int:
-        _check_ground(T.n, self.perm.n)
-        if T.is_empty:
-            return 0
-        return self.ccw_row(T.a)[len(T)]
 
 
 @dataclass(frozen=True)
@@ -485,7 +458,7 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
 
 def rank_bruteforce(P: Positroid, E: Iterable[int]) -> int:
     """max |B ∩ E| over all bases B. Exponential; the testing oracle."""
-    members = frozenset(E)
+    members = _checked_subset(E, P.n)
     return max(len(B & members) for B in enumerate_bases(P))
 
 

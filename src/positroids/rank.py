@@ -2,9 +2,10 @@
 
 Everything here reduces rank computations to counting arrows of the
 decorated permutation. A CW-arrow is the cyclic interval [x, pi(x)], a
-CCW-arrow is [x, pi^{-1}(x)]. For a cyclic interval T = [a, b]:
+CCW-arrow is [x, pi^{-1}(x)]. For a cyclic interval T = [a, b], whose
+complement is the open gap (b, a):
 
-    rank([a,b]) = |I_a ∩ [a,b]| = |[a,b]| - cw([a,b])
+    rank([a,b]) = |I_a ∩ [a,b]| = |[a,b]| - cw([a,b]) = d - ccw((b,a))
     minelts((b,a)) = ccw((b,a)) = d - rank([a,b])
 
 where minelts is the fewest elements a basis can have in the open gap
@@ -16,9 +17,11 @@ s^3/3 remaining additions in C-level min/map; only enumerate_ncp() and
 all_bounds=True list partitions.
 
 Arrow counts come from the positroid's own ArrowTable (see
-positroids.positroid): a query reads one O(n) prefix row per anchor where
-one of its gaps starts, built on first use and kept on the Positroid, so a
-single-interval query costs O(n) and repeated queries reuse the rows.
+positroids.positroid), whose one kind of row holds the O(n) prefix counts of
+CCW-arrows from an anchor. The gap (b, a) is a prefix of the row anchored
+just after b, so every count above is one lookup. A query reads one row per
+gap, built on first use and kept on the Positroid, so a single-interval
+query costs O(n) and repeated queries reuse the rows.
 rank() and rank_dp() answer queries on positroids with loops or coloops on
 the reduction, which is likewise computed once and kept on the Positroid;
 witness_basis (positroids.morph) works on the positroid itself. Nothing is
@@ -35,11 +38,12 @@ from typing import Iterable, Iterator
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _check_element,
     _check_ground,
     _check_ints,
+    _check_nonnegative,
     _checked_subset,
     _intervals_of,
-    open_interval,
 )
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
@@ -77,20 +81,18 @@ class NonCrossingPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_ints((self.s,), "s")
+        _check_nonnegative(self.s, "s")
         owner: dict[int, int] = {}
         for bi, block in enumerate(self.blocks):
             if not block:
                 raise ValidationError("empty block")
-            _check_ints(block, "block elements")
-            if list(block) != sorted(block):
-                raise ValidationError(f"block {block} is not ascending")
             for x in block:
-                if not 1 <= x <= self.s:
-                    raise ValidationError(f"block element {x} outside 1..{self.s}")
+                _check_element(x, self.s)
                 if x in owner:
                     raise ValidationError(f"element {x} appears in two blocks")
                 owner[x] = bi
+            if list(block) != sorted(block):
+                raise ValidationError(f"block {block} is not ascending")
         if len(owner) != self.s:
             missing = sorted(set(range(1, self.s + 1)) - owner.keys())
             raise ValidationError(f"elements {missing} not covered")
@@ -163,9 +165,8 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
     Deterministic order (first block grows from {1} upward). s = 0 yields
     the single empty partition. Guarded by `limit` since the count explodes.
     """
-    _check_ints((s,), "s")
-    if s < 0:
-        raise ValidationError("s must be nonnegative")
+    _check_nonnegative(s, "s")
+    _check_ints((limit,), "limit")
     if s > limit:
         raise EnumerationLimitError(
             f"enumerating non-crossing partitions of {s} intervals exceeds the "
@@ -180,23 +181,33 @@ def arrow_table(P: Positroid) -> ArrowTable:
     return P._arrows
 
 
+def _gap_ccw(P: Positroid, b: int, a: int) -> int:
+    """ccw((b, a)): the gap is the (a - b - 1) % n elements read from b + 1,
+    a prefix of the row anchored just after b."""
+    n = P.n
+    _check_element(b, n)
+    _check_element(a, n)
+    return arrow_table(P).ccw_row(b % n + 1)[(a - b - 1) % n]
+
+
 def cw_count(P: Positroid, T: CyclicInterval) -> int:
-    """Number of CW-arrows [x, pi(x)] contained in T."""
-    return arrow_table(P).cw(T)
+    """Number of CW-arrows [x, pi(x)] in T = [a, b], as |[a,b]| - d + ccw((b, a))."""
+    _check_ground(T.n, P.n)
+    return 0 if T.is_empty else len(T) - P.d + _gap_ccw(P, T.b, T.a)
 
 
 def ccw_count(P: Positroid, T: CyclicInterval) -> int:
     """Number of CCW-arrows [x, pi^{-1}(x)] contained in T."""
-    return arrow_table(P).ccw(T)
+    _check_ground(T.n, P.n)
+    return 0 if T.is_empty else arrow_table(P).ccw_row(T.a)[len(T)]
 
 
 def rank_of_interval(P: Positroid, a: int, b: int) -> int:
-    """rank([a, b]), as the necklace intersection |I_a ∩ [a,b]|.
+    """rank([a, b]) = d - ccw((b, a)), read off the row anchored after b.
 
-    Equals |[a,b]| - cw([a,b]); the tests check that identity everywhere.
+    Equals |[a,b]| - cw([a,b]) and |I_a ∩ [a,b]|; the tests check both everywhere.
     """
-    iv = CyclicInterval.span(a, b, P.n)
-    return len(P.necklace.at(a) & iv.members)
+    return P.d - _gap_ccw(P, b, a)
 
 
 def min_elements(P: Positroid, b: int, a: int) -> int:
@@ -204,7 +215,7 @@ def min_elements(P: Positroid, b: int, a: int) -> int:
 
     Equals ccw((b, a)) and also d - rank([a,b]); the tests check both.
     """
-    return ccw_count(P, open_interval(b, a, P.n))
+    return _gap_ccw(P, b, a)
 
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
@@ -349,6 +360,7 @@ def rank(
     `limit` intervals (after reduction); past that use rank_dp, which needs
     no cap. Only all_bounds enumerates all Catalan(s) partitions.
     """
+    _check_ints((limit,), "limit")
     Q, decomp, bonus = _query(P, E)
     s = decomp.s
     if s > max(limit, 0):

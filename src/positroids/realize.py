@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cyclic import _check_ints
+from .cyclic import _check_ints, _check_nonnegative, _checked_subset
 from .errors import (
     ContractViolationError,
     EnumerationLimitError,
@@ -56,7 +56,9 @@ __all__ = [
 MINOR_SCAN_CAP = 200_000
 
 # basis-exchange validation is quadratic in the collection size, so it runs
-# only for collections at most this big (covers every documented use)
+# only for collections at most this big; bigger ones, such as the 624 bases
+# of the demo positroid that repro's bases-to-necklace check builds, are
+# accepted unchecked
 EXCHANGE_VALIDATION_CAP = 600
 
 
@@ -100,7 +102,11 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "RationalMatrix":
-        return cls(tuple(tuple(_parse_entry(v) for v in row) for row in rows))
+        try:
+            table = [tuple(row) for row in rows]
+        except TypeError:
+            raise ValidationError("matrix rows must be iterables of entries") from None
+        return cls(tuple(tuple(map(_parse_entry, row)) for row in table))
 
     @classmethod
     def from_json(cls, obj: object) -> "RationalMatrix":
@@ -176,7 +182,6 @@ class _Independent:
 
     def __init__(self) -> None:
         self.pivots: list[_Pivot] = []
-        self.sign = 1
 
     def add(self, v: list[int]) -> bool:
         prev = 1
@@ -187,13 +192,7 @@ class _Independent:
         if pivot is None:
             return False
         self.pivots.append(pivot)
-        if pivot[0] & 1:
-            self.sign = -self.sign
         return True
-
-    def minor(self) -> int:
-        """The determinant of the kept columns in the order added, once square."""
-        return self.sign * self.pivots[-1][1] if self.pivots else 1
 
 
 def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -241,10 +240,9 @@ def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
     if len(idx) != A.r:
         raise ValidationError(f"maximal minors take exactly {A.r} columns, got {len(idx)}")
     columns, scale = _integer_columns(A.column_submatrix(idx))
-    chosen = _Independent()
-    if not all(chosen.add(v) for v in columns):
-        return Fraction(0)
-    return Fraction(chosen.minor(), scale)
+    # the one r-subset of r columns, kept in the given order
+    ((_, value),) = _lex_minors(columns, A.r)
+    return Fraction(value, scale)
 
 
 def _rank(columns: list[list[int]]) -> int:
@@ -277,14 +275,13 @@ class BasisCollection:
     bases: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
+        _check_nonnegative(self.n, "n")
         if not self.bases:
             raise ValidationError("a matroid has at least one basis")
         for B in self.bases:
+            _checked_subset(B, self.n)
             if len(B) != self.d:
                 raise ValidationError(f"basis {sorted(B)} has size {len(B)}, expected {self.d}")
-            for x in B:
-                if not 1 <= x <= self.n:
-                    raise ValidationError(f"basis element {x} outside 1..{self.n}")
         if self.n <= 20 and len(self.bases) <= EXCHANGE_VALIDATION_CAP:
             self._check_exchange()
 
@@ -300,7 +297,8 @@ class BasisCollection:
 
     @classmethod
     def from_sets(cls, bases: Iterable[Iterable[int]], n: int) -> "BasisCollection":
-        frozen = frozenset(frozenset(B) for B in bases)
+        _check_nonnegative(n, "n")
+        frozen = frozenset(_checked_subset(B, n) for B in bases)
         d = len(next(iter(frozen))) if frozen else 0
         return cls(n, d, frozen)
 
@@ -326,29 +324,20 @@ def is_totally_nonnegative(A: RationalMatrix) -> bool:
     return first_negative_minor(A) is None
 
 
-def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
-    """I_k = the minimal basis in the order that starts at k.
-
-    The minimum is taken lexicographically on position-sorted bases, which
-    for a matroid is also the componentwise (greedy) minimum. The necklace
-    transition rule holds for any matroid, so to certify a positroid the
-    derived necklace's basis filter is compared against the input whenever
-    n <= 20; a mismatch raises NotAPositroidError.
-    """
-    n, bases = B.n, B.bases
-    sets = []
-    # the collection checked its members against 1..n, so raw offsets serve
-    for k in range(1, n + 1):
-        best = min(bases, key=lambda S: sorted((x - k) % n for x in S))
-        sets.append(frozenset(best))
+def _certified_positroid(
+    n: int, d: int, sets: tuple[frozenset[int], ...], bases: frozenset[frozenset[int]]
+) -> Positroid:
+    """The positroid whose necklace is `sets`, certified to have exactly `bases`
+    as its bases when n <= BASIS_ENUMERATION_CAP; NotAPositroidError if not."""
     try:
-        neck = GrassmannNecklace(n, B.d, tuple(sets))
+        neck = GrassmannNecklace(n, d, sets)
     except ValidationError as exc:
         raise NotAPositroidError(
             f"collection is not a positroid (nor a matroid): {exc}"
         ) from None
-    if n <= 20:
-        derived = frozenset(enumerate_bases(Positroid.from_necklace(neck)))
+    P = Positroid.from_necklace(neck)
+    if n <= BASIS_ENUMERATION_CAP:
+        derived = frozenset(enumerate_bases(P))
         if derived != bases:
             extra = derived - bases
             missing = bases - derived
@@ -358,7 +347,25 @@ def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
                 f"generates {len(derived)} bases, input has {len(bases)} "
                 f"(first difference: {sample})"
             )
-    return neck
+    return P
+
+
+def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
+    """I_k = the minimal basis in the order that starts at k.
+
+    The minimum is taken lexicographically on position-sorted bases, which
+    for a matroid is also the componentwise (greedy) minimum. The necklace
+    transition rule holds for any matroid, so to certify a positroid the
+    derived necklace's basis filter is compared against the input whenever
+    n <= BASIS_ENUMERATION_CAP; a mismatch raises NotAPositroidError.
+    """
+    n, bases = B.n, B.bases
+    sets = []
+    # the collection checked its members against 1..n, so raw offsets serve
+    for k in range(1, n + 1):
+        best = min(bases, key=lambda S: sorted((x - k) % n for x in S))
+        sets.append(frozenset(best))
+    return _certified_positroid(n, B.d, tuple(sets), bases).necklace
 
 
 def _greedy_necklace(columns: list[list[int]], r: int) -> tuple[frozenset[int], ...]:
@@ -381,11 +388,11 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
     """The positroid of a full-row-rank matrix with nonnegative maximal minors.
 
     One scan of the minors stops at the first negative one and otherwise
-    keeps the nonzero subsets. The necklace comes from greedy column choice;
-    for n <= BASIS_ENUMERATION_CAP the bases of the resulting positroid are
-    compared with the scanned nonzero subsets. A matrix with nonnegative
-    minors realizes a positroid, so an invalid necklace or a mismatch means
-    a library bug and raises ContractViolationError.
+    keeps the nonzero subsets. The necklace comes from greedy column choice
+    and is certified against the scanned nonzero subsets as in
+    necklace_from_bases. A matrix with nonnegative minors realizes a
+    positroid, so an invalid necklace or a mismatch means a library bug and
+    raises ContractViolationError.
     """
     columns, scale = _integer_columns(A.entries)
     _require_full_row_rank(A, columns)
@@ -397,19 +404,13 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
                 f"{cols} equals {Fraction(value, scale)}"
             )
         if value:
-            nonzero.append(cols)
-    sets = _greedy_necklace(columns, A.r)
+            nonzero.append(frozenset(cols))
     try:
-        necklace = GrassmannNecklace(A.n, A.r, sets)
-    except ValidationError as exc:
-        raise ContractViolationError(f"greedy necklace of a TNN matrix is invalid: {exc}") from exc
-    P = Positroid.from_necklace(necklace)
-    if A.n <= BASIS_ENUMERATION_CAP:
-        if frozenset(enumerate_bases(P)) != frozenset(map(frozenset, nonzero)):
-            raise ContractViolationError(
-                "the necklace of a TNN matrix does not generate its nonzero minors"
-            )
-    return P
+        return _certified_positroid(A.n, A.r, _greedy_necklace(columns, A.r), frozenset(nonzero))
+    except NotAPositroidError as exc:
+        raise ContractViolationError(
+            f"the greedy necklace of a TNN matrix does not match its nonzero minors: {exc}"
+        ) from exc
 
 
 def random_tnn_matrix(
@@ -421,6 +422,7 @@ def random_tnn_matrix(
     (add a nonnegative multiple of an adjacent column, or scale a column by
     a positive integer), each of which preserves total nonnegativity.
     """
+    _check_ints((r, n, ops), "r, n and ops")
     if not 1 <= r <= n:
         raise ValidationError(f"need 1 <= r <= n, got r = {r}, n = {n}")
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

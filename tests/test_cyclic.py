@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from positroids import (
     CyclicInterval,
     IntervalDecomposition,
+    Positroid,
     ValidationError,
     cyclic_leq,
     cyclic_less,
@@ -15,6 +16,8 @@ from positroids import (
     gale_leq,
     half_open,
     interval_contains,
+    mimic,
+    min_elements,
     open_interval,
     parse_set_spec,
     position,
@@ -276,3 +279,34 @@ class TestGale:
             assert S == T
         if gale_leq(S, T, i, n) and gale_leq(T, U, i, n):  # transitive
             assert gale_leq(S, U, i, n)
+
+
+_P3 = Positroid.from_oneline((2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: position("a", 1, 3),
+        lambda: open_interval("a", 1, 3),
+        lambda: min_elements(_P3, "a", 2),
+        lambda: mimic(_P3, {1}, "a", (1, 2)),
+        lambda: gale_leq({"a"}, {1}, 1, 3),
+        lambda: _P3.perm.pi("a"),
+        lambda: _P3.perm.pi_inv(True),
+        lambda: CyclicInterval("x", 1, 1),
+        lambda: IntervalDecomposition("x", ((1, 1),)),
+        lambda: decompose({1}, "x"),
+        lambda: next_element(1.5, 3),
+        lambda: cyclic_less(True, 2, 1, 3),
+        lambda: decompose(set(), -1),
+    ],
+    ids=[
+        "position", "open_interval", "min_elements", "mimic", "gale_leq", "pi", "pi_inv",
+        "interval-n", "decomposition-n", "decompose-n", "next_element", "cyclic_less",
+        "negative-n",
+    ],
+)
+def test_elements_and_sizes_are_plain_ints(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -95,6 +95,14 @@ class TestMimic:
         assert result == I7
         assert status is GapStatus.GAP_FREE
 
+    def test_full_circle_window_adds_b_first(self):
+        # (2, 2] is the whole circle and I_1 = {1, 2} lacks both from J;
+        # one slot is free, and the (x - b) % n order puts b = 2 before 1
+        P = Positroid.from_oneline((1, 2, 3), white=(3,), black=(1, 2))
+        result, status = mimic(P, {3}, 1, (2, 2))
+        assert result == {2}
+        assert status is GapStatus.HAS_GAPS
+
 
 def _outcome(call, *args):
     try:

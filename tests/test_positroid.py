@@ -414,6 +414,12 @@ class TestReduce:
         assert relabel == {}
 
 
+@pytest.mark.parametrize("E", [{9}, {0}, {True}, {1.0}])
+def test_rank_bruteforce_checks_its_set(E):
+    with pytest.raises(ValidationError):
+        rank_bruteforce(Positroid.from_oneline((2, 3, 1)), E)
+
+
 def test_loops_never_in_necklace_coloops_always():
     for P in decorated_positroids(4):
         loops, coloops = loops_and_coloops(P)

@@ -195,9 +195,19 @@ class TestCaches:
     def test_one_interval_query_builds_one_row(self, ref_positroid):
         P = Positroid.from_oneline(ref_positroid.perm.images)
         rank_dp(P, {3, 4, 5})
-        assert len(arrow_table(P)._ccw_rows) == 1 and not arrow_table(P)._cw_rows
+        assert len(arrow_table(P)._rows) == 1
         rank_dp(P, E4)  # two gaps, starting after 3 and after 10
-        assert sorted(arrow_table(P)._ccw_rows) == [4, 6, 11]
+        assert sorted(arrow_table(P)._rows) == [4, 6, 11]
+
+    def test_interval_counts_read_ccw_rows_only(self, ref_positroid):
+        P = Positroid.from_oneline(ref_positroid.perm.images)
+        assert rank_of_interval(P, 1, 3) == 2
+        assert min_elements(P, 3, 8) == 2
+        assert cw_count(P, CyclicInterval.span(7, 10, 14)) == 0
+        # each count read the one CCW row anchored after its interval's end
+        assert "necklace" not in vars(P)
+        assert vars(arrow_table(P)).keys() == {"perm", "_rows"}
+        assert sorted(arrow_table(P)._rows) == [4, 11]
 
     def test_positroid_is_freed_after_queries(self):
         # nothing at module level keeps a queried positroid alive
@@ -531,3 +541,11 @@ def test_rank_dp_runs_in_bounded_stack_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert value == d
+
+
+@pytest.mark.parametrize("limit", ["x", 2.5, True])
+def test_limit_must_be_an_int(ref_positroid, limit):
+    with pytest.raises(ValidationError, match="limit must be integers"):
+        rank(ref_positroid, E4, limit=limit)
+    with pytest.raises(ValidationError, match="limit must be integers"):
+        list(enumerate_ncp(2, limit=limit))

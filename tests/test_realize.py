@@ -219,6 +219,24 @@ class TestBasisCollection:
         BasisCollection.from_sets([{1, 2}, {1, 4}, {2, 3}, {3, 4}], n=4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BasisCollection.from_sets([{True}], 2),
+        lambda: BasisCollection.from_sets([{1.0}], 2),
+        lambda: BasisCollection.from_sets([{"a"}], 2),
+        lambda: BasisCollection.from_sets([{1}], "x"),
+        lambda: BasisCollection(2, 1, frozenset({frozenset({1.0})})),
+        lambda: RationalMatrix.from_rows([1, 2]),
+        lambda: random_tnn_matrix("2", 3, random.Random(0)),
+    ],
+    ids=["bool", "float", "str", "str-n", "constructor", "flat-rows", "str-r"],
+)
+def test_malformed_collection_and_matrix_arguments(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 class TestMatroidFromMatrix:
     def test_reference_bases(self):
         B = matroid_from_matrix(RationalMatrix.from_rows(A_ROWS))
