@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
 
@@ -33,11 +33,50 @@ __all__ = [
 ]
 
 
+_T = TypeVar("_T")
+
+
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass cls holding fields, made without
+    running its __post_init__ checks.
+
+    Only constructions that are valid by proof may call it: the conversions
+    between validated permutations and necklaces, a reduction, maximal runs
+    of a checked set, partitions read off the package's own enumeration and
+    a matrix's column matroid. A source test fences the callers.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_ints(values: Iterable, what: str) -> None:
     """Reject anything but plain ints; bool is an int subclass and rejected too."""
     if not {int}.issuperset(map(type, values)):
         bad = next(v for v in values if type(v) is not int)
         raise ValidationError(f"{what} must be integers, got {bad!r}")
+
+
+def _as_tuple(values: object, what: str) -> tuple:
+    """values as a tuple, or ValidationError when they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a collection, got {values!r}") from None
+
+
+def _as_pair(value: object, what: str) -> tuple:
+    """value as a 2-tuple, or ValidationError when it is not one."""
+    pair = _as_tuple(value, what)
+    if len(pair) != 2:
+        raise ValidationError(f"{what} must be a pair, got {value!r}")
+    return pair
+
+
+def _check_type(value: object, cls: type, what: str) -> None:
+    """Reject anything but an instance of cls, such as a package object."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _check_ground(m: int, n: int) -> None:
@@ -57,6 +96,8 @@ def _check_element(x: int, n: int) -> None:
     """Reject anything but a plain int in 1..n; bool is rejected too."""
     if type(x) is not int:
         raise ValidationError(f"elements must be integers, got {x!r}")
+    if type(n) is not int:
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if not 1 <= x <= n:
         raise ValidationError(f"element {x} out of range 1..{n}")
 
@@ -140,6 +181,7 @@ class CyclicInterval:
         return position(x, self.a, self.n) <= position(self.b, self.a, self.n)
 
     def contains_interval(self, other: "CyclicInterval") -> bool:
+        _check_type(other, CyclicInterval, "other")
         if other.n != self.n:
             raise ValidationError("intervals live on different ground sets")
         if other.is_empty:
@@ -193,8 +235,8 @@ def half_open(b: int, d: int, n: int) -> CyclicInterval:
 
 def interval_contains(outer: tuple[int, int], inner: tuple[int, int], n: int) -> bool:
     """Containment of closed cyclic intervals given as (a, b) pairs."""
-    return CyclicInterval.span(*outer, n).contains_interval(
-        CyclicInterval.span(*inner, n)
+    return CyclicInterval.span(*_as_pair(outer, "outer"), n).contains_interval(
+        CyclicInterval.span(*_as_pair(inner, "inner"), n)
     )
 
 
@@ -214,8 +256,9 @@ class IntervalDecomposition:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n, intervals = self.n, self.intervals
+        n = self.n
         _check_nonnegative(n, "n")
+        intervals = [_as_pair(iv, "interval") for iv in _as_tuple(self.intervals, "intervals")]
         starts = [a for a, _ in intervals]
         endpoints = starts + [b for _, b in intervals]
         for x in endpoints:
@@ -245,6 +288,7 @@ class IntervalDecomposition:
 
     def interval(self, i: int) -> CyclicInterval:
         """The i-th interval, 1-based."""
+        _check_ints((i,), "interval indices")
         if not 1 <= i <= self.s:
             raise ValidationError(f"interval index {i} out of range 1..{self.s}")
         a, b = self.intervals[i - 1]
@@ -270,20 +314,23 @@ class IntervalDecomposition:
         """Decomposition of the union of the chosen intervals (1-based).
 
         The chosen intervals stay maximal and disjoint, so this just
-        re-wraps a subsequence; it never merges.
+        re-wraps a subsequence; it never merges, so the result needs no
+        re-check: dropping intervals only widens the gaps between the rest.
         """
-        idx = sorted(set(which))
+        idx = _as_tuple(which, "interval indices")
+        # checked before the set: {1, True} would collapse and hide the bool
+        _check_ints(idx, "interval indices")
         for i in idx:
             if not 1 <= i <= self.s:
                 raise ValidationError(f"interval index {i} out of range 1..{self.s}")
-        chosen = tuple(self.intervals[i - 1] for i in idx)
-        return IntervalDecomposition(self.n, chosen)
+        chosen = tuple(self.intervals[i - 1] for i in sorted(set(idx)))
+        return _unchecked(IntervalDecomposition, n=self.n, intervals=chosen)
 
 
 def _checked_subset(members: Iterable[int], n: int) -> frozenset[int]:
     """members as a subset of {1..n}, checked before it is frozen: a set
     would collapse {1, True} to whichever came first and hide the bool."""
-    elements = tuple(members)
+    elements = _as_tuple(members, "set elements")
     _check_ints(elements, "set elements")
     mem = frozenset(elements)
     if mem:
@@ -299,11 +346,15 @@ def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
 
 
 def _intervals_of(mem: frozenset[int], n: int) -> IntervalDecomposition:
-    """decompose() for a set that _checked_subset has already checked."""
+    """decompose() for a set that _checked_subset has already checked.
+
+    Its maximal runs, listed by start, are sorted, disjoint and maximal by
+    construction, so the decomposition is built unchecked.
+    """
     if not mem:
-        return IntervalDecomposition(n, ())
+        return _unchecked(IntervalDecomposition, n=n, intervals=())
     if len(mem) == n:
-        return IntervalDecomposition(n, ((1, n),))
+        return _unchecked(IntervalDecomposition, n=n, intervals=((1, n),))
     starts = [x for x in mem if (x - 2) % n + 1 not in mem]
     intervals = []
     for a in sorted(starts):
@@ -311,7 +362,7 @@ def _intervals_of(mem: frozenset[int], n: int) -> IntervalDecomposition:
         while b % n + 1 in mem:
             b = b % n + 1
         intervals.append((a, b))
-    return IntervalDecomposition(n, tuple(intervals))
+    return _unchecked(IntervalDecomposition, n=n, intervals=tuple(intervals))
 
 
 def gale_leq(S: Iterable[int], T: Iterable[int], i: int, n: int) -> bool:
@@ -320,6 +371,7 @@ def gale_leq(S: Iterable[int], T: Iterable[int], i: int, n: int) -> bool:
     S <= T iff after sorting both by position relative to i, every element
     of S is at or before the matching element of T.
     """
+    S, T = _as_tuple(S, "S"), _as_tuple(T, "T")
     ss = sorted(S, key=lambda x: position(x, i, n))
     tt = sorted(T, key=lambda x: position(x, i, n))
     if len(ss) != len(set(ss)) or len(tt) != len(set(tt)):
@@ -340,6 +392,9 @@ def parse_set_spec(text: str, n: int) -> frozenset[int]:
     Ranges are cyclic: with n = 14, "12-2" means {12, 13, 14, 1, 2}. An
     empty string is the empty set.
     """
+    if type(text) is not str:
+        raise ValidationError(f"a set spec must be a string, got {text!r}")
+    _check_nonnegative(n, "n")
     text = text.strip()
     if not text:
         return frozenset()

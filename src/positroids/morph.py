@@ -23,8 +23,11 @@ from typing import Iterable, Iterator
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _as_pair,
+    _as_tuple,
     _check_ground,
     _check_ints,
+    _check_type,
     _checked_subset,
     _intervals_of,
     half_open,
@@ -66,6 +69,8 @@ class ExchangeRecord:
     added: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.removed, tuple, "removed")
+        _check_type(self.added, tuple, "added")
         if len(self.removed) != len(self.added):
             raise ValidationError("exchange must remove and add equally many elements")
 
@@ -97,6 +102,7 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     [a, b] as any basis has. The result is then again a basis; if it is not,
     the precondition was violated and ContractViolationError says so.
     """
+    _check_type(P, Positroid, "P")
     iv = CyclicInterval.span(a, b, P.n)
     J = _checked_subset(J, P.n)
     result = (J - iv.members) | (P.necklace.at(a) & iv.members)
@@ -137,7 +143,8 @@ def _window_arcs(
 
 def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]) -> bool:
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
-    return _window_arcs(P, _checked_subset(J, P.n), c, window)[2]
+    _check_type(P, Positroid, "P")
+    return _window_arcs(P, _checked_subset(J, P.n), c, _as_pair(window, "window"))[2]
 
 
 def _mimic_parts(
@@ -175,7 +182,9 @@ def mimic(
     Requires is_compatible(P, J, c, window). The status reports whether the
     result agrees with I_c on all of [c, d] (gap-free) or gaps remain.
     """
-    removed, added, result, status = _mimic_parts(P, _checked_subset(J, P.n), c, window)
+    _check_type(P, Positroid, "P")
+    J = _checked_subset(J, P.n)
+    removed, added, result, status = _mimic_parts(P, J, c, _as_pair(window, "window"))
     return result, status
 
 
@@ -199,6 +208,8 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
     stage t mimics the necklace member of the (t+1)-st interval in that
     order, in the window (b_t, b_s].
     """
+    _check_type(P, Positroid, "P")
+    _check_type(E, IntervalDecomposition, "E")
     _check_ints((i,), "start index")
     _check_ground(E.n, P.n)
     s = E.s
@@ -224,6 +235,10 @@ def align_basis(
     witness_basis aligns its pieces without these checks; its own final
     check covers them.
     """
+    _check_type(P, Positroid, "P")
+    _check_type(E, IntervalDecomposition, "E")
+    if trace is not None:
+        _check_type(trace, list, "trace")
     _check_ints((i,), "interval index")
     _check_ground(E.n, P.n)
     s = E.s
@@ -348,7 +363,7 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     elements: a construction that misses that target, or that fails inside
     with a ValidationError, raises ContractViolationError.
     """
-    elements = tuple(E)
+    elements = _as_tuple(E, "set elements")
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
     members = frozenset(elements)
     try:

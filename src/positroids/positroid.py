@@ -14,6 +14,12 @@ bases walks only the subsets that pass their first member's own condition.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
+Objects the package derives from validated ones skip that validation,
+because they are valid by proof: necklace_of's necklace and permutation_of's
+permutation (the two maps are mutually inverse bijections, Postnikov §16),
+and reduce()'s relabeled permutation, which maps the non-fixed points
+bijectively to themselves. Every public constructor and from_* method still
+checks its input in full.
 Everything a Positroid derives lazily (necklace, d, Gale floors, arrow
 rows, its reduction) is cached on the Positroid itself and freed with it.
 """
@@ -26,7 +32,15 @@ from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator
 
-from .cyclic import _check_element, _check_ints, _check_nonnegative, _checked_subset
+from .cyclic import (
+    _as_tuple,
+    _check_element,
+    _check_ints,
+    _check_nonnegative,
+    _check_type,
+    _checked_subset,
+    _unchecked,
+)
 from .errors import EnumerationLimitError, ValidationError
 
 __all__ = [
@@ -62,6 +76,9 @@ class DecoratedPermutation:
 
     def __post_init__(self) -> None:
         _check_nonnegative(self.n, "n")
+        _check_type(self.images, tuple, "images")
+        _check_type(self.white, frozenset, "white")
+        _check_type(self.black, frozenset, "black")
         _check_ints(self.images, "permutation entries")
         _check_ints(self.white | self.black, "colored elements")
         if len(self.images) != self.n:
@@ -87,7 +104,10 @@ class DecoratedPermutation:
         white: Iterable[int] = (),
         black: Iterable[int] = (),
     ) -> "DecoratedPermutation":
-        images = tuple(images)
+        images = _as_tuple(images, "permutation entries")
+        white, black = _as_tuple(white, "white"), _as_tuple(black, "black")
+        # before freezing: {1, True} would collapse to {1} and hide the bool
+        _check_ints(white + black, "colored elements")
         return cls(len(images), images, frozenset(white), frozenset(black))
 
     @cached_property
@@ -110,6 +130,7 @@ class DecoratedPermutation:
         return self.white | self.black
 
     def color(self, i: int) -> str:
+        _check_element(i, self.n)
         if i in self.white:
             return "white"
         if i in self.black:
@@ -161,9 +182,11 @@ class GrassmannNecklace:
         _check_ints((self.n, self.d), "n and d")
         if not 0 <= self.d <= self.n:
             raise ValidationError(f"need 0 <= d <= n, got n = {self.n}, d = {self.d}")
+        _check_type(self.sets, tuple, "sets")
         if len(self.sets) != self.n:
             raise ValidationError(f"necklace has {len(self.sets)} sets, expected {self.n}")
         for i, I in enumerate(self.sets, start=1):
+            _check_type(I, frozenset, f"I_{i}")
             if len(I) != self.d:
                 raise ValidationError(f"I_{i} has size {len(I)}, expected d = {self.d}")
         # the entries are checked once each on the union of the sets, which
@@ -191,7 +214,7 @@ class GrassmannNecklace:
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]], n: int | None = None) -> "GrassmannNecklace":
-        raw = [tuple(s) for s in sets]
+        raw = [_as_tuple(s, "necklace sets") for s in _as_tuple(sets, "sets")]
         for i, entries in enumerate(raw, start=1):
             # before freezing: {1, True} would collapse to {1} and hide the bool
             _check_ints(entries, f"entries of I_{i}")
@@ -203,6 +226,7 @@ class GrassmannNecklace:
 
     def at(self, i: int) -> frozenset[int]:
         """I_i with the index wrapping modulo n, so at(n+1) == at(1)."""
+        _check_ints((i,), "necklace indices")
         if self.n == 0:
             raise ValidationError("empty necklace has no entries")
         return self.sets[(i - 1) % self.n]
@@ -237,8 +261,11 @@ def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
     order starting at k, or when j is a black fixed point. Only I_1 is read
     off that definition. Moving the cut from k to k+1 changes the relative
     order of k and nothing else, so a fixed point k leaves the set alone,
-    and a non-fixed k (always in I_k) leaves it while pi(k) joins.
+    and a non-fixed k (always in I_k) leaves it while pi(k) joins. Each
+    step keeps the size and obeys the transition rule, so the necklace is
+    built unchecked.
     """
+    _check_type(perm, DecoratedPermutation, "perm")
     n = perm.n
     members = _first_entry(perm)
     sets = []
@@ -247,7 +274,7 @@ def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
         if image != k:
             members.remove(k)
             members.add(image)
-    return GrassmannNecklace(n, len(members), tuple(sets))
+    return _unchecked(GrassmannNecklace, n=n, d=len(members), sets=tuple(sets))
 
 
 def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
@@ -255,8 +282,10 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
 
     Convention: if I_{i+1} = I_i minus {i} plus {j} with j != i then
     pi(i) = j; if i is in I_i and I_{i+1} = I_i then pi(i) = i colored
-    black; if i is not in I_i then pi(i) = i colored white.
+    black; if i is not in I_i then pi(i) = i colored white. A validated
+    necklace yields a decorated permutation, so it is built unchecked.
     """
+    _check_type(neck, GrassmannNecklace, "neck")
     n = neck.n
     images = list(range(1, n + 1))
     white, black = set(), set()
@@ -270,7 +299,10 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
             (images[i - 1],) = gained
         else:
             black.add(i)
-    return DecoratedPermutation(n, tuple(images), frozenset(white), frozenset(black))
+    return _unchecked(
+        DecoratedPermutation,
+        n=n, images=tuple(images), white=frozenset(white), black=frozenset(black),
+    )
 
 
 class ArrowTable:
@@ -291,13 +323,16 @@ class ArrowTable:
     """
 
     def __init__(self, perm: DecoratedPermutation) -> None:
+        _check_type(perm, DecoratedPermutation, "perm")
         self.perm = perm
         self._rows: dict[int, tuple[int, ...]] = {}
 
     def ccw_row(self, anchor: int) -> tuple[int, ...]:
+        n = self.perm.n
+        _check_element(anchor, n)
         row = self._rows.get(anchor)
         if row is None:
-            n, black = self.perm.n, self.perm.black
+            black = self.perm.black
             bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
             for x, y in enumerate(self.perm._inverse, start=1):
                 px = (x - anchor) % n
@@ -320,10 +355,7 @@ class Positroid:
     perm: DecoratedPermutation
 
     def __post_init__(self) -> None:
-        if not isinstance(self.perm, DecoratedPermutation):
-            raise ValidationError(
-                f"a Positroid takes a DecoratedPermutation, not {type(self.perm).__name__}"
-            )
+        _check_type(self.perm, DecoratedPermutation, "perm")
 
     @classmethod
     def from_permutation(cls, perm: DecoratedPermutation) -> "Positroid":
@@ -424,6 +456,7 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
     anchors. The cost is O(d^2) per subset that passes x_1's condition,
     not per d-subset.
     """
+    _check_type(P, Positroid, "P")
     if P.n > BASIS_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"basis enumeration is capped at n = {BASIS_ENUMERATION_CAP}, got n = {P.n}"
@@ -458,12 +491,14 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
 
 def rank_bruteforce(P: Positroid, E: Iterable[int]) -> int:
     """max |B ∩ E| over all bases B. Exponential; the testing oracle."""
+    _check_type(P, Positroid, "P")
     members = _checked_subset(E, P.n)
     return max(len(B & members) for B in enumerate_bases(P))
 
 
 def loops_and_coloops(P: Positroid) -> tuple[frozenset[int], frozenset[int]]:
     """(loops, coloops) = (white fixed points, black fixed points)."""
+    _check_type(P, Positroid, "P")
     return P.perm.white, P.perm.black
 
 
@@ -475,9 +510,17 @@ def reduce(P: Positroid) -> tuple[Positroid, dict[int, int]]:
     For every subset E of the original ground set:
 
         rank(P, E) = rank(P', {map[x] for x in E if x survives}) + |E ∩ coloops|
+
+    pi maps the survivors onto themselves without fixing any, so the
+    relabeled permutation is built unchecked.
     """
-    fixed = P.perm.fixed_points
+    _check_type(P, Positroid, "P")
+    images, fixed = P.perm.images, P.perm.fixed_points
     kept = [x for x in range(1, P.n + 1) if x not in fixed]
     relabel = {old: new for new, old in enumerate(kept, start=1)}
-    images = tuple(relabel[P.perm.pi(old)] for old in kept)
-    return Positroid.from_oneline(images), relabel
+    reduced = tuple(relabel[images[old - 1]] for old in kept)
+    perm = _unchecked(
+        DecoratedPermutation,
+        n=len(kept), images=reduced, white=frozenset(), black=frozenset(),
+    )
+    return Positroid(perm), relabel

@@ -38,12 +38,15 @@ from typing import Iterable, Iterator
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _as_tuple,
     _check_element,
     _check_ground,
     _check_ints,
     _check_nonnegative,
+    _check_type,
     _checked_subset,
     _intervals_of,
+    _unchecked,
 )
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
 from .positroid import ArrowTable, Positroid
@@ -82,8 +85,10 @@ class NonCrossingPartition:
 
     def __post_init__(self) -> None:
         _check_nonnegative(self.s, "s")
+        _check_type(self.blocks, tuple, "blocks")
         owner: dict[int, int] = {}
         for bi, block in enumerate(self.blocks):
+            _check_type(block, tuple, "each block")
             if not block:
                 raise ValidationError("empty block")
             for x in block:
@@ -114,7 +119,11 @@ class NonCrossingPartition:
 
     @classmethod
     def from_blocks(cls, s: int, blocks: Iterable[Iterable[int]]) -> "NonCrossingPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        raw = [_as_tuple(b, "blocks") for b in _as_tuple(blocks, "blocks")]
+        for block in raw:
+            _check_ints(block, "block elements")
+        # an empty block sorts first here and is rejected by the constructor
+        canon = tuple(sorted((tuple(sorted(b)) for b in raw), key=lambda b: b[:1]))
         return cls(s, canon)
 
     def __str__(self) -> str:
@@ -164,6 +173,7 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
 
     Deterministic order (first block grows from {1} upward). s = 0 yields
     the single empty partition. Guarded by `limit` since the count explodes.
+    _raw_ncps yields canonical non-crossing blocks, so none is re-checked.
     """
     _check_nonnegative(s, "s")
     _check_ints((limit,), "limit")
@@ -173,11 +183,12 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
             f"limit {limit}; rank_dp computes the rank without a certificate"
         )
     for raw in _raw_ncps(1, s):
-        yield NonCrossingPartition(s, raw)
+        yield _unchecked(NonCrossingPartition, s=s, blocks=raw)
 
 
 def arrow_table(P: Positroid) -> ArrowTable:
     """The arrow counts of P; their rows are built lazily and kept on P."""
+    _check_type(P, Positroid, "P")
     return P._arrows
 
 
@@ -192,12 +203,16 @@ def _gap_ccw(P: Positroid, b: int, a: int) -> int:
 
 def cw_count(P: Positroid, T: CyclicInterval) -> int:
     """Number of CW-arrows [x, pi(x)] in T = [a, b], as |[a,b]| - d + ccw((b, a))."""
+    _check_type(P, Positroid, "P")
+    _check_type(T, CyclicInterval, "T")
     _check_ground(T.n, P.n)
     return 0 if T.is_empty else len(T) - P.d + _gap_ccw(P, T.b, T.a)
 
 
 def ccw_count(P: Positroid, T: CyclicInterval) -> int:
     """Number of CCW-arrows [x, pi^{-1}(x)] contained in T."""
+    _check_type(P, Positroid, "P")
+    _check_type(T, CyclicInterval, "T")
     _check_ground(T.n, P.n)
     return 0 if T.is_empty else arrow_table(P).ccw_row(T.a)[len(T)]
 
@@ -207,6 +222,7 @@ def rank_of_interval(P: Positroid, a: int, b: int) -> int:
 
     Equals |[a,b]| - cw([a,b]) and |I_a ∩ [a,b]|; the tests check both everywhere.
     """
+    _check_type(P, Positroid, "P")
     return P.d - _gap_ccw(P, b, a)
 
 
@@ -215,16 +231,23 @@ def min_elements(P: Positroid, b: int, a: int) -> int:
 
     Equals ccw((b, a)) and also d - rank([a,b]); the tests check both.
     """
+    _check_type(P, Positroid, "P")
     return _gap_ccw(P, b, a)
 
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
     """d minus the sum of ccw over the gaps of E; 0 when E is empty."""
+    _check_type(P, Positroid, "P")
+    _check_type(E, IntervalDecomposition, "E")
+    _check_ground(E.n, P.n)
     return _block_bound(tuple(range(1, E.s + 1)), _gap_matrix(P, E), P.d) if E.s else 0
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
     """Upper bound nbd(E, Π): sum of natural bounds over Π's blocks of intervals."""
+    _check_type(P, Positroid, "P")
+    _check_type(E, IntervalDecomposition, "E")
+    _check_type(ncp, NonCrossingPartition, "ncp")
     if ncp.s != E.s:
         raise ValidationError(f"partition of {ncp.s} blocks a decomposition with s = {E.s}")
     w = _gap_matrix(P, E)
@@ -283,6 +306,7 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
 def _query(P: Positroid, E: Iterable[int]) -> tuple[Positroid, IntervalDecomposition, int]:
     """E checked on P's ground set, then mapped onto P's reduction: the positroid
     answering the query, E's decomposition there, and the coloops of P in E."""
+    _check_type(P, Positroid, "P")
     members = _checked_subset(E, P.n)
     if not P.perm.fixed_points:
         return P, _intervals_of(members, P.n), 0
@@ -358,7 +382,9 @@ def rank(
     the first optimal partition in enumeration order, found by a walk down
     that table that tries at most 2^(s-1) head blocks. It is capped at
     `limit` intervals (after reduction); past that use rank_dp, which needs
-    no cap. Only all_bounds enumerates all Catalan(s) partitions.
+    no cap. Only all_bounds enumerates all Catalan(s) partitions. The
+    certificate's blocks come out in enumeration order, canonical like
+    _raw_ncps's, so no partition here is re-checked.
     """
     _check_ints((limit,), "limit")
     Q, decomp, bonus = _query(P, E)
@@ -390,12 +416,13 @@ def rank(
     return RankCertificate(
         value=seg_to[s][1] + bonus,
         decomposition=decomp,
-        partition=NonCrossingPartition(s, tuple(best)),
+        partition=_unchecked(NonCrossingPartition, s=s, blocks=tuple(best)),
         per_block_bounds=tuple(_block_bound(block, w, d) for block in best),
         coloop_bonus=bonus,
         reduced=Q is not P,
         all_bounds=tuple(sorted(
-            ((NonCrossingPartition(s, raw), sum(_block_bound(b, w, d) for b in raw))
+            ((_unchecked(NonCrossingPartition, s=s, blocks=raw),
+              sum(_block_bound(b, w, d) for b in raw))
              for raw in _raw_ncps(1, s)),
             key=lambda pair: (len(pair[0].blocks), pair[0].blocks),
         )) if all_bounds else None,

@@ -26,7 +26,14 @@ from itertools import chain, combinations
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cyclic import _check_ints, _check_nonnegative, _checked_subset
+from .cyclic import (
+    _as_tuple,
+    _check_ints,
+    _check_nonnegative,
+    _check_type,
+    _checked_subset,
+    _unchecked,
+)
 from .errors import (
     ContractViolationError,
     EnumerationLimitError,
@@ -86,6 +93,14 @@ class RationalMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.entries, tuple, "entries")
+        for row in self.entries:
+            _check_type(row, tuple, "each row")
+            for v in row:
+                if type(v) not in (Fraction, int):
+                    raise ValidationError(
+                        f"matrix entry {v!r} must be an int or a Fraction; from_rows parses strings"
+                    )
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValidationError("matrix rows have unequal lengths")
@@ -127,7 +142,7 @@ class RationalMatrix:
 
     def _columns(self, cols: Iterable[int]) -> tuple[int, ...]:
         """The column indices, each checked to be a plain int in 1..n."""
-        idx = tuple(cols)
+        idx = _as_tuple(cols, "column indices")
         _check_ints(idx, "column indices")
         for c in idx:
             if not 1 <= c <= self.n:
@@ -236,6 +251,7 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
 
 def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
     """The minor on the given columns, in the given order (so its sign follows it)."""
+    _check_type(A, RationalMatrix, "A")
     idx = A._columns(cols)
     if len(idx) != A.r:
         raise ValidationError(f"maximal minors take exactly {A.r} columns, got {len(idx)}")
@@ -251,6 +267,7 @@ def _rank(columns: list[list[int]]) -> int:
 
 
 def row_rank(A: RationalMatrix) -> int:
+    _check_type(A, RationalMatrix, "A")
     return _rank(_integer_columns(A.entries)[0])
 
 
@@ -267,7 +284,9 @@ class BasisCollection:
     The exchange axiom is verified on construction for collections of at
     most EXCHANGE_VALIDATION_CAP bases on at most 20 elements; bigger
     collections are accepted as-is (documented trade-off: the check is
-    quadratic in the collection size).
+    quadratic in the collection size). The collections matroid_from_matrix
+    returns skip every check: the nonzero maximal minors of a matrix are
+    the bases of its column matroid, exact by construction.
     """
 
     n: int
@@ -276,9 +295,12 @@ class BasisCollection:
 
     def __post_init__(self) -> None:
         _check_nonnegative(self.n, "n")
+        _check_nonnegative(self.d, "d")
+        _check_type(self.bases, frozenset, "bases")
         if not self.bases:
             raise ValidationError("a matroid has at least one basis")
         for B in self.bases:
+            _check_type(B, frozenset, "each basis")
             _checked_subset(B, self.n)
             if len(B) != self.d:
                 raise ValidationError(f"basis {sorted(B)} has size {len(B)}, expected {self.d}")
@@ -298,21 +320,27 @@ class BasisCollection:
     @classmethod
     def from_sets(cls, bases: Iterable[Iterable[int]], n: int) -> "BasisCollection":
         _check_nonnegative(n, "n")
-        frozen = frozenset(_checked_subset(B, n) for B in bases)
+        frozen = frozenset(_checked_subset(B, n) for B in _as_tuple(bases, "bases"))
         d = len(next(iter(frozen))) if frozen else 0
         return cls(n, d, frozen)
 
 
 def matroid_from_matrix(A: RationalMatrix) -> BasisCollection:
-    """Bases = column subsets with nonzero maximal minor. Needs full row rank."""
+    """Bases = column subsets with nonzero maximal minor. Needs full row rank.
+
+    A full-row-rank matrix has a nonzero maximal minor, and the nonzero ones
+    satisfy basis exchange, so the collection is built unchecked.
+    """
+    _check_type(A, RationalMatrix, "A")
     columns, _ = _integer_columns(A.entries)
     _require_full_row_rank(A, columns)
     bases = frozenset(frozenset(cols) for cols, value in _lex_minors(columns, A.r) if value)
-    return BasisCollection(A.n, A.r, bases)
+    return _unchecked(BasisCollection, n=A.n, d=A.r, bases=bases)
 
 
 def first_negative_minor(A: RationalMatrix) -> tuple[tuple[int, ...], Fraction] | None:
     """The lexicographically first column subset with a negative minor, if any."""
+    _check_type(A, RationalMatrix, "A")
     columns, scale = _integer_columns(A.entries)
     for cols, value in _lex_minors(columns, A.r):
         if value < 0:
@@ -359,6 +387,7 @@ def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
     derived necklace's basis filter is compared against the input whenever
     n <= BASIS_ENUMERATION_CAP; a mismatch raises NotAPositroidError.
     """
+    _check_type(B, BasisCollection, "B")
     n, bases = B.n, B.bases
     sets = []
     # the collection checked its members against 1..n, so raw offsets serve
@@ -394,6 +423,7 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
     positroid, so an invalid necklace or a mismatch means a library bug and
     raises ContractViolationError.
     """
+    _check_type(A, RationalMatrix, "A")
     columns, scale = _integer_columns(A.entries)
     _require_full_row_rank(A, columns)
     nonzero = []
@@ -423,6 +453,7 @@ def random_tnn_matrix(
     a positive integer), each of which preserves total nonnegativity.
     """
     _check_ints((r, n, ops), "r, n and ops")
+    _check_type(rng, random.Random, "rng")
     if not 1 <= r <= n:
         raise ValidationError(f"need 1 <= r <= n, got r = {r}, n = {n}")
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
 from positroids import (
     DecoratedPermutation,
     Positroid,
+    RationalMatrix,
     bound_for_partition,
     decompose,
     enumerate_bases,
     enumerate_ncp,
     natural_bound,
+    random_tnn_matrix,
     reduce,
 )
 
@@ -113,3 +116,15 @@ def reference_rank_table(w: list[list[int]], d: int) -> list[list[int]]:
                 chain[i] - w[i - 1][u - 1] + seg_to[j][i + 1] for i in range(u, j + 1)
             )
     return seg_to
+
+
+def seeded_tnn_matrices(seed: int = 2024, count: int = 220):
+    """Seeded full-row-rank TNN matrices with n <= 9, each row scaled by a
+    positive rational (which keeps every minor's sign); the stream
+    test_realize's basis-collection comparison draws."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        A = random_tnn_matrix(rng.randint(1, n), n, rng, ops=rng.randint(0, 14))
+        scales = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in A.entries]
+        yield RationalMatrix.from_rows([[v * c for v in row] for row, c in zip(A.entries, scales)])

@@ -32,3 +32,51 @@ def test_no_module_level_caches():
                 if isinstance(node.value, ast.Name) and node.value.id == "functools":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the only constructions allowed to skip validation: each is valid by proof
+UNCHECKED_CALLERS = {
+    ("cyclic.py", "IntervalDecomposition.restrict"),
+    ("cyclic.py", "_intervals_of"),
+    ("positroid.py", "necklace_of"),
+    ("positroid.py", "permutation_of"),
+    ("positroid.py", "reduce"),
+    ("rank.py", "enumerate_ncp"),
+    ("rank.py", "rank"),
+    ("realize.py", "matroid_from_matrix"),
+}
+
+
+def _references(tree: ast.AST, name: str, scope: str = "") -> list[tuple[str, ast.AST]]:
+    """(enclosing function, node) for every use of `name` below tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+            found += _references(node, name, inner)
+            continue
+        if isinstance(node, ast.Name) and node.id == name:
+            found.append((scope, node))
+        elif isinstance(node, ast.alias) and name in (node.name, node.asname):
+            found.append((scope, node))
+        found += _references(node, name, scope)
+    return found
+
+
+def test_unchecked_construction_is_fenced():
+    # a new caller of the helper must be added above, with its proof in its
+    # docstring; an alias or a bare reference would hide a caller
+    callers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {
+            id(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        for scope, node in _references(tree, "_unchecked"):
+            if isinstance(node, ast.alias):
+                assert node.asname is None, f"{path.name}: _unchecked imported under an alias"
+                continue
+            assert id(node) in calls, f"{path.name}:{node.lineno}: _unchecked used without a call"
+            callers.add((path.name, scope))
+    assert callers == UNCHECKED_CALLERS
