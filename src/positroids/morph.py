@@ -9,31 +9,38 @@ One private walker yields the stages: morph_sequence lists them, the witness
 advances all s walkers lazily and stops at the first gap-free basis. Its
 pieces are aligned without align_basis's checks; the one check of the
 construction is witness_basis's final test of its result.
+
+Inside, every subset is an n-bit int, bit x - 1 standing for x, and the
+necklace entries come from the Positroid as such masks. A window (b, d] is
+read rotated right by b, so that bit p is the element at position p counted
+from b + 1: its arcs are low-bit masks, compatibility is two AND tests, a
+mimic's counts are bit counts and its moves are read off with bit_length
+and m & -m. An exchange B - e + f of a basis B can only break the Gale
+condition at its anchors in (e, f] (the lemma in _align's docstring), and
+those anchors are compared at once by the Positroid's packed Gale test. The
+public functions take and return frozensets and convert at that boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product, repeat
-from operator import mod, sub
+from itertools import product
 from typing import Iterable, Iterator
 
 from .cyclic import (
-    CyclicInterval,
     IntervalDecomposition,
     _as_pair,
     _as_tuple,
+    _check_element,
     _check_ground,
     _check_ints,
     _check_type,
     _checked_subset,
     _intervals_of,
-    half_open,
 )
 from .errors import ContractViolationError, ValidationError
-from .positroid import Positroid
+from .positroid import Positroid, _elements, _mask
 from .rank import rank_dp
 
 __all__ = [
@@ -95,61 +102,86 @@ class MorphState:
     exchange: ExchangeRecord | None
 
 
+def _arc(a: int, b: int, n: int) -> int:
+    """The mask of the closed cyclic interval [a, b]; [a, a - 1] is the full circle."""
+    below_a, up_to_b = (1 << (a - 1)) - 1, (1 << b) - 1
+    return up_to_b ^ below_a if a <= b else ((1 << n) - 1) ^ below_a | up_to_b
+
+
+def _rotate(m: int, b: int, n: int) -> int:
+    """The mask m rotated right by b: the element x lands on bit (x - b - 1) % n,
+    its position counted from b + 1. Rotating by -b undoes it."""
+    r = b % n
+    return (m >> r | m << (n - r)) & ((1 << n) - 1)
+
+
 def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozenset[int]:
     """Swap J's content on [a, b] for the necklace member I_a's content there.
 
-    Requires (caller-asserted) that J is a basis with as many elements in
-    [a, b] as any basis has. The result is then again a basis; if it is not,
-    the precondition was violated and ContractViolationError says so.
+    J must be a basis with as many elements in [a, b] as any basis has,
+    rank([a, b]) = |I_a ∩ [a, b]|; any other J raises ValidationError. The
+    result is then again a basis; if it is not, the exchange itself is at
+    fault and ContractViolationError says so.
     """
     _check_type(P, Positroid, "P")
-    iv = CyclicInterval.span(a, b, P.n)
-    J = _checked_subset(J, P.n)
-    result = (J - iv.members) | (P.necklace.at(a) & iv.members)
-    if not P.is_basis(result):
-        raise ContractViolationError(
-            f"interval exchange on [{a},{b}] left a non-basis; "
-            f"the input did not maximize the interval"
+    n = P.n
+    _check_element(a, n)
+    _check_element(b, n)
+    J = _checked_subset(J, n)
+    if not P.is_basis(J):
+        raise ValidationError("interval_exchange needs a basis")
+    arc, Ia, members = _arc(a, b, n), P._necklace_masks[a - 1], _mask(J)
+    have, target = (members & arc).bit_count(), (Ia & arc).bit_count()
+    if have != target:
+        raise ValidationError(
+            f"basis meets [{a},{b}] in {have} elements, but the maximum is {target}"
         )
+    result = frozenset(_elements(members & ~arc | Ia & arc))
+    if not P.is_basis(result):
+        raise ContractViolationError(f"interval exchange on [{a},{b}] left a non-basis")
     return result
 
 
-def _positions(S: frozenset[int], b: int, n: int) -> list[int]:
-    """S's members as positions (x - b - 1) % n, counted from b + 1, sorted."""
-    return sorted(map(mod, map(sub, S, repeat(b + 1)), repeat(n)))
-
-
-def _window_arcs(
-    P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
-) -> tuple[list[int], list[int], bool]:
-    """The sorted positions of J's members outside I_c on the arc (b, c) of
-    the window (b, d] and of I_c's members outside J on [c, d], and whether J
-    is compatible: J ⊇ I_c on (b, c) and J ⊆ I_c on [c, d].
+def _window_arcs(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple[int, int, bool]:
+    """J's members outside I_c on the arc (b, c) of the window (b, d] and
+    I_c's members outside J on [c, d], as masks rotated right by b, and
+    whether J is compatible: J ⊇ I_c on (b, c) and J ⊆ I_c on [c, d].
 
     Counted from b + 1, the window is the positions up to d's, so (b, b] is
     the full circle; (b, c) lies below c's position and [c, d] from it on.
     """
     b, d = window
-    if not half_open(b, d, P.n).contains(c):
-        raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
     n = P.n
-    Ic = P.necklace.at(c)
-    extra, lack = _positions(J - Ic, b, n), _positions(Ic - J, b, n)
     pc, past_d = (c - b - 1) % n, (d - b - 1) % n + 1
-    k = bisect_left(extra, pc)
-    compatible = (not lack or lack[0] >= pc) and k == bisect_left(extra, past_d)
-    return extra[:k], lack[:bisect_left(lack, past_d)], compatible
+    if pc >= past_d:
+        raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
+    Ic = P._necklace_masks[c - 1]
+    extra, lack = _rotate(J & ~Ic, b, n), _rotate(Ic & ~J, b, n)
+    before, inside = (1 << pc) - 1, (1 << past_d) - 1
+    compatible = not (lack & before or extra & inside & ~before)
+    return extra & before, lack & inside, compatible
+
+
+def _checked_window(P: Positroid, c: int, window: object) -> tuple[int, int]:
+    """window as a pair (b, d) of elements, with the center c an element too."""
+    b, d = _as_pair(window, "window")
+    for x in (b, d, c):
+        _check_element(x, P.n)
+    return b, d
 
 
 def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int]) -> bool:
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
     _check_type(P, Positroid, "P")
-    return _window_arcs(P, _checked_subset(J, P.n), c, _as_pair(window, "window"))[2]
+    J = _mask(_checked_subset(J, P.n))
+    return _window_arcs(P, J, c, _checked_window(P, c, window))[2]
 
 
 def _mimic_parts(
-    P: Positroid, J: frozenset[int], c: int, window: tuple[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int], GapStatus]:
+    P: Positroid, J: int, c: int, window: tuple[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...], int, GapStatus]:
+    """mimic on the mask J: the removed and added elements, the resulting
+    mask and its status."""
     over, missing, compatible = _window_arcs(P, J, c, window)
     b, d = window
     if not compatible:
@@ -157,17 +189,32 @@ def _mimic_parts(
             f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic"
         )
     n = P.n
-    alpha = min(len(over), len(missing))
-    # back from positions to elements: the last alpha of the excess, last
-    # first, and the first alpha missing ones in (x - b) % n order, which
-    # puts b itself first when the window is the full circle (b, b]
-    removed = tuple((p + b) % n + 1 for p in reversed(over[len(over) - alpha:]))
-    added = tuple(sorted(((p + b) % n + 1 for p in missing), key=lambda x: (x - b) % n)[:alpha])
-    result = (J - set(removed)) | set(added)
+    alpha = min(over.bit_count(), missing.bit_count())
     # J ⊆ I_c on [c, d] already and only `added` lands there, so the result
-    # agrees with I_c on [c, d] exactly when every missing element was added
-    status = GapStatus.GAP_FREE if alpha == len(missing) else GapStatus.HAS_GAPS
-    return removed, added, result, status
+    # agrees with I_c on [c, d] exactly when every missing element is added
+    status = GapStatus.GAP_FREE if alpha == missing.bit_count() else GapStatus.HAS_GAPS
+    # back from position p to the element (p + b) % n + 1: the last alpha of
+    # the excess, last first, and the first alpha missing ones in (x - b) % n
+    # order; `moved` collects the positions that change
+    moved = 0
+    removed, added = [], []
+    for _ in range(alpha):
+        top = 1 << (over.bit_length() - 1)
+        over ^= top
+        moved |= top
+        removed.append((top.bit_length() + b - 1) % n + 1)
+    if alpha and missing >> (n - 1):
+        # only the full circle (b, b] reaches position n - 1, b itself, which
+        # the (x - b) % n order puts first
+        missing ^= 1 << (n - 1)
+        moved |= 1 << (n - 1)
+        added.append(b)
+    while len(added) < alpha:
+        low = missing & -missing
+        missing ^= low
+        moved |= low
+        added.append((low.bit_length() + b - 1) % n + 1)
+    return tuple(removed), tuple(added), J ^ _rotate(moved, -b, n), status
 
 
 def mimic(
@@ -183,22 +230,25 @@ def mimic(
     result agrees with I_c on all of [c, d] (gap-free) or gaps remain.
     """
     _check_type(P, Positroid, "P")
-    J = _checked_subset(J, P.n)
-    removed, added, result, status = _mimic_parts(P, J, c, _as_pair(window, "window"))
-    return result, status
+    J = _mask(_checked_subset(J, P.n))
+    removed, added, result, status = _mimic_parts(P, J, c, _checked_window(P, c, window))
+    return frozenset(_elements(result)), status
 
 
-def _stages(P: Positroid, order: tuple[tuple[int, int], ...], i: int) -> Iterator[MorphState]:
-    """morph_sequence's states one at a time, for intervals already rotated to start at i."""
+def _stages(
+    P: Positroid, order: tuple[tuple[int, int], ...]
+) -> Iterator[tuple[int, GapStatus | None, tuple[int, int] | None, int | None, tuple, tuple]]:
+    """The morph's stages one at a time, for intervals already rotated to
+    start at interval i: (members as a mask, status, window, center, removed,
+    added), with no status, window or center at stage 0."""
     s = len(order)
-    members = P.necklace.at(order[0][0])
-    yield MorphState(i, 0, members, None, None, None, None)
+    members = P._necklace_masks[order[0][0] - 1]
+    yield members, None, None, None, (), ()
     for t in range(1, s):
         window = (order[t - 1][1], order[s - 1][1])
         center = order[t][0]
         removed, added, members, status = _mimic_parts(P, members, center, window)
-        record = ExchangeRecord(ExchangeKind.MIMIC, removed, added)
-        yield MorphState(i, t, members, status, window, center, record)
+        yield members, status, window, center, removed, added
 
 
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
@@ -215,7 +265,14 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
     s = E.s
     if not 1 <= i <= s:
         raise ValidationError(f"start index {i} out of range 1..{s}")
-    return list(_stages(P, E.intervals[i - 1:] + E.intervals[:i - 1], i))
+    stages = _stages(P, E.intervals[i - 1:] + E.intervals[:i - 1])
+    return [
+        MorphState(
+            i, t, frozenset(_elements(members)), status, window, center,
+            None if t == 0 else ExchangeRecord(ExchangeKind.MIMIC, removed, added),
+        )
+        for t, (members, status, window, center, removed, added) in enumerate(stages)
+    ]
 
 
 def align_basis(
@@ -253,70 +310,100 @@ def align_basis(
             f"basis meets the set in {len(B & E.members)} elements, "
             f"but the maximum is {target}"
         )
-    return _align(P, B, *E.intervals[i - 1], E.intervals[(i - 2) % s][1], trace)
+    aligned = _align(P, _mask(B), *E.intervals[i - 1], E.intervals[(i - 2) % s][1], trace)
+    return frozenset(_elements(aligned))
+
+
+def _exchange_holds(P: Positroid, B: int, e: int, f: int) -> bool:
+    """Whether B - e + f is a basis, for a basis B given as a mask, e in B
+    and f not in B: the packed Gale test at the anchors in (e, f] only."""
+    C = B ^ (1 << (e - 1) | 1 << (f - 1))
+    ordered = _elements(C)
+    # C's members up to e and up to f: the anchors in (e, f] are
+    # ordered[lo:hi], wrapping past the end when f comes before e
+    lo, hi = (C & ((1 << e) - 1)).bit_count(), (C & ((1 << f) - 1)).bit_count()
+    anchors = range(lo, hi) if e < f else [*range(lo, len(ordered)), *range(hi)]
+    return P._gale_holds(ordered, anchors)
 
 
 def _align(
-    P: Positroid, B: frozenset[int], a_i: int, b_i: int, b_prev: int,
+    P: Positroid, B: int, a_i: int, b_i: int, b_prev: int,
     trace: list[ExchangeRecord] | None,
-) -> frozenset[int]:
-    """align_basis's exchanges, unchecked, for [a_i, b_i] after an interval ending at b_prev."""
+) -> int:
+    """align_basis's exchanges, unchecked, on the mask B, for [a_i, b_i] after
+    an interval ending at b_prev.
+
+    Each partner f for e (or e for g) is tried with _exchange_holds, which
+    compares only C = B - e + f's anchors in the arc (e, f]. That suffices:
+    C >=_k I_k holds iff every prefix Q of the order read from k holds no
+    more members of C than of I_k (Oh's Gale characterization, as in
+    Positroid.is_basis). An anchor k of C outside (e, f] is neither e, which
+    left, nor f, so k is in B and B's condition at k holds; and reading from
+    k reaches e before f, so every prefix that holds f holds e too, and
+    |C ∩ Q| <= |B ∩ Q| <= |I_k ∩ Q|. Only C's anchors in (e, f] can fail.
+    """
     n = P.n
-    Ia = P.necklace.at(a_i)
-
-    def key(x: int) -> int:
-        return (x - a_i) % n
-
-    # read from a_i, [a_i, b_i] is key <= own and the gap (b_prev, a_i) is key > gap
-    own, gap = key(b_i), key(b_prev)
-    while excess := [x for x in B - Ia if key(x) > gap]:
-        e = max(excess, key=key)
-        for f in sorted(Ia - B, key=key):
-            candidate = (B - {e}) | {f}
-            if P.is_basis(candidate):
+    Ia = P._necklace_masks[a_i - 1]
+    # rotated right by a_i - 1, bit p is the element with key (x - a_i) % n
+    # = p; [a_i, b_i] is the keys up to own, the gap (b_prev, a_i) those above gap
+    r = a_i - 1
+    own, gap = (b_i - a_i) % n, (b_prev - a_i) % n
+    in_own, in_gap = (2 << own) - 1, ((1 << n) - 1) ^ ((2 << gap) - 1)
+    while excess := _rotate(B & ~Ia, r, n) & in_gap:
+        e = (excess.bit_length() + r - 1) % n + 1
+        partners = _rotate(Ia & ~B, r, n)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            f = (low.bit_length() + r - 1) % n + 1
+            if _exchange_holds(P, B, e, f):
                 if trace is not None:
                     trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (f,)))
-                B = candidate
+                B ^= 1 << (e - 1) | 1 << (f - 1)
                 break
         else:
             raise ContractViolationError(f"no exchange partner found for {e}")
-    while missing := [x for x in Ia - B if key(x) <= own]:
-        g = min(missing, key=key)
-        for e in sorted(B - Ia, key=key):
-            candidate = (B - {e}) | {g}
-            if P.is_basis(candidate):
+    while missing := _rotate(Ia & ~B, r, n) & in_own:
+        g = ((missing & -missing).bit_length() + r - 1) % n + 1
+        partners = _rotate(B & ~Ia, r, n)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            e = (low.bit_length() + r - 1) % n + 1
+            if _exchange_holds(P, B, e, g):
                 if trace is not None:
                     trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (g,)))
-                B = candidate
+                B ^= 1 << (e - 1) | 1 << (g - 1)
                 break
         else:
             raise ContractViolationError(f"no exchange partner found for {g}")
     # the window (b_prev, b_i] is the gap and [a_i, b_i] together
-    if any(key(x) <= own or key(x) > gap for x in B ^ Ia):
+    if _rotate(B ^ Ia, r, n) & (in_own | in_gap):
         raise ContractViolationError("alignment finished without window agreement")
     return B
 
 
-def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> frozenset[int]:
-    """A basis maximizing the union of the sorted, maximal intervals (a, b)."""
+def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
+    """A basis, as a mask, maximizing the union of the sorted, maximal intervals (a, b)."""
     s = len(intervals)
+    masks = P._necklace_masks
     if s == 0:
-        return P.necklace.at(1) if P.n else frozenset()
+        return masks[0] if P.n else 0
     rotations = [intervals[i:] + intervals[:i] for i in range(s)]
-    walkers = [_stages(P, order, i + 1) for i, order in enumerate(rotations)]
-    seqs = [[next(walker)] for walker in walkers]
+    walkers = [_stages(P, order) for order in rotations]
+    seqs = [[next(walker)[0]] for walker in walkers]
     # stage t of every walker before stage t + 1 of any: the first gap-free
     # basis in that order decides, and no later stage is ever built
     for t, i in product(range(1, s), range(s)):
-        state = next(walkers[i])
-        seqs[i].append(state)
-        if state.status is GapStatus.GAP_FREE and P.is_basis(state.members):
+        members, status = next(walkers[i])[:2]
+        seqs[i].append(members)
+        if status is GapStatus.GAP_FREE and P._gale_holds(_elements(members), range(P.d)):
             break
     else:
         # every stage kept gaps everywhere, so the fully morphed set is a
         # basis meeting each gap of E minimally: it attains the one-block bound
         # (with s == 1 that is I_{a_1} itself)
-        return seqs[0][s - 1].members
+        return seqs[0][s - 1]
 
     order, seq = rotations[i], seqs[i]
     n = P.n
@@ -326,8 +413,7 @@ def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> frozen
         # on the arc from a to the end of order[x - 1]; stage 0 always does
         for g in range(x - 1, -1, -1):
             a = order[g][0]
-            span = (order[x - 1][1] - a) % n
-            if not any((y - a) % n <= span for y in seq[g].members ^ P.necklace.at(a)):
+            if not (seq[g] ^ masks[a - 1]) & _arc(a, order[x - 1][1], n):
                 return g
         raise ContractViolationError("merge scan failed; stage 0 must always match")
 
@@ -339,37 +425,37 @@ def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> frozen
         x = g
     pieces.append((t, s))  # the tail the gap-free stage fully filled
 
-    spliced = seq[t].members
+    spliced = seq[t]
     for g, x in pieces:
         (a, b), b_prev = order[g], order[x - 1][1]
         # each piece is maximal on its own, and its anchor (a, b) follows the
         # interval ending at b_prev; the piece spans the arc [a, b_prev]
         K = _align(P, _witness_rec(P, tuple(sorted(order[g:x]))), a, b, b_prev, None)
-        span = (b_prev - a) % n
-        spliced = {y for y in spliced if (y - a) % n > span} | {y for y in K if (y - a) % n <= span}
-    result = frozenset(spliced)
-    if len(result) != P.d:
+        arc = _arc(a, b_prev, n)
+        spliced = spliced & ~arc | K & arc
+    if spliced.bit_count() != P.d:
         raise ContractViolationError("splice changed the set's size")
-    return result
+    return spliced
 
 
 def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
-    Follows the morph recursion on P itself; loops and coloops need no
-    special case. Morph stages are built only up to the first gap-free
-    basis, and the pieces are spliced unchecked. The result is then checked,
-    the construction's one check, to be a basis meeting E in rank(E)
-    elements: a construction that misses that target, or that fails inside
-    with a ValidationError, raises ContractViolationError.
+    Follows the morph recursion on P itself, on n-bit masks; loops and
+    coloops need no special case. Morph stages are built only up to the
+    first gap-free basis, and the pieces are spliced unchecked. The result
+    is then checked, the construction's one check, to be a basis meeting E
+    in rank(E) elements: a construction that misses that target, or that
+    fails inside with a ValidationError, raises ContractViolationError.
     """
     elements = _as_tuple(E, "set elements")
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
     members = frozenset(elements)
     try:
-        candidate = _witness_rec(P, _intervals_of(members, P.n).intervals)
+        found = _witness_rec(P, _intervals_of(members, P.n).intervals)
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
+    candidate = frozenset(_elements(found))
     if not (P.is_basis(candidate) and len(candidate & members) == target):
         raise ContractViolationError(
             f"constructed witness {sorted(candidate)} is not a basis meeting E "

@@ -47,6 +47,13 @@ def decorated_positroids(n: int) -> Iterator[Positroid]:
         yield Positroid.from_permutation(perm)
 
 
+def dual(P: Positroid) -> Positroid:
+    """The dual positroid, whose bases are the complements of P's: the
+    inverse permutation, with loops and coloops swapped."""
+    perm = P.perm
+    return Positroid.from_oneline(perm._inverse, white=perm.black, black=perm.white)
+
+
 def random_fpf_positroid(n: int, rng: random.Random) -> Positroid:
     while True:
         p = list(range(1, n + 1))

@@ -6,6 +6,7 @@ import pytest
 
 from positroids import ContractViolationError, ValidationError, morph
 from positroids.cli import main
+from positroids.positroid import _mask
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
 MATRIX_A = [[1, 0, -3, -1], [0, 1, 4, 0]]
@@ -119,7 +120,8 @@ class TestRankVerb:
         assert obj["bounds"]["{{1},{2}}"] == 5
 
     def test_witness_missing_its_target_exits_2(self, capsys, ref_perm_file, monkeypatch):
-        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: frozenset(range(1, 8)))
+        # the recursion builds masks; this one is {1..7}, not a basis
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: _mask(range(1, 8)))
         code = main(["rank", "--perm", ref_perm_file, "--set", "1-3,8-10", "--witness"])
         assert code == 2
         assert "internal error:" in capsys.readouterr().err

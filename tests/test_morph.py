@@ -13,6 +13,7 @@ from positroids import (
     ValidationError,
     align_basis,
     decompose,
+    enumerate_bases,
     half_open,
     interval_exchange,
     is_compatible,
@@ -25,7 +26,8 @@ from positroids import (
     rank_dp,
     witness_basis,
 )
-from helpers import all_subsets, decorated_positroids, random_decorated_positroid, random_union
+from positroids.positroid import _elements, _mask
+from helpers import all_subsets, decorated_positroids, dual, random_decorated_positroid, random_union
 
 E4 = frozenset({1, 2, 3, 8, 9, 10})
 
@@ -49,9 +51,13 @@ class TestIntervalExchange:
     def test_nonmaximizing_input_detected(self):
         P = Positroid.from_oneline((3, 4, 2, 1))
         # {3,4} carries nothing on [1,2] even though bases with two elements
-        # there exist, so the swap cannot produce a basis
-        with pytest.raises(ContractViolationError):
+        # there exist: the caller's input breaks the precondition
+        with pytest.raises(ValidationError, match="maximum is 2"):
             interval_exchange(P, {3, 4}, 1, 2)
+
+    def test_non_basis_refused(self, ref_positroid):
+        with pytest.raises(ValidationError, match="needs a basis"):
+            interval_exchange(ref_positroid, {1, 2, 3, 4, 5, 6, 7}, 1, 2)
 
 
 class TestCompatibility:
@@ -140,6 +146,12 @@ def _set_mimic_parts(P, J, c, window):
     return removed, added, result, status
 
 
+def _mask_mimic_parts(P, J, c, window):
+    """morph._mimic_parts, which works on masks, read with sets."""
+    removed, added, result, status = morph._mimic_parts(P, _mask(J), c, window)
+    return removed, added, frozenset(_elements(result)), status
+
+
 class TestWindowArcs:
     def test_position_space_matches_member_sets(self):
         # every decorated positroid with n <= 4, every J, center and window,
@@ -154,7 +166,7 @@ class TestWindowArcs:
                         args = (P, J, *case)
                         assert _outcome(is_compatible, *args) == _outcome(_set_compatible, *args), args
                         parts = _outcome(_set_mimic_parts, *args)
-                        assert _outcome(morph._mimic_parts, *args) == parts, args
+                        assert _outcome(_mask_mimic_parts, *args) == parts, args
                         if parts[0] == "ok":
                             parts = ("ok", parts[1][2:])
                         assert _outcome(mimic, *args) == parts, args
@@ -246,6 +258,64 @@ class TestAlignBasis:
                 assert out & window == P.necklace.at(a_i) & window
 
 
+class TestExchangeLemma:
+    def test_anchors_in_the_exchanged_arc_decide(self):
+        # every basis B, e in B and f outside it, n <= 6: B - e + f tested
+        # only at its anchors in (e, f] is a basis exactly when the
+        # enumeration lists it
+        checked, outcomes = 0, set()
+        for n in range(7):
+            for P in decorated_positroids(n):
+                bases = set(enumerate_bases(P))
+                for B in bases:
+                    for e in B:
+                        for f in set(range(1, n + 1)) - B:
+                            expected = (B - {e}) | {f} in bases
+                            assert morph._exchange_holds(P, _mask(B), e, f) == expected, (P.perm, B, e, f)
+                            checked += 1
+                            outcomes.add(expected)
+        assert (checked, outcomes) == (102_096, {True, False})
+
+
+class TestWitnessDuality:
+    """The complement of a witness is a basis of the dual positroid, and it
+    meets the complement of E in r*([n] - E) = |[n] - E| - d + r(E)
+    elements: a check through another necklace, at sizes where brute force
+    cannot go."""
+
+    def test_dual_bases_are_the_complements(self):
+        for n in range(7):
+            for P in decorated_positroids(n):
+                ground = frozenset(range(1, n + 1))
+                Q = dual(P)
+                assert set(enumerate_bases(Q)) == {ground - B for B in enumerate_bases(P)}, P.perm
+                assert dual(Q) == P
+
+    @staticmethod
+    def _check(P, E):
+        ground = frozenset(range(1, P.n + 1))
+        rest = ground - frozenset(E)
+        Q = dual(P)
+        r_star = len(rest) - P.d + rank_dp(P, E)
+        assert rank_dp(Q, rest) == r_star, (P.perm, sorted(E))
+        co_witness = ground - witness_basis(P, E)
+        assert Q.is_basis(co_witness), (P.perm, sorted(E))
+        assert len(co_witness & rest) == r_star, (P.perm, sorted(E))
+
+    def test_exhaustive_small(self):
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    self._check(P, E)
+
+    def test_seeded_large(self):
+        rng = random.Random(2026)
+        for _ in range(60):
+            n = rng.randrange(100, 401)
+            P = random_decorated_positroid(n, rng, fixed=rng.randrange(9))
+            self._check(P, random_union(n, rng.randrange(1, 33), rng))
+
+
 # each call is valid on the reference positroid as long as `extra` is empty
 MORPH_ENTRY_POINTS = {
     "interval_exchange": lambda P, extra: interval_exchange(
@@ -309,8 +379,8 @@ class TestWitness:
             assert len(W & E) == rank_bruteforce(P, E)
 
     def test_missed_target_is_a_contract_violation(self, ref_positroid, monkeypatch):
-        # {1..7} is not a basis of the reference positroid
-        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: frozenset(range(1, 8)))
+        # {1..7}, as the recursion's mask, is not a basis of the reference positroid
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: _mask(range(1, 8)))
         with pytest.raises(ContractViolationError, match="not a basis"):
             witness_basis(ref_positroid, E4)
 

@@ -18,12 +18,15 @@ from positroids import (
     rank_bruteforce,
     rank_dp,
     reduce,
+    witness_basis,
 )
+from positroids.positroid import _mask
 from helpers import (
     all_subsets,
     decorated_permutations,
     decorated_positroids,
     fixed_point_free_positroids,
+    random_union,
 )
 
 REF_NECKLACE = (
@@ -264,6 +267,11 @@ class TestPositroid:
                 P = Positroid.from_permutation(perm)
                 assert P.necklace == neck
                 assert P.d == neck.d
+                assert P._necklace_masks == tuple(map(_mask, neck.sets))
+                assert P._gale_floors == tuple(
+                    tuple(sorted(x if x >= k else x + n for x in I))
+                    for k, I in enumerate(neck.sets, start=1)
+                )
                 assert Positroid.from_necklace(neck).perm == perm
 
     def test_necklace_is_built_only_when_read(self, ref_positroid):
@@ -273,6 +281,8 @@ class TestPositroid:
         assert "necklace" not in vars(P) and "necklace" not in vars(Q)
         assert rank_dp(P, {2, 4, 5}) == 2
         assert rank(P, {3}).value == 1
+        # the witness and the Gale test read masks and floor rows only
+        assert P.is_basis(witness_basis(P, {2, 4, 5}))
         inner = P._reduced[0]
         assert "necklace" not in vars(inner) and "necklace" not in vars(P)
         assert P.necklace is P.necklace
@@ -338,6 +348,88 @@ class TestPositroid:
                 expected = gale_reference(P, B, positions)
                 assert P.is_basis(B) == expected, (k, sorted(B))
                 outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+def gale_at(P: Positroid, ordered: list[int], i: int) -> bool:
+    """B >=_b I_b at the one anchor b = ordered[i], by positions read from b."""
+    b, n = ordered[i], P.n
+    bpos = sorted((x - b) % n for x in ordered)
+    ipos = sorted((x - b) % n for x in P.necklace.at(b))
+    return all(p >= q for p, q in zip(bpos, ipos))
+
+
+class TestPackedGale:
+    """Positroid._gale_holds packs the chosen anchors' windows and floor rows
+    into guarded fields and compares them with one subtraction: on every
+    anchor subset it must agree with comparing those anchors one at a time."""
+
+    def test_every_anchor_subset_up_to_n6(self):
+        checked = 0
+        for n in range(7):
+            for P in decorated_positroids(n):
+                d = P.d
+                for B in combinations(range(1, n + 1), d):
+                    ordered = list(B)
+                    each = [gale_at(P, ordered, i) for i in range(d)]
+                    assert P.is_basis(B) == all(each), (P.perm, B)
+                    for k in range(d + 1):
+                        for anchors in combinations(range(d), k):
+                            expected = all(each[i] for i in anchors)
+                            assert P._gale_holds(ordered, anchors) == expected, (P.perm, B, anchors)
+                            checked += 1
+        assert checked == 316_205
+
+    def test_seeded_bases_and_one_swap_neighbours(self):
+        # necklace members and witnesses are bases; one swap away from them
+        # lies either side of the test, with members near n lifted close to 2n
+        rng = random.Random(1400)
+        outcomes = set()
+        for _ in range(8):
+            n = rng.randrange(100, 401)
+            P = random_decorated_positroid(n, rng.randrange(9), rng)
+            d, ground = P.d, range(1, n + 1)
+            for _ in range(3):
+                I = P.necklace.at(rng.randrange(1, n + 1))
+                W = witness_basis(P, random_union(n, rng.randrange(1, 17), rng))
+                for B in (I, W):
+                    e = rng.choice(sorted(B))
+                    f = rng.choice([y for y in ground if y not in B])
+                    for C in (B, (B - {e}) | {f}):
+                        ordered = sorted(C)
+                        each = [gale_at(P, ordered, i) for i in range(d)]
+                        assert P.is_basis(C) == all(each), (P.perm, ordered)
+                        anchors = sorted(rng.sample(range(d), rng.randrange(d + 1)))
+                        expected = all(each[i] for i in anchors)
+                        assert P._gale_holds(ordered, anchors) == expected, (P.perm, ordered)
+                        outcomes.add(all(each))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n,code", [(16383, "H"), (16384, "I")])
+    def test_field_width_follows_n(self, n, code):
+        # 2n < 2^15 leaves the 16-bit field's top bit free for the guard; one
+        # more element needs 32-bit fields. Members near n lift close to 2n.
+        rng = random.Random(n)
+        moving = [1, 2, 3, *range(n - 4, n + 1)]
+        while True:
+            targets = rng.sample(moving, len(moving))
+            if all(a != b for a, b in zip(moving, targets)):
+                break
+        images = list(range(1, n + 1))
+        for a, b in zip(moving, targets):
+            images[a - 1] = b
+        white = [x for x in range(1, n + 1) if x not in moving]
+        P = Positroid.from_oneline(images, white=white)
+        assert P._gale_packing[0] == code
+        outcomes = set()
+        for B in combinations(sorted([*moving, 4, n - 5]), P.d):
+            ordered = list(B)
+            each = [gale_at(P, ordered, i) for i in range(P.d)]
+            assert P.is_basis(B) == all(each), B
+            for k in range(1, P.d):
+                for anchors in combinations(range(P.d), k):
+                    assert P._gale_holds(ordered, anchors) == all(each[i] for i in anchors)
+            outcomes.add(all(each))
         assert outcomes == {True, False}
 
 
