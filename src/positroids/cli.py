@@ -50,17 +50,24 @@ def _read_json(path: str) -> Any:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _input_file(args: argparse.Namespace) -> tuple[str, str]:
+    """The one input option given: perm, necklace or matrix, and its file."""
+    given = [(k, path) for k in ("perm", "necklace", "matrix") if (path := getattr(args, k))]
+    if not given:
+        raise ValidationError("no positroid given; use --perm, --necklace or --matrix")
+    if len(given) > 1:
+        raise ValidationError("give exactly one of --perm, --necklace or --matrix")
+    return given[0]
+
+
 def _load_positroid(args: argparse.Namespace) -> Positroid:
-    perm = getattr(args, "perm", None)
-    necklace = getattr(args, "necklace", None)
-    matrix = getattr(args, "matrix", None)
-    if perm:
-        return Positroid.from_json(_read_json(perm))
-    if necklace:
-        return Positroid.from_necklace(GrassmannNecklace.from_json(_read_json(necklace)))
-    if matrix:
-        return positroid_from_matrix(RationalMatrix.from_json(_read_json(matrix)))
-    raise ValidationError("no positroid given; use --perm, --necklace or --matrix")
+    kind, path = _input_file(args)
+    data = _read_json(path)
+    if kind == "perm":
+        return Positroid.from_json(data)
+    if kind == "necklace":
+        return Positroid.from_necklace(GrassmannNecklace.from_json(data))
+    return positroid_from_matrix(RationalMatrix.from_json(data))
 
 
 def _emit(args: argparse.Namespace, obj: Any, text_lines: list[str]) -> None:
@@ -216,17 +223,11 @@ def _fraction_str(value) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    given = [
-        name
-        for name in ("perm", "necklace", "matrix")
-        if getattr(args, name, None)
-    ]
-    if len(given) != 1:
-        raise ValidationError("check needs exactly one of --perm, --necklace, --matrix")
-    kind = given[0]
+    kind, path = _input_file(args)
     try:
+        data = _read_json(path)
         if kind == "perm":
-            P = Positroid.from_json(_read_json(args.perm))
+            P = Positroid.from_json(data)
             loops, coloops = loops_and_coloops(P)
             obj: dict[str, Any] = {
                 "valid": True,
@@ -237,7 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "coloops": sorted(coloops),
             }
         elif kind == "necklace":
-            P = Positroid.from_necklace(GrassmannNecklace.from_json(_read_json(args.necklace)))
+            P = Positroid.from_necklace(GrassmannNecklace.from_json(data))
             obj = {
                 "valid": True,
                 "kind": "necklace",
@@ -246,7 +247,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "pi": list(P.perm.images),
             }
         else:
-            A = RationalMatrix.from_json(_read_json(args.matrix))
+            A = RationalMatrix.from_json(data)
             full = row_rank(A) == A.r
             witness = first_negative_minor(A)
             obj = {

@@ -102,6 +102,13 @@ def _check_element(x: int, n: int) -> None:
         raise ValidationError(f"element {x} out of range 1..{n}")
 
 
+def _check_index(i: int, s: int, what: str) -> None:
+    """Reject anything but a plain int in 1..s, such as a 1-based interval index."""
+    _check_ints((i,), what)
+    if not 1 <= i <= s:
+        raise ValidationError(f"{what} {i} out of range 1..{s}")
+
+
 def position(x: int, i: int, n: int) -> int:
     """Rank of x in the order that starts at i: position(i, i, n) == 0."""
     _check_element(x, n)
@@ -288,11 +295,8 @@ class IntervalDecomposition:
 
     def interval(self, i: int) -> CyclicInterval:
         """The i-th interval, 1-based."""
-        _check_ints((i,), "interval indices")
-        if not 1 <= i <= self.s:
-            raise ValidationError(f"interval index {i} out of range 1..{self.s}")
-        a, b = self.intervals[i - 1]
-        return CyclicInterval.span(a, b, self.n)
+        _check_index(i, self.s, "interval index")
+        return CyclicInterval.span(*self.intervals[i - 1], self.n)
 
     def gap_pairs(self) -> tuple[tuple[int, int], ...]:
         """(b_i, a_{i+1}) endpoint pairs, one per interval, cyclically.
@@ -318,11 +322,9 @@ class IntervalDecomposition:
         re-check: dropping intervals only widens the gaps between the rest.
         """
         idx = _as_tuple(which, "interval indices")
-        # checked before the set: {1, True} would collapse and hide the bool
-        _check_ints(idx, "interval indices")
+        # each checked before the set: {1, True} would collapse and hide the bool
         for i in idx:
-            if not 1 <= i <= self.s:
-                raise ValidationError(f"interval index {i} out of range 1..{self.s}")
+            _check_index(i, self.s, "interval index")
         chosen = tuple(self.intervals[i - 1] for i in sorted(set(idx)))
         return _unchecked(IntervalDecomposition, n=self.n, intervals=chosen)
 

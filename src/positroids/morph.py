@@ -7,7 +7,8 @@ mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages: morph_sequence lists them, the witness
 advances all s walkers lazily and stops at the first gap-free basis. Its
-pieces are aligned without align_basis's checks; the one check of the
+pieces are aligned without align_basis's checks, both phases of an
+alignment trading through one partner search; the one check of the
 construction is witness_basis's final test of its result.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x, and the
@@ -34,7 +35,7 @@ from .cyclic import (
     _as_tuple,
     _check_element,
     _check_ground,
-    _check_ints,
+    _check_index,
     _check_type,
     _checked_subset,
     _intervals_of,
@@ -260,11 +261,8 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
     """
     _check_type(P, Positroid, "P")
     _check_type(E, IntervalDecomposition, "E")
-    _check_ints((i,), "start index")
+    _check_index(i, E.s, "start index")
     _check_ground(E.n, P.n)
-    s = E.s
-    if not 1 <= i <= s:
-        raise ValidationError(f"start index {i} out of range 1..{s}")
     stages = _stages(P, E.intervals[i - 1:] + E.intervals[:i - 1])
     return [
         MorphState(
@@ -296,11 +294,8 @@ def align_basis(
     _check_type(E, IntervalDecomposition, "E")
     if trace is not None:
         _check_type(trace, list, "trace")
-    _check_ints((i,), "interval index")
+    _check_index(i, E.s, "interval index")
     _check_ground(E.n, P.n)
-    s = E.s
-    if not 1 <= i <= s:
-        raise ValidationError(f"interval index {i} out of range 1..{s}")
     B = _checked_subset(B, P.n)
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
@@ -310,7 +305,7 @@ def align_basis(
             f"basis meets the set in {len(B & E.members)} elements, "
             f"but the maximum is {target}"
         )
-    aligned = _align(P, _mask(B), *E.intervals[i - 1], E.intervals[(i - 2) % s][1], trace)
+    aligned = _align(P, _mask(B), *E.intervals[i - 1], E.intervals[(i - 2) % E.s][1], trace)
     return frozenset(_elements(aligned))
 
 
@@ -326,6 +321,25 @@ def _exchange_holds(P: Positroid, B: int, e: int, f: int) -> bool:
     return P._gale_holds(ordered, anchors)
 
 
+def _exchange_first(
+    P: Positroid, B: int, x: int, partners: int, r: int, trace: list[ExchangeRecord] | None
+) -> int:
+    """B with x traded for the first partner, in key order from r + 1, that
+    keeps it a basis: x leaves if it is in B and joins otherwise. partners is
+    a mask rotated right by r, so the low bits come first."""
+    n = P.n
+    while partners:
+        low = partners & -partners
+        partners ^= low
+        y = (low.bit_length() + r - 1) % n + 1
+        e, f = (x, y) if B >> (x - 1) & 1 else (y, x)
+        if _exchange_holds(P, B, e, f):
+            if trace is not None:
+                trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (f,)))
+            return B ^ (1 << (e - 1) | 1 << (f - 1))
+    raise ContractViolationError(f"no exchange partner found for {x}")
+
+
 def _align(
     P: Positroid, B: int, a_i: int, b_i: int, b_prev: int,
     trace: list[ExchangeRecord] | None,
@@ -333,14 +347,15 @@ def _align(
     """align_basis's exchanges, unchecked, on the mask B, for [a_i, b_i] after
     an interval ending at b_prev.
 
-    Each partner f for e (or e for g) is tried with _exchange_holds, which
-    compares only C = B - e + f's anchors in the arc (e, f]. That suffices:
-    C >=_k I_k holds iff every prefix Q of the order read from k holds no
-    more members of C than of I_k (Oh's Gale characterization, as in
-    Positroid.is_basis). An anchor k of C outside (e, f] is neither e, which
-    left, nor f, so k is in B and B's condition at k holds; and reading from
-    k reaches e before f, so every prefix that holds f holds e too, and
-    |C ∩ Q| <= |B ∩ Q| <= |I_k ∩ Q|. Only C's anchors in (e, f] can fail.
+    Both phases trade through _exchange_first, which tries each partner f
+    for e (or e for g) with _exchange_holds, comparing only C = B - e + f's
+    anchors in the arc (e, f]. That suffices: C >=_k I_k holds iff every
+    prefix Q of the order read from k holds no more members of C than of
+    I_k (Oh's Gale characterization, as in Positroid.is_basis). An anchor k
+    of C outside (e, f] is neither e, which left, nor f, so k is in B and
+    B's condition at k holds; and reading from k reaches e before f, so
+    every prefix that holds f holds e too, and |C ∩ Q| <= |B ∩ Q| <=
+    |I_k ∩ Q|. Only C's anchors in (e, f] can fail.
     """
     n = P.n
     Ia = P._necklace_masks[a_i - 1]
@@ -351,32 +366,10 @@ def _align(
     in_own, in_gap = (2 << own) - 1, ((1 << n) - 1) ^ ((2 << gap) - 1)
     while excess := _rotate(B & ~Ia, r, n) & in_gap:
         e = (excess.bit_length() + r - 1) % n + 1
-        partners = _rotate(Ia & ~B, r, n)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            f = (low.bit_length() + r - 1) % n + 1
-            if _exchange_holds(P, B, e, f):
-                if trace is not None:
-                    trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (f,)))
-                B ^= 1 << (e - 1) | 1 << (f - 1)
-                break
-        else:
-            raise ContractViolationError(f"no exchange partner found for {e}")
+        B = _exchange_first(P, B, e, _rotate(Ia & ~B, r, n), r, trace)
     while missing := _rotate(Ia & ~B, r, n) & in_own:
         g = ((missing & -missing).bit_length() + r - 1) % n + 1
-        partners = _rotate(B & ~Ia, r, n)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            e = (low.bit_length() + r - 1) % n + 1
-            if _exchange_holds(P, B, e, g):
-                if trace is not None:
-                    trace.append(ExchangeRecord(ExchangeKind.BASIS_EXCHANGE, (e,), (g,)))
-                B ^= 1 << (e - 1) | 1 << (g - 1)
-                break
-        else:
-            raise ContractViolationError(f"no exchange partner found for {g}")
+        B = _exchange_first(P, B, g, _rotate(B & ~Ia, r, n), r, trace)
     # the window (b_prev, b_i] is the gap and [a_i, b_i] together
     if _rotate(B ^ Ia, r, n) & (in_own | in_gap):
         raise ContractViolationError("alignment finished without window agreement")

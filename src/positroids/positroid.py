@@ -8,15 +8,19 @@ from that definition, then each I_{k+1} from I_k by the transition rule
 I_{k+1} = (I_k minus k) plus pi(k) (Postnikov, arXiv math/0609764 §16–17);
 d = |I_1| takes O(n) and no necklace. Membership of an arbitrary
 d-subset is decided by the Gale-order test against the necklace (Oh, 2011),
-so no basis list is ever materialized unless asked for. The test sorts B
-once, packs each anchor's window of B and its floor row into fixed-width
-fields of one int, and compares all anchors with one guarded subtraction;
-enumerating the bases walks only the subsets that pass their first member's
-own condition and tests the rest one anchor at a time, stopping at the
-first failure. The witness path reads subsets as n-bit ints, bit x - 1
-standing for x, and each Positroid caches its necklace entries that way.
-The floor rows and the masks follow the necklace's transition walk
-themselves, so neither the Gale test nor a witness builds the necklace.
+so no basis list is ever materialized unless asked for.
+
+The necklace is kept in four forms, each walked from the permutation and
+cached on first use, since each has a caller that reads only it and deriving
+one from another measured slower (CHANGES.md has the timings):
+- the frozensets `necklace`: the public API, the `necklace` verb and the
+  matrix path's comparisons;
+- the masks `_necklace_masks`, bit x - 1 standing for x: the witness path;
+- the floor rows `_gale_floors`: enumerate_bases, which tests one anchor at
+  a time and stops at the first failure, as most of its subsets fail early;
+- the packed rows `_gale_packing`: is_basis and the witness path's exchange
+  tests, which sort B once, pack each anchor's window of B and its floor row
+  into fixed-width fields of one int and compare all anchors at once.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
@@ -381,10 +385,6 @@ class Positroid:
 
     def __post_init__(self) -> None:
         _check_type(self.perm, DecoratedPermutation, "perm")
-
-    @classmethod
-    def from_permutation(cls, perm: DecoratedPermutation) -> "Positroid":
-        return cls(perm)
 
     @classmethod
     def from_oneline(

@@ -14,7 +14,7 @@ interval indices gives an upper bound on rank(E), and the minimum over all
 of them is exact. rank_dp() and rank() (with its certificate) read it off one
 O(s^3) table, which builds its s^2/2 chain steps once and spends the about
 s^3/3 remaining additions in C-level min/map; only enumerate_ncp() and
-all_bounds=True list partitions.
+all_bounds=True list partitions, by one generator that never recurses.
 
 Arrow counts come from the positroid's own ArrowTable (see
 positroids.positroid), whose one kind of row holds the O(n) prefix counts of
@@ -148,24 +148,27 @@ def _raw_ncps(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
     The head block, the one containing lo, is chosen first in _heads order;
     the runs between its members partition independently, the first run
-    varying slowest. Blocks come out sorted by smallest element, so results
-    are already canonical. Streams in O(s^2) memory.
+    varying slowest: a depth-first walk over the ranges left, on an explicit
+    stack. Blocks come out sorted by smallest element, so already canonical.
     """
     if lo > hi:
         yield ()
         return
-    for block in _heads(lo, hi):
-        for tail in _run_products(_runs(block, hi), 0):
-            yield (block,) + tail
-
-
-def _run_products(runs: list[tuple[int, int]], i: int) -> Iterator[tuple]:
-    if i == len(runs):
-        yield ()
-        return
-    for head in _raw_ncps(*runs[i]):
-        for tail in _run_products(runs, i + 1):
-            yield head + tail
+    blocks: list[tuple[int, ...]] = []
+    # frame k: block k's heads left to try, its range's end, the ranges after it
+    frames = [(_heads(lo, hi), hi, [])]
+    while frames:
+        heads, end, rest = frames[-1]
+        del blocks[len(frames) - 1:]
+        block = next(heads, None)
+        if block is None:
+            frames.pop()
+        elif pending := rest + _runs(block, end)[::-1]:
+            blocks.append(block)
+            a, b = pending.pop()
+            frames.append((_heads(a, b), b, pending))
+        else:
+            yield (*blocks, block)
 
 
 def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[NonCrossingPartition]:

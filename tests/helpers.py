@@ -44,7 +44,7 @@ def decorated_permutations(n: int) -> Iterator[DecoratedPermutation]:
 
 def decorated_positroids(n: int) -> Iterator[Positroid]:
     for perm in decorated_permutations(n):
-        yield Positroid.from_permutation(perm)
+        yield Positroid(perm)
 
 
 def dual(P: Positroid) -> Positroid:
@@ -52,6 +52,45 @@ def dual(P: Positroid) -> Positroid:
     inverse permutation, with loops and coloops swapped."""
     perm = P.perm
     return Positroid.from_oneline(perm._inverse, white=perm.black, black=perm.white)
+
+
+def rotate(P: Positroid, k: int) -> Positroid:
+    """P with every element x relabeled x + k (mod n), colors kept: its
+    bases, necklace and ranks are P's shifted by k."""
+    n, perm = P.n, P.perm
+
+    def shift(x: int) -> int:
+        return (x + k - 1) % n + 1
+
+    images = [0] * n
+    for x, y in enumerate(perm.images, start=1):
+        images[shift(x) - 1] = shift(y)
+    return Positroid.from_oneline(images, white=map(shift, perm.white), black=map(shift, perm.black))
+
+
+def recursive_ncps(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The non-crossing partitions of lo..hi as raw blocks, by the plain
+    recursion: the block containing lo by size and then lexicographically,
+    then the runs between its members, the first run varying slowest. The
+    reference order for enumerate_ncp; it recurses about s levels deep."""
+    if lo > hi:
+        yield ()
+        return
+    for k in range(hi - lo + 1):
+        for extra in combinations(range(lo + 1, hi + 1), k):
+            block = (lo,) + extra
+            runs = [(x + 1, y - 1) for x, y in zip(block, block[1:] + (hi + 1,)) if y > x + 1]
+            for tail in _run_products(runs):
+                yield (block,) + tail
+
+
+def _run_products(runs: list[tuple[int, int]]) -> Iterator[tuple]:
+    if not runs:
+        yield ()
+        return
+    for head in recursive_ncps(*runs[0]):
+        for tail in _run_products(runs[1:]):
+            yield head + tail
 
 
 def random_fpf_positroid(n: int, rng: random.Random) -> Positroid:

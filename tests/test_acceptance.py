@@ -1,4 +1,4 @@
-"""Acceptance gate: ten checks, one verdict line each.
+"""Acceptance gate: eleven checks, one verdict line each.
 
 The verdict lines are echoed in a terminal section after the run. Checks 6-8
 share their instances: the exhaustive and randomized oracle sweeps record
@@ -15,9 +15,14 @@ from conftest import ACCEPTANCE_LINES
 from helpers import (
     all_subsets,
     brute_rank_table,
+    decorated_positroids,
+    dual,
     first_min_by_enumeration,
     fixed_point_free_positroids,
+    random_decorated_positroid,
     random_fpf_positroid,
+    random_union,
+    rotate,
 )
 
 from positroids import (
@@ -327,3 +332,67 @@ def test_criterion_10_partition_counts():
         catalan = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
         for s, expected in enumerate(catalan):
             assert sum(1 for _ in enumerate_ncp(s)) == expected, s
+
+
+def _duality_exhaustive():
+    # every (decorated positroid, subset) pair with n <= 6. The pool of each
+    # n is closed under duality and rotation, so each side's values are
+    # computed once and the identities compare table entries. Rotating by 1
+    # generates every rotation, so invariance under it covers them all
+    for n in range(7):
+        ground = frozenset(range(1, n + 1))
+        subsets = list(all_subsets(n))
+        tables = {
+            P: {E: (rank_dp(P, E), rank(P, E).value, P.is_basis(E)) for E in subsets}
+            for P in decorated_positroids(n)
+        }
+        for P, table in tables.items():
+            dual_table, rotated_table = tables[dual(P)], tables[rotate(P, 1)]
+            for E, (r, value, basis) in table.items():
+                rest = ground - E
+                r_star, value_star, basis_star = dual_table[rest]
+                assert r_star == len(rest) - P.d + r, (P.perm, sorted(E))
+                assert value_star == len(rest) - P.d + value, (P.perm, sorted(E))
+                assert basis_star == basis, (P.perm, sorted(E))
+                shifted = frozenset(x % n + 1 for x in E)
+                assert rotated_table[shifted][:2] == (r, value), (P.perm, sorted(E))
+
+
+def _duality_seeded():
+    # 200 seeded decorated positroids with n in 100..400, where brute force
+    # cannot reach: the dual and a rotation read other necklaces and arrows
+    rng = random.Random(1108)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randrange(100, 401)
+        P = random_decorated_positroid(n, rng, fixed=rng.randrange(9))
+        k = rng.randrange(1, n)
+        Q, R = dual(P), rotate(P, k)
+        ground = frozenset(range(1, n + 1))
+
+        def shift(E):
+            return frozenset((x + k - 1) % n + 1 for x in E)
+
+        # rank() walks up to 2^(s-1) head blocks, so its identity runs at s <= 12
+        small = random_union(n, rng.randrange(1, 13), rng)
+        large = random_union(n, rng.randrange(13, 41), rng)
+        for E in (small, large):
+            rest, r = ground - E, rank_dp(P, E)
+            assert rank_dp(Q, rest) == len(rest) - P.d + r, (P.perm, sorted(E))
+            assert rank_dp(R, shift(E)) == r, (P.perm, sorted(E), k)
+        rest, value = ground - small, rank(P, small).value
+        assert rank(Q, rest).value == len(rest) - P.d + value, (P.perm, sorted(small))
+        assert rank(R, shift(small)).value == value, (P.perm, sorted(small), k)
+        W = witness_basis(P, small)
+        e, f = rng.choice(sorted(W)), rng.choice(sorted(ground - W))
+        for B in (W, W - {e} | {f}, frozenset(rng.sample(sorted(ground), P.d))):
+            basis = P.is_basis(B)
+            assert Q.is_basis(ground - B) == basis, (P.perm, sorted(B))
+            outcomes.add(basis)
+    assert outcomes == {True, False}
+
+
+def test_criterion_11_decorated_duality():
+    with criterion(11, "decorated positroids: duality and rotation identities", limit=90.0):
+        _duality_exhaustive()
+        _duality_seeded()

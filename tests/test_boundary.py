@@ -126,7 +126,6 @@ CALLS = [
     ("GrassmannNecklace.from_json", GrassmannNecklace.from_json, (NECK.to_json(),), {}),
     ("GrassmannNecklace.at", NECK.at, (1,), {}),
     ("Positroid", Positroid, (PERM,), {}),
-    ("Positroid.from_permutation", Positroid.from_permutation, (PERM,), {}),
     ("Positroid.from_oneline", Positroid.from_oneline, ((2, 1, 3, 5, 4, 6), (3,), (6,)), {}),
     ("Positroid.from_necklace", Positroid.from_necklace, (NECK,), {}),
     ("Positroid.from_json", Positroid.from_json, (PERM.to_json(),), {}),

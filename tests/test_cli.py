@@ -336,6 +336,21 @@ class TestErrorPaths:
         assert code == 1
         assert "no positroid given" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["necklace"], ["perm"], ["bases"], ["rank", "--set", "1"], ["bounds", "--set", "1"],
+         ["morph-trace", "--set", "1"], ["check"]],
+        ids=lambda verb: verb[0],
+    )
+    def test_two_inputs_refused(self, capsys, ref_perm_file, matrix_file, verb):
+        # every verb that reads a positroid takes exactly one input file
+        code = main(verb + ["--perm", ref_perm_file, "--matrix", matrix_file])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "exactly one" in line
+
     def test_contract_violation_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise ContractViolationError("wires crossed")

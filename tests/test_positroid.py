@@ -27,6 +27,7 @@ from helpers import (
     decorated_positroids,
     fixed_point_free_positroids,
     random_union,
+    rotate,
 )
 
 REF_NECKLACE = (
@@ -175,6 +176,29 @@ class TestNecklace:
             GrassmannNecklace.from_json({"n": 2, "sets": [[1]]})
 
 
+class TestRotation:
+    """helpers.rotate against brute force: the rotated positroid's bases are
+    P's shifted by k, and its necklace, read off those bases, is P's
+    necklace shifted by k."""
+
+    def test_bases_and_necklace_rotate(self):
+        for n in range(7):
+            for P in decorated_positroids(n):
+                bases = set(enumerate_bases(P))
+                for k in range(n):
+                    def shift(x):
+                        return (x + k - 1) % n + 1
+
+                    Q = rotate(P, k)
+                    rotated = set(enumerate_bases(Q))
+                    assert rotated == {frozenset(map(shift, B)) for B in bases}, (P.perm, k)
+                    for j in range(1, n + 1):
+                        # I_j is the basis that is least read from j
+                        least = min(rotated, key=lambda B: sorted((x - j) % n for x in B))
+                        assert least == frozenset(map(shift, P.necklace.at((j - k - 1) % n + 1)))
+                        assert Q.necklace.at(j) == least, (P.perm, k, j)
+
+
 def weak_exceedance_necklace(perm: DecoratedPermutation) -> list[frozenset[int]]:
     """I_k straight from the definition, with no transition rule."""
     n = perm.n
@@ -264,7 +288,7 @@ class TestPositroid:
         for n in range(7):
             for perm in decorated_permutations(n):
                 neck = necklace_of(perm)
-                P = Positroid.from_permutation(perm)
+                P = Positroid(perm)
                 assert P.necklace == neck
                 assert P.d == neck.d
                 assert P._necklace_masks == tuple(map(_mask, neck.sets))
@@ -327,7 +351,7 @@ class TestPositroid:
         checked = 0
         for n in range(7):
             for perm in decorated_permutations(n):
-                P = Positroid.from_permutation(perm)
+                P = Positroid(perm)
                 for B in all_subsets(n):
                     assert P.is_basis(B) == gale_reference(P, B), (perm, sorted(B))
                     checked += 1
@@ -454,7 +478,7 @@ class TestEnumerateBases:
         extremes = set()
         for n in range(7):
             for perm in decorated_permutations(n):
-                P = Positroid.from_permutation(perm)
+                P = Positroid(perm)
                 expected = [
                     frozenset(c)
                     for c in combinations(range(1, n + 1), P.d)

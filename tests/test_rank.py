@@ -39,6 +39,7 @@ from helpers import (
     first_min_by_enumeration,
     random_decorated_positroid,
     random_union,
+    recursive_ncps,
     reference_rank_table,
 )
 
@@ -97,6 +98,16 @@ class TestEnumerateNCP:
             ((1, 3), (2,)),
             ((1, 2, 3),),
         ]
+
+    def test_order_matches_the_recursive_reference(self):
+        for s in range(11):
+            assert [p.blocks for p in enumerate_ncp(s)] == list(recursive_ncps(1, s)), s
+
+    def test_streams_past_the_recursion_limit(self):
+        # the enumeration keeps its ranges on an explicit stack, so s = 1000
+        # (past Python's default recursion limit) yields its first partition
+        first = next(enumerate_ncp(1000, limit=1000))
+        assert first.blocks == tuple((x,) for x in range(1, 1001))
 
     def test_limits(self):
         with pytest.raises(EnumerationLimitError, match="rank_dp"):

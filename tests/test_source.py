@@ -80,3 +80,37 @@ def test_unchecked_construction_is_fenced():
             assert id(node) in calls, f"{path.name}:{node.lineno}: _unchecked used without a call"
             callers.add((path.name, scope))
     assert callers == UNCHECKED_CALLERS
+
+
+def test_rank_module_has_no_recursion():
+    # partitions are enumerated and certificates walked on explicit stacks,
+    # so no query on validated input ends in a RecursionError: no cycle may
+    # run through the calls between rank.py's own functions
+    path = SOURCE / "rank.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {
+        node.name: node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls = {
+        name: {
+            called for node in ast.walk(fn) if isinstance(node, ast.Call)
+            for called in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            if called in functions
+        }
+        for name, fn in functions.items()
+    }
+
+    def reaches(start: str, goal: str) -> bool:
+        seen, stack = set(), list(calls[start])
+        while stack:
+            name = stack.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                stack.extend(calls[name])
+        return False
+
+    assert functions
+    assert [name for name in functions if reaches(name, name)] == []
