@@ -26,7 +26,7 @@ from .cyclic import decompose, format_set_spec, parse_set_spec
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
 from .morph import MorphState, morph_sequence, witness_basis
 from .positroid import GrassmannNecklace, Positroid, enumerate_bases, loops_and_coloops
-from .rank import DEFAULT_PARTITION_LIMIT, rank
+from .rank import DEFAULT_PARTITION_LIMIT, RankCertificate, rank
 from .realize import (
     RationalMatrix,
     first_negative_minor,
@@ -112,6 +112,16 @@ def _cmd_bases(args: argparse.Namespace) -> int:
     return 0
 
 
+def _note_reduction(cert: RankCertificate, obj: dict[str, Any], lines: list[str]) -> None:
+    """Mark an answer read off the reduction, with the coloops it adds."""
+    if cert.reduced:
+        obj["reduced"] = True
+        obj["coloop_bonus"] = cert.coloop_bonus
+        lines.append(
+            f"(loops and coloops were stripped first; {cert.coloop_bonus} coloops counted)"
+        )
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     P = _load_positroid(args)
     members = parse_set_spec(args.set, P.n)
@@ -128,12 +138,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         f"rank = {cert.value}",
         f"partition = {cert.partition}",
     ]
-    if cert.reduced:
-        obj["reduced"] = True
-        obj["coloop_bonus"] = cert.coloop_bonus
-        lines.append(
-            f"(loops and coloops were stripped first; {cert.coloop_bonus} coloops counted)"
-        )
+    _note_reduction(cert, obj, lines)
     if cert.all_bounds is not None:
         obj["bounds"] = {str(p): v for p, v in cert.all_bounds}
         lines += [f"nbd {p} = {v}" for p, v in cert.all_bounds]
@@ -156,10 +161,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "bounds": {str(p): v for p, v in bounds},
         "rank": cert.value,
     }
-    if cert.reduced:
-        obj["reduced"] = True
     lines = [f"nbd {p} = {v}" for p, v in bounds]
-    lines.append(f"minimum (= rank) = {cert.value}")
+    _note_reduction(cert, obj, lines)
+    if cert.reduced:
+        low, bonus = cert.value - cert.coloop_bonus, cert.coloop_bonus
+        lines.append(f"minimum + coloops (= rank) = {low} + {bonus} = {cert.value}")
+    else:
+        lines.append(f"minimum (= rank) = {cert.value}")
     _emit(args, obj, lines)
     return 0
 

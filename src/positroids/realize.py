@@ -13,8 +13,8 @@ eliminated once, for all of its extensions, and a prefix whose newest column
 lies in the span of the earlier ones yields zeros for its whole subtree. A
 subset is a basis iff its minor is nonzero, and the matroid is a positroid
 iff every maximal minor is nonnegative, so positroid_from_matrix reads both
-off that one scan. Its Grassmann necklace comes from the columns directly:
-I_k is the greedy basis of the columns read cyclically from k.
+off that one scan, and its Grassmann necklace too, walked by the transition
+rule from the first basis the scan yields.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ __all__ = [
 # finish at desk scale anyway
 MINOR_SCAN_CAP = 200_000
 
-# basis-exchange validation is quadratic in the collection size, so it runs
-# only for collections at most this big; bigger ones, such as the 624 bases
-# of the demo positroid that repro's bases-to-necklace check builds, are
-# accepted unchecked
+# the exchange check is quadratic, so bigger collections, such as repro's
+# 624 bases of the demo positroid, are accepted unchecked
 EXCHANGE_VALIDATION_CAP = 600
 
 
@@ -192,24 +190,6 @@ def _reduce(v: list[int], pivot: _Pivot, prev: int) -> list[int]:
     return [(value * x - f * y) // prev for x, y in zip(v[:idx] + v[idx + 1:], rest)]
 
 
-class _Independent:
-    """Columns added one at a time; each is kept iff independent of those kept."""
-
-    def __init__(self) -> None:
-        self.pivots: list[_Pivot] = []
-
-    def add(self, v: list[int]) -> bool:
-        prev = 1
-        for pivot in self.pivots:
-            v = _reduce(v, pivot, prev)
-            prev = pivot[1]
-        pivot = _pivot(v)
-        if pivot is None:
-            return False
-        self.pivots.append(pivot)
-        return True
-
-
 def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(cols, integer minor) for every r-subset of the columns, in lex order.
 
@@ -262,8 +242,16 @@ def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
 
 
 def _rank(columns: list[list[int]]) -> int:
-    chosen = _Independent()
-    return sum(chosen.add(v) for v in columns)
+    pivots: list[_Pivot] = []
+    for v in columns:
+        prev = 1
+        for pivot in pivots:
+            v = _reduce(v, pivot, prev)
+            prev = pivot[1]
+        pivot = _pivot(v)
+        if pivot is not None:
+            pivots.append(pivot)
+    return len(pivots)
 
 
 def row_rank(A: RationalMatrix) -> int:
@@ -367,9 +355,7 @@ def _certified_positroid(
     if n <= BASIS_ENUMERATION_CAP:
         derived = frozenset(enumerate_bases(P))
         if derived != bases:
-            extra = derived - bases
-            missing = bases - derived
-            sample = sorted(next(iter(extra or missing)))
+            sample = sorted(next(iter((derived - bases) or (bases - derived))))
             raise NotAPositroidError(
                 f"collection is a matroid but not a positroid: its necklace "
                 f"generates {len(derived)} bases, input has {len(bases)} "
@@ -379,37 +365,42 @@ def _certified_positroid(
 
 
 def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
-    """I_k = the minimal basis in the order that starts at k.
+    """I_k = the lex-first basis read from k, found anew at each k.
 
-    The minimum is taken lexicographically on position-sorted bases, which
-    for a matroid is also the componentwise (greedy) minimum. The necklace
-    transition rule holds for any matroid, so to certify a positroid the
-    derived necklace's basis filter is compared against the input whenever
-    n <= BASIS_ENUMERATION_CAP; a mismatch raises NotAPositroidError.
+    With x at bit n - x the lex-first set has the largest mask; reading from
+    k rotates each mask left by k - 1 bits. This catches a non-matroid, whose
+    minima break the transition rule. The necklace is certified against the
+    input whenever n <= BASIS_ENUMERATION_CAP; a mismatch raises
+    NotAPositroidError.
     """
     _check_type(B, BasisCollection, "B")
-    n, bases = B.n, B.bases
+    n, full = B.n, (1 << B.n) - 1
+    # the collection checked its members against 1..n
+    by_mask = {sum(1 << (n - x) for x in S): S for S in B.bases}
+    sets = [by_mask[max(by_mask, key=lambda m: (m << k | m >> (n - k)) & full)] for k in range(n)]
+    return _certified_positroid(n, B.d, tuple(sets), B.bases).necklace
+
+
+def _transition_walk(
+    n: int, first: frozenset[int], bases: frozenset[frozenset[int]]
+) -> tuple[frozenset[int], ...]:
+    """The necklace of the matroid with these bases and lex-first basis I_1.
+
+    I_k, the lex-first basis read from k, is the greedy one: each element is
+    kept iff independent of those kept before it. Read from k+1, k comes
+    last, so every other member of I_k is kept again. So I_{k+1} = I_k if k
+    is not in I_k, else I_k - k + x for the first x read from k+1 that makes
+    a basis (x = k at worst). Every column matroid is a matroid, so this is
+    exact; a non-matroid may pass, so necklace_from_bases does not use it.
+    """
     sets = []
-    # the collection checked its members against 1..n, so raw offsets serve
+    current = first
     for k in range(1, n + 1):
-        best = min(bases, key=lambda S: sorted((x - k) % n for x in S))
-        sets.append(frozenset(best))
-    return _certified_positroid(n, B.d, tuple(sets), bases).necklace
-
-
-def _greedy_necklace(columns: list[list[int]], r: int) -> tuple[frozenset[int], ...]:
-    """I_k = the columns kept greedily when they are read cyclically from k."""
-    n = len(columns)
-    sets = []
-    for k in range(n):
-        chosen = _Independent()
-        members = []
-        for c in chain(range(k, n), range(k)):
-            if chosen.add(columns[c]):
-                members.append(c + 1)
-                if len(members) == r:
-                    break
-        sets.append(frozenset(members))
+        sets.append(current)
+        if k in current:
+            rest = current - {k}
+            order = chain(range(k + 1, n + 1), range(1, k + 1))
+            current = next(J for x in order if (J := rest | {x}) in bases)
     return tuple(sets)
 
 
@@ -417,8 +408,8 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
     """The positroid of a full-row-rank matrix with nonnegative maximal minors.
 
     One scan of the minors stops at the first negative one and otherwise
-    keeps the nonzero subsets. The necklace comes from greedy column choice
-    and is certified against the scanned nonzero subsets as in
+    keeps the nonzero subsets, the bases, in lex order. _transition_walk
+    reads the necklace off them, and it is certified against them as in
     necklace_from_bases. A matrix with nonnegative minors realizes a
     positroid, so an invalid necklace or a mismatch means a library bug and
     raises ContractViolationError.
@@ -435,11 +426,12 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
             )
         if value:
             nonzero.append(frozenset(cols))
+    bases = frozenset(nonzero)
     try:
-        return _certified_positroid(A.n, A.r, _greedy_necklace(columns, A.r), frozenset(nonzero))
+        return _certified_positroid(A.n, A.r, _transition_walk(A.n, nonzero[0], bases), bases)
     except NotAPositroidError as exc:
         raise ContractViolationError(
-            f"the greedy necklace of a TNN matrix does not match its nonzero minors: {exc}"
+            f"the necklace of a TNN matrix does not match its nonzero minors: {exc}"
         ) from exc
 
 

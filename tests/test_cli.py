@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from positroids import ContractViolationError, ValidationError, morph
+from positroids import ContractViolationError, ValidationError, morph, repro
 from positroids.cli import main
 from positroids.positroid import _mask
 
@@ -186,6 +186,17 @@ class TestBoundsVerb:
             ("{{1},{2},{3}}", 6),
         ]
 
+    def test_reduced_bounds_add_the_coloop_bonus(self, capsys, colored_perm_file):
+        argv = ["bounds", "--perm", colored_perm_file, "--set", "1-2,5"]
+        code, obj = run_json(capsys, argv)
+        assert code == 0 and obj["reduced"] is True
+        assert min(obj["bounds"].values()) + obj["coloop_bonus"] == obj["rank"]
+        code, lines = run_text(capsys, argv)
+        assert code == 0
+        assert "(loops and coloops were stripped first; 1 coloops counted)" in lines
+        low = min(int(ln.rsplit(" = ", 1)[1]) for ln in lines if ln.startswith("nbd "))
+        assert lines[-1] == f"minimum + coloops (= rank) = {low} + 1 = {obj['rank']}"
+
 
 class TestMorphTraceVerb:
     def test_json_states(self, capsys, ref_perm_file):
@@ -316,6 +327,32 @@ class TestReproVerb:
         assert code == 0
         assert all(ln.startswith("ok") or "checks passed" in ln for ln in lines)
         assert "all" in lines[-1] and "checks passed" in lines[-1]
+
+    def test_failures_are_reported(self, capsys, monkeypatch):
+        def wrong():
+            repro._eq(1, 2, "one is two")
+
+        def crash():
+            raise KeyError("boom")
+
+        checks = [("fine", lambda: None), ("wrong", wrong), ("crash", crash)]
+        monkeypatch.setattr(repro, "_CHECKS", checks)
+        assert [(r.name, r.ok, r.detail) for r in repro.run_all()] == [
+            ("fine", True, ""),
+            ("wrong", False, "one is two: got 1, expected 2"),
+            ("crash", False, "KeyError: 'boom'"),
+        ]
+        code, results = run_json(capsys, ["repro"])
+        assert code == 2
+        assert [r["ok"] for r in results] == [True, False, False]
+        code, lines = run_text(capsys, ["repro"])
+        assert code == 2
+        assert lines == [
+            "ok   fine",
+            "FAIL wrong: one is two: got 1, expected 2",
+            "FAIL crash: KeyError: 'boom'",
+            "1/3 checks passed",
+        ]
 
 
 class TestErrorPaths:

@@ -109,6 +109,10 @@ class TestCyclicInterval:
         assert wrap.contains_interval(CyclicInterval.empty(14))
         assert not CyclicInterval.empty(14).contains_interval(wrap)
 
+    def test_containment_across_ground_sets_refused(self):
+        with pytest.raises(ValidationError, match="different ground sets"):
+            CyclicInterval.span(1, 2, 5).contains_interval(CyclicInterval.span(1, 2, 6))
+
 
 def test_open_interval():
     assert open_interval(3, 8, 14).members == {4, 5, 6, 7}
@@ -264,6 +268,10 @@ class TestGale:
     def test_validation(self):
         with pytest.raises(ValidationError):
             gale_leq({1, 2}, {3}, 1, 4)
+
+    def test_repeats_rejected(self):
+        with pytest.raises(ValidationError, match="without repeats"):
+            gale_leq([1, 1], [1, 2], 1, 4)
 
     @settings(deadline=None)
     @given(st.integers(2, 8), st.data())

@@ -149,6 +149,10 @@ class TestNecklace:
         with pytest.raises(ValidationError, match="d <= n"):  # d = 3 with no sets to check
             GrassmannNecklace(0, 3, ())
 
+    def test_empty_necklace_has_no_entries(self):
+        with pytest.raises(ValidationError, match="no entries"):
+            GrassmannNecklace(0, 0, ()).at(1)
+
     def test_json_shape_checked(self):
         with pytest.raises(ValidationError):
             GrassmannNecklace.from_json({"sets": [1, 2]})

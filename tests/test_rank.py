@@ -73,6 +73,19 @@ class TestNonCrossingPartition:
     def test_empty(self):
         assert NonCrossingPartition.from_blocks(0, []).blocks == ()
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (((1, 2), ()), "empty block"),
+            (((2, 1),), "not ascending"),
+            (((2,), (1,)), "sorted by smallest element"),
+        ],
+    )
+    def test_direct_construction_is_not_canonicalized(self, blocks, message):
+        # from_blocks sorts; the constructor only checks
+        with pytest.raises(ValidationError, match=message):
+            NonCrossingPartition(2, blocks)
+
     @pytest.mark.parametrize("s, blocks", [(2, ((1.0, 2),)), (1, ((True,),)), (True, ((1,),))])
     def test_non_int_data_rejected(self, s, blocks):
         # 1.0 == 1 and True == 1 would pass every range and cover check

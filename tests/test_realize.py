@@ -24,6 +24,7 @@ from positroids import (
     row_rank,
 )
 from positroids import realize
+from positroids.positroid import BASIS_ENUMERATION_CAP
 from positroids.cli import main
 
 from helpers import decorated_positroids
@@ -83,6 +84,10 @@ class TestRationalMatrix:
             RationalMatrix.from_rows([["1/0"]])
         with pytest.raises(ValidationError):
             RationalMatrix.from_rows([["abc"]])
+
+    def test_constructor_takes_parsed_entries_only(self):
+        with pytest.raises(ValidationError, match="from_rows parses strings"):
+            RationalMatrix((("1/2",),))
 
     def test_shape_checks(self):
         with pytest.raises(ValidationError, match="unequal"):
@@ -327,6 +332,24 @@ class TestPositroidFromMatrix:
             loops += bool(P.perm.white)
             coloops += bool(P.perm.black)
         assert loops > 20 and coloops > 20
+        # the benchmark's shapes: dense 3x10 and 5x16, sparse 5x14
+        for r, n, ops in ((3, 10, 400), (5, 16, 400), (5, 14, 13)):
+            A = random_tnn_matrix(r, n, rng, ops=ops)
+            P = positroid_from_matrix(A)
+            assert P == Positroid.from_necklace(necklace_from_bases(matroid_from_matrix(A)))
+
+    def test_bases_past_the_recheck_are_the_nonzero_minors(self):
+        # past BASIS_ENUMERATION_CAP no re-check runs, so the necklace walked
+        # off the scan alone must give exactly the nonzero minors
+        rng = random.Random(21)
+        for _ in range(30):
+            n = rng.randint(21, 40)
+            A = random_tnn_matrix(rng.randint(1, 3), n, rng, ops=rng.randint(0, 400))
+            P = positroid_from_matrix(A)
+            assert n > BASIS_ENUMERATION_CAP
+            columns, _ = realize._integer_columns(A.entries)
+            for cols, value in realize._lex_minors(columns, A.r):
+                assert P.is_basis(cols) == (value != 0), (A, cols)
 
     def test_failed_recheck_is_a_contract_violation(self, monkeypatch):
         A = RationalMatrix.from_rows(A_ROWS)
@@ -337,7 +360,7 @@ class TestPositroidFromMatrix:
     def test_invalid_greedy_necklace_is_a_contract_violation(self, monkeypatch):
         A = RationalMatrix.from_rows(A_ROWS)
         sets = (frozenset({1, 2}), frozenset({1, 3}), frozenset({3, 4}), frozenset({2, 4}))
-        monkeypatch.setattr(realize, "_greedy_necklace", lambda columns, r: sets)
+        monkeypatch.setattr(realize, "_transition_walk", lambda n, first, bases: sets)
         with pytest.raises(ContractViolationError, match="necklace"):
             positroid_from_matrix(A)
 
@@ -352,6 +375,10 @@ class TestRandomTnn:
             assert is_totally_nonnegative(A)
             P = positroid_from_matrix(A)
             assert frozenset(enumerate_bases(P)) == matroid_from_matrix(A).bases
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValidationError, match="need 1 <= r <= n"):
+            random_tnn_matrix(3, 2, random.Random(0))
 
     def test_deterministic_for_fixed_seed(self):
         A1 = random_tnn_matrix(2, 5, random.Random(42))
