@@ -44,7 +44,9 @@ def _read_json(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError, undecodable bytes and over-long
+    # integers; a deeply nested file ends the decoder in RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -330,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_PARTITION_LIMIT,
         metavar="N",
-        help="max interval count for a certificate (default %(default)s)",
+        help="max interval count for --all-bounds (default %(default)s)",
     )
 
     p_bounds = sub.add_parser(

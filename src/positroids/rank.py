@@ -11,10 +11,10 @@ complement is the open gap (b, a):
 where minelts is the fewest elements a basis can have in the open gap
 (b, a). For a union E of s intervals, every non-crossing partition of the
 interval indices gives an upper bound on rank(E), and the minimum over all
-of them is exact. rank_dp() and rank() (with its certificate) read it off one
-O(s^3) table, which builds its s^2/2 chain steps once and spends the about
-s^3/3 remaining additions in C-level min/map; only enumerate_ncp() and
-all_bounds=True list partitions, by one generator that never recurses.
+of them is exact. rank_dp() and rank() read it, and rank() a certificate by
+(bound, nodes) keys, off one O(s^3) table, which builds its s^2/2 chain steps
+once and spends the about s^3/3 remaining additions in C-level min/map; only
+all_bounds=True lists partitions, by enumerate_ncp(), which never recurses.
 
 Arrow counts come from the positroid's own ArrowTable (see
 positroids.positroid), whose one kind of row holds the O(n) prefix counts of
@@ -183,7 +183,7 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
     if s > limit:
         raise EnumerationLimitError(
             f"enumerating non-crossing partitions of {s} intervals exceeds the "
-            f"limit {limit}; rank_dp computes the rank without a certificate"
+            f"limit {limit}; rank and rank_dp answer without listing them"
         )
     for raw in _raw_ncps(1, s):
         yield _unchecked(NonCrossingPartition, s=s, blocks=raw)
@@ -381,41 +381,41 @@ def rank(
     """rank(E) as the minimum of nbd(E, Π) over non-crossing partitions Π.
 
     Every Π is an upper bound and at least one is tight, so the minimum is
-    the exact rank; it is read off the rank_dp table. The certificate is
-    the first optimal partition in enumeration order, found by a walk down
-    that table that tries at most 2^(s-1) head blocks. It is capped at
-    `limit` intervals (after reduction); past that use rank_dp, which needs
-    no cap. Only all_bounds enumerates all Catalan(s) partitions. The
-    certificate's blocks come out in enumeration order, canonical like
-    _raw_ncps's, so no partition here is re-checked.
+    the exact rank, read off the rank_dp table. So is the certificate, the
+    first optimal partition in enumeration order, in O(s^3): per range
+    lo..hi on its path, key[j] = bound * (s + 1) + nodes is the cheapest end
+    of lo's block from node j, and the head steps to the least node
+    keeping the key: _heads order. Only all_bounds lists partitions, capped
+    by enumerate_ncp's `limit`. Blocks come out canonical, none re-checked.
     """
     _check_ints((limit,), "limit")
     Q, decomp, bonus = _query(P, E)
     s = decomp.s
-    if s > max(limit, 0):
-        raise EnumerationLimitError(
-            f"E decomposes into {s} intervals, past the certificate limit {limit}; "
-            f"rank_dp computes the value without enumerating partitions"
-        )
+    listing = all_bounds and list(enumerate_ncp(s, limit=max(limit, 0)))
     seg_to, w = _rank_table(Q, decomp)
-    d = Q.d
-    # a partition is optimal iff its head block's bound plus its runs' entries
-    # reach its range's entry and each run is optimal; so take the first such
-    # head, then walk its runs in order: blocks come out in enumeration order
+    d, m = Q.d, s + 1
+    # steps[j - 1][k - j - 1]: key cost of step j -> k, any range
+    steps = [[(seg_to[k - 1][j + 1] - w[j - 1][k - 1]) * m + 1 for k in range(j + 1, m)]
+             for j in range(1, m)]
     best: list[tuple[int, ...]] = []
     pending = [(1, s)] if s else []
     while pending:
         lo, hi = pending.pop()
-        for block in _heads(lo, hi):
-            runs = _runs(block, hi)
-            if _block_bound(block, w, d) + sum(seg_to[b][a] for a, b in runs) == seg_to[hi][lo]:
-                break
-        else:
+        # ends[j]: close at j, step to j + 1, ...; nodes < m: min orders (bound, nodes)
+        key, ends = [0] * (hi + 1), [[]] * (hi + 1)
+        for j in range(hi, lo - 1, -1):
+            ends[j] = [(d - w[j - 1][lo - 1] + seg_to[hi][j + 1]) * m, *map(add, steps[j - 1], key[j + 1:])]
+            key[j] = min(ends[j])
+        if key[lo] // m != seg_to[hi][lo]:
             raise ContractViolationError(
                 f"no partition of intervals {lo}..{hi} attains the rank table's {seg_to[hi][lo]}"
             )
-        best.append(block)
-        pending.extend(reversed(runs))
+        block, j = [lo], lo
+        while step := ends[j].index(key[j]):
+            j += step
+            block.append(j)
+        best.append(tuple(block))
+        pending.extend(reversed(_runs(best[-1], hi)))
     return RankCertificate(
         value=seg_to[s][1] + bonus,
         decomposition=decomp,
@@ -424,11 +424,9 @@ def rank(
         coloop_bonus=bonus,
         reduced=Q is not P,
         all_bounds=tuple(sorted(
-            ((_unchecked(NonCrossingPartition, s=s, blocks=raw),
-              sum(_block_bound(b, w, d) for b in raw))
-             for raw in _raw_ncps(1, s)),
+            ((ncp, sum(_block_bound(b, w, d) for b in ncp.blocks)) for ncp in listing),
             key=lambda pair: (len(pair[0].blocks), pair[0].blocks),
-        )) if all_bounds else None,
+        )) if listing else None,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -141,6 +142,37 @@ def first_min_by_enumeration(P: Positroid, E) -> tuple[int, tuple, tuple[int, ..
     best = min(enumerate_ncp(D.s), key=lambda ncp: bound_for_partition(Q, D, ncp))
     per_block = tuple(natural_bound(Q, D.restrict(block)) for block in best.blocks)
     return sum(per_block) + len(frozenset(E) & P.perm.black), best.blocks, per_block
+
+
+def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...]]:
+    """(value, blocks, per-block bounds) of rank(P, E)'s certificate by the
+    head-by-head search down the rank table: per range lo..hi, the first
+    block containing lo, by size and then lexicographically, whose bound plus
+    its runs' table entries reaches the range's entry; then its runs, in
+    order, on an explicit stack. It tries up to 2^(s-1) heads per range, so
+    it is a reference for s up to about 14, past enumeration's reach."""
+    rank_module = importlib.import_module("positroids.rank")
+    Q, decomp, bonus = rank_module._query(P, E)
+    seg_to, w = rank_module._rank_table(Q, decomp)
+
+    def bound(block: tuple[int, ...]) -> int:
+        return Q.d - sum(w[t - 1][u - 1] for t, u in zip(block, block[1:] + block[:1]))
+
+    best: list[tuple[int, ...]] = []
+    pending = [(1, decomp.s)] if decomp.s else []
+    while pending:
+        lo, hi = pending.pop()
+        heads = ((lo,) + extra for k in range(hi - lo + 1)
+                 for extra in combinations(range(lo + 1, hi + 1), k))
+        for block in heads:
+            runs = [(x + 1, y - 1) for x, y in zip(block, block[1:] + (hi + 1,)) if y > x + 1]
+            if bound(block) + sum(seg_to[b][a] for a, b in runs) == seg_to[hi][lo]:
+                break
+        else:
+            raise AssertionError(f"no head of {lo}..{hi} attains {seg_to[hi][lo]}")
+        best.append(block)
+        pending.extend(reversed(runs))
+    return seg_to[decomp.s][1] + bonus, tuple(best), tuple(map(bound, best))
 
 
 def reference_rank_table(w: list[list[int]], d: int) -> list[list[int]]:

@@ -373,16 +373,15 @@ def _duality_seeded():
         def shift(E):
             return frozenset((x + k - 1) % n + 1 for x in E)
 
-        # rank() walks up to 2^(s-1) head blocks, so its identity runs at s <= 12
         small = random_union(n, rng.randrange(1, 13), rng)
         large = random_union(n, rng.randrange(13, 41), rng)
         for E in (small, large):
             rest, r = ground - E, rank_dp(P, E)
             assert rank_dp(Q, rest) == len(rest) - P.d + r, (P.perm, sorted(E))
             assert rank_dp(R, shift(E)) == r, (P.perm, sorted(E), k)
-        rest, value = ground - small, rank(P, small).value
-        assert rank(Q, rest).value == len(rest) - P.d + value, (P.perm, sorted(small))
-        assert rank(R, shift(small)).value == value, (P.perm, sorted(small), k)
+            value = rank(P, E).value
+            assert rank(Q, rest).value == len(rest) - P.d + value, (P.perm, sorted(E))
+            assert rank(R, shift(E)).value == value, (P.perm, sorted(E), k)
         W = witness_basis(P, small)
         e, f = rng.choice(sorted(W)), rng.choice(sorted(ground - W))
         for B in (W, W - {e} | {f}, frozenset(rng.sample(sorted(ground), P.d))):

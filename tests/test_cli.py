@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from positroids import ContractViolationError, ValidationError, morph, repro
+from positroids import ContractViolationError, Positroid, ValidationError, morph, rank_dp, repro
 from positroids.cli import main
 from positroids.positroid import _mask
 
@@ -151,25 +151,40 @@ class TestRankVerb:
         assert "error:" in capsys.readouterr().err
 
     def test_partition_cap(self, capsys, tmp_path):
+        # 17 intervals: past the default cap, which bounds only the listing
+        # of every partition, so the plain certificate answers
         n = 34
+        pi = list(range(2, n + 1)) + [1]
         big = tmp_path / "n34.json"
-        big.write_text(json.dumps({"n": n, "pi": list(range(2, n + 1)) + [1]}))
+        big.write_text(json.dumps({"n": n, "pi": pi}))
         spec = ",".join(str(k) for k in range(1, n, 2))
-        code = main(["rank", "--perm", str(big), "--set", spec])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "rank_dp" in err
+        code, obj = run_json(capsys, ["rank", "--perm", str(big), "--set", spec])
+        assert code == 0
+        assert len(obj["intervals"]) == 17
+        assert obj["rank"] == rank_dp(Positroid.from_oneline(pi), range(1, n, 2)) == 1
+        for argv in (["rank", "--all-bounds"], ["bounds"]):
+            code = main(argv + ["--perm", str(big), "--set", spec])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and "rank_dp" in line
 
     def test_raised_limit(self, capsys, ref_perm_file):
+        # --limit-s governs only --all-bounds: seven intervals certify under
+        # --limit-s 4 and list their Catalan(7) = 429 bounds only under 7
         spec = ",".join(str(k) for k in range(1, 14, 2))
-        code = main(["rank", "--perm", ref_perm_file, "--set", spec, "--limit-s", "4"])
-        assert code == 1
-        capsys.readouterr()
-        code, obj = run_json(
-            capsys, ["rank", "--perm", ref_perm_file, "--set", spec, "--limit-s", "7"]
-        )
+        argv = ["rank", "--perm", ref_perm_file, "--set", spec]
+        code, obj = run_json(capsys, argv + ["--limit-s", "4"])
         assert code == 0
         assert obj["rank"] == 6
+        code = main(argv + ["--limit-s", "4", "--all-bounds"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        code, obj = run_json(capsys, argv + ["--limit-s", "7", "--all-bounds"])
+        assert code == 0
+        assert obj["rank"] == 6
+        assert len(obj["bounds"]) == 429
 
 
 class TestBoundsVerb:
@@ -367,6 +382,26 @@ class TestErrorPaths:
         code = main(["necklace", "--perm", str(bad)])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff[]", b"[" * 200000 + b"]" * 200000, b'{"pi": [' + b"7" * 5000 + b"]}"],
+        ids=["undecodable", "deeply-nested", "long-integer"],
+    )
+    def test_malformed_file(self, capsys, tmp_path, content):
+        # bad bytes, nesting past the decoder's recursion limit and an int
+        # past the digit limit are refused like any other invalid JSON
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code = main(["necklace", "--perm", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "not valid JSON" in line
+        code, obj = run_json(capsys, ["check", "--perm", str(bad)])
+        assert code == 1
+        assert obj["valid"] is False
 
     def test_no_input_given(self, capsys):
         code = main(["necklace"])

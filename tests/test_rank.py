@@ -3,6 +3,7 @@ import importlib
 import json
 import random
 import sys
+import time
 import weakref
 
 import pytest
@@ -37,7 +38,9 @@ from helpers import (
     brute_rank_table,
     decorated_positroids,
     first_min_by_enumeration,
+    head_search_certificate,
     random_decorated_positroid,
+    random_fpf_positroid,
     random_union,
     recursive_ncps,
     reference_rank_table,
@@ -334,12 +337,20 @@ class TestRank:
         assert bound_for_partition(ref_positroid, cert.decomposition, cert.partition) == cert.value
 
     def test_limit(self, ref_positroid):
+        # limit caps only the Catalan(s) listing of all_bounds; a plain
+        # certificate answers at any s, the same whatever the limit
+        E = {1, 3, 5, 7, 9, 11, 13}
+        cert = rank(ref_positroid, E, limit=6)
+        assert cert == rank(ref_positroid, E, limit=7)
+        assert cert.value == rank_dp(ref_positroid, E) == rank_bruteforce(ref_positroid, E)
         with pytest.raises(EnumerationLimitError, match="rank_dp"):
-            rank(ref_positroid, {1, 3, 5, 7, 9, 11, 13}, limit=6)
-        # rank_dp has no such cap
-        assert rank_dp(ref_positroid, {1, 3, 5, 7, 9, 11, 13}) == rank_bruteforce(
-            ref_positroid, {1, 3, 5, 7, 9, 11, 13}
-        )
+            rank(ref_positroid, E, all_bounds=True, limit=6)
+        assert len(rank(ref_positroid, E, all_bounds=True, limit=7).all_bounds) == 429
+        # a listing refuses s > max(limit, 0): the empty set lists its one
+        # partition even under a negative limit
+        assert len(rank(ref_positroid, (), all_bounds=True, limit=-1).all_bounds) == 1
+        with pytest.raises(EnumerationLimitError):
+            rank(ref_positroid, {1}, all_bounds=True, limit=0)
 
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
@@ -462,17 +473,59 @@ class TestOneEngine:
             rank(ref_positroid, E5, all_bounds=True)
 
     def test_certificate_past_catalan_reach(self):
-        # s = 16 at the default cap, where Catalan(16) is 35 million
-        # partitions. In U(2, 64) every block is worth 2, so the one block of
-        # all 16 intervals is the only optimum: the last of the 2^15 heads
-        # the walk tries, its worst case
-        n, d = 64, 2
-        P = Positroid.from_oneline(tuple((i + d - 1) % n + 1 for i in range(1, n + 1)))
-        E = [x for x in range(1, n + 1) if (x - 1) % 4 < 2]
-        cert = rank(P, E)
-        assert cert.decomposition.s == 16
-        assert cert.partition.blocks == (tuple(range(1, 17)),)
-        assert cert.value == cert.per_block_bounds[0] == rank_dp(P, E) == 2
+        # s = 16 and s = 32, where Catalan(s) is 35 million and 5.5e16
+        # partitions. In U(2, 4s) every block is worth 2, so the one block of
+        # all s intervals is the only optimum: the last of the 2^(s-1) heads
+        # in enumeration order, which the key read-off reaches directly
+        d = 2
+        for n in (64, 128):
+            s = n // 4
+            P = Positroid.from_oneline(tuple((i + d - 1) % n + 1 for i in range(1, n + 1)))
+            E = [x for x in range(1, n + 1) if (x - 1) % 4 < 2]
+            cert = rank(P, E)
+            assert cert.decomposition.s == s
+            assert cert.partition.blocks == (tuple(range(1, s + 1)),)
+            assert cert.value == cert.per_block_bounds[0] == rank_dp(P, E) == 2
+
+    def test_odd_elements_certify_quickly(self):
+        # E the odd elements of a random fixed-point-free positroid: s = n/2
+        # intervals, where a head-by-head search takes seconds to minutes on
+        # some seeds (tests/helpers.head_search_certificate)
+        for n in (40, 48, 56):
+            for seed in (1, 2, 3):
+                P = random_fpf_positroid(n, random.Random(seed))
+                E = range(1, n + 1, 2)
+                start = time.perf_counter()
+                cert = rank(P, E)
+                elapsed = time.perf_counter() - start
+                assert elapsed <= 1.0, (n, seed, elapsed)
+                assert cert.decomposition.s == n // 2
+                assert cert.value == sum(cert.per_block_bounds) == rank_dp(P, E), (n, seed)
+                NonCrossingPartition(cert.partition.s, cert.partition.blocks)
+
+    def test_matches_the_head_search_past_enumeration(self):
+        # up to s = 14, where enumeration's Catalan(14) = 2.7 million
+        # partitions per query is out of reach; every other query is on a
+        # d <= 2 positroid, where many partitions tie
+        rng = random.Random(1717)
+        sizes, trials = set(), 0
+        while trials < 400:
+            if trials % 2:
+                n = rng.randint(30, 90)
+                P = random_decorated_positroid(n, rng)
+                E = random_union(n, rng.randint(4, 14), rng)
+            else:
+                n = rng.randint(16, 32)
+                P = small_d_positroid(n, rng)
+                E = frozenset(x for x in range(1, n + 1) if x % 2 != (rng.random() < 0.15))
+            cert = rank(P, E)
+            if cert.decomposition.s > 14:
+                continue
+            trials += 1
+            sizes.add(cert.decomposition.s)
+            got = cert.value, cert.partition.blocks, cert.per_block_bounds
+            assert got == head_search_certificate(P, E), (P.perm, sorted(E))
+        assert max(sizes) == 14 and len(sizes) >= 10
 
 
 class TestRankTable:
