@@ -10,14 +10,18 @@ allowed, "" is the empty set).
 
 Exit codes: 0 success, 1 invalid input or an enumeration cap hit,
 2 internal contract violation (or a failed repro check). Set POSITROID_LOG
-to debug/info/warning/error to see diagnostics on stderr.
+to debug, info, warning, error or critical (any case) to see diagnostics on
+stderr; any other value means warning.
+
+Start-up leaves out what most verbs never run: the repro verb imports
+`repro` itself, and `logging` is imported only when POSITROID_LOG is set or
+a caught error is logged, so the other verbs do not compile them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from typing import Any
@@ -33,7 +37,6 @@ from .realize import (
     positroid_from_matrix,
     row_rank,
 )
-from .repro import run_all
 
 __all__ = ["main"]
 
@@ -286,6 +289,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
+    from .repro import run_all
+
     results = run_all()
     obj = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
     lines = [
@@ -377,11 +382,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("POSITROID_LOG", "").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
+    if level:
+        import logging
+
+        known = level in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+        logging.basicConfig(level=level if known else "WARNING", stream=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (ValidationError, EnumerationLimitError, ContractViolationError) as exc:
+        import logging
+
         logging.getLogger("positroids").debug("%s failed", args.verb, exc_info=True)
         internal = isinstance(exc, ContractViolationError)
         print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)

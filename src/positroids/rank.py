@@ -68,7 +68,7 @@ __all__ = [
     "rank_dp",
 ]
 
-DEFAULT_PARTITION_LIMIT = 16
+DEFAULT_PARTITION_LIMIT = 12
 
 
 @dataclass(frozen=True)

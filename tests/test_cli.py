@@ -1,6 +1,10 @@
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,24 +155,25 @@ class TestRankVerb:
         assert "error:" in capsys.readouterr().err
 
     def test_partition_cap(self, capsys, tmp_path):
-        # 17 intervals: past the default cap, which bounds only the listing
-        # of every partition, so the plain certificate answers
-        n = 34
-        pi = list(range(2, n + 1)) + [1]
-        big = tmp_path / "n34.json"
-        big.write_text(json.dumps({"n": n, "pi": pi}))
-        spec = ",".join(str(k) for k in range(1, n, 2))
-        code, obj = run_json(capsys, ["rank", "--perm", str(big), "--set", spec])
-        assert code == 0
-        assert len(obj["intervals"]) == 17
-        assert obj["rank"] == rank_dp(Positroid.from_oneline(pi), range(1, n, 2)) == 1
-        for argv in (["rank", "--all-bounds"], ["bounds"]):
-            code = main(argv + ["--perm", str(big), "--set", spec])
-            captured = capsys.readouterr()
-            assert code == 1
-            assert captured.out == ""
-            [line] = captured.err.splitlines()
-            assert line.startswith("error: ") and "rank_dp" in line
+        # 13 and 17 intervals: past the default cap of 12, which bounds only
+        # the listing of every partition, so the plain certificate answers
+        for n in (26, 34):
+            pi = list(range(2, n + 1)) + [1]
+            big = tmp_path / f"n{n}.json"
+            big.write_text(json.dumps({"n": n, "pi": pi}))
+            spec = ",".join(str(k) for k in range(1, n, 2))
+            code, obj = run_json(capsys, ["rank", "--perm", str(big), "--set", spec])
+            assert code == 0
+            assert len(obj["intervals"]) == n // 2
+            assert obj["rank"] == rank_dp(Positroid.from_oneline(pi), range(1, n, 2)) == 1
+            for argv in (["rank", "--all-bounds"], ["bounds"]):
+                code = main(argv + ["--perm", str(big), "--set", spec])
+                captured = capsys.readouterr()
+                assert code == 1
+                assert captured.out == ""
+                [line] = captured.err.splitlines()
+                assert line.startswith("error: ") and "rank_dp" in line
+                assert f"{n // 2} intervals exceeds the limit 12" in line
 
     def test_raised_limit(self, capsys, ref_perm_file):
         # --limit-s governs only --all-bounds: seven intervals certify under
@@ -476,3 +481,47 @@ class TestErrorPaths:
     def test_json_text_mutually_exclusive(self, ref_perm_file):
         with pytest.raises(SystemExit):
             main(["necklace", "--perm", ref_perm_file, "--json", "--text"])
+
+
+def run_fresh(args, log=None):
+    """A fresh interpreter with this package first on its path and
+    POSITROID_LOG set to `log` (unset for None)."""
+    env = {key: val for key, val in os.environ.items() if key != "POSITROID_LOG"}
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if log is not None:
+        env["POSITROID_LOG"] = log
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestStartUp:
+    """Each CLI process imports what its verb runs and nothing more."""
+
+    def test_import_leaves_repro_and_logging_unloaded(self):
+        bare = run_fresh(["-c", "import sys; print('logging' in sys.modules)"])
+        proc = run_fresh([
+            "-c",
+            "import sys, positroids.cli; "
+            "print('positroids.repro' in sys.modules, 'logging' in sys.modules)",
+        ])
+        assert bare.returncode == proc.returncode == 0
+        # logging stays out unless a bare interpreter already loads it
+        assert proc.stdout.split() == ["False", bare.stdout.strip()]
+
+    def test_debug_log_reaches_stderr(self):
+        proc = run_fresh(["-m", "positroids.cli", "necklace"], log="debug")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "DEBUG:positroids:necklace failed" in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: no positroid given")
+
+    @pytest.mark.parametrize("log", [None, "basic_format", "Info", "nonsense"])
+    def test_repro_runs_under_any_log_setting(self, log):
+        # only the five level names configure logging; basic_format, a
+        # logging attribute but no level, means warning like any other value
+        proc = run_fresh(["-m", "positroids.cli", "repro", "--text"], log=log)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1].startswith("all ")
+        assert "Traceback" not in proc.stderr

@@ -352,6 +352,17 @@ class TestRank:
         with pytest.raises(EnumerationLimitError):
             rank(ref_positroid, {1}, all_bounds=True, limit=0)
 
+    def test_default_limit_refuses_thirteen_intervals(self):
+        # Catalan(13) = 742,900 partitions: the listing is refused with the
+        # cap named, while the plain certificate answers
+        P = Positroid.from_oneline(tuple(range(2, 27)) + (1,))
+        E = range(1, 26, 2)
+        with pytest.raises(EnumerationLimitError, match="13 intervals exceeds the limit 12"):
+            rank(P, E, all_bounds=True)
+        cert = rank(P, E)
+        assert cert.decomposition.s == 13
+        assert cert.value == rank_dp(P, E) == 1
+
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
         for E in all_subsets(5):
