@@ -57,6 +57,14 @@ def _check_ints(values: Iterable, what: str) -> None:
         raise ValidationError(f"{what} must be integers, got {bad!r}")
 
 
+def _check_distinct(values: tuple, what: str) -> None:
+    """Reject a listing that names an element twice, which freezing would
+    read as a smaller set; run after _check_ints, so a bool is named as one."""
+    if len(set(values)) != len(values):
+        x = next(x for i, x in enumerate(values) if x in values[:i])
+        raise ValidationError(f"{what} {list(values)} lists {x} twice")
+
+
 def _as_tuple(values: object, what: str) -> tuple:
     """values as a tuple, or ValidationError when they are not iterable."""
     try:
@@ -255,8 +263,8 @@ class IntervalDecomposition:
     in the plain linear order on 1..n. Maximality means no interval's end
     touches the next interval's start, so consecutive intervals are
     separated by nonempty gaps (unless the set is the whole circle, which
-    is stored as the single interval (1, n); that is the one case where the
-    "gap" is empty).
+    is stored, and must be written, as the single interval (1, n); that is
+    the one case where the "gap" is empty).
     """
 
     n: int
@@ -272,6 +280,10 @@ class IntervalDecomposition:
             _check_element(x, n)
         if starts != sorted(starts):
             raise ValidationError("intervals must be sorted by left endpoint")
+        if len(intervals) == 1:
+            ((a, b),) = intervals
+            if a == b % n + 1 and a != 1:
+                raise ValidationError(f"the whole circle is written (1, {n}), not ({a}, {b})")
         if len(intervals) > 1:
             # sorted intervals are disjoint iff each fits in the room up to
             # the next start, and maximal iff none fills that room exactly

@@ -47,6 +47,7 @@ from typing import Iterable, Iterator
 
 from .cyclic import (
     _as_tuple,
+    _check_distinct,
     _check_element,
     _check_ints,
     _check_nonnegative,
@@ -247,6 +248,7 @@ class GrassmannNecklace:
         for i, entries in enumerate(raw, start=1):
             # before freezing: {1, True} would collapse to {1} and hide the bool
             _check_ints(entries, f"entries of I_{i}")
+            _check_distinct(entries, f"I_{i}")
         frozen = tuple(frozenset(s) for s in raw)
         if n is None:
             n = len(frozen)

@@ -7,14 +7,14 @@ minor's zero-ness; the rational minor is the integer one divided by the
 product of those lcms. Integer minors come from fraction-free (Bareiss)
 elimination, whose every division is exact.
 
-One lex-order scan (_lex_minors) yields the minor of every r-subset of
-columns. It walks the prefix tree of the subsets: each column prefix is
-eliminated once, for all of its extensions, and a prefix whose newest column
-lies in the span of the earlier ones yields zeros for its whole subtree. A
-subset is a basis iff its minor is nonzero, and the matroid is a positroid
-iff every maximal minor is nonnegative, so positroid_from_matrix reads both
-off that one scan, and its Grassmann necklace too, walked by the transition
-rule from the first basis the scan yields.
+One lex-order scan (_lex_minors) yields the minor of every basis, the
+r-subsets of columns with a nonzero minor. It walks the prefix tree of the
+subsets: each column prefix is eliminated once, for all of its extensions,
+and a column that depends on the prefix is dropped with its whole subtree.
+The matroid is a positroid iff every maximal minor is nonnegative, so
+positroid_from_matrix reads the bases and their signs off that one scan,
+and its Grassmann necklace too, walked by the transition rule from the
+first basis the scan yields.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .cyclic import (
     _as_tuple,
+    _check_distinct,
     _check_ints,
     _check_nonnegative,
     _check_type,
@@ -58,8 +59,8 @@ __all__ = [
     "random_tnn_matrix",
 ]
 
-# C(n, r) cap for scanning all column subsets; past this the scan would not
-# finish at desk scale anyway
+# cap on C(n, r), the scan's dense worst case; a sparse matrix's scan costs
+# only its live prefixes, but a dense one past this would not finish at desk scale
 MINOR_SCAN_CAP = 200_000
 
 # the exchange check is quadratic, so bigger collections, such as repro's
@@ -175,12 +176,10 @@ def _integer_columns(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
 _Pivot = tuple[int, int, list[int]]
 
 
-def _pivot(v: list[int]) -> _Pivot | None:
-    """The pivot of a reduced column; None if it is zero (dependent)."""
-    for idx, x in enumerate(v):
-        if x:
-            return idx, x, v[:idx] + v[idx + 1:]
-    return None
+def _pivot(v: list[int]) -> _Pivot:
+    """The pivot of a nonzero reduced column; a zero one has none (dependent)."""
+    idx = next(i for i, x in enumerate(v) if x)
+    return idx, v[idx], v[:idx] + v[idx + 1:]
 
 
 def _reduce(v: list[int], pivot: _Pivot, prev: int) -> list[int]:
@@ -191,14 +190,15 @@ def _reduce(v: list[int], pivot: _Pivot, prev: int) -> list[int]:
 
 
 def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(cols, integer minor) for every r-subset of the columns, in lex order.
+    """(cols, integer minor) for every basis among the columns, in lex order.
 
     Depth-first down the prefix tree, with an explicit stack of nodes
     (candidates, next child, prefix, prev, sign): the candidates are the
-    columns after the prefix, reduced against it; prev is the prefix's last
-    pivot value and sign the parity of its dropped coordinates. A node with
-    one column left to choose has one coordinate left per candidate, the
-    minor. Raises EnumerationLimitError past MINOR_SCAN_CAP subsets.
+    columns after the prefix, reduced against it, less those in its span,
+    which reduce to zero; prev is the prefix's last pivot value and sign the
+    parity of its dropped coordinates. A node with one column left to choose
+    has one coordinate, the minor, left per candidate. Raises
+    EnumerationLimitError past MINOR_SCAN_CAP subsets.
     """
     n = len(columns)
     if comb(n, r) > MINOR_SCAN_CAP:
@@ -208,7 +208,7 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
     if r == 0:
         yield (), 1
         return
-    stack = [(list(enumerate(columns, start=1)), 0, (), 1, 1)]
+    stack = [([(c, v) for c, v in enumerate(columns, start=1) if any(v)], 0, (), 1, 1)]
     while stack:
         cands, i, prefix, prev, sign = stack.pop()
         need = r - len(prefix)
@@ -221,11 +221,7 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
         stack.append((cands, i + 1, prefix, prev, sign))
         col, v = cands[i]
         pivot = _pivot(v)
-        if pivot is None:
-            for rest in combinations([c for c, _ in cands[i + 1:]], need - 1):
-                yield prefix + (col,) + rest, 0
-            continue
-        reduced = [(c, _reduce(w, pivot, prev)) for c, w in cands[i + 1:]]
+        reduced = [(c, w) for c, u in cands[i + 1:] if any(w := _reduce(u, pivot, prev))]
         stack.append((reduced, 0, prefix + (col,), pivot[1], -sign if pivot[0] & 1 else sign))
 
 
@@ -236,8 +232,8 @@ def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
     if len(idx) != A.r:
         raise ValidationError(f"maximal minors take exactly {A.r} columns, got {len(idx)}")
     columns, scale = _integer_columns(A.column_submatrix(idx))
-    # the one r-subset of r columns, kept in the given order
-    ((_, value),) = _lex_minors(columns, A.r)
+    # the one r-subset of r columns, kept in the given order; no basis, minor 0
+    value = next((value for _, value in _lex_minors(columns, A.r)), 0)
     return Fraction(value, scale)
 
 
@@ -248,9 +244,8 @@ def _rank(columns: list[list[int]]) -> int:
         for pivot in pivots:
             v = _reduce(v, pivot, prev)
             prev = pivot[1]
-        pivot = _pivot(v)
-        if pivot is not None:
-            pivots.append(pivot)
+        if any(v):
+            pivots.append(_pivot(v))
     return len(pivots)
 
 
@@ -308,7 +303,10 @@ class BasisCollection:
     @classmethod
     def from_sets(cls, bases: Iterable[Iterable[int]], n: int) -> "BasisCollection":
         _check_nonnegative(n, "n")
-        frozen = frozenset(_checked_subset(B, n) for B in _as_tuple(bases, "bases"))
+        listed = [_as_tuple(B, "set elements") for B in _as_tuple(bases, "bases")]
+        frozen = frozenset(_checked_subset(B, n) for B in listed)
+        for B in listed:
+            _check_distinct(B, "basis")
         d = len(next(iter(frozen))) if frozen else 0
         return cls(n, d, frozen)
 
@@ -322,7 +320,7 @@ def matroid_from_matrix(A: RationalMatrix) -> BasisCollection:
     _check_type(A, RationalMatrix, "A")
     columns, _ = _integer_columns(A.entries)
     _require_full_row_rank(A, columns)
-    bases = frozenset(frozenset(cols) for cols, value in _lex_minors(columns, A.r) if value)
+    bases = frozenset(frozenset(cols) for cols, _ in _lex_minors(columns, A.r))
     return _unchecked(BasisCollection, n=A.n, d=A.r, bases=bases)
 
 
@@ -424,8 +422,7 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
                 f"matrix is not totally nonnegative: minor at columns "
                 f"{cols} equals {Fraction(value, scale)}"
             )
-        if value:
-            nonzero.append(frozenset(cols))
+        nonzero.append(frozenset(cols))
     bases = frozenset(nonzero)
     try:
         return _certified_positroid(A.n, A.r, _transition_walk(A.n, nonzero[0], bases), bases)

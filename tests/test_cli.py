@@ -463,6 +463,17 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "must be integers" in captured.err
 
+    @pytest.mark.parametrize("sets", [[[1, 1], [2, 2]], [[1, 2, 2], [2, 1]]])
+    def test_repeated_necklace_entry(self, capsys, tmp_path, sets):
+        # read as sets, these were once a valid d = 1 necklace and two black
+        # fixed points
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "sets": sets}))
+        code, obj = run_json(capsys, ["check", "--necklace", str(bad)])
+        assert code == 1
+        assert obj["valid"] is False
+        assert "I_1" in obj["error"] and "twice" in obj["error"]
+
     def test_non_integer_necklace_entry(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sets": [[1, "2"], [2, 1]]}))

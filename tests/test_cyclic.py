@@ -192,6 +192,7 @@ class TestDecompose:
         (((None, None),), "integers"),
         (((0, 2),), "out of range"),
         (((5, 7),), "out of range"),
+        (((3, 2),), r"whole circle is written \(1, 6\)"),  # the circle from 3
     ])
     def test_invalid_construction_messages(self, intervals, message):
         with pytest.raises(ValidationError, match=message):
@@ -199,7 +200,8 @@ class TestDecompose:
 
     def test_endpoint_check_matches_member_sets(self):
         # the O(s) check from endpoints accepts exactly the sorted tuples of
-        # disjoint intervals that leave a gap after each one (s > 1)
+        # disjoint intervals that leave a gap after each one (s > 1), and
+        # the whole circle only as (1, n)
         for n in range(1, 6):
             pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
             for s in range(4):
@@ -210,6 +212,7 @@ class TestDecompose:
                         sum(map(len, arcs)) == len(union)
                         and [a for a, _ in intervals] == sorted(a for a, _ in intervals)
                         and (s < 2 or all(b % n + 1 not in union for _, b in intervals))
+                        and (len(union) < n or intervals == ((1, n),))
                     )
                     try:
                         IntervalDecomposition(n, intervals)

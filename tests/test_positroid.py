@@ -141,6 +141,18 @@ class TestNecklace:
         with pytest.raises(ValidationError, match="integers"):
             GrassmannNecklace.from_sets(sets, 2)
 
+    @pytest.mark.parametrize("sets, named", [
+        (([1, 1], [2, 2]), r"I_1 \[1, 1\] lists 1 twice"),
+        (([1, 2, 2], [2, 1]), r"I_1 \[1, 2, 2\] lists 2 twice"),
+        (([1, 2], [2, 1, 1]), r"I_2 \[2, 1, 1\] lists 1 twice"),
+        # the int check runs first, so a bool next to its twin is named a bool
+        (([1, True], [2, 1]), "integers, got True"),
+    ])
+    def test_repeated_entry_rejected(self, sets, named):
+        # frozen, [1, 2, 2] would read as the smaller set {1, 2}
+        with pytest.raises(ValidationError, match=named):
+            GrassmannNecklace.from_sets(sets, 2)
+
     def test_direct_construction_checks_entries(self):
         with pytest.raises(ValidationError, match="integers"):
             GrassmannNecklace(2, 1, (frozenset({"1"}), frozenset({"1"})))

@@ -140,17 +140,48 @@ class TestMinors:
         assert maximal_minor(A, (3, 1)) == -4
 
     def test_every_minor_matches_leibniz(self):
+        # the scan lists exactly the subsets with a nonzero minor, in lex
+        # order; maximal_minor answers every subset, zeros included
         rng = random.Random(11)
         for A in seeded_matrices(3, 150):
             columns, scale = realize._integer_columns(A.entries)
             scanned = list(realize._lex_minors(columns, A.r))
-            assert [cols for cols, _ in scanned] == list(combinations(range(1, A.n + 1), A.r))
+            expected = {
+                cols: value
+                for cols in combinations(range(1, A.n + 1), A.r)
+                if (value := leibniz(A.column_submatrix(cols)))
+            }
+            assert [cols for cols, _ in scanned] == list(expected), A
             for cols, value in scanned:
-                expected = leibniz(A.column_submatrix(cols))
-                assert Fraction(value, scale) == expected, (A, cols)
-                assert maximal_minor(A, cols) == expected, (A, cols)
+                assert Fraction(value, scale) == expected[cols], (A, cols)
+            for cols in combinations(range(1, A.n + 1), A.r):
+                assert maximal_minor(A, cols) == expected.get(cols, 0), (A, cols)
                 shuffled = rng.sample(cols, len(cols))
                 assert maximal_minor(A, shuffled) == leibniz(A.column_submatrix(shuffled))
+
+    @pytest.mark.parametrize("rows", [
+        # column 2 is zero: its subtree dies at the root
+        [[1, 0, 2, 1, 0], [0, 0, 1, 3, 1], [2, 0, 0, 1, 1]],
+        # column 4 repeats column 1: it dies under the prefix (1,)
+        [[1, 2, 0, 1, 3], [0, 1, 1, 0, 2], [1, 0, 2, 1, 1]],
+        # column 4 = column 1 + column 2: it dies under the prefix (1, 2)
+        [[1, 0, 2, 1, 3], [0, 1, 1, 1, 2], [1, 1, 0, 2, 1]],
+        # all three at once, in a 3x7
+        [[1, 0, 0, 1, 1, 2, 0], [0, 1, 0, 0, 1, 1, 1], [2, 1, 0, 2, 3, 0, 1]],
+    ])
+    def test_dependent_columns_leave_the_scan(self, rows):
+        A = RationalMatrix.from_rows(rows)
+        columns, _ = realize._integer_columns(A.entries)
+        scanned = list(realize._lex_minors(columns, A.r))
+        bases = [cols for cols, _ in scanned]
+        subsets = list(combinations(range(1, A.n + 1), A.r))
+        assert bases == [cols for cols in subsets if leibniz(A.column_submatrix(cols))]
+        assert {frozenset(cols) for cols in bases} == matroid_from_matrix(A).bases
+        assert all(value for _, value in scanned)
+        dependent = set(subsets) - set(bases)
+        assert dependent
+        for cols in dependent:
+            assert maximal_minor(A, cols) == Fraction(0)
 
     def test_row_rank(self):
         assert row_rank(RationalMatrix.from_rows(A_ROWS)) == 2
@@ -215,6 +246,15 @@ class TestBasisCollection:
             BasisCollection.from_sets([{1, 2}, {3}], n=3)
         with pytest.raises(ValidationError):
             BasisCollection.from_sets([{0, 1}], n=3)
+
+    def test_repeated_element_rejected(self):
+        # frozen, [1, 1, 2] would read as the basis {1, 2} of a rank-2 collection
+        with pytest.raises(ValidationError, match=r"basis \[1, 1, 2\] lists 1 twice"):
+            BasisCollection.from_sets([[1, 1, 2], [2, 3, 3]], 3)
+        with pytest.raises(ValidationError, match=r"basis \[2, 3, 3\] lists 3 twice"):
+            BasisCollection.from_sets([[1, 2, 3], [2, 3, 3]], 3)
+        with pytest.raises(ValidationError, match="integers, got True"):
+            BasisCollection.from_sets([[1, True]], 3)
 
     def test_exchange_axiom_enforced(self):
         with pytest.raises(ValidationError, match="exchange"):
@@ -348,8 +388,11 @@ class TestPositroidFromMatrix:
             P = positroid_from_matrix(A)
             assert n > BASIS_ENUMERATION_CAP
             columns, _ = realize._integer_columns(A.entries)
-            for cols, value in realize._lex_minors(columns, A.r):
-                assert P.is_basis(cols) == (value != 0), (A, cols)
+            # the scan lists the bases only, so the subsets it leaves out are
+            # checked too
+            scanned = {cols for cols, _ in realize._lex_minors(columns, A.r)}
+            for cols in combinations(range(1, n + 1), A.r):
+                assert P.is_basis(cols) == (cols in scanned), (A, cols)
 
     def test_failed_recheck_is_a_contract_violation(self, monkeypatch):
         A = RationalMatrix.from_rows(A_ROWS)
