@@ -90,8 +90,10 @@ def _fmt_set(members) -> str:
 def _cmd_necklace(args: argparse.Namespace) -> int:
     P = _load_positroid(args)
     neck = P.necklace
-    obj = {"n": neck.n, "d": neck.d, "sets": [sorted(neck.at(k)) for k in range(1, neck.n + 1)]}
-    lines = [f"I_{k} = {_fmt_set(neck.at(k))}" for k in range(1, neck.n + 1)]
+    # sorted members straight off the masks; no frozenset is built
+    sets = neck.to_json()["sets"]
+    obj = {"n": neck.n, "d": neck.d, "sets": sets}
+    lines = [f"I_{k} = {_fmt_set(I)}" for k, I in enumerate(sets, start=1)]
     _emit(args, obj, lines)
     return 0
 

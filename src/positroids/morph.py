@@ -11,15 +11,16 @@ pieces are aligned without align_basis's checks, both phases of an
 alignment trading through one partner search; the one check of the
 construction is witness_basis's final test of its result.
 
-Inside, every subset is an n-bit int, bit x - 1 standing for x, and the
-necklace entries come from the Positroid as such masks. A window (b, d] is
-read rotated right by b, so that bit p is the element at position p counted
-from b + 1: its arcs are low-bit masks, compatibility is two AND tests, a
-mimic's counts are bit counts and its moves are read off with bit_length
-and m & -m. An exchange B - e + f of a basis B can only break the Gale
-condition at its anchors in (e, f] (the lemma in _align's docstring), and
-those anchors are compared at once by the Positroid's packed Gale test. The
-public functions take and return frozensets and convert at that boundary.
+Inside, every subset is an n-bit int, bit x - 1 standing for x. The
+necklace entries are read straight off P.necklace.masks, the form in which
+the necklace is stored. A window (b, d] is read rotated right by b, so that
+bit p is the element at position p counted from b + 1: its arcs are low-bit
+masks, compatibility is two AND tests, a mimic's counts are bit counts and
+its moves are read off with bit_length and m & -m. An exchange B - e + f of
+a basis B can only break the Gale condition at its anchors in (e, f] (the
+lemma in _align's docstring), and those anchors are compared at once by the
+Positroid's packed Gale test. The public functions take and return
+frozensets and convert at that boundary.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     n = P.n
     _check_element(a, n)
     _check_element(b, n)
-    J = _checked_subset(J, n)
+    # is_basis checks the listing itself, so a repeated element is refused
+    J = _as_tuple(J, "set elements")
     if not P.is_basis(J):
         raise ValidationError("interval_exchange needs a basis")
-    arc, Ia, members = _arc(a, b, n), P._necklace_masks[a - 1], _mask(J)
+    arc, Ia, members = _arc(a, b, n), P.necklace.masks[a - 1], _mask(J)
     have, target = (members & arc).bit_count(), (Ia & arc).bit_count()
     if have != target:
         raise ValidationError(
@@ -156,7 +158,7 @@ def _window_arcs(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple
     pc, past_d = (c - b - 1) % n, (d - b - 1) % n + 1
     if pc >= past_d:
         raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
-    Ic = P._necklace_masks[c - 1]
+    Ic = P.necklace.masks[c - 1]
     extra, lack = _rotate(J & ~Ic, b, n), _rotate(Ic & ~J, b, n)
     before, inside = (1 << pc) - 1, (1 << past_d) - 1
     compatible = not (lack & before or extra & inside & ~before)
@@ -243,7 +245,7 @@ def _stages(
     start at interval i: (members as a mask, status, window, center, removed,
     added), with no status, window or center at stage 0."""
     s = len(order)
-    members = P._necklace_masks[order[0][0] - 1]
+    members = P.necklace.masks[order[0][0] - 1]
     yield members, None, None, None, (), ()
     for t in range(1, s):
         window = (order[t - 1][1], order[s - 1][1])
@@ -296,9 +298,10 @@ def align_basis(
         _check_type(trace, list, "trace")
     _check_index(i, E.s, "interval index")
     _check_ground(E.n, P.n)
-    B = _checked_subset(B, P.n)
+    B = _as_tuple(B, "set elements")
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
+    B = frozenset(B)
     target = rank_dp(P, E.members)
     if len(B & E.members) != target:
         raise ValidationError(
@@ -358,7 +361,7 @@ def _align(
     |I_k ∩ Q|. Only C's anchors in (e, f] can fail.
     """
     n = P.n
-    Ia = P._necklace_masks[a_i - 1]
+    Ia = P.necklace.masks[a_i - 1]
     # rotated right by a_i - 1, bit p is the element with key (x - a_i) % n
     # = p; [a_i, b_i] is the keys up to own, the gap (b_prev, a_i) those above gap
     r = a_i - 1
@@ -379,7 +382,7 @@ def _align(
 def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
     """A basis, as a mask, maximizing the union of the sorted, maximal intervals (a, b)."""
     s = len(intervals)
-    masks = P._necklace_masks
+    masks = P.necklace.masks
     if s == 0:
         return masks[0] if P.n else 0
     rotations = [intervals[i:] + intervals[:i] for i in range(s)]

@@ -3,19 +3,22 @@
 A positroid on {1..n} is stored as its decorated permutation pi alone. The
 necklace entry I_k is the set of weak k-exceedances of pi: elements j with
 j strictly before pi^{-1}(j) in the cyclic order starting at k, plus the
-black fixed points. The necklace is built when first read, in O(n·d): I_1
-from that definition, then each I_{k+1} from I_k by the transition rule
-I_{k+1} = (I_k minus k) plus pi(k) (Postnikov, arXiv math/0609764 §16–17);
-d = |I_1| takes O(n) and no necklace. Membership of an arbitrary
-d-subset is decided by the Gale-order test against the necklace (Oh, 2011),
-so no basis list is ever materialized unless asked for.
+black fixed points. A necklace is stored as n-bit masks, entry k - 1 holding
+I_k with bit x - 1 standing for x. It is built when first read: I_1 from that
+definition, then each I_{k+1} from I_k by the transition rule
+I_{k+1} = (I_k minus k) plus pi(k) (Postnikov, arXiv math/0609764 §16–17),
+one XOR of two bits, so O(n) big-int steps. permutation_of reads pi(k) back
+as the one bit I_{k+1} gains, by bit_length. The entries as frozensets are a
+view on the masks, built the first time they are read. d = |I_1| takes O(n)
+and no necklace. Membership of an arbitrary d-subset is decided by the
+Gale-order test against the necklace (Oh, 2011), so no basis list is ever
+materialized unless asked for.
 
-The necklace is kept in four forms, each walked from the permutation and
+The necklace is kept in three forms, each walked from the permutation and
 cached on first use, since each has a caller that reads only it and deriving
 one from another measured slower (CHANGES.md has the timings):
-- the frozensets `necklace`: the public API, the `necklace` verb and the
-  matrix path's comparisons;
-- the masks `_necklace_masks`, bit x - 1 standing for x: the witness path;
+- the necklace itself, `necklace.masks`: the public API, the `necklace` verb,
+  the matrix path's comparisons and the witness path;
 - the floor rows `_gale_floors`: enumerate_bases, which tests one anchor at
   a time and stops at the first failure, as most of its subsets fail early;
 - the packed rows `_gale_packing`: is_basis and the witness path's exchange
@@ -30,9 +33,9 @@ permutation (the two maps are mutually inverse bijections, Postnikov §16),
 and reduce()'s relabeled permutation, which maps the non-fixed points
 bijectively to themselves. Every public constructor and from_* method still
 checks its input in full.
-Everything a Positroid derives lazily (necklace, d, necklace masks, Gale
-floors and their packed rows, arrow rows, its reduction) is cached on the
-Positroid itself and freed with it.
+Everything a Positroid derives lazily (necklace, d, Gale floors and their
+packed rows, arrow rows, its reduction) is cached on the Positroid itself and
+freed with it.
 """
 
 from __future__ import annotations
@@ -196,51 +199,77 @@ class DecoratedPermutation:
         return cls(n, images, frozenset(white), frozenset(black))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GrassmannNecklace:
     """Cyclic sequence (I_1, ..., I_n) of d-subsets obeying the transition rule:
 
     if i is in I_i then I_{i+1} = I_i minus i plus one element, otherwise
     I_{i+1} = I_i (indices mod n). Construction validates the rule.
+
+    The necklace is stored as `masks`, I_k at entry k - 1 as an n-bit int
+    with bit x - 1 standing for x; equality and hashing compare (n, d,
+    masks). `sets` is a view, built from the masks when first read.
     """
 
     n: int
     d: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_ints((self.n, self.d), "n and d")
-        if not 0 <= self.d <= self.n:
-            raise ValidationError(f"need 0 <= d <= n, got n = {self.n}, d = {self.d}")
-        _check_type(self.sets, tuple, "sets")
-        if len(self.sets) != self.n:
-            raise ValidationError(f"necklace has {len(self.sets)} sets, expected {self.n}")
-        for i, I in enumerate(self.sets, start=1):
+    def __init__(self, n: int, d: int, sets: tuple[frozenset[int], ...]) -> None:
+        _check_ints((n, d), "n and d")
+        if not 0 <= d <= n:
+            raise ValidationError(f"need 0 <= d <= n, got n = {n}, d = {d}")
+        _check_type(sets, tuple, "sets")
+        if len(sets) != n:
+            raise ValidationError(f"necklace has {len(sets)} sets, expected {n}")
+        for i, I in enumerate(sets, start=1):
             _check_type(I, frozenset, f"I_{i}")
-            if len(I) != self.d:
-                raise ValidationError(f"I_{i} has size {len(I)}, expected d = {self.d}")
+            if len(I) != d:
+                raise ValidationError(f"I_{i} has size {len(I)}, expected d = {d}")
         # the entries are checked once each on the union of the sets, which
         # has at most n elements when the transition rule holds
-        entries = frozenset().union(*self.sets)
+        entries = frozenset().union(*sets)
         _check_ints(entries, "necklace entries")
-        lo, hi = (min(entries), max(entries)) if entries else (1, self.n)
-        if lo < 1 or hi > self.n:
+        lo, hi = (min(entries), max(entries)) if entries else (1, n)
+        if lo < 1 or hi > n:
             x = lo if lo < 1 else hi
-            i = next(i for i, I in enumerate(self.sets, start=1) if x in I)
-            raise ValidationError(f"I_{i} contains {x}, outside 1..{self.n}")
-        for i in range(1, self.n + 1):
-            cur = self.sets[i - 1]
-            lost = cur - self.sets[i % self.n]
-            if not lost or lost == {i}:
+            i = next(i for i, I in enumerate(sets, start=1) if x in I)
+            raise ValidationError(f"I_{i} contains {x}, outside 1..{n}")
+        # the masks follow the rule as it is checked: a step that drops i
+        # gains exactly one element, as the sizes are equal
+        m = _mask(sets[0]) if n else 0
+        masks = []
+        for i in range(1, n + 1):
+            masks.append(m)
+            cur, nxt = sets[i - 1], sets[i % n]
+            lost = cur - nxt
+            if lost == {i}:
+                (gained,) = nxt - cur
+                m ^= 1 << (i - 1) | 1 << (gained - 1)
+            elif not lost:
                 continue
-            if i not in cur:
+            elif i not in cur:
                 raise ValidationError(
                     f"transition broken at {i}: {i} is missing from I_{i} "
                     f"but I_{i + 1} differs from I_{i}"
                 )
-            raise ValidationError(
-                f"transition broken at {i}: I_{i + 1} does not contain I_{i} minus {{{i}}}"
-            )
+            else:
+                raise ValidationError(
+                    f"transition broken at {i}: I_{i + 1} does not contain I_{i} minus {{{i}}}"
+                )
+        # the validated frozensets serve as the view
+        vars(self).update(n=n, d=d, masks=tuple(masks), sets=sets)
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_elements(m)) for m in self.masks)
+
+    def __repr__(self) -> str:
+        # members in increasing order, whichever way the view was built
+        entries = [f"frozenset({{{str(_elements(m))[1:-1]}}})" if m else "frozenset()"
+                   for m in self.masks]
+        sets = ", ".join(entries) + ("," if len(entries) == 1 else "")
+        return f"GrassmannNecklace(n={self.n}, d={self.d}, sets=({sets}))"
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]], n: int | None = None) -> "GrassmannNecklace":
@@ -263,7 +292,7 @@ class GrassmannNecklace:
         return self.sets[(i - 1) % self.n]
 
     def to_json(self) -> dict:
-        return {"n": self.n, "sets": [sorted(I) for I in self.sets]}
+        return {"n": self.n, "sets": [_elements(m) for m in self.masks]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GrassmannNecklace":
@@ -286,26 +315,25 @@ def _first_entry(perm: DecoratedPermutation) -> set[int]:
 
 
 def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
-    """The necklace I_k = weak k-exceedances of the permutation, in O(n·d).
+    """The necklace I_k = weak k-exceedances of the permutation, as masks.
 
     j lands in I_k when j comes strictly before pi^{-1}(j) in the cyclic
     order starting at k, or when j is a black fixed point. Only I_1 is read
     off that definition. Moving the cut from k to k+1 changes the relative
     order of k and nothing else, so a fixed point k leaves the set alone,
-    and a non-fixed k (always in I_k) leaves it while pi(k) joins. Each
-    step keeps the size and obeys the transition rule, so the necklace is
-    built unchecked.
+    and a non-fixed k (always in I_k) leaves it while pi(k) joins: one XOR
+    per step, O(n) big-int steps in all. Each step keeps the size and obeys
+    the transition rule, so the necklace is built unchecked.
     """
     _check_type(perm, DecoratedPermutation, "perm")
-    n = perm.n
-    members = _first_entry(perm)
-    sets = []
+    first = _first_entry(perm)
+    m = _mask(first)
+    masks = []
     for k, image in enumerate(perm.images, start=1):
-        sets.append(frozenset(members))
+        masks.append(m)
         if image != k:
-            members.remove(k)
-            members.add(image)
-    return _unchecked(GrassmannNecklace, n=n, d=len(members), sets=tuple(sets))
+            m ^= 1 << (k - 1) | 1 << (image - 1)
+    return _unchecked(GrassmannNecklace, n=perm.n, d=len(first), masks=tuple(masks))
 
 
 def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
@@ -313,21 +341,22 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
 
     Convention: if I_{i+1} = I_i minus {i} plus {j} with j != i then
     pi(i) = j; if i is in I_i and I_{i+1} = I_i then pi(i) = i colored
-    black; if i is not in I_i then pi(i) = i colored white. A validated
+    black; if i is not in I_i then pi(i) = i colored white. Read off the
+    masks, j is the one bit I_{i+1} has and I_i lacks. A validated
     necklace yields a decorated permutation, so it is built unchecked.
     """
     _check_type(neck, GrassmannNecklace, "neck")
-    n = neck.n
+    n, masks = neck.n, neck.masks
     images = list(range(1, n + 1))
     white, black = set(), set()
-    for i, cur in enumerate(neck.sets, start=1):
-        if i not in cur:
+    for i, cur in enumerate(masks, start=1):
+        if not cur >> (i - 1) & 1:
             white.add(i)
             continue
-        # the necklace obeys the transition rule, so at most one element is new
-        gained = neck.sets[i % n] - cur
+        # the necklace obeys the transition rule, so at most one bit is new
+        gained = masks[i % n] & ~cur
         if gained:
-            (images[i - 1],) = gained
+            images[i - 1] = gained.bit_length()
         else:
             black.add(i)
     return _unchecked(
@@ -402,7 +431,7 @@ class Positroid:
         P = cls(permutation_of(neck))
         # permutation_of inverts necklace_of on a valid necklace, so the
         # validated input is exactly the necklace P would derive
-        vars(P)["necklace"] = neck
+        vars(P).update(necklace=neck, d=neck.d)
         return P
 
     @classmethod
@@ -432,18 +461,6 @@ class Positroid:
     @cached_property
     def _reduced(self) -> tuple["Positroid", dict[int, int]]:
         return reduce(self)
-
-    @cached_property
-    def _necklace_masks(self) -> tuple[int, ...]:
-        # entry k-1: I_k as an n-bit int, by necklace_of's transition walk
-        # (a non-fixed k leaves and pi(k) joins), so no frozenset is built
-        m = _mask(_first_entry(self.perm))
-        masks = []
-        for k, image in enumerate(self.perm.images, start=1):
-            masks.append(m)
-            if image != k:
-                m ^= 1 << (k - 1) | 1 << (image - 1)
-        return tuple(masks)
 
     def _floor_rows(self) -> Iterator[list[int]]:
         # row k-1: I_k read from k, each member written as k plus its position
@@ -512,7 +529,11 @@ class Positroid:
         against floor rows packed once per positroid (_gale_holds): O(d log d
         + d^2), the d^2 part in C-level byte joins and int arithmetic.
         """
-        ordered = sorted(_checked_subset(B, self.n))
+        listing = _as_tuple(B, "set elements")
+        ordered = sorted(_checked_subset(listing, self.n))
+        # B is a listing, and freezing it reads a repeated element as a
+        # smaller set: refused once its entries are checked
+        _check_distinct(listing, "basis")
         if len(ordered) != self.d:
             return False
         return self._gale_holds(ordered, range(self.d))

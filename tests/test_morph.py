@@ -339,6 +339,14 @@ def test_set_arguments_are_checked(ref_positroid, entry, extra):
         MORPH_ENTRY_POINTS[entry](ref_positroid, (extra,))
 
 
+@pytest.mark.parametrize("entry", ["interval_exchange", "align_basis"])
+def test_a_repeated_basis_element_is_refused(ref_positroid, entry):
+    # the caller's basis goes to is_basis as listed, so a member named twice
+    # is refused and not read as the smaller set
+    with pytest.raises(ValidationError, match="lists 10 twice"):
+        MORPH_ENTRY_POINTS[entry](ref_positroid, (10,))
+
+
 class TestWitness:
     def test_reference(self, ref_positroid):
         W = witness_basis(ref_positroid, E4)

@@ -184,6 +184,24 @@ class TestNecklace:
         neck = GrassmannNecklace.from_sets(({1, 2}, {2, 3}, {3, 1}), 3)
         assert permutation_of(neck).images == (3, 1, 2)
 
+    def test_repr_lists_members_in_order(self):
+        # the same text whichever way the entries were built: frozenset([9, 1])
+        # iterates 9 first, frozenset([1, 9]) 1 first
+        rising = Positroid.from_oneline([3, 4, 5, 6, 7, 8, 9, 1, 2]).necklace
+        falling = GrassmannNecklace.from_sets([sorted(I, reverse=True) for I in rising.sets], 9)
+        assert list(falling.at(9)) == [9, 1]
+        expected = "GrassmannNecklace(n=9, d=2, sets=({}))".format(
+            ", ".join(f"frozenset({{{k}, {k + 1}}})" for k in range(1, 9)) + ", frozenset({1, 9})"
+        )
+        assert repr(rising) == repr(falling) == expected
+        assert repr(GrassmannNecklace.from_sets([[1]])) == (
+            "GrassmannNecklace(n=1, d=1, sets=(frozenset({1}),))"
+        )
+        assert repr(GrassmannNecklace(1, 0, (frozenset(),))) == (
+            "GrassmannNecklace(n=1, d=0, sets=(frozenset(),))"
+        )
+        assert repr(GrassmannNecklace(0, 0, ())) == "GrassmannNecklace(n=0, d=0, sets=())"
+
     def test_json_roundtrip(self, ref_positroid):
         neck = ref_positroid.necklace
         again = GrassmannNecklace.from_json(neck.to_json())
@@ -307,7 +325,7 @@ class TestPositroid:
                 P = Positroid(perm)
                 assert P.necklace == neck
                 assert P.d == neck.d
-                assert P._necklace_masks == tuple(map(_mask, neck.sets))
+                assert P.necklace.masks == tuple(map(_mask, neck.sets))
                 assert P._gale_floors == tuple(
                     tuple(sorted(x if x >= k else x + n for x in I))
                     for k, I in enumerate(neck.sets, start=1)
@@ -321,12 +339,33 @@ class TestPositroid:
         assert "necklace" not in vars(P) and "necklace" not in vars(Q)
         assert rank_dp(P, {2, 4, 5}) == 2
         assert rank(P, {3}).value == 1
-        # the witness and the Gale test read masks and floor rows only
-        assert P.is_basis(witness_basis(P, {2, 4, 5}))
         inner = P._reduced[0]
         assert "necklace" not in vars(inner) and "necklace" not in vars(P)
+        # the Gale test reads floor rows only
+        assert Q.is_basis(REF_NECKLACE[0]) and not Q.is_basis(range(1, 8))
+        assert "necklace" not in vars(Q)
+        # the witness reads the necklace's masks; no frozenset view is built
+        assert P.is_basis(witness_basis(P, {2, 4, 5}))
+        assert Q.is_basis(witness_basis(Q, {1, 2, 9, 13}))
+        assert "sets" not in vars(P.necklace) and "sets" not in vars(Q.necklace)
+        assert "necklace" not in vars(inner)
         assert P.necklace is P.necklace
-        assert "necklace" in vars(P)
+        # reading the view builds it once and keeps it
+        assert P.necklace.sets is P.necklace.sets
+        assert "sets" in vars(P.necklace)
+
+    def test_round_trip_builds_no_frozenset(self):
+        # from_oneline, the necklace round trip and rank_dp, as a caller that
+        # converts and queries does: the necklace stays masks throughout
+        rng = random.Random(20)
+        pool = [*decorated_positroids(4)]
+        pool += [random_decorated_positroid(n, 6, rng) for n in (50, 100, 200, 400)]
+        for P in pool:
+            Q = Positroid.from_necklace(P.necklace)
+            assert vars(Q)["d"] == P.d
+            rank_dp(Q, range(1, P.n + 1, 2))
+            assert Q.perm == P.perm
+            assert "sets" not in vars(P.necklace), P.perm
 
     def test_from_necklace_keeps_the_necklace(self):
         for P in decorated_positroids(4):
@@ -360,6 +399,14 @@ class TestPositroid:
         P = Positroid.from_oneline([2, 3, 1])
         assert P.d == 1
         with pytest.raises(ValidationError, match="must be integers"):
+            P.is_basis(B)
+
+    @pytest.mark.parametrize("B", [[1, 1, 2], [1, 2, 2], (1, 3, 3), [2, 2], [4, 1, 4]])
+    def test_a_repeated_element_is_refused(self, B):
+        # a basis is a d-element listing: a repeated element is no smaller set
+        P = Positroid.from_oneline([3, 4, 1, 2])
+        assert P.d == 2
+        with pytest.raises(ValidationError, match="lists [0-9]+ twice"):
             P.is_basis(B)
 
     def test_matches_the_gale_reference_on_every_subset(self):

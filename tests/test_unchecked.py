@@ -8,6 +8,7 @@ validating constructor, exhaustively on small ground sets, and compared
 with an independent expectation.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -35,6 +36,7 @@ from helpers import (
     decorated_permutations,
     decorated_positroids,
     fixed_point_free_positroids,
+    random_decorated_positroid,
     seeded_tnn_matrices,
 )
 
@@ -103,6 +105,40 @@ def test_permutation_necklace_round_trip_and_reduce(n):
             kept.index(perm.images[old - 1]) + 1 for old in kept
         )
     assert count == DECORATED_COUNTS[n]
+
+
+def assert_twin_necklaces(perm: DecoratedPermutation) -> None:
+    """necklace_of's mask-born necklace and the validating constructor's,
+    fed the definition's frozensets, are one necklace on every reading."""
+    n = perm.n
+    born = necklace_of(perm)
+    sets = exceedance_necklace(perm)
+    checked = GrassmannNecklace(n, len(sets[0]) if n else 0, sets)
+    assert born == checked and checked == born
+    assert hash(born) == hash(checked)
+    assert born.sets == checked.sets == sets
+    for k in range(1, 2 * n + 1):
+        assert born.at(k) == checked.at(k) == sets[(k - 1) % n]
+    assert born.to_json() == checked.to_json() == {"n": n, "sets": [sorted(I) for I in sets]}
+    assert repr(born) == repr(checked)
+    assert permutation_of(born) == permutation_of(checked) == perm
+    P = Positroid(perm)
+    Q = Positroid.from_necklace(P.necklace)
+    assert Q == P
+    assert vars(Q)["d"] == P.d == born.d
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mask_born_and_validated_necklaces_agree(n):
+    for perm in decorated_permutations(n):
+        assert_twin_necklaces(perm)
+
+
+def test_mask_born_and_validated_necklaces_agree_seeded():
+    rng = random.Random(2020)
+    for _ in range(50):
+        n = rng.randrange(100, 401)
+        assert_twin_necklaces(random_decorated_positroid(n, rng, fixed=rng.randrange(9)).perm)
 
 
 @pytest.mark.parametrize("n", range(6))
