@@ -14,7 +14,11 @@ and a column that depends on the prefix is dropped with its whole subtree.
 The matroid is a positroid iff every maximal minor is nonnegative, so
 positroid_from_matrix reads the bases and their signs off that one scan,
 and its Grassmann necklace too, walked by the transition rule from the
-first basis the scan yields.
+first basis the scan yields. It certifies the result at every n without
+listing the positroid's bases again: each walked necklace entry must be a
+scanned basis, and each scanned basis must pass the positroid's Gale test,
+which by Oh's theorem pins the walked necklace to the scan's own (the
+proof is in positroid_from_matrix's docstring).
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ __all__ = [
     "random_tnn_matrix",
 ]
 
-# cap on C(n, r), the scan's dense worst case; a sparse matrix's scan costs
-# only its live prefixes, but a dense one past this would not finish at desk scale
+# a scan of at most this many subsets, C(n, r), always runs; a larger one
+# runs while its nodes and bases number at most this many, so a sparse matrix
+# converts at any size and a dense one past this would not finish at desk scale
 MINOR_SCAN_CAP = 200_000
 
 # the exchange check is quadratic, so bigger collections, such as repro's
@@ -197,20 +202,34 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
     columns after the prefix, reduced against it, less those in its span,
     which reduce to zero; prev is the prefix's last pivot value and sign the
     parity of its dropped coordinates. A node with one column left to choose
-    has one coordinate, the minor, left per candidate. Raises
-    EnumerationLimitError past MINOR_SCAN_CAP subsets.
+    has one coordinate, the minor, left per candidate.
+
+    Within MINOR_SCAN_CAP subsets the scan always runs to the end. Past it,
+    it counts its work, each node popped plus the subsets a last-column
+    node yields, and raises EnumerationLimitError once that passes the cap:
+    a sparse matrix with few bases still converts, a dense one is refused.
     """
     n = len(columns)
-    if comb(n, r) > MINOR_SCAN_CAP:
-        raise EnumerationLimitError(
-            f"scanning C({n},{r}) column subsets exceeds the cap {MINOR_SCAN_CAP}"
-        )
     if r == 0:
         yield (), 1
         return
     stack = [([(c, v) for c, v in enumerate(columns, start=1) if any(v)], 0, (), 1, 1)]
+    pop = stack.pop
+    if comb(n, r) > MINOR_SCAN_CAP:
+        work = 0
+
+        def pop() -> tuple:
+            nonlocal work
+            node = stack.pop()
+            work += 1 + len(node[0]) if len(node[2]) == r - 1 else 1
+            if work > MINOR_SCAN_CAP:
+                raise EnumerationLimitError(
+                    f"scanning C({n},{r}) column subsets: the work passes the cap {MINOR_SCAN_CAP}"
+                )
+            return node
+
     while stack:
-        cands, i, prefix, prev, sign = stack.pop()
+        cands, i, prefix, prev, sign = pop()
         need = r - len(prefix)
         if need == 1:
             for col, v in cands:
@@ -350,6 +369,8 @@ def _certified_positroid(
             f"collection is not a positroid (nor a matroid): {exc}"
         ) from None
     P = Positroid.from_necklace(neck)
+    # a caller's collection need not be a positroid, so only equality certifies
+    # it; a TNN matrix's bases are a positroid's, so Gale tests suffice there
     if n <= BASIS_ENUMERATION_CAP:
         derived = frozenset(enumerate_bases(P))
         if derived != bases:
@@ -407,29 +428,50 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
 
     One scan of the minors stops at the first negative one and otherwise
     keeps the nonzero subsets, the bases, in lex order. _transition_walk
-    reads the necklace off them, and it is certified against them as in
-    necklace_from_bases. A matrix with nonnegative minors realizes a
-    positroid, so an invalid necklace or a mismatch means a library bug and
-    raises ContractViolationError.
+    reads a necklace I'_1..I'_n off them, and P is the positroid it
+    determines. P is certified at every n by two checks, n set lookups and
+    one packed Gale test per scanned basis, with no listing of P's bases:
+
+    (a) every walked entry I'_k is a scanned basis;
+    (b) every scanned basis B passes P's Gale test.
+
+    By Oh's theorem, (b) gives B >=_k I'_k for every scanned B and every k,
+    so the Gale-least scanned basis I_k, the column matroid's necklace
+    entry, has I_k >=_k I'_k; (a) gives I'_k >=_k I_k. The Gale order on
+    d-sets is antisymmetric, so I'_k = I_k: the walk is the scan's necklace,
+    and P is the column matroid's positroid envelope (Knutson-Lam-Speyer).
+    A TNN matrix's matroid is a positroid (Postnikov), its own envelope, so
+    P's bases are exactly the scanned ones. A matrix with nonnegative minors
+    thus always passes; an invalid necklace or a failed check means a
+    library bug and raises ContractViolationError.
     """
     _check_type(A, RationalMatrix, "A")
     columns, scale = _integer_columns(A.entries)
     _require_full_row_rank(A, columns)
-    nonzero = []
+    scanned = []
     for cols, value in _lex_minors(columns, A.r):
         if value < 0:
             raise ValidationError(
                 f"matrix is not totally nonnegative: minor at columns "
                 f"{cols} equals {Fraction(value, scale)}"
             )
-        nonzero.append(frozenset(cols))
-    bases = frozenset(nonzero)
+        scanned.append(cols)
+    bases = frozenset(map(frozenset, scanned))
+    sets = _transition_walk(A.n, frozenset(scanned[0]), bases)
+    mismatch = "the necklace of a TNN matrix does not match its nonzero minors"
     try:
-        return _certified_positroid(A.n, A.r, _transition_walk(A.n, nonzero[0], bases), bases)
-    except NotAPositroidError as exc:
-        raise ContractViolationError(
-            f"the necklace of a TNN matrix does not match its nonzero minors: {exc}"
-        ) from exc
+        P = Positroid.from_necklace(GrassmannNecklace(A.n, A.r, sets))
+    except ValidationError as exc:
+        raise ContractViolationError(f"{mismatch}: the walk is no necklace: {exc}") from exc
+    for k, entry in enumerate(sets, start=1):
+        if entry not in bases:
+            raise ContractViolationError(f"{mismatch}: I_{k} = {sorted(entry)} is no scanned basis")
+    # the scan yields each basis's columns sorted, as the Gale test reads them
+    anchors = range(A.r)
+    for cols in scanned:
+        if not P._gale_holds(cols, anchors):
+            raise ContractViolationError(f"{mismatch}: scanned basis {list(cols)} fails its Gale test")
+    return P
 
 
 def random_tnn_matrix(

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -27,7 +28,7 @@ from positroids import realize
 from positroids.positroid import BASIS_ENUMERATION_CAP
 from positroids.cli import main
 
-from helpers import decorated_positroids
+from helpers import decorated_positroids, rotate, seeded_tnn_matrices
 
 A_ROWS = ((1, 0, -3, -1), (0, 1, 4, 0))
 
@@ -395,10 +396,65 @@ class TestPositroidFromMatrix:
                 assert P.is_basis(cols) == (cols in scanned), (A, cols)
 
     def test_failed_recheck_is_a_contract_violation(self, monkeypatch):
+        # a walk that returns a valid necklace of another positroid with the
+        # same (n, d) is refused, past n = 20 too: an entry that is no basis
+        # (U(2, 4)'s {1, 4} on A_ROWS, the rotated necklace at n = 24) or a
+        # basis outside the walked positroid (the constant necklace I_1, whose
+        # only basis is I_1)
         A = RationalMatrix.from_rows(A_ROWS)
-        monkeypatch.setattr(realize, "enumerate_bases", lambda P: iter([frozenset({1, 2})]))
-        with pytest.raises(ContractViolationError, match="nonzero minors"):
-            positroid_from_matrix(A)
+        A24 = random_tnn_matrix(3, 24, random.Random(1), ops=400)
+        P24 = positroid_from_matrix(A24)
+        for matrix, sets, reason in (
+            (A, Positroid.from_oneline([3, 4, 1, 2]).necklace.sets, "no scanned basis"),
+            (A, (frozenset({1, 2}),) * 4, "fails its Gale test"),
+            (A24, rotate(P24, 1).necklace.sets, "no scanned basis"),
+            (A24, P24.necklace.sets[:1] * 24, "fails its Gale test"),
+        ):
+            monkeypatch.setattr(realize, "_transition_walk", lambda n, first, bases: sets)
+            with pytest.raises(ContractViolationError, match="nonzero minors") as info:
+                positroid_from_matrix(matrix)
+            assert reason in str(info.value)
+
+    def test_scanned_bases_are_the_enumerated_bases(self):
+        # Postnikov's theorem, which the runtime certificate takes as given:
+        # the positroid's whole basis list is exactly the nonzero minors
+        rng = random.Random(17)
+        shapes = [(rng.randint(1, 4), rng.randint(4, 20), rng.randint(0, 400)) for _ in range(12)]
+        # the benchmark's shapes: 4x12, dense 3x10, 5x14 and dense 5x16; and
+        # a sparse 6x20 at the enumeration cap
+        shapes += [(4, 12, 150), (3, 10, 1500), (5, 14, 150), (5, 16, 3000), (6, 20, 400)]
+        dense = []
+        for r, n, ops in shapes:
+            A = random_tnn_matrix(r, n, rng, ops=ops)
+            scanned = matroid_from_matrix(A).bases
+            assert frozenset(enumerate_bases(positroid_from_matrix(A))) == scanned, (A, ops)
+            if len(scanned) == comb(n, A.r):
+                dense.append((A.r, n))
+        assert {(3, 10), (5, 16)} <= set(dense)
+        for A in seeded_tnn_matrices(count=60):
+            assert frozenset(enumerate_bases(positroid_from_matrix(A))) == matroid_from_matrix(A).bases
+
+    def test_every_other_necklace_is_refused(self, monkeypatch):
+        # soundness of the certificate: whatever valid necklace of the same
+        # (n, d) the walk returns in place of the true one is refused
+        necklaces = {}
+        for n in range(7):
+            for P in decorated_positroids(n):
+                necklaces.setdefault((n, P.d), []).append(P.necklace.sets)
+        refused = 0
+        for A in seeded_tnn_matrices(seed=5, count=60):
+            if A.n > 6:
+                continue
+            true = positroid_from_matrix(A).necklace.sets
+            for sets in necklaces[A.n, A.r]:
+                if sets == true:
+                    continue
+                monkeypatch.setattr(realize, "_transition_walk", lambda n, first, bases: sets)
+                with pytest.raises(ContractViolationError, match="nonzero minors"):
+                    positroid_from_matrix(A)
+                refused += 1
+            monkeypatch.undo()
+        assert refused > 3000
 
     def test_invalid_greedy_necklace_is_a_contract_violation(self, monkeypatch):
         A = RationalMatrix.from_rows(A_ROWS)
@@ -429,9 +485,23 @@ class TestRandomTnn:
         assert A1 == A2
 
 
-def test_minor_scan_cap():
-    rng = random.Random(0)
-    A = random_tnn_matrix(13, 30, rng, ops=4)
+def test_minor_scan_cap(monkeypatch):
+    # C(30, 13) is past the cap, but this matrix has one basis, so the scan's
+    # work, not the subset count, decides: it converts
+    A = random_tnn_matrix(13, 30, random.Random(0), ops=4)
+    assert is_totally_nonnegative(A)
+    assert len(matroid_from_matrix(A).bases) == 1
+    assert positroid_from_matrix(A).d == 13
+    # a dense matrix past the cap is refused once its work passes the cap;
+    # a lower cap keeps the refusal quick
+    monkeypatch.setattr(realize, "MINOR_SCAN_CAP", 500)
+    dense = random_tnn_matrix(4, 14, random.Random(0), ops=400)
+    assert comb(14, 4) > realize.MINOR_SCAN_CAP
     for scan in (is_totally_nonnegative, matroid_from_matrix, positroid_from_matrix):
-        with pytest.raises(EnumerationLimitError):
-            scan(A)
+        with pytest.raises(EnumerationLimitError, match="the cap 500"):
+            scan(dense)
+    # within the cap the scan runs to the end, whatever its work
+    monkeypatch.setattr(realize, "MINOR_SCAN_CAP", comb(14, 4))
+    assert positroid_from_matrix(dense) == Positroid.from_necklace(
+        necklace_from_bases(matroid_from_matrix(dense))
+    )
