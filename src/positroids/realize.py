@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, lcm
+from math import comb, inf, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .cyclic import (
@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 # a scan of at most this many subsets, C(n, r), always runs; a larger one
-# runs while its nodes and bases number at most this many, so a sparse matrix
-# converts at any size and a dense one past this would not finish at desk scale
+# runs while its reductions and listed bases number at most this many, so a
+# sparse matrix converts at any size and a dense one is refused in seconds
 MINOR_SCAN_CAP = 200_000
 
 # the exchange check is quadratic, so bigger collections, such as repro's
@@ -205,31 +205,25 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
     has one coordinate, the minor, left per candidate.
 
     Within MINOR_SCAN_CAP subsets the scan always runs to the end. Past it,
-    it counts its work, each node popped plus the subsets a last-column
-    node yields, and raises EnumerationLimitError once that passes the cap:
-    a sparse matrix with few bases still converts, a dense one is refused.
+    it counts its work, the candidates each node pivots on or reduces (those
+    from its next child on) and the subsets a last-column node yields, and
+    raises EnumerationLimitError once that passes the cap: a sparse matrix
+    with few bases still converts, a dense one is refused.
     """
     n = len(columns)
     if r == 0:
         yield (), 1
         return
+    limit = MINOR_SCAN_CAP if comb(n, r) > MINOR_SCAN_CAP else inf
+    work = 0
     stack = [([(c, v) for c, v in enumerate(columns, start=1) if any(v)], 0, (), 1, 1)]
-    pop = stack.pop
-    if comb(n, r) > MINOR_SCAN_CAP:
-        work = 0
-
-        def pop() -> tuple:
-            nonlocal work
-            node = stack.pop()
-            work += 1 + len(node[0]) if len(node[2]) == r - 1 else 1
-            if work > MINOR_SCAN_CAP:
-                raise EnumerationLimitError(
-                    f"scanning C({n},{r}) column subsets: the work passes the cap {MINOR_SCAN_CAP}"
-                )
-            return node
-
     while stack:
-        cands, i, prefix, prev, sign = pop()
+        cands, i, prefix, prev, sign = stack.pop()
+        work += len(cands) - i
+        if work > limit:
+            raise EnumerationLimitError(
+                f"scanning C({n},{r}) column subsets: the work passes the cap {MINOR_SCAN_CAP}"
+            )
         need = r - len(prefix)
         if need == 1:
             for col, v in cands:
@@ -357,32 +351,6 @@ def is_totally_nonnegative(A: RationalMatrix) -> bool:
     return first_negative_minor(A) is None
 
 
-def _certified_positroid(
-    n: int, d: int, sets: tuple[frozenset[int], ...], bases: frozenset[frozenset[int]]
-) -> Positroid:
-    """The positroid whose necklace is `sets`, certified to have exactly `bases`
-    as its bases when n <= BASIS_ENUMERATION_CAP; NotAPositroidError if not."""
-    try:
-        neck = GrassmannNecklace(n, d, sets)
-    except ValidationError as exc:
-        raise NotAPositroidError(
-            f"collection is not a positroid (nor a matroid): {exc}"
-        ) from None
-    P = Positroid.from_necklace(neck)
-    # a caller's collection need not be a positroid, so only equality certifies
-    # it; a TNN matrix's bases are a positroid's, so Gale tests suffice there
-    if n <= BASIS_ENUMERATION_CAP:
-        derived = frozenset(enumerate_bases(P))
-        if derived != bases:
-            sample = sorted(next(iter((derived - bases) or (bases - derived))))
-            raise NotAPositroidError(
-                f"collection is a matroid but not a positroid: its necklace "
-                f"generates {len(derived)} bases, input has {len(bases)} "
-                f"(first difference: {sample})"
-            )
-    return P
-
-
 def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
     """I_k = the lex-first basis read from k, found anew at each k.
 
@@ -397,7 +365,24 @@ def necklace_from_bases(B: BasisCollection) -> GrassmannNecklace:
     # the collection checked its members against 1..n
     by_mask = {sum(1 << (n - x) for x in S): S for S in B.bases}
     sets = [by_mask[max(by_mask, key=lambda m: (m << k | m >> (n - k)) & full)] for k in range(n)]
-    return _certified_positroid(n, B.d, tuple(sets), B.bases).necklace
+    try:
+        neck = GrassmannNecklace(n, B.d, tuple(sets))
+    except ValidationError as exc:
+        raise NotAPositroidError(
+            f"collection is not a positroid (nor a matroid): {exc}"
+        ) from None
+    # a caller's collection need not be a positroid, so only equality certifies
+    # it; a TNN matrix's bases are a positroid's, so Gale tests suffice there
+    if n <= BASIS_ENUMERATION_CAP:
+        derived = frozenset(enumerate_bases(Positroid.from_necklace(neck)))
+        if derived != B.bases:
+            sample = sorted(next(iter((derived - B.bases) or (B.bases - derived))))
+            raise NotAPositroidError(
+                f"collection is a matroid but not a positroid: its necklace "
+                f"generates {len(derived)} bases, input has {len(B.bases)} "
+                f"(first difference: {sample})"
+            )
+    return neck
 
 
 def _transition_walk(

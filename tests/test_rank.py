@@ -613,8 +613,9 @@ def test_wrapping_decomposition_rank(ref_positroid):
 
 # Queries where no cyclic segmentation, a partition whose every block is a
 # cyclically consecutive run of intervals, attains the rank: its least bound
-# is one above it. Fields: one-line pi, white, black, E, rank, and the
-# certificate's blocks on the reduction. Found by these searches:
+# is one above it. Fields: one-line pi, white, black, E and rank; the first
+# query's certificate, for one, is {{1}, {2, 4}, {3}} on its four intervals.
+# Found by these searches:
 # - every fixed-point-free pi of [8], E the odd or the even elements: all 16
 #   of 29,666 queries;
 # - with rng = Random(3), 300 times n = rng.choice([9, 10, 11, 12]) and
@@ -625,86 +626,81 @@ def test_wrapping_decomposition_rank(ref_positroid):
 #   n = rng.randint(9, 12), and E = random_union(n, rng.randint(4, n // 2),
 #   rng): the three of 7 on positroids with loops.
 NON_SEGMENT_QUERIES = [
-    ((3, 1, 2, 7, 8, 5, 6, 4), (), (), (2, 4, 6, 8), 3, ((1,), (2, 4), (3,))),
-    ((3, 1, 2, 8, 7, 5, 6, 4), (), (), (2, 4, 6, 8), 3, ((1,), (2, 4), (3,))),
-    ((4, 1, 2, 7, 8, 5, 6, 3), (), (), (2, 4, 6, 8), 3, ((1,), (2, 4), (3,))),
-    ((4, 1, 2, 8, 7, 5, 6, 3), (), (), (2, 4, 6, 8), 3, ((1,), (2, 4), (3,))),
-    ((4, 5, 2, 3, 1, 8, 6, 7), (), (), (1, 3, 5, 7), 3, ((1, 3), (2,), (4,))),
-    ((4, 5, 2, 3, 8, 1, 6, 7), (), (), (1, 3, 5, 7), 3, ((1, 3), (2,), (4,))),
-    ((5, 4, 2, 3, 1, 8, 6, 7), (), (), (1, 3, 5, 7), 3, ((1, 3), (2,), (4,))),
-    ((5, 4, 2, 3, 8, 1, 6, 7), (), (), (1, 3, 5, 7), 3, ((1, 3), (2,), (4,))),
-    ((8, 1, 6, 7, 4, 5, 2, 3), (), (), (1, 3, 5, 7), 3, ((1,), (2, 4), (3,))),
-    ((8, 1, 6, 7, 4, 5, 3, 2), (), (), (1, 3, 5, 7), 3, ((1,), (2, 4), (3,))),
-    ((8, 1, 7, 6, 4, 5, 2, 3), (), (), (1, 3, 5, 7), 3, ((1,), (2, 4), (3,))),
-    ((8, 1, 7, 6, 4, 5, 3, 2), (), (), (1, 3, 5, 7), 3, ((1,), (2, 4), (3,))),
-    ((8, 5, 6, 3, 4, 1, 2, 7), (), (), (2, 4, 6, 8), 3, ((1, 3), (2,), (4,))),
-    ((8, 5, 6, 3, 4, 2, 1, 7), (), (), (2, 4, 6, 8), 3, ((1, 3), (2,), (4,))),
-    ((8, 6, 5, 3, 4, 1, 2, 7), (), (), (2, 4, 6, 8), 3, ((1, 3), (2,), (4,))),
-    ((8, 6, 5, 3, 4, 2, 1, 7), (), (), (2, 4, 6, 8), 3, ((1, 3), (2,), (4,))),
-    ((3, 10, 1, 2, 11, 5, 12, 6, 8, 9, 7, 4), (), (),
-     (2, 5, 6, 7, 9, 11, 12), 6, ((1,), (2, 4), (3,))),
-    ((3, 10, 1, 2, 11, 5, 12, 6, 8, 9, 7, 4), (), (),
-     (3, 5, 6, 7, 9, 11, 12), 6, ((1,), (2, 4), (3,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 9), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 9), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 9), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 5, 7, 9), 4, ((1, 4), (2,), (3,), (5,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 5, 7, 10), 4, ((1, 4), (2,), (3,), (5,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 9), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 10), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 9, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 9), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 10), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 9), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 10), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 9, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 9, 10), 3, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (),
-     (1, 3, 5, 7, 9, 10), 4, ((1, 4), (2,), (3,), (5,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 9, 10), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 9, 10), 4, ((1, 3), (2,), (4,))),
-    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 9, 10), 4, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 8), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 9), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 8), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 9), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 8, 11), 3, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 9, 11), 3, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 8, 11), 3, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 9, 11), 3, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 8, 9), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 8, 9), 3, ((1,), (2, 4), (3,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 8, 9, 11), 3, ((1, 3), (2,), (4,))),
-    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 8, 9, 11), 3, ((1, 3), (2,), (4,))),
-    ((12, 1, 9, 10, 11, 5, 6, 8, 3, 7, 2, 4), (), (8,), (1, 3, 4, 6, 11), 4, ((1,), (2, 4), (3,))),
+    ((3, 1, 2, 7, 8, 5, 6, 4), (), (), (2, 4, 6, 8), 3),
+    ((3, 1, 2, 8, 7, 5, 6, 4), (), (), (2, 4, 6, 8), 3),
+    ((4, 1, 2, 7, 8, 5, 6, 3), (), (), (2, 4, 6, 8), 3),
+    ((4, 1, 2, 8, 7, 5, 6, 3), (), (), (2, 4, 6, 8), 3),
+    ((4, 5, 2, 3, 1, 8, 6, 7), (), (), (1, 3, 5, 7), 3),
+    ((4, 5, 2, 3, 8, 1, 6, 7), (), (), (1, 3, 5, 7), 3),
+    ((5, 4, 2, 3, 1, 8, 6, 7), (), (), (1, 3, 5, 7), 3),
+    ((5, 4, 2, 3, 8, 1, 6, 7), (), (), (1, 3, 5, 7), 3),
+    ((8, 1, 6, 7, 4, 5, 2, 3), (), (), (1, 3, 5, 7), 3),
+    ((8, 1, 6, 7, 4, 5, 3, 2), (), (), (1, 3, 5, 7), 3),
+    ((8, 1, 7, 6, 4, 5, 2, 3), (), (), (1, 3, 5, 7), 3),
+    ((8, 1, 7, 6, 4, 5, 3, 2), (), (), (1, 3, 5, 7), 3),
+    ((8, 5, 6, 3, 4, 1, 2, 7), (), (), (2, 4, 6, 8), 3),
+    ((8, 5, 6, 3, 4, 2, 1, 7), (), (), (2, 4, 6, 8), 3),
+    ((8, 6, 5, 3, 4, 1, 2, 7), (), (), (2, 4, 6, 8), 3),
+    ((8, 6, 5, 3, 4, 2, 1, 7), (), (), (2, 4, 6, 8), 3),
+    ((3, 10, 1, 2, 11, 5, 12, 6, 8, 9, 7, 4), (), (), (2, 5, 6, 7, 9, 11, 12), 6),
+    ((3, 10, 1, 2, 11, 5, 12, 6, 8, 9, 7, 4), (), (), (3, 5, 6, 7, 9, 11, 12), 6),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 9), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 9), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 9), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 5, 7, 9), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 5, 7, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 9), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 7, 9, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 9), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 9), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 7, 9, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 5, 7, 9, 10), 3),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 5, 7, 9, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 3, 6, 7, 9, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 5, 7, 9, 10), 4),
+    ((4, 6, 7, 3, 2, 5, 11, 1, 10, 9, 8), (), (), (1, 4, 6, 7, 9, 10), 4),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 8), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 9), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 8), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 9), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 8, 11), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 9, 11), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 8, 11), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 9, 11), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 5, 8, 9), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (1, 3, 6, 8, 9), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 5, 8, 9, 11), 3),
+    ((11, 10, 8, 6, 7, 4, 5, 9, 2, 1, 3), (), (), (3, 6, 8, 9, 11), 3),
+    ((12, 1, 9, 10, 11, 5, 6, 8, 3, 7, 2, 4), (), (8,), (1, 3, 4, 6, 11), 4),
     ((12, 1, 9, 10, 11, 5, 6, 8, 3, 7, 2, 4), (), (8,),
-     (1, 3, 4, 6, 9, 11), 5, ((1,), (2, 5), (3,), (4,))),
+     (1, 3, 4, 6, 9, 11), 5),
     ((12, 1, 9, 10, 11, 5, 6, 8, 3, 7, 2, 4), (), (8,),
-     (1, 3, 4, 6, 8, 9, 10, 11), 6, ((1,), (2, 4), (3,))),
-    ((4, 10, 3, 11, 8, 9, 6, 7, 2, 5, 12, 1), (3,), (),
-     (1, 3, 5, 7, 9, 11), 3, ((1, 5), (2, 4), (3,))),
+     (1, 3, 4, 6, 8, 9, 10, 11), 6),
+    ((4, 10, 3, 11, 8, 9, 6, 7, 2, 5, 12, 1), (3,), (), (1, 3, 5, 7, 9, 11), 3),
     ((9, 2, 8, 12, 5, 6, 4, 7, 1, 3, 10, 11), (2, 6), (5,),
-     (1, 3, 5, 7, 9, 11), 5, ((1, 3), (2,), (4,))),
-    ((1, 10, 6, 8, 4, 5, 7, 9, 2, 12, 3, 11), (1, 7), (),
-     (1, 3, 5, 7, 9, 11), 3, ((1, 3), (2,), (4,))),
+     (1, 3, 5, 7, 9, 11), 5),
+    ((1, 10, 6, 8, 4, 5, 7, 9, 2, 12, 3, 11), (1, 7), (), (1, 3, 5, 7, 9, 11), 3),
 ]
 
 
-@pytest.mark.parametrize("images, white, black, E, value, blocks", NON_SEGMENT_QUERIES)
-def test_rank_needs_a_non_consecutive_block(images, white, black, E, value, blocks):
+@pytest.mark.parametrize("images, white, black, E, value", NON_SEGMENT_QUERIES)
+def test_rank_needs_a_non_consecutive_block(images, white, black, E, value):
     P = Positroid.from_oneline(images, white=white, black=black)
     cert = rank(P, E)
     assert cert.value == rank_bruteforce(P, E) == rank_dp(P, E) == value
-    assert cert.partition.blocks == blocks
+    assert cert.value == sum(cert.per_block_bounds) + cert.coloop_bonus
     s = cert.partition.s
 
     def cyclic_run(block):
         return any(set(block) == {(b + k - 1) % s + 1 for k in range(len(block))} for b in block)
 
-    assert not all(map(cyclic_run, blocks))
+    assert not all(map(cyclic_run, cert.partition.blocks))
 
 
 def test_rank_dp_runs_in_bounded_stack_depth():

@@ -505,3 +505,23 @@ def test_minor_scan_cap(monkeypatch):
     assert positroid_from_matrix(dense) == Positroid.from_necklace(
         necklace_from_bases(matroid_from_matrix(dense))
     )
+
+
+def test_dense_refusal_bounds_its_reductions(monkeypatch):
+    # a refused scan does at most the cap's worth of Bareiss reductions, the
+    # step whose cost grows with r, so the refusal time does not grow with
+    # the subset count
+    calls = 0
+    reduce = realize._reduce
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(realize, "_reduce", counted)
+    monkeypatch.setattr(realize, "MINOR_SCAN_CAP", 2000)
+    dense = random_tnn_matrix(10, 24, random.Random(0), ops=5000)
+    with pytest.raises(EnumerationLimitError, match="the cap 2000"):
+        positroid_from_matrix(dense)
+    assert 0 < calls <= realize.MINOR_SCAN_CAP
