@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
@@ -359,24 +359,46 @@ def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
     return _intervals_of(_checked_subset(members, n), n)
 
 
+# bin() digits to the bytes 0 and 1, which compress() reads as flags
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask(S: Iterable[int]) -> int:
+    """The n-bit int of a set of elements: bit x - 1 stands for x."""
+    m = 0
+    for x in S:
+        m |= 1 << (x - 1)
+    return m
+
+
+def _elements(m: int) -> list[int]:
+    """The members of the mask m in increasing order, read in O(n) at C level."""
+    return list(compress(count(1), bin(m)[:1:-1].encode().translate(_DIGIT_FLAGS)))
+
+
+def _mask_intervals(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The maximal cyclic runs of the n-bit mask m as (start, end) pairs
+    sorted by start, the whole circle as (1, n)."""
+    if m == (1 << n) - 1:
+        return ((1, n),) if n else ()
+    if not m:
+        return ()
+    # a start's predecessor and an end's successor lie outside m
+    starts = _elements(m & ~(m << 1 | m >> (n - 1)))
+    ends = _elements(m & ~(m >> 1 | (m & 1) << (n - 1)))
+    if ends[0] < starts[0]:
+        # the run through n and 1 comes last
+        ends.append(ends.pop(0))
+    return tuple(zip(starts, ends))
+
+
 def _intervals_of(mem: frozenset[int], n: int) -> IntervalDecomposition:
     """decompose() for a set that _checked_subset has already checked.
 
     Its maximal runs, listed by start, are sorted, disjoint and maximal by
     construction, so the decomposition is built unchecked.
     """
-    if not mem:
-        return _unchecked(IntervalDecomposition, n=n, intervals=())
-    if len(mem) == n:
-        return _unchecked(IntervalDecomposition, n=n, intervals=((1, n),))
-    starts = [x for x in mem if (x - 2) % n + 1 not in mem]
-    intervals = []
-    for a in sorted(starts):
-        b = a
-        while b % n + 1 in mem:
-            b = b % n + 1
-        intervals.append((a, b))
-    return _unchecked(IntervalDecomposition, n=n, intervals=tuple(intervals))
+    return _unchecked(IntervalDecomposition, n=n, intervals=_mask_intervals(_mask(mem), n))
 
 
 def gale_leq(S: Iterable[int], T: Iterable[int], i: int, n: int) -> bool:

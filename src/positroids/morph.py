@@ -39,10 +39,12 @@ from .cyclic import (
     _check_index,
     _check_type,
     _checked_subset,
+    _elements,
     _intervals_of,
+    _mask,
 )
 from .errors import ContractViolationError, ValidationError
-from .positroid import Positroid, _elements, _mask
+from .positroid import Positroid
 from .rank import rank_dp
 
 __all__ = [

@@ -34,8 +34,8 @@ and reduce()'s relabeled permutation, which maps the non-fixed points
 bijectively to themselves. Every public constructor and from_* method still
 checks its input in full.
 Everything a Positroid derives lazily (necklace, d, Gale floors and their
-packed rows, arrow rows, its reduction) is cached on the Positroid itself and
-freed with it.
+packed rows) is cached on the Positroid itself and freed with it. Rank
+queries read the necklace masks and keep nothing per query or per anchor.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count
+from itertools import accumulate
 from operator import ge
 from struct import pack
 from typing import Iterable, Iterator
@@ -56,6 +56,8 @@ from .cyclic import (
     _check_nonnegative,
     _check_type,
     _checked_subset,
+    _elements,
+    _mask,
     _unchecked,
 )
 from .errors import EnumerationLimitError, ValidationError
@@ -76,23 +78,6 @@ __all__ = [
 BASIS_ENUMERATION_CAP = 20
 
 _COLOR_NAMES = ("white", "black")
-
-# bin() digits to the bytes 0 and 1, which compress() reads as flags
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _mask(S: Iterable[int]) -> int:
-    """The n-bit int of a set of elements: bit x - 1 stands for x."""
-    m = 0
-    for x in S:
-        m |= 1 << (x - 1)
-    return m
-
-
-def _elements(m: int) -> list[int]:
-    """The members of the mask m in increasing order, read in O(n) at C level."""
-    return list(compress(count(1), bin(m)[:1:-1].encode().translate(_DIGIT_FLAGS)))
-
 
 @dataclass(frozen=True)
 class DecoratedPermutation:
@@ -377,9 +362,10 @@ class ArrowTable:
     anchored after b, rank([a, b]) = d - ccw((b, a)) and cw([a, b]) =
     |[a, b]| - rank([a, b]).
 
-    A row is built the first time its anchor is asked for and kept, so a
-    query touching s anchors costs O(s·n) once and O(1) per interval
-    afterwards. Each Positroid owns one table.
+    A row is built the first time its anchor is asked for and kept in the
+    table, which the caller holds: positroids.rank.arrow_table makes a new
+    one per call, and no Positroid keeps one. The rank queries themselves
+    read the same counts off the necklace masks instead.
     """
 
     def __init__(self, perm: DecoratedPermutation) -> None:
@@ -452,15 +438,6 @@ class Positroid:
     @cached_property
     def necklace(self) -> GrassmannNecklace:
         return necklace_of(self.perm)
-
-    @cached_property
-    def _arrows(self) -> ArrowTable:
-        # one table per positroid; its rows fill in as queries need them
-        return ArrowTable(self.perm)
-
-    @cached_property
-    def _reduced(self) -> tuple["Positroid", dict[int, int]]:
-        return reduce(self)
 
     def _floor_rows(self) -> Iterator[list[int]]:
         # row k-1: I_k read from k, each member written as k plus its position

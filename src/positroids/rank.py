@@ -16,16 +16,18 @@ of them is exact. rank_dp() and rank() read it, and rank() a certificate by
 once and spends the about s^3/3 remaining additions in C-level min/map; only
 all_bounds=True lists partitions, by enumerate_ncp(), which never recurses.
 
-Arrow counts come from the positroid's own ArrowTable (see
-positroids.positroid), whose one kind of row holds the O(n) prefix counts of
-CCW-arrows from an anchor. The gap (b, a) is a prefix of the row anchored
-just after b, so every count above is one lookup. A query reads one row per
-gap, built on first use and kept on the Positroid, so a single-interval
-query costs O(n) and repeated queries reuse the rows.
-rank() and rank_dp() answer queries on positroids with loops or coloops on
-the reduction, which is likewise computed once and kept on the Positroid;
-witness_basis (positroids.morph) works on the positroid itself. Nothing is
-cached at module level, so memory is freed with the positroid.
+Every count above is one popcount on the stored necklace masks (Oh, 2011):
+since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
+of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
+one run of bits. A query builds its s x s gap matrix from s masks in O(s^2)
+shifts and popcounts and keeps nothing, neither per query nor per anchor; the
+necklace itself is built once and kept on the Positroid. ArrowTable rows
+(see positroids.positroid) give the same counts by prefix sums of
+CCW-arrows; arrow_table builds them on demand and no query reads them.
+rank() and rank_dp() answer queries on positroids with loops or coloops as
+on the reduction (see _query), but on P's own labels: no reduced positroid is
+built. witness_basis (positroids.morph) works on the positroid itself.
+Nothing is cached at module level, so memory is freed with the positroid.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from .cyclic import (
     _check_nonnegative,
     _check_type,
     _checked_subset,
-    _intervals_of,
+    _mask,
+    _mask_intervals,
     _unchecked,
 )
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
@@ -190,18 +193,20 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
 
 
 def arrow_table(P: Positroid) -> ArrowTable:
-    """The arrow counts of P; their rows are built lazily and kept on P."""
+    """The arrow counts of P, a new table whose rows are built as they are
+    read; P keeps none of them."""
     _check_type(P, Positroid, "P")
-    return P._arrows
+    return ArrowTable(P.perm)
 
 
 def _gap_ccw(P: Positroid, b: int, a: int) -> int:
-    """ccw((b, a)): the gap is the (a - b - 1) % n elements read from b + 1,
-    a prefix of the row anchored just after b."""
+    """ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|: I_a's mask read
+    from a, the gap being its bits past the (b - a) % n + 1 of [a, b]."""
     n = P.n
     _check_element(b, n)
     _check_element(a, n)
-    return arrow_table(P).ccw_row(b % n + 1)[(a - b - 1) % n]
+    m = P.necklace.masks[a - 1]
+    return (((m | m << n) >> a - 1 & (1 << n) - 1) >> (b - a) % n + 1).bit_count()
 
 
 def cw_count(P: Positroid, T: CyclicInterval) -> int:
@@ -217,11 +222,14 @@ def ccw_count(P: Positroid, T: CyclicInterval) -> int:
     _check_type(P, Positroid, "P")
     _check_type(T, CyclicInterval, "T")
     _check_ground(T.n, P.n)
-    return 0 if T.is_empty else arrow_table(P).ccw_row(T.a)[len(T)]
+    if T.is_empty or T.is_full:
+        return 0 if T.is_empty else P.d
+    # T is the open gap between its neighbours, T.a - 1 and T.b + 1
+    return _gap_ccw(P, (T.a - 2) % P.n + 1, T.b % P.n + 1)
 
 
 def rank_of_interval(P: Positroid, a: int, b: int) -> int:
-    """rank([a, b]) = d - ccw((b, a)), read off the row anchored after b.
+    """rank([a, b]) = |I_a ∩ [a, b]| = d - ccw((b, a)), one popcount.
 
     Equals |[a,b]| - cw([a,b]) and |I_a ∩ [a,b]|; the tests check both everywhere.
     """
@@ -243,7 +251,7 @@ def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
     _check_type(P, Positroid, "P")
     _check_type(E, IntervalDecomposition, "E")
     _check_ground(E.n, P.n)
-    return _block_bound(tuple(range(1, E.s + 1)), _gap_matrix(P, E), P.d) if E.s else 0
+    return _block_bound(tuple(range(1, E.s + 1)), _gap_matrix(P, E.intervals), P.d) if E.s else 0
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
@@ -253,7 +261,8 @@ def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossing
     _check_type(ncp, NonCrossingPartition, "ncp")
     if ncp.s != E.s:
         raise ValidationError(f"partition of {ncp.s} blocks a decomposition with s = {E.s}")
-    w = _gap_matrix(P, E)
+    _check_ground(E.n, P.n)
+    w = _gap_matrix(P, E.intervals)
     return sum(_block_bound(block, w, P.d) for block in ncp.blocks)
 
 
@@ -282,20 +291,33 @@ class RankCertificate:
     all_bounds: tuple[tuple[NonCrossingPartition, int], ...] | None = None
 
 
-def _gap_matrix(P: Positroid, decomp: IntervalDecomposition) -> list[list[int]]:
-    """w[i][j] = ccw over the open gap from interval i's end to interval j's start.
+def _gap_matrix(
+    P: Positroid, intervals: tuple[tuple[int, int], ...], coloops: int = 0
+) -> list[list[int]]:
+    """w[i][j] = |(I_{a_j} - K) ∩ (b_i, a_j)|, for the intervals (a, b) of
+    a decomposition on P's ground set, sorted by start, and K the mask
+    `coloops`; with K empty, ccw over the open gap from interval i's end to
+    interval j's start.
 
-    The gap (b, a) is the (a - b - 1) % n elements read from b + 1, so row i
-    is one lookup per j into the ccw row anchored just after interval i.
+    Since |I_{a_j} - K| = d - |K| = d', this is d' - |(I_{a_j} - K) ∩
+    [a_j, b_i]|. Column j reads one mask, I_{a_j} - K written twice and
+    cut to the n bits from a_j - 1, so that bit x - 1 or x + n - 1 stands
+    for x as read from a_j. The gap after b_i then starts at bit b_i when
+    b_i comes after a_j (j <= i, unless the last interval wraps) and at
+    bit b_i + n otherwise, so each entry is one shift and one popcount.
     """
-    _check_ground(decomp.n, P.n)
-    table = arrow_table(P)
-    n = decomp.n
-    starts = [a for a, _ in decomp.intervals]
+    n, masks = P.n, P.necklace.masks
+    circle, keep = (1 << n) - 1, ~coloops
+    columns = []
+    for a, _ in intervals:
+        m = masks[a - 1] & keep
+        columns.append((m | m << n) & circle << a - 1)
     w = []
-    for _, b in decomp.intervals:
-        row = table.ccw_row(b % n + 1)
-        w.append([row[(a - b - 1) % n] for a in starts])
+    for i, (a, b) in enumerate(intervals):
+        # the columns j <= i read b unwrapped, when interval i does not wrap
+        k = i + 1 if a <= b else 0
+        w.append([(m >> b).bit_count() for m in columns[:k]]
+                 + [(m >> b + n).bit_count() for m in columns[k:]])
     return w
 
 
@@ -306,21 +328,66 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
     return acc
 
 
-def _query(P: Positroid, E: Iterable[int]) -> tuple[Positroid, IntervalDecomposition, int]:
-    """E checked on P's ground set, then mapped onto P's reduction: the positroid
-    answering the query, E's decomposition there, and the coloops of P in E."""
+def _query(
+    P: Positroid, E: Iterable[int]
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int, int, int]:
+    """E checked on P's ground set and answered as on P's reduction, on P's
+    own labels: (E*'s intervals, their gap matrix, d', |E ∩ K|, F's mask).
+
+    K is the coloops (black fixed points) and F all fixed points. E* is E
+    without F, plus each run of fixed points whose nearest non-fixed element
+    before it is in E; when every element is fixed, E* is empty, and when
+    every non-fixed element is in E, the whole circle. The gap matrix reads
+    I_a - K and d' = d - |K|. Why that is the reduced query exactly:
+    - loops lie in no basis and coloops in every one, so the reduction's
+      necklace entry at a non-fixed a is I_a - K, relabeled (reduce() keeps
+      the cyclic order of the non-fixed elements);
+    - with K cleared no fixed point carries a mask bit, so every arc of P
+      counts what the reduced arc over its non-fixed elements counts;
+    - E*'s intervals start at non-fixed elements, and each gap of E*
+      starts with one too (a fixed point there would have been folded in),
+      so E*'s intervals and gaps correspond one to one, in order, to those
+      of E's image on the reduction.
+    So s, d' and w equal the reduced ones, and the rank table, its ties and
+    the certificate read off it are the reduced query's. With no fixed
+    points, E* is E, K is empty and d' is d.
+    """
     _check_type(P, Positroid, "P")
-    members = _checked_subset(E, P.n)
-    if not P.perm.fixed_points:
-        return P, _intervals_of(members, P.n), 0
-    reduced_P, relabel = P._reduced
-    image = frozenset(relabel[x] for x in members if x in relabel)
-    return reduced_P, _intervals_of(image, reduced_P.n), len(members & P.perm.black)
+    n, perm = P.n, P.perm
+    members = _checked_subset(E, n)
+    coloops = _mask(perm.black)
+    fixed = coloops | _mask(perm.white)
+    kept = _mask(members) & ~fixed
+    # a bit added at the foot of a run of fixed points carries through the
+    # run, so the runs after a kept element are the bits the sum clears; the
+    # ground written twice carries a run through n and 1 as well
+    twice = fixed | fixed << n
+    folded = twice & ~(twice + ((kept | kept << n) << 1 & twice))
+    star = (kept | folded | folded >> n) & (1 << n) - 1
+    intervals = _mask_intervals(star, n)
+    bonus = len(members & perm.black)
+    return intervals, _gap_matrix(P, intervals, coloops), P.d - coloops.bit_count(), bonus, fixed
 
 
-def _rank_table(P: Positroid, decomp: IntervalDecomposition) -> tuple[list[list[int]], list[list[int]]]:
-    """(seg_to, w): seg_to[v][u] is the least total bound over the
-    non-crossing partitions of intervals u..v (0 when u > v), w the gap matrix.
+def _reduced_intervals(
+    n: int, fixed: int, intervals: tuple[tuple[int, int], ...]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(m, E*'s intervals relabeled onto the reduction, of size m, of a
+    positroid on [n] whose fixed points are the mask `fixed`): x becomes the
+    number of non-fixed elements up to x, so a start keeps its reduce()
+    label and an end steps back over a trailing run of fixed points."""
+    m = n - fixed.bit_count()
+    if intervals == ((1, n),):
+        # the whole circle, which may start at a fixed point
+        return m, ((1, m),)
+    labels = [x - (fixed & (1 << x) - 1).bit_count() for iv in intervals for x in iv]
+    # an end with no non-fixed element up to it wraps to the last label
+    return m, tuple((a, (b - 1) % m + 1) for a, b in zip(labels[::2], labels[1::2]))
+
+
+def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
+    """seg_to[v][u], the least total bound over the non-crossing partitions
+    of intervals u..v (0 when u > v), for the gap matrix w of s intervals.
 
     A non-crossing partition decomposes like a polygon triangulation: the
     block containing interval u is a chain u = j_0 < j_1 < ... < j_k, the
@@ -331,9 +398,7 @@ def _rank_table(P: Positroid, decomp: IntervalDecomposition) -> tuple[list[list[
     it serves, so the s^2/2 steps are built once; the about s^3/3 remaining
     additions run inside C-level min/map over lists that are only appended to.
     """
-    w = _gap_matrix(P, decomp)
-    s = decomp.s
-    d = P.d
+    s = len(w)
     # into[u - 1][i - 1] = w[i - 1][u - 1], the closing gap of a block that
     # starts at u and ends at i
     into = list(zip(*w))
@@ -368,7 +433,7 @@ def _rank_table(P: Positroid, decomp: IntervalDecomposition) -> tuple[list[list[
             v = min(map(add, reversed(closed), row))
             seg_to[j][u] = v
             row.append(v)
-    return seg_to, w
+    return seg_to
 
 
 def rank(
@@ -389,11 +454,11 @@ def rank(
     by enumerate_ncp's `limit`. Blocks come out canonical, none re-checked.
     """
     _check_ints((limit,), "limit")
-    Q, decomp, bonus = _query(P, E)
-    s = decomp.s
+    intervals, w, d, bonus, fixed = _query(P, E)
+    s = len(intervals)
     listing = all_bounds and list(enumerate_ncp(s, limit=max(limit, 0)))
-    seg_to, w = _rank_table(Q, decomp)
-    d, m = Q.d, s + 1
+    seg_to = _rank_table(w, d)
+    m = s + 1
     # steps[j - 1][k - j - 1]: key cost of step j -> k, any range
     steps = [[(seg_to[k - 1][j + 1] - w[j - 1][k - 1]) * m + 1 for k in range(j + 1, m)]
              for j in range(1, m)]
@@ -416,13 +481,16 @@ def rank(
             block.append(j)
         best.append(tuple(block))
         pending.extend(reversed(_runs(best[-1], hi)))
+    # E*'s intervals relabeled are the maximal runs of E's image on the
+    # reduction, in order (see _query), so the decomposition is valid
+    ground, labeled = _reduced_intervals(P.n, fixed, intervals)
     return RankCertificate(
         value=seg_to[s][1] + bonus,
-        decomposition=decomp,
+        decomposition=_unchecked(IntervalDecomposition, n=ground, intervals=labeled),
         partition=_unchecked(NonCrossingPartition, s=s, blocks=tuple(best)),
         per_block_bounds=tuple(_block_bound(block, w, d) for block in best),
         coloop_bonus=bonus,
-        reduced=Q is not P,
+        reduced=bool(fixed),
         all_bounds=tuple(sorted(
             ((ncp, sum(_block_bound(b, w, d) for b in ncp.blocks)) for ncp in listing),
             key=lambda pair: (len(pair[0].blocks), pair[0].blocks),
@@ -433,5 +501,5 @@ def rank(
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     """Same value as rank(...).value, in O(s^3) without touching partitions:
     the corner entry of the table rank() reads its certificate from."""
-    Q, decomp, bonus = _query(P, E)
-    return _rank_table(Q, decomp)[0][decomp.s][1] + bonus
+    _, w, d, bonus, _ = _query(P, E)
+    return _rank_table(w, d)[len(w)][1] + bonus

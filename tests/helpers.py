@@ -152,14 +152,15 @@ def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...
     order, on an explicit stack. It tries up to 2^(s-1) heads per range, so
     it is a reference for s up to about 14, past enumeration's reach."""
     rank_module = importlib.import_module("positroids.rank")
-    Q, decomp, bonus = rank_module._query(P, E)
-    seg_to, w = rank_module._rank_table(Q, decomp)
+    intervals, w, d, bonus, _ = rank_module._query(P, E)
+    seg_to = rank_module._rank_table(w, d)
+    s = len(intervals)
 
     def bound(block: tuple[int, ...]) -> int:
-        return Q.d - sum(w[t - 1][u - 1] for t, u in zip(block, block[1:] + block[:1]))
+        return d - sum(w[t - 1][u - 1] for t, u in zip(block, block[1:] + block[:1]))
 
     best: list[tuple[int, ...]] = []
-    pending = [(1, decomp.s)] if decomp.s else []
+    pending = [(1, s)] if s else []
     while pending:
         lo, hi = pending.pop()
         heads = ((lo,) + extra for k in range(hi - lo + 1)
@@ -172,7 +173,7 @@ def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...
             raise AssertionError(f"no head of {lo}..{hi} attains {seg_to[hi][lo]}")
         best.append(block)
         pending.extend(reversed(runs))
-    return seg_to[decomp.s][1] + bonus, tuple(best), tuple(map(bound, best))
+    return seg_to[s][1] + bonus, tuple(best), tuple(map(bound, best))
 
 
 def reference_rank_table(w: list[list[int]], d: int) -> list[list[int]]:

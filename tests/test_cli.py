@@ -10,7 +10,7 @@ import pytest
 
 from positroids import ContractViolationError, Positroid, ValidationError, morph, rank_dp, repro
 from positroids.cli import main
-from positroids.positroid import _mask
+from positroids.cyclic import _mask
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
 MATRIX_A = [[1, 0, -3, -1], [0, 1, 4, 0]]

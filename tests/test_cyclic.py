@@ -160,6 +160,24 @@ class TestDecompose:
         assert decompose((), 14).members == frozenset()
         assert decompose(range(1, 15), 14).intervals == ((1, 14),)
 
+    def test_every_subset_is_its_maximal_runs(self):
+        # decompose reads the runs off the set's mask; the reference walks
+        # the set from each start
+        for n in range(10):
+            for m in range(1 << n):
+                mem = {x for x in range(1, n + 1) if m >> (x - 1) & 1}
+                expected = []
+                for a in sorted(x for x in mem if (x - 2) % n + 1 not in mem):
+                    b = a
+                    while b % n + 1 in mem:
+                        b = b % n + 1
+                    expected.append((a, b))
+                if n and len(mem) == n:
+                    expected = [(1, n)]
+                D = decompose(mem, n)
+                assert D.intervals == tuple(expected), (n, sorted(mem))
+                assert IntervalDecomposition(n, D.intervals).members == mem
+
     def test_gap_pairs(self):
         d = decompose({1, 2, 7, 8, 9, 10, 13}, 14)
         assert d.gap_pairs() == ((2, 7), (10, 13), (13, 1))

@@ -337,18 +337,20 @@ class TestPositroid:
         Q = Positroid.from_json(ref_positroid.to_json())
         assert (P.d, Q.d) == (2, 7)
         assert "necklace" not in vars(P) and "necklace" not in vars(Q)
-        assert rank_dp(P, {2, 4, 5}) == 2
-        assert rank(P, {3}).value == 1
-        inner = P._reduced[0]
-        assert "necklace" not in vars(inner) and "necklace" not in vars(P)
         # the Gale test reads floor rows only
         assert Q.is_basis(REF_NECKLACE[0]) and not Q.is_basis(range(1, 8))
         assert "necklace" not in vars(Q)
-        # the witness reads the necklace's masks; no frozenset view is built
+        # rank queries read the necklace's masks, on P's own labels: no
+        # frozenset view, no reduced positroid and no per-anchor rows
+        assert rank_dp(P, {2, 4, 5}) == 2
+        assert rank(P, {3}).value == 1
+        assert rank(P, {2, 4, 5}, all_bounds=True).value == 2
+        assert vars(P).keys() == {"perm", "d", "necklace"}
+        assert "sets" not in vars(P.necklace)
+        # the witness reads the masks too
         assert P.is_basis(witness_basis(P, {2, 4, 5}))
         assert Q.is_basis(witness_basis(Q, {1, 2, 9, 13}))
         assert "sets" not in vars(P.necklace) and "sets" not in vars(Q.necklace)
-        assert "necklace" not in vars(inner)
         assert P.necklace is P.necklace
         # reading the view builds it once and keeps it
         assert P.necklace.sets is P.necklace.sets

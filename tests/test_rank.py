@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -16,6 +17,7 @@ from positroids import (
     EnumerationLimitError,
     NonCrossingPartition,
     Positroid,
+    RankCertificate,
     ValidationError,
     arrow_table,
     bound_for_partition,
@@ -30,6 +32,7 @@ from positroids import (
     rank_bruteforce,
     rank_dp,
     rank_of_interval,
+    reduce,
     witness_basis,
 )
 from positroids.cli import main
@@ -219,22 +222,41 @@ class TestArrowCounts:
 
 
 class TestCaches:
-    def test_one_interval_query_builds_one_row(self, ref_positroid):
+    def test_queries_keep_no_rows(self, ref_positroid):
+        # queries read the necklace masks and leave P holding only them and
+        # d: no reduced positroid, no arrow rows, no frozenset view
         P = Positroid.from_oneline(ref_positroid.perm.images)
-        rank_dp(P, {3, 4, 5})
-        assert len(arrow_table(P)._rows) == 1
-        rank_dp(P, E4)  # two gaps, starting after 3 and after 10
-        assert sorted(arrow_table(P)._rows) == [4, 6, 11]
+        D = Positroid.from_oneline((1, 3, 4, 2, 6, 5, 7), white=(1,), black=(7,))
+        for Q, E in ((P, {3, 4, 5}), (P, E4), (P, E5), (D, {1, 2, 5, 7}), (D, {3, 6})):
+            rank_dp(Q, E)
+            rank(Q, E, all_bounds=True)
+            assert vars(Q).keys() == {"perm", "d", "necklace"}, (Q.perm, E)
+            assert "sets" not in vars(Q.necklace)
+        # an arrow table is the caller's: a new one per call, its rows built
+        # as they are read and kept in it, never on P
+        table = arrow_table(P)
+        assert table is not arrow_table(P)
+        assert vars(table).keys() == {"perm", "_rows"} and table._rows == {}
+        table.ccw_row(4)
+        table.ccw_row(11)
+        assert sorted(table._rows) == [4, 11]
+        assert vars(P).keys() == {"perm", "d", "necklace"}
 
-    def test_interval_counts_read_ccw_rows_only(self, ref_positroid):
+    def test_interval_counts_read_the_masks_only(self, ref_positroid):
         P = Positroid.from_oneline(ref_positroid.perm.images)
         assert rank_of_interval(P, 1, 3) == 2
         assert min_elements(P, 3, 8) == 2
         assert cw_count(P, CyclicInterval.span(7, 10, 14)) == 0
-        # each count read the one CCW row anchored after its interval's end
-        assert "necklace" not in vars(P)
-        assert vars(arrow_table(P)).keys() == {"perm", "_rows"}
-        assert sorted(arrow_table(P)._rows) == [4, 11]
+        # ccw_count agrees with the CCW row anchored at the interval's start,
+        # on a proper interval, one that wraps and the full circle
+        rows = arrow_table(P)
+        for a, b in ((4, 7), (12, 2), (5, 4)):
+            T = CyclicInterval.span(a, b, 14)
+            assert ccw_count(P, T) == rows.ccw_row(a)[len(T)], (a, b)
+        assert ccw_count(P, CyclicInterval.full(14)) == P.d == 7
+        # each count is one popcount on a necklace mask
+        assert vars(P).keys() == {"perm", "d", "necklace"}
+        assert "sets" not in vars(P.necklace)
 
     def test_positroid_is_freed_after_queries(self):
         # nothing at module level keeps a queried positroid alive
@@ -459,10 +481,10 @@ class TestOneEngine:
     def test_walk_checks_the_table(self, monkeypatch, capsys, tmp_path, ref_positroid):
         build = RANK_MODULE._rank_table
 
-        def one_lower(P, decomp):
-            seg_to, w = build(P, decomp)
-            seg_to[decomp.s][1] -= 1
-            return seg_to, w
+        def one_lower(w, d):
+            seg_to = build(w, d)
+            seg_to[len(w)][1] -= 1
+            return seg_to
 
         monkeypatch.setattr(RANK_MODULE, "_rank_table", one_lower)
         with pytest.raises(ContractViolationError, match="attains"):
@@ -543,14 +565,17 @@ class TestRankTable:
     """Every entry of the table rank() and rank_dp() read, not only the corner."""
 
     def test_every_entry_is_a_rank_on_small_decorated_positroids(self):
-        # seg_to[v][u] is the rank, on the reduction, of intervals u..v
+        # seg_to[v][u] is the rank, on the reduction, of intervals u..v of
+        # E's image there; the query runs on P's own labels
         for n in range(6):
             for P in decorated_positroids(n):
-                Q = RANK_MODULE._query(P, ())[0]
+                Q, relabel = reduce(P)
                 brute = brute_rank_table(Q)
                 for E in all_subsets(n):
-                    _, decomp, _ = RANK_MODULE._query(P, E)
-                    seg_to, _ = RANK_MODULE._rank_table(Q, decomp)
+                    decomp = decompose({relabel[x] for x in E if x in relabel}, Q.n)
+                    _, w, d, *_ = RANK_MODULE._query(P, E)
+                    assert (len(w), d) == (decomp.s, Q.d)
+                    seg_to = RANK_MODULE._rank_table(w, d)
                     runs = [CyclicInterval.span(a, b, Q.n).members for a, b in decomp.intervals]
                     for v in range(1, decomp.s + 1):
                         for u in range(1, v + 2):
@@ -562,12 +587,98 @@ class TestRankTable:
         sizes = set()
         for k in range(40):
             P = random_decorated_positroid(150, rng)
-            Q, decomp, _ = RANK_MODULE._query(P, random_union(150, 1 + k * 59 // 39, rng))
-            seg_to, w = RANK_MODULE._rank_table(Q, decomp)
-            assert w == RANK_MODULE._gap_matrix(Q, decomp)
-            assert seg_to == reference_rank_table(w, Q.d), (P.perm, decomp)
+            E = random_union(150, 1 + k * 59 // 39, rng)
+            _, w, d, *_ = RANK_MODULE._query(P, E)
+            # the gap matrix read off P's masks is the reduction's, counted
+            # by its CCW rows: w[i][j] = ccw((b_i, a_j))
+            Q, relabel = reduce(P)
+            decomp = decompose({relabel[x] for x in E if x in relabel}, Q.n)
+            rows, m = arrow_table(Q), Q.n
+            assert d == Q.d
+            assert w == [[rows.ccw_row(b % m + 1)[(a - b - 1) % m] for a, _ in decomp.intervals]
+                         for _, b in decomp.intervals], (P.perm, decomp)
+            seg_to = RANK_MODULE._rank_table(w, d)
+            assert seg_to == reference_rank_table(w, d), (P.perm, decomp)
             sizes.add(decomp.s)
         assert max(sizes) > 50 and min(sizes) <= 2
+
+
+def reduced_reference(P, E) -> RankCertificate:
+    """rank(P, E, all_bounds=True) computed the way the reduction defines it:
+    E's image on reduce(P), its gap weights counted by the reduction's CCW
+    rows, every partition's bound listed, and the first least one in
+    enumeration order taken as the certificate."""
+    Q, relabel = reduce(P)
+    decomp = decompose({relabel[x] for x in E if x in relabel}, Q.n)
+    rows, m = arrow_table(Q), Q.n
+    w = [[rows.ccw_row(b % m + 1)[(a - b - 1) % m] for a, _ in decomp.intervals]
+         for _, b in decomp.intervals]
+
+    def bound(block):
+        return Q.d - sum(w[t - 1][u - 1] for t, u in zip(block, block[1:] + block[:1]))
+
+    bounds = [(ncp, sum(map(bound, ncp.blocks))) for ncp in enumerate_ncp(decomp.s)]
+    best, value = min(bounds, key=lambda pair: pair[1])
+    bonus = len(frozenset(E) & P.perm.black)
+    return RankCertificate(
+        value=value + bonus,
+        decomposition=decomp,
+        partition=best,
+        per_block_bounds=tuple(map(bound, best.blocks)),
+        coloop_bonus=bonus,
+        reduced=bool(P.perm.fixed_points),
+        all_bounds=tuple(sorted(bounds, key=lambda pair: (len(pair[0].blocks), pair[0].blocks))),
+    )
+
+
+class TestOwnLabels:
+    """Queries run on P's own labels and necklace masks; the reduction is
+    only the reference they must equal, field by field."""
+
+    def test_every_small_decorated_query_is_the_reduced_one(self):
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    expected = reduced_reference(P, E)
+                    assert rank(P, E, all_bounds=True) == expected, (P.perm, sorted(E))
+                    assert rank_dp(P, E) == expected.value, (P.perm, sorted(E))
+
+    def test_seeded_larger_decorated_queries_are_the_reduced_ones(self):
+        # n 6-9 with up to 4 fixed points; every third set is all elements
+        # but a few, so runs of fixed points also fold across n and 1
+        rng = random.Random(3131)
+        for _ in range(700):
+            n = rng.randint(6, 9)
+            P = random_decorated_positroid(n, rng)
+            if rng.random() < 1 / 3:
+                E = frozenset(range(1, n + 1)) - set(rng.sample(range(1, n + 1), rng.randint(0, 2)))
+            else:
+                E = frozenset(x for x in range(1, n + 1) if rng.random() < 0.5)
+            expected = reduced_reference(P, E)
+            assert rank(P, E, all_bounds=True) == expected, (P.perm, sorted(E))
+            assert rank_dp(P, E) == expected.value, (P.perm, sorted(E))
+
+    def test_many_queries_retain_no_memory(self):
+        # 300 queries on one n = 400 positroid keep nothing past the
+        # necklace masks (44 KB here); one CCW row of n + 1 ints kept per
+        # anchor read, and a kept reduced positroid, came to 1.26 MB
+        rng = random.Random(404)
+        P = random_decorated_positroid(400, rng, fixed=20)
+        assert P.perm.white and P.perm.black
+        queries = [random_union(400, 8, rng) for _ in range(300)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            values = [rank_dp(P, E) for E in queries]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert set(vars(P)) <= {"perm", "d", "necklace", "_gale_floors", "_gale_packing"}
+        assert "necklace" in vars(P) and "sets" not in vars(P.necklace)
+        assert retained < 1 << 20, retained
+        assert len(values) == 300 and max(values) <= P.d
 
 
 class TestChecksOnce:

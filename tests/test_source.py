@@ -1,6 +1,7 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "positroids"
@@ -114,3 +115,33 @@ def test_rank_module_has_no_recursion():
 
     assert functions
     assert [name for name in functions if reaches(name, name)] == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these functions by name and reports one
+    # the package no longer binds as a null metric, so a rename or removal
+    # must fail here first; "Class.method" names a method defined on Class
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("TRACED", "DIRECT", "CLI_MAIN")
+    }
+    targets = [*tables["TRACED"], *tables["DIRECT"], tables["CLI_MAIN"]]
+    assert len(tables["TRACED"]) >= 20 and tables["DIRECT"]
+    unbound = []
+    for module_name, attr in targets:
+        module = importlib.import_module(f"positroids.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(module, cls_name, None)
+            bound = isinstance(cls, type) and method in vars(cls)
+        else:
+            bound = callable(getattr(module, attr, None))
+        if not bound:
+            unbound.append(f"{module_name}.{attr}")
+    assert unbound == []
