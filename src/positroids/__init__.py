@@ -6,8 +6,9 @@ decorated permutation or, equivalently, a Grassmann necklace, and this
 package computes with those encodings directly: basis membership via Gale
 orders, the rank of an arbitrary subset of the ground set via non-crossing
 partitions of its cyclic intervals (no basis enumeration), witness bases
-through staged interval exchanges, and exact-rational bridges to and from
-matrices.
+through staged interval exchanges, and an exact-rational bridge from
+totally nonnegative matrices to positroids; the way back, positroid to
+matrix, is not implemented.
 
 The ground set is always {1..n}, ordered cyclically.
 """

@@ -240,32 +240,11 @@ def _fraction_str(value) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     kind, path = _input_file(args)
     try:
-        data = _read_json(path)
-        if kind == "perm":
-            P = Positroid.from_json(data)
-            loops, coloops = loops_and_coloops(P)
-            obj: dict[str, Any] = {
-                "valid": True,
-                "kind": "permutation",
-                "n": P.n,
-                "d": P.d,
-                "loops": sorted(loops),
-                "coloops": sorted(coloops),
-            }
-        elif kind == "necklace":
-            P = Positroid.from_necklace(GrassmannNecklace.from_json(data))
-            obj = {
-                "valid": True,
-                "kind": "necklace",
-                "n": P.n,
-                "d": P.d,
-                "pi": list(P.perm.images),
-            }
-        else:
-            A = RationalMatrix.from_json(data)
+        if kind == "matrix":
+            A = RationalMatrix.from_json(_read_json(path))
             full = row_rank(A) == A.r
             witness = first_negative_minor(A)
-            obj = {
+            obj: dict[str, Any] = {
                 "valid": full and witness is None,
                 "kind": "matrix",
                 "rows": A.r,
@@ -279,6 +258,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "columns": list(cols),
                     "value": _fraction_str(value),
                 }
+        else:
+            P = _load_positroid(args)
+            obj = {
+                "valid": True,
+                "kind": "permutation" if kind == "perm" else "necklace",
+                "n": P.n,
+                "d": P.d,
+            }
+            if kind == "perm":
+                loops, coloops = loops_and_coloops(P)
+                obj.update(loops=sorted(loops), coloops=sorted(coloops))
+            else:
+                obj["pi"] = list(P.perm.images)
     except ValidationError as exc:
         _emit(args, {"valid": False, "kind": kind, "error": str(exc)}, [f"invalid: {exc}"])
         return 1
@@ -320,6 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--necklace", metavar="FILE", help="necklace JSON file, or - for stdin")
     inputs.add_argument("--matrix", metavar="FILE", help="matrix JSON file, or - for stdin")
 
+    subset = argparse.ArgumentParser(add_help=False)
+    subset.add_argument("--set", required=True, help='subset like "1-3,8-10" ("" = empty)')
+
+    limit = argparse.ArgumentParser(add_help=False)
+    limit.add_argument(
+        "--limit-s", type=int, default=DEFAULT_PARTITION_LIMIT, metavar="N",
+        help="max interval count for listing bounds (default %(default)s)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="positroid",
         description="Positroid toolkit: necklaces, bases, subset ranks, morphs.",
@@ -330,31 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("perm", parents=[inputs, output], help="print the decorated permutation")
     sub.add_parser("bases", parents=[inputs, output], help="enumerate all bases (n <= 20)")
 
-    p_rank = sub.add_parser("rank", parents=[inputs, output], help="rank of a subset")
-    p_rank.add_argument("--set", required=True, help='subset like "1-3,8-10" ("" = empty)')
-    p_rank.add_argument("--all-bounds", action="store_true", help="list every partition bound")
-    p_rank.add_argument("--witness", action="store_true", help="also build a witness basis")
-    p_rank.add_argument(
-        "--limit-s",
-        type=int,
-        default=DEFAULT_PARTITION_LIMIT,
-        metavar="N",
-        help="max interval count for --all-bounds (default %(default)s)",
-    )
+    # rank's own flags, kept between --set and --limit-s in its usage line
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--all-bounds", action="store_true", help="list every partition bound")
+    flags.add_argument("--witness", action="store_true", help="also build a witness basis")
+    query = [inputs, output, subset]
+    sub.add_parser("rank", parents=[*query, flags, limit], help="rank of a subset")
+    sub.add_parser("bounds", parents=[*query, limit], help="every non-crossing partition bound")
 
-    p_bounds = sub.add_parser(
-        "bounds", parents=[inputs, output], help="every non-crossing partition bound"
-    )
-    p_bounds.add_argument("--set", required=True, help='subset like "1-2,7-10,13"')
-    p_bounds.add_argument(
-        "--limit-s", type=int, default=DEFAULT_PARTITION_LIMIT, metavar="N",
-        help="max interval count for partition enumeration (default %(default)s)",
-    )
-
-    p_morph = sub.add_parser(
-        "morph-trace", parents=[inputs, output], help="stage-by-stage morph states"
-    )
-    p_morph.add_argument("--set", required=True, help="subset whose intervals to morph")
+    p_morph = sub.add_parser("morph-trace", parents=query, help="stage-by-stage morph states")
     p_morph.add_argument(
         "--start", type=int, default=1, metavar="I", help="interval to start from (default 1)"
     )

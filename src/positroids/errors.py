@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ValidationError", "NotAPositroidError", "ContractViolationError", "EnumerationLimitError",
+]
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition or invariant."""

@@ -1,11 +1,12 @@
 """Decorated permutations, Grassmann necklaces, and the positroids they define.
 
-A positroid on {1..n} is stored as its decorated permutation pi alone. The
-necklace entry I_k is the set of weak k-exceedances of pi: elements j with
-j strictly before pi^{-1}(j) in the cyclic order starting at k, plus the
-black fixed points. A necklace is stored as n-bit masks, entry k - 1 holding
-I_k with bit x - 1 standing for x. It is built when first read: I_1 from that
-definition, then each I_{k+1} from I_k by the transition rule
+A positroid on {1..n} is stored as its decorated permutation pi alone, and
+everything is read off pi's images: only pi_inv builds pi^{-1}. The necklace
+entry I_k is the set of weak k-exceedances of pi: each pi(i) strictly before
+i in the cyclic order starting at k, plus the black fixed points. A necklace
+is stored as n-bit masks, entry k - 1 holding I_k with bit x - 1 standing
+for x. It is built when first read: I_1 from that definition, then each
+I_{k+1} from I_k by the transition rule
 I_{k+1} = (I_k minus k) plus pi(k) (Postnikov, arXiv math/0609764 §16–17),
 one XOR of two bits, so O(n) big-int steps. permutation_of reads pi(k) back
 as the one bit I_{k+1} gains, by bit_length. The entries as frozensets are a
@@ -34,8 +35,8 @@ and reduce()'s relabeled permutation, which maps the non-fixed points
 bijectively to themselves. Every public constructor and from_* method still
 checks its input in full.
 Everything a Positroid derives lazily (necklace, d, Gale floors and their
-packed rows) is cached on the Positroid itself and freed with it. Rank
-queries read the necklace masks and keep nothing per query or per anchor.
+packed rows) is cached on the Positroid itself and freed with it. Arrow
+counts and rank queries live in positroids.rank.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import ge
 from struct import pack
 from typing import Iterable, Iterator
@@ -65,7 +65,6 @@ from .errors import EnumerationLimitError, ValidationError
 __all__ = [
     "DecoratedPermutation",
     "GrassmannNecklace",
-    "ArrowTable",
     "Positroid",
     "necklace_of",
     "permutation_of",
@@ -293,16 +292,16 @@ class GrassmannNecklace:
 
 
 def _first_entry(perm: DecoratedPermutation) -> set[int]:
-    """I_1: the black fixed points and every j with j < pi^{-1}(j)."""
+    """I_1: the black fixed points and every pi(i) < i."""
     members = set(perm.black)
-    members.update(j for j, pre in enumerate(perm._inverse, start=1) if j < pre)
+    members.update(j for i, j in enumerate(perm.images, start=1) if j < i)
     return members
 
 
 def necklace_of(perm: DecoratedPermutation) -> GrassmannNecklace:
     """The necklace I_k = weak k-exceedances of the permutation, as masks.
 
-    j lands in I_k when j comes strictly before pi^{-1}(j) in the cyclic
+    j = pi(i) lands in I_k when j comes strictly before i in the cyclic
     order starting at k, or when j is a black fixed point. Only I_1 is read
     off that definition. Moving the cut from k to k+1 changes the relative
     order of k and nothing else, so a fixed point k leaves the set alone,
@@ -348,49 +347,6 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
         DecoratedPermutation,
         n=n, images=tuple(images), white=frozenset(white), black=frozenset(black),
     )
-
-
-class ArrowTable:
-    """Per-anchor prefix counts of CCW-arrows, one O(n) row per anchor on demand.
-
-    A CCW-arrow is the cyclic interval [x, pi^{-1}(x)], and a black fixed
-    point is one of its own. Row `ccw_row(a)[L]` counts those whose ends lie
-    in the L elements read from a with x before y reading from a: plain
-    containment on every proper interval, and `row[n]` = |I_a| = d on the
-    full circle. This one row kind answers every interval count of
-    positroids.rank: the gap (b, a) completing [a, b] is a prefix of the row
-    anchored after b, rank([a, b]) = d - ccw((b, a)) and cw([a, b]) =
-    |[a, b]| - rank([a, b]).
-
-    A row is built the first time its anchor is asked for and kept in the
-    table, which the caller holds: positroids.rank.arrow_table makes a new
-    one per call, and no Positroid keeps one. The rank queries themselves
-    read the same counts off the necklace masks instead.
-    """
-
-    def __init__(self, perm: DecoratedPermutation) -> None:
-        _check_type(perm, DecoratedPermutation, "perm")
-        self.perm = perm
-        self._rows: dict[int, tuple[int, ...]] = {}
-
-    def ccw_row(self, anchor: int) -> tuple[int, ...]:
-        n = self.perm.n
-        _check_element(anchor, n)
-        row = self._rows.get(anchor)
-        if row is None:
-            black = self.perm.black
-            bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
-            for x, y in enumerate(self.perm._inverse, start=1):
-                px = (x - anchor) % n
-                if y == x:
-                    if x in black:
-                        bucket[px + 1] += 1
-                else:
-                    py = (y - anchor) % n
-                    if px < py:
-                        bucket[py + 1] += 1
-            row = self._rows[anchor] = tuple(accumulate(bucket))
-        return row
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
 of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
 one run of bits. A query builds its s x s gap matrix from s masks in O(s^2)
 shifts and popcounts and keeps nothing, neither per query nor per anchor; the
-necklace itself is built once and kept on the Positroid. ArrowTable rows
-(see positroids.positroid) give the same counts by prefix sums of
-CCW-arrows; arrow_table builds them on demand and no query reads them.
+necklace itself is built once and kept on the Positroid. Every count here
+reads that one kernel, _gap_matrix. ArrowTable, the reference the popcounts
+are tested against, counts the arrows off pi's images by prefix sums, one
+row per anchor that arrow_table builds on demand; no query reads them.
 rank() and rank_dp() answer queries on positroids with loops or coloops as
 on the reduction (see _query), but on P's own labels: no reduced positroid is
 built. witness_basis (positroids.morph) works on the positroid itself.
@@ -33,7 +34,7 @@ Nothing is cached at module level, so memory is freed with the positroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add
 from typing import Iterable, Iterator
 
@@ -52,7 +53,7 @@ from .cyclic import (
     _unchecked,
 )
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
-from .positroid import ArrowTable, Positroid
+from .positroid import DecoratedPermutation, Positroid
 
 __all__ = [
     "DEFAULT_PARTITION_LIMIT",
@@ -192,6 +193,46 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
         yield _unchecked(NonCrossingPartition, s=s, blocks=raw)
 
 
+class ArrowTable:
+    """Per-anchor prefix counts of CCW-arrows, one O(n) row per anchor on demand.
+
+    A CCW-arrow is the cyclic interval [x, pi^{-1}(x)], and a black fixed
+    point is one of its own. Row `ccw_row(a)[L]` counts those whose ends lie
+    in the L elements read from a with x before y reading from a: plain
+    containment on every proper interval, and `row[n]` = |I_a| = d on the
+    full circle. The gap (b, a) completing [a, b] is a prefix of the row
+    anchored after b, so rank([a, b]) = d - ccw((b, a)) and cw([a, b]) =
+    |[a, b]| - rank([a, b]). The arrow at x = pi(y) ends at y.
+
+    A row is built when its anchor is first asked for and kept in the table,
+    which the caller holds: arrow_table makes a new one per call.
+    """
+
+    def __init__(self, perm: DecoratedPermutation) -> None:
+        _check_type(perm, DecoratedPermutation, "perm")
+        self.perm = perm
+        self._rows: dict[int, tuple[int, ...]] = {}
+
+    def ccw_row(self, anchor: int) -> tuple[int, ...]:
+        n = self.perm.n
+        _check_element(anchor, n)
+        row = self._rows.get(anchor)
+        if row is None:
+            black = self.perm.black
+            bucket = [0] * (n + 1)  # bucket[p + 1]: arrows whose later end sits at position p
+            for y, x in enumerate(self.perm.images, start=1):
+                px = (x - anchor) % n
+                if y == x:
+                    if x in black:
+                        bucket[px + 1] += 1
+                else:
+                    py = (y - anchor) % n
+                    if px < py:
+                        bucket[py + 1] += 1
+            row = self._rows[anchor] = tuple(accumulate(bucket))
+        return row
+
+
 def arrow_table(P: Positroid) -> ArrowTable:
     """The arrow counts of P, a new table whose rows are built as they are
     read; P keeps none of them."""
@@ -200,13 +241,10 @@ def arrow_table(P: Positroid) -> ArrowTable:
 
 
 def _gap_ccw(P: Positroid, b: int, a: int) -> int:
-    """ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|: I_a's mask read
-    from a, the gap being its bits past the (b - a) % n + 1 of [a, b]."""
-    n = P.n
-    _check_element(b, n)
-    _check_element(a, n)
-    m = P.necklace.masks[a - 1]
-    return (((m | m << n) >> a - 1 & (1 << n) - 1) >> (b - a) % n + 1).bit_count()
+    """ccw((b, a)) = |I_a ∩ (b, a)|, the one entry of [a, b]'s gap matrix."""
+    _check_element(b, P.n)
+    _check_element(a, P.n)
+    return _gap_matrix(P, ((a, b),))[0][0]
 
 
 def cw_count(P: Positroid, T: CyclicInterval) -> int:

@@ -58,9 +58,11 @@ __all__ = [
     "matroid_from_matrix",
     "is_totally_nonnegative",
     "first_negative_minor",
+    "maximal_minor",
     "necklace_from_bases",
     "positroid_from_matrix",
     "random_tnn_matrix",
+    "row_rank",
 ]
 
 # a scan of at most this many subsets, C(n, r), always runs; a larger one
@@ -278,11 +280,11 @@ class BasisCollection:
     """A nonempty family of d-subsets of {1..n} closed under basis exchange.
 
     The exchange axiom is verified on construction for collections of at
-    most EXCHANGE_VALIDATION_CAP bases on at most 20 elements; bigger
-    collections are accepted as-is (documented trade-off: the check is
-    quadratic in the collection size). The collections matroid_from_matrix
-    returns skip every check: the nonzero maximal minors of a matrix are
-    the bases of its column matroid, exact by construction.
+    most EXCHANGE_VALIDATION_CAP bases on at most BASIS_ENUMERATION_CAP
+    elements; bigger collections are accepted as-is (documented trade-off:
+    the check is quadratic in the collection size). The collections
+    matroid_from_matrix returns skip every check: the nonzero maximal minors
+    of a matrix are the bases of its column matroid, exact by construction.
     """
 
     n: int
@@ -300,7 +302,7 @@ class BasisCollection:
             _checked_subset(B, self.n)
             if len(B) != self.d:
                 raise ValidationError(f"basis {sorted(B)} has size {len(B)}, expected {self.d}")
-        if self.n <= 20 and len(self.bases) <= EXCHANGE_VALIDATION_CAP:
+        if self.n <= BASIS_ENUMERATION_CAP and len(self.bases) <= EXCHANGE_VALIDATION_CAP:
             self._check_exchange()
 
     def _check_exchange(self) -> None:

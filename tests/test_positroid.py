@@ -10,6 +10,7 @@ from positroids import (
     GrassmannNecklace,
     Positroid,
     ValidationError,
+    arrow_table,
     enumerate_bases,
     loops_and_coloops,
     necklace_of,
@@ -259,6 +260,29 @@ class TestNecklaceOf:
 
     def test_reference(self, ref_positroid):
         assert list(ref_positroid.necklace.sets) == weak_exceedance_necklace(ref_positroid.perm)
+
+
+class TestOneLineOnly:
+    def test_no_inverse_is_built(self, ref_positroid):
+        # necklace, d, Gale rows, queries, witnesses, bases and arrow rows
+        # are all read off pi's images; only pi_inv builds pi^{-1}
+        decorated = ((1, 3, 4, 2, 6, 5, 7), (1,), (7,))
+        for images, white, black in ((ref_positroid.perm.images, (), ()), decorated):
+            P = Positroid.from_oneline(images, white=white, black=black)
+            E = {1, 2, 5, 7}
+            rank(P, E)
+            rank_dp(P, E)
+            witness_basis(P, E)
+            assert P.is_basis(sorted(P.necklace.at(2)))
+            bases = list(enumerate_bases(P))
+            arrow_table(P).ccw_row(3)
+            Q = Positroid.from_necklace(P.necklace)
+            assert Q.perm == P.perm and list(enumerate_bases(Q)) == bases
+            assert "_inverse" not in vars(P.perm) and "_inverse" not in vars(Q.perm)
+            assert [P.perm.pi_inv(P.perm.pi(i)) for i in range(1, P.n + 1)] == list(
+                range(1, P.n + 1)
+            )
+            assert "_inverse" in vars(P.perm)
 
 
 class TestPermNecklaceRoundtrip:

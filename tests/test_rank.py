@@ -242,6 +242,26 @@ class TestCaches:
         assert sorted(table._rows) == [4, 11]
         assert vars(P).keys() == {"perm", "d", "necklace"}
 
+    def test_arrow_rows_count_arrows_by_definition(self):
+        # ccw_row(a)[L]: the arrows [x, pi^{-1}(x)] with both ends among the
+        # first L elements read from a, x first, plus the black fixed points
+        # there, on every decorated positroid with n <= 6
+        count = 0
+        for n in range(1, 7):
+            for P in decorated_positroids(n):
+                inverse = {y: x for x, y in enumerate(P.perm.images, start=1)}
+                table = arrow_table(P)
+                for a in range(1, n + 1):
+                    pos = {x: (x - a) % n for x in range(1, n + 1)}
+                    ends = [
+                        pos[inverse[x]] for x in range(1, n + 1)
+                        if (x in P.perm.black if inverse[x] == x else pos[x] < pos[inverse[x]])
+                    ]
+                    expected = tuple(sum(p < L for p in ends) for L in range(n + 1))
+                    assert table.ccw_row(a) == expected, (P.perm, a)
+                count += 1
+        assert count == 2 + 5 + 16 + 65 + 326 + 1957
+
     def test_interval_counts_read_the_masks_only(self, ref_positroid):
         P = Positroid.from_oneline(ref_positroid.perm.images)
         assert rank_of_interval(P, 1, 3) == 2

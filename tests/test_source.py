@@ -58,6 +58,8 @@ def _references(tree: ast.AST, name: str, scope: str = "") -> list[tuple[str, as
             continue
         if isinstance(node, ast.Name) and node.id == name:
             found.append((scope, node))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.append((scope, node))
         elif isinstance(node, ast.alias) and name in (node.name, node.asname):
             found.append((scope, node))
         found += _references(node, name, scope)
@@ -81,6 +83,31 @@ def test_unchecked_construction_is_fenced():
             assert id(node) in calls, f"{path.name}:{node.lineno}: _unchecked used without a call"
             callers.add((path.name, scope))
     assert callers == UNCHECKED_CALLERS
+
+
+def test_only_pi_inv_reads_the_inverse():
+    # every positroid fact is read off pi's one-line notation; pi^{-1} is
+    # built only for a caller of pi_inv
+    readers = {
+        (path.name, scope)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for scope, _ in _references(ast.parse(path.read_text(), filename=str(path)), "_inverse")
+    }
+    assert readers == {("positroid.py", "DecoratedPermutation.pi_inv")}
+
+
+def test_public_names_listed_by_their_module():
+    # each public name has one owner: the module that defines it lists it
+    # in its own __all__, as the package's __all__ does
+    package = importlib.import_module("positroids")
+    unlisted = []
+    for name in package.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(getattr(package, name).__module__)
+        if name not in getattr(module, "__all__", ()):
+            unlisted.append(f"{module.__name__}.{name}")
+    assert unlisted == []
 
 
 def test_rank_module_has_no_recursion():
