@@ -323,7 +323,7 @@ def _exchange_holds(P: Positroid, B: int, e: int, f: int) -> bool:
     # ordered[lo:hi], wrapping past the end when f comes before e
     lo, hi = (C & ((1 << e) - 1)).bit_count(), (C & ((1 << f) - 1)).bit_count()
     anchors = range(lo, hi) if e < f else [*range(lo, len(ordered)), *range(hi)]
-    return P._gale_holds(ordered, anchors)
+    return P._gale_holds([ordered], anchors) == 1
 
 
 def _exchange_first(
@@ -395,7 +395,7 @@ def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
     for t, i in product(range(1, s), range(s)):
         members, status = next(walkers[i])[:2]
         seqs[i].append(members)
-        if status is GapStatus.GAP_FREE and P._gale_holds(_elements(members), range(P.d)):
+        if status is GapStatus.GAP_FREE and P._gale_holds([_elements(members)], range(P.d)) == 1:
             break
     else:
         # every stage kept gaps everywhere, so the fully morphed set is a

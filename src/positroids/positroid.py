@@ -22,9 +22,13 @@ one from another measured slower (CHANGES.md has the timings):
   the matrix path's comparisons and the witness path;
 - the floor rows `_gale_floors`: enumerate_bases, which tests one anchor at
   a time and stops at the first failure, as most of its subsets fail early;
-- the packed rows `_gale_packing`: is_basis and the witness path's exchange
-  tests, which sort B once, pack each anchor's window of B and its floor row
-  into fixed-width fields of one int and compare all anchors at once.
+- the packed rows `_gale_packing`: the one packed Gale test `_gale_holds`,
+  which packs the chosen anchors' windows of a batch of sorted sets and
+  their floor rows into fixed-width fields of one int each and compares
+  every set and anchor with one subtraction. is_basis and the witness
+  path's exchange tests pass a batch of one set; the matrix path's
+  certificate passes every scanned basis at once, and _gale_holds splits
+  such a list into batches of at most _GALE_BATCH_FIELDS fields.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
@@ -44,9 +48,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge
+from itertools import chain, repeat
+from operator import ge, mul
 from struct import pack
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .cyclic import (
     _as_tuple,
@@ -75,6 +80,12 @@ __all__ = [
 ]
 
 BASIS_ENUMERATION_CAP = 20
+
+# a packed Gale test of many sets runs in batches of at most this many
+# fields; a batch's packed ints, byte strings and slices hold about 34 bytes
+# per field, so the certificate of a dense 6 x 20 matrix, 38,760 bases and
+# 1.4 million fields, adds about half a megabyte to its peak
+_GALE_BATCH_FIELDS = 1 << 14
 
 _COLOR_NAMES = ("white", "black")
 
@@ -418,49 +429,73 @@ class Positroid:
         return tuple(map(tuple, self._floor_rows()))
 
     @cached_property
-    def _gale_packing(self) -> tuple[str, int, tuple[bytes, ...], int]:
-        # (struct code, field bytes, packed floor rows, guards): the narrowest
-        # field whose top bit, the guard, lies above every lifted value (all
-        # are below 2n), the floor rows in such fields, and the guard bits of
-        # d windows, which a test of fewer anchors shifts down
+    def _gale_packing(self) -> tuple[str, int, tuple[bytes, ...], bytes, int]:
+        # (struct code, field bytes, packed floor rows, lift, guards): the
+        # narrowest field whose top bit, the guard, lies above every lifted
+        # value (all are below 2n); the floor rows in such fields; the lift,
+        # d guards then d guards plus n, added to a set listed twice; and the
+        # guard bits of d windows, which a test of fewer fields shifts down
         n, d = self.n, self.d
         code, width = ("H", 2) if 2 * n < 1 << 15 else ("I", 4) if 2 * n < 1 << 31 else ("Q", 8)
-        rows = tuple(pack(f"<{d}{code}", *row) for row in self._floor_rows())
-        guards = int.from_bytes((bytes(width - 1) + b"\x80") * (d * d), "little")
-        return code, width, rows, guards
-
-    def _gale_holds(self, ordered: list[int], anchors: Iterable[int]) -> bool:
-        """B >=_b I_b for every b = ordered[i] with i in anchors.
-
-        ordered is B sorted. lifted[i:i + d] is B read cyclically from
-        ordered[i], each element as ordered[i] plus its position from there,
-        so one sort serves every anchor. The chosen windows and their floor
-        rows are packed into fields of w bytes, one int each, with the guard
-        bit 2^(8w - 1) set in every window field. Every value lies below the
-        guard, so subtracting the floors borrows no field's guard from its
-        neighbour, and it clears a field's guard exactly when that member lies
-        below its floor: one subtraction and one mask test every anchor at
-        once, in O(d) per anchor at C level.
-        """
-        n, d = self.n, self.d
-        code, width, rows, guards = self._gale_packing
         guard = 1 << (8 * width - 1)
-        lifted = pack(
-            f"<{2 * d}{code}", *map(guard.__add__, ordered), *map((guard + n).__add__, ordered)
-        )
-        span = d * width
-        windows = [lifted[i * width : i * width + span] for i in anchors]
-        floors = b"".join([rows[ordered[i] - 1] for i in anchors])
-        guards >>= (d - len(windows)) * span * 8
-        diff = int.from_bytes(b"".join(windows), "little") - int.from_bytes(floors, "little")
-        return diff & guards == guards
+        rows = tuple(pack(f"<{d}{code}", *row) for row in self._floor_rows())
+        lift = pack(f"<{2 * d}{code}", *[guard] * d, *[guard + n] * d)
+        guards = int.from_bytes(lift[:width] * (d * d), "little")
+        return code, width, rows, lift, guards
+
+    def _gale_holds(self, sets: Sequence[Sequence[int]], anchors: Sequence[int]) -> int:
+        """How many of the sets, from the first, pass B >=_b I_b at every
+        anchor b = B[i] with i in anchors: len(sets) iff all of them do.
+
+        Each B is a sorted d-set. Listed twice, each copy as fields of w
+        bytes, and lifted by one addition of the packed lift, it becomes
+        lifted, whose lifted[i:i + d] is B read cyclically from B[i], each
+        element as B[i] plus its position from there, so one sort serves
+        every anchor. The chosen windows of every set and their floor rows
+        are packed into one int each, with the guard bit 2^(8w - 1) set in
+        every window field. Every value lies below the guard, so subtracting
+        the floors borrows no field's guard from its neighbour, and it
+        clears a field's guard exactly when that member lies below its
+        floor: one subtraction and one mask test for a whole batch of at
+        most _GALE_BATCH_FIELDS fields (or of one set, if that has more),
+        O(d) per set and anchor at C level. The lowest cleared guard lies in
+        the first set that fails.
+        """
+        d = self.d
+        code, width, rows, lift, guards = self._gale_packing
+        span, fields = d * width, len(anchors) * d
+        if not fields:
+            return len(sets)
+        step = _GALE_BATCH_FIELDS // fields or 1
+        for lo in range(0, len(sets), step):
+            batch = sets[lo : lo + step]
+            m = len(batch)
+            raw = pack(f"<{2 * d * m}{code}", *chain.from_iterable(map(mul, batch, repeat(2))))
+            lifted = int.from_bytes(raw, "little") + int.from_bytes(lift * m, "little")
+            lifted = lifted.to_bytes(len(raw), "little")
+            windows = b"".join([
+                lifted[(p := b + i * width) : p + span]
+                for b in range(0, len(raw), 2 * span) for i in anchors
+            ])
+            floors = b"".join([rows[B[i] - 1] for B in batch for i in anchors])
+            size = m * fields
+            if size <= d * d:
+                mask = guards >> (d * d - size) * 8 * width
+            else:
+                mask = int.from_bytes(lift[:width] * size, "little")
+            held = (int.from_bytes(windows, "little") - int.from_bytes(floors, "little")) & mask
+            if held != mask:
+                missing = held ^ mask
+                return lo + ((missing & -missing).bit_length() - 1) // (8 * width * fields)
+        return len(sets)
 
     def is_basis(self, B: Iterable[int]) -> bool:
         """Gale-order membership test: B is a basis iff B >=_b I_b for all b in B.
 
         Sorts B once, then tests all d anchors with one big-int subtraction
-        against floor rows packed once per positroid (_gale_holds): O(d log d
-        + d^2), the d^2 part in C-level byte joins and int arithmetic.
+        against floor rows packed once per positroid (_gale_holds, a batch
+        of one set): O(d log d + d^2), the d^2 part in C-level byte joins and
+        int arithmetic.
         """
         listing = _as_tuple(B, "set elements")
         ordered = sorted(_checked_subset(listing, self.n))
@@ -469,7 +504,7 @@ class Positroid:
         _check_distinct(listing, "basis")
         if len(ordered) != self.d:
             return False
-        return self._gale_holds(ordered, range(self.d))
+        return self._gale_holds([ordered], range(self.d)) == 1
 
 
 def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:

@@ -52,7 +52,8 @@ def dual(P: Positroid) -> Positroid:
     """The dual positroid, whose bases are the complements of P's: the
     inverse permutation, with loops and coloops swapped."""
     perm = P.perm
-    return Positroid.from_oneline(perm._inverse, white=perm.black, black=perm.white)
+    images = [perm.pi_inv(j) for j in range(1, perm.n + 1)]
+    return Positroid.from_oneline(images, white=perm.black, black=perm.white)
 
 
 def rotate(P: Positroid, k: int) -> Positroid:

@@ -1,6 +1,8 @@
 import random
+import struct
 from dataclasses import fields
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 
@@ -21,6 +23,7 @@ from positroids import (
     reduce,
     witness_basis,
 )
+from positroids import positroid as positroid_module
 from positroids.positroid import _mask
 from helpers import (
     all_subsets,
@@ -472,10 +475,26 @@ def gale_at(P: Positroid, ordered: list[int], i: int) -> bool:
     return all(p >= q for p, q in zip(bpos, ipos))
 
 
+def first_failure(P: Positroid, batch: list[list[int]], anchors) -> int:
+    """The index of the first set in the batch that fails at one of the
+    anchors, each set and anchor tested alone; len(batch) if none fails."""
+    failing = (j for j, B in enumerate(batch) if not all(gale_at(P, B, i) for i in anchors))
+    return next(failing, len(batch))
+
+
+def placements(passing: list, failing) -> Iterator[tuple[int, list]]:
+    """(index, batch): the failing set first, in the middle and last among
+    the passing ones, so a borrow into a passing neighbour would show."""
+    for j in sorted({0, len(passing) // 2, len(passing)}):
+        yield j, passing[:j] + [failing] + passing[j:]
+
+
 class TestPackedGale:
     """Positroid._gale_holds packs the chosen anchors' windows and floor rows
-    into guarded fields and compares them with one subtraction: on every
-    anchor subset it must agree with comparing those anchors one at a time."""
+    of a batch of sets into guarded fields and compares them with one
+    subtraction: on every anchor subset it must agree with comparing those
+    anchors one at a time, and on a batch it must name the first set that
+    fails as testing each set alone does."""
 
     def test_every_anchor_subset_up_to_n6(self):
         checked = 0
@@ -489,7 +508,7 @@ class TestPackedGale:
                     for k in range(d + 1):
                         for anchors in combinations(range(d), k):
                             expected = all(each[i] for i in anchors)
-                            assert P._gale_holds(ordered, anchors) == expected, (P.perm, B, anchors)
+                            assert P._gale_holds([ordered], anchors) == expected, (P.perm, B, anchors)
                             checked += 1
         assert checked == 316_205
 
@@ -514,7 +533,7 @@ class TestPackedGale:
                         assert P.is_basis(C) == all(each), (P.perm, ordered)
                         anchors = sorted(rng.sample(range(d), rng.randrange(d + 1)))
                         expected = all(each[i] for i in anchors)
-                        assert P._gale_holds(ordered, anchors) == expected, (P.perm, ordered)
+                        assert P._gale_holds([ordered], anchors) == expected, (P.perm, ordered)
                         outcomes.add(all(each))
         assert outcomes == {True, False}
 
@@ -541,9 +560,83 @@ class TestPackedGale:
             assert P.is_basis(B) == all(each), B
             for k in range(1, P.d):
                 for anchors in combinations(range(P.d), k):
-                    assert P._gale_holds(ordered, anchors) == all(each[i] for i in anchors)
+                    assert P._gale_holds([ordered], anchors) == all(each[i] for i in anchors)
             outcomes.add(all(each))
         assert outcomes == {True, False}
+        # a batch of the passing sets with each failing one placed among them
+        sets = [list(B) for B in combinations(sorted([*moving, 4, n - 5]), P.d)]
+        passing = [B for B in sets if P.is_basis(B)]
+        failing = [B for B in sets if not P.is_basis(B)]
+        assert P._gale_holds(passing, range(P.d)) == len(passing)
+        for F in failing:
+            for j, batch in placements(passing, F):
+                assert P._gale_holds(batch, range(P.d)) == j, (F, j)
+
+    def test_a_batch_names_its_first_failing_set_up_to_n6(self):
+        rng = random.Random(6)
+        checked = 0
+        for n in range(1, 7):
+            for P in decorated_positroids(n):
+                d = P.d
+                sets = [list(B) for B in combinations(range(1, n + 1), d)]
+                passing = [B for B in sets if P.is_basis(B)]
+                failing = [B for B in sets if not P.is_basis(B)]
+                assert P._gale_holds(passing, range(d)) == len(passing)
+                # a random anchor subset, under which a non-basis may pass
+                some = sorted(rng.sample(range(d), rng.randrange(d + 1)))
+                for F in failing:
+                    for j, batch in placements(passing, F):
+                        assert P._gale_holds(batch, range(d)) == j, (P.perm, F, j)
+                        expected = first_failure(P, batch, some)
+                        assert P._gale_holds(batch, some) == expected, (P.perm, F, some)
+                        checked += 1
+        assert checked > 40_000
+
+    @pytest.mark.parametrize("anchors", [range(3), [1]])
+    def test_a_failing_set_first_and_last_in_a_batch(self, anchors):
+        # passing sets fill several batches of _GALE_BATCH_FIELDS fields; the
+        # one failing set is placed at each batch's first and last slot
+        P = Positroid.from_oneline([2, 3, 4, 1, 6, 7, 5, 9, 10, 8])
+        assert P.d == 3
+        passing = [list(B) for B in combinations(range(1, 11), 3) if P.is_basis(B)]
+        failing = next(list(B) for B in combinations(range(1, 11), 3)
+                       if first_failure(P, [list(B)], anchors) == 0)
+        step = positroid_module._GALE_BATCH_FIELDS // (len(anchors) * 3)
+        count = 2 * step + 5
+        filler = (passing * (count // len(passing) + 1))[:count]
+        assert P._gale_holds(filler, anchors) == count
+        for j in (0, step - 1, step, 2 * step - 1, 2 * step, count):
+            batch = filler[:j] + [failing] + filler[j:]
+            assert P._gale_holds(batch, anchors) == j, j
+
+    @pytest.mark.parametrize("anchors", [range(3), [0]])
+    def test_every_batch_size_down_to_one_set(self, monkeypatch, anchors):
+        # a cap below one set's fields still lets a batch hold that one set,
+        # and no batch packs more sets than the cap's fields allow
+        P = Positroid.from_oneline([3, 5, 1, 6, 2, 4])
+        d, per_set = P.d, len(anchors) * P.d
+        sets = [list(B) for B in combinations(range(1, 7), d)]
+        passing = [B for B in sets if first_failure(P, [B], anchors)]
+        failing = [B for B in sets if not first_failure(P, [B], anchors)]
+        assert d == 3 and passing and failing
+        P._gale_packing
+        listed = []  # the kernel packs each batch's sets, listed twice, once
+
+        def counted(fmt, *values):
+            listed.append(len(values) // (2 * d))
+            return struct.pack(fmt, *values)
+
+        monkeypatch.setattr(positroid_module, "pack", counted)
+        for cap in (1, per_set, 2 * per_set, 7 * per_set - 1):
+            monkeypatch.setattr(positroid_module, "_GALE_BATCH_FIELDS", cap)
+            listed.clear()
+            assert P._gale_holds(passing, anchors) == len(passing)
+            assert sum(listed) == len(passing)
+            assert max(listed) == max(1, cap // per_set)
+            for F in failing:
+                for j in range(len(passing) + 1):
+                    batch = passing[:j] + [F] + passing[j:]
+                    assert P._gale_holds(batch, anchors) == j, (cap, F, j)
 
 
 class TestEnumerateBases:

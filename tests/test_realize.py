@@ -24,8 +24,8 @@ from positroids import (
     random_tnn_matrix,
     row_rank,
 )
-from positroids import realize
-from positroids.positroid import BASIS_ENUMERATION_CAP
+from positroids import GrassmannNecklace, realize
+from positroids.positroid import _GALE_BATCH_FIELDS, BASIS_ENUMERATION_CAP
 from positroids.cli import main
 
 from helpers import decorated_positroids, rotate, seeded_tnn_matrices
@@ -49,6 +49,27 @@ def leibniz(rows):
             term *= Fraction(rows[i][p[i]])
         total += term
     return total
+
+
+def reference_refusal(A, sets):
+    """The message positroid_from_matrix raises when its walk returns the
+    valid necklace sets, from checks written out one scanned basis at a
+    time: B passes at b when, read from b, its t-th member comes no earlier
+    than I_b's; None if every check passes."""
+    mismatch = "the necklace of a TNN matrix does not match its nonzero minors"
+    columns, _ = realize._integer_columns(A.entries)
+    scanned = [cols for cols, _ in realize._lex_minors(columns, A.r)]
+    bases = set(map(frozenset, scanned))
+    for k, entry in enumerate(sets, start=1):
+        if entry not in bases:
+            return f"{mismatch}: I_{k} = {sorted(entry)} is no scanned basis"
+    for cols in scanned:
+        for b in cols:
+            read = sorted((x - b) % A.n for x in cols)
+            floor = sorted((x - b) % A.n for x in sets[b - 1])
+            if any(p < q for p, q in zip(read, floor)):
+                return f"{mismatch}: scanned basis {list(cols)} fails its Gale test"
+    return None
 
 
 def seeded_matrices(seed, count):
@@ -450,11 +471,34 @@ class TestPositroidFromMatrix:
                 if sets == true:
                     continue
                 monkeypatch.setattr(realize, "_transition_walk", lambda n, first, bases: sets)
-                with pytest.raises(ContractViolationError, match="nonzero minors"):
+                with pytest.raises(ContractViolationError, match="nonzero minors") as info:
                     positroid_from_matrix(A)
+                # the batched certificate names what a check of one scanned
+                # basis at a time would name, in the same words
+                assert str(info.value) == reference_refusal(A, sets), (A, sets)
                 refused += 1
             monkeypatch.undo()
-        assert refused > 3000
+        assert refused == 3066
+
+    def test_a_failing_basis_in_the_last_batch_is_named(self, monkeypatch):
+        # all C(16, 6) = 8008 subsets of this matrix are bases, 36 fields each
+        # in the certificate, so they fill several batches. The substituted
+        # necklace is U(6, 16)'s with I_11 moved off {11..16}: its positroid
+        # has every 6-set but that one, the last one scanned.
+        A = random_tnn_matrix(6, 16, random.Random(2), ops=3000)
+        assert len(matroid_from_matrix(A).bases) == comb(16, 6)
+        assert comb(16, 6) * 36 > 4 * _GALE_BATCH_FIELDS
+        sets = tuple(frozenset((k + t - 1) % 16 + 1 for t in range(6)) for k in range(1, 17))
+        assert positroid_from_matrix(A).necklace.sets == sets
+        sets = sets[:10] + (frozenset({1, 11, 12, 13, 14, 15}),) + sets[11:]
+        wrong = Positroid.from_necklace(GrassmannNecklace(16, 6, sets))
+        assert sum(1 for _ in enumerate_bases(wrong)) == comb(16, 6) - 1
+        assert not wrong.is_basis(range(11, 17))
+        monkeypatch.setattr(realize, "_transition_walk", lambda n, first, bases: sets)
+        with pytest.raises(ContractViolationError) as info:
+            positroid_from_matrix(A)
+        assert str(info.value) == reference_refusal(A, sets)
+        assert str(info.value).endswith("scanned basis [11, 12, 13, 14, 15, 16] fails its Gale test")
 
     def test_invalid_greedy_necklace_is_a_contract_violation(self, monkeypatch):
         A = RationalMatrix.from_rows(A_ROWS)
