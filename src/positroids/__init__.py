@@ -11,139 +11,24 @@ totally nonnegative matrices to positroids; the way back, positroid to
 matrix, is not implemented.
 
 The ground set is always {1..n}, ordered cyclically.
+
+Each module's __all__ is the one list of its public names; the package
+exports their union and __version__.
 """
 
-from .cyclic import (
-    CyclicInterval,
-    IntervalDecomposition,
-    cyclic_leq,
-    cyclic_less,
-    decompose,
-    format_set_spec,
-    gale_leq,
-    half_open,
-    interval_contains,
-    open_interval,
-    parse_set_spec,
-    position,
-)
-from .errors import (
-    ContractViolationError,
-    EnumerationLimitError,
-    NotAPositroidError,
-    ValidationError,
-)
-from .morph import (
-    ExchangeKind,
-    ExchangeRecord,
-    GapStatus,
-    MorphState,
-    align_basis,
-    interval_exchange,
-    is_compatible,
-    mimic,
-    morph_sequence,
-    witness_basis,
-)
-from .positroid import (
-    DecoratedPermutation,
-    GrassmannNecklace,
-    Positroid,
-    enumerate_bases,
-    loops_and_coloops,
-    necklace_of,
-    permutation_of,
-    rank_bruteforce,
-    reduce,
-)
-from .rank import (
-    ArrowTable,
-    NonCrossingPartition,
-    RankCertificate,
-    arrow_table,
-    bound_for_partition,
-    ccw_count,
-    cw_count,
-    enumerate_ncp,
-    min_elements,
-    natural_bound,
-    rank,
-    rank_dp,
-    rank_of_interval,
-)
-from .realize import (
-    BasisCollection,
-    RationalMatrix,
-    first_negative_minor,
-    is_totally_nonnegative,
-    matroid_from_matrix,
-    maximal_minor,
-    necklace_from_bases,
-    positroid_from_matrix,
-    random_tnn_matrix,
-    row_rank,
-)
+# `from .rank import *` rebinds the package's `rank` to the function of
+# that name, so the module is read through a second name bound first
+from . import cyclic, errors, morph, positroid, rank as _rank, realize
+from .cyclic import *
+from .errors import *
+from .morph import *
+from .positroid import *
+from .rank import *
+from .realize import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicInterval",
-    "IntervalDecomposition",
-    "cyclic_leq",
-    "cyclic_less",
-    "decompose",
-    "format_set_spec",
-    "gale_leq",
-    "half_open",
-    "interval_contains",
-    "open_interval",
-    "parse_set_spec",
-    "position",
-    "ContractViolationError",
-    "EnumerationLimitError",
-    "NotAPositroidError",
-    "ValidationError",
-    "ExchangeKind",
-    "ExchangeRecord",
-    "GapStatus",
-    "MorphState",
-    "align_basis",
-    "interval_exchange",
-    "is_compatible",
-    "mimic",
-    "morph_sequence",
-    "witness_basis",
-    "DecoratedPermutation",
-    "GrassmannNecklace",
-    "Positroid",
-    "enumerate_bases",
-    "loops_and_coloops",
-    "necklace_of",
-    "permutation_of",
-    "rank_bruteforce",
-    "reduce",
-    "ArrowTable",
-    "NonCrossingPartition",
-    "RankCertificate",
-    "arrow_table",
-    "bound_for_partition",
-    "ccw_count",
-    "cw_count",
-    "enumerate_ncp",
-    "min_elements",
-    "natural_bound",
-    "rank",
-    "rank_dp",
-    "rank_of_interval",
-    "BasisCollection",
-    "RationalMatrix",
-    "first_negative_minor",
-    "is_totally_nonnegative",
-    "matroid_from_matrix",
-    "maximal_minor",
-    "necklace_from_bases",
-    "positroid_from_matrix",
-    "random_tnn_matrix",
-    "row_rank",
-    "__version__",
+    *cyclic.__all__, *errors.__all__, *morph.__all__,
+    *positroid.__all__, *_rank.__all__, *realize.__all__, "__version__",
 ]

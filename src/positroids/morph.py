@@ -448,7 +448,11 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """
     elements = _as_tuple(E, "set elements")
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
-    members = frozenset(elements)
+    return _witness(P, frozenset(elements), target)
+
+
+def _witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
+    """witness_basis on a checked E whose rank, target, is already known."""
     try:
         found = _witness_rec(P, _intervals_of(members, P.n).intervals)
     except ValidationError as exc:

@@ -15,13 +15,11 @@ and no necklace. Membership of an arbitrary d-subset is decided by the
 Gale-order test against the necklace (Oh, 2011), so no basis list is ever
 materialized unless asked for.
 
-The necklace is kept in three forms, each walked from the permutation and
+The necklace is kept in two forms, each walked from the permutation and
 cached on first use, since each has a caller that reads only it and deriving
-one from another measured slower (CHANGES.md has the timings):
+one from the other measured slower (CHANGES.md has the timings):
 - the necklace itself, `necklace.masks`: the public API, the `necklace` verb,
   the matrix path's comparisons and the witness path;
-- the floor rows `_gale_floors`: enumerate_bases, which tests one anchor at
-  a time and stops at the first failure, as most of its subsets fail early;
 - the packed rows `_gale_packing`: the one packed Gale test `_gale_holds`,
   which packs the chosen anchors' windows of a batch of sorted sets and
   their floor rows into fixed-width fields of one int each and compares
@@ -29,6 +27,10 @@ one from another measured slower (CHANGES.md has the timings):
   path's exchange tests pass a batch of one set; the matrix path's
   certificate passes every scanned basis at once, and _gale_holds splits
   such a list into batches of at most _GALE_BATCH_FIELDS fields.
+The floor rows themselves, `_floor_rows`, are walked again on each call of
+enumerate_bases (n <= 20 by its cap), which tests one anchor at a time and
+stops at the first failure, as most of its subsets fail early; a caller
+that enumerates one positroid many times pays that O(n d) walk each time.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
@@ -38,8 +40,8 @@ permutation (the two maps are mutually inverse bijections, Postnikov §16),
 and reduce()'s relabeled permutation, which maps the non-fixed points
 bijectively to themselves. Every public constructor and from_* method still
 checks its input in full.
-Everything a Positroid derives lazily (necklace, d, Gale floors and their
-packed rows) is cached on the Positroid itself and freed with it. Arrow
+Everything a Positroid derives lazily (necklace, d and the packed Gale
+rows) is cached on the Positroid itself and freed with it. Arrow
 counts and rank queries live in positroids.rank.
 """
 
@@ -88,6 +90,19 @@ BASIS_ENUMERATION_CAP = 20
 _GALE_BATCH_FIELDS = 1 << 14
 
 _COLOR_NAMES = ("white", "black")
+
+
+def _json_size(obj: dict, key: str) -> int:
+    """The JSON object's "n", a plain nonnegative int equal to the number of
+    entries of its list obj[key]; that number when "n" is left out."""
+    count = len(obj[key])
+    n = obj.get("n", count)
+    if type(n) is not int or n < 0:
+        raise ValidationError(f'"n" must be a nonnegative integer, got {n!r}')
+    if n != count:
+        raise ValidationError(f'"n" is {n} but "{key}" has {count} entries')
+    return n
+
 
 @dataclass(frozen=True)
 class DecoratedPermutation:
@@ -176,9 +191,7 @@ class DecoratedPermutation:
         if not isinstance(obj, dict) or not isinstance(obj.get("pi"), list):
             raise ValidationError('permutation JSON must be an object with a "pi" list')
         images = tuple(obj["pi"])
-        n = obj.get("n", len(images))
-        if n != len(images):
-            raise ValidationError(f'"n" is {n} but "pi" has {len(images)} entries')
+        n = _json_size(obj, "pi")
         colors = obj.get("colors", {})
         if not isinstance(colors, dict):
             raise ValidationError('"colors" must be an object')
@@ -296,10 +309,7 @@ class GrassmannNecklace:
         sets = obj["sets"]
         if not isinstance(sets, list) or not all(isinstance(I, list) for I in sets):
             raise ValidationError('"sets" must be a list of lists')
-        n = obj.get("n", len(sets))
-        if n != len(sets):
-            raise ValidationError(f'"n" is {n} but "sets" has {len(sets)} entries')
-        return cls.from_sets(sets, n)
+        return cls.from_sets(sets, _json_size(obj, "sets"))
 
 
 def _first_entry(perm: DecoratedPermutation) -> set[int]:
@@ -425,10 +435,6 @@ class Positroid:
                 row = row[1:] + [k + n]
 
     @cached_property
-    def _gale_floors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._floor_rows()))
-
-    @cached_property
     def _gale_packing(self) -> tuple[str, int, tuple[bytes, ...], bytes, int]:
         # (struct code, field bytes, packed floor rows, lift, guards): the
         # narrowest field whose top bit, the guard, lies above every lifted
@@ -529,7 +535,7 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
     if d == 0:
         yield frozenset()
         return
-    floors = P._gale_floors
+    floors = list(P._floor_rows())
     for first, floor in enumerate(floors, start=1):
         if floor[0] != first or floor[-1] > n:
             continue

@@ -56,7 +56,6 @@ from .errors import ContractViolationError, EnumerationLimitError, ValidationErr
 from .positroid import DecoratedPermutation, Positroid
 
 __all__ = [
-    "DEFAULT_PARTITION_LIMIT",
     "NonCrossingPartition",
     "enumerate_ncp",
     "ArrowTable",

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import logging
@@ -8,9 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from positroids import ContractViolationError, Positroid, ValidationError, morph, rank_dp, repro
+from positroids import (
+    ContractViolationError, Positroid, ValidationError, morph, rank_dp, repro, witness_basis,
+)
 from positroids.cli import main
 from positroids.cyclic import _mask
+
+# the package binds `rank` to the function, so the module is looked up by name
+RANK_MODULE = importlib.import_module("positroids.rank")
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
 MATRIX_A = [[1, 0, -3, -1], [0, 1, 4, 0]]
@@ -122,6 +128,37 @@ class TestRankVerb:
         assert obj["witness"] == [1, 3, 4, 5, 10, 11, 12]
         assert obj["bounds"]["{{1,2}}"] == 3
         assert obj["bounds"]["{{1},{2}}"] == 5
+
+    @pytest.mark.parametrize("fixture, spec, expected", [
+        ("ref_perm_file", "1-3,8-10", {
+            "set": "1-3,8-10", "rank": 3, "intervals": [[1, 3], [8, 10]],
+            "partition": [[1, 2]], "per_block_bounds": [3],
+            "witness": [1, 3, 4, 5, 10, 11, 12],
+        }),
+        ("colored_perm_file", "1-2,5", {
+            "set": "5-2", "rank": 2, "intervals": [[1, 1]], "partition": [[1]],
+            "per_block_bounds": [1], "reduced": True, "coloop_bonus": 1,
+            "witness": [2, 5],
+        }),
+    ])
+    def test_witness_json(self, capsys, request, fixture, spec, expected):
+        path = request.getfixturevalue(fixture)
+        code, obj = run_json(capsys, ["rank", "--perm", path, "--set", spec, "--witness"])
+        assert code == 0
+        assert obj == expected
+
+    def test_witness_builds_one_rank_table(self, capsys, ref_perm_file, monkeypatch):
+        # the witness reuses the certificate's rank instead of building the
+        # table again through rank_dp
+        tables = []
+        build = RANK_MODULE._rank_table
+        monkeypatch.setattr(RANK_MODULE, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
+        code = main(["rank", "--perm", ref_perm_file, "--set", "1-3,8-10", "--witness"])
+        assert code == 0 and len(tables) == 1
+        capsys.readouterr()
+        P = Positroid.from_oneline(REF_PI)
+        assert witness_basis(P, {1, 2, 3, 8, 9, 10}) == {1, 3, 4, 5, 10, 11, 12}
+        assert len(tables) == 2
 
     def test_witness_missing_its_target_exits_2(self, capsys, ref_perm_file, monkeypatch):
         # the recursion builds masks; this one is {1..7}, not a basis
@@ -484,6 +521,22 @@ class TestErrorPaths:
         code = main(["necklace", "--necklace", str(bad)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("verb, option, content", [
+        ("necklace", "--perm", {"n": "2", "pi": [2, 1]}),
+        ("perm", "--necklace", {"n": "2", "sets": [[1], [2]]}),
+    ])
+    def test_non_integer_json_size(self, capsys, tmp_path, verb, option, content):
+        # once reported as a length mismatch: "n" is 2 but ... has 2 entries
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code = main([verb, option, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: \"n\" must be a nonnegative integer, got '2'"
+        ]
 
     def test_unknown_verb(self):
         with pytest.raises(SystemExit):

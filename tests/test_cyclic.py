@@ -86,6 +86,7 @@ class TestCyclicInterval:
         assert len(e) == 0
         assert not e.contains(1)
         assert str(e) == "[]"
+        assert str(CyclicInterval.span(1, 2, 3)) == "[1,2]"
         # no index pair denotes the empty set
         for a in range(1, 15):
             for b in range(1, 15):

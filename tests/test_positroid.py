@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 from dataclasses import fields
 from itertools import combinations
@@ -33,6 +34,9 @@ from helpers import (
     random_union,
     rotate,
 )
+
+# JSON values of "n" that are no plain nonnegative int
+BAD_JSON_SIZES = ["2", None, -1, 2.5, True]
 
 REF_NECKLACE = (
     {1, 3, 4, 5, 10, 11, 12},
@@ -112,6 +116,12 @@ class TestDecoratedPermutation:
             DecoratedPermutation.from_json({"pi": [1, 3, 2], "colors": {"x": "white"}})
         with pytest.raises(ValidationError):
             DecoratedPermutation.from_json({"no": "pi"})
+
+    @pytest.mark.parametrize("n", BAD_JSON_SIZES)
+    def test_json_n_must_be_a_nonnegative_int(self, n):
+        # "2", null, -1 and 2.5 were once reported as a length mismatch
+        with pytest.raises(ValidationError, match=re.escape(f'"n" must be a nonnegative integer, got {n!r}')):
+            DecoratedPermutation.from_json({"n": n, "pi": [1], "colors": {"1": "black"}})
 
 
 class TestNecklace:
@@ -212,6 +222,11 @@ class TestNecklace:
         assert again == neck
         with pytest.raises(ValidationError):
             GrassmannNecklace.from_json({"n": 2, "sets": [[1]]})
+
+    @pytest.mark.parametrize("n", BAD_JSON_SIZES)
+    def test_json_n_must_be_a_nonnegative_int(self, n):
+        with pytest.raises(ValidationError, match=re.escape(f'"n" must be a nonnegative integer, got {n!r}')):
+            GrassmannNecklace.from_json({"n": n, "sets": [[1]]})
 
 
 class TestRotation:
@@ -353,10 +368,10 @@ class TestPositroid:
                 assert P.necklace == neck
                 assert P.d == neck.d
                 assert P.necklace.masks == tuple(map(_mask, neck.sets))
-                assert P._gale_floors == tuple(
-                    tuple(sorted(x if x >= k else x + n for x in I))
+                assert list(P._floor_rows()) == [
+                    sorted(x if x >= k else x + n for x in I)
                     for k, I in enumerate(neck.sets, start=1)
-                )
+                ]
                 assert Positroid.from_necklace(neck).perm == perm
 
     def test_necklace_is_built_only_when_read(self, ref_positroid):

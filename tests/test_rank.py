@@ -695,7 +695,7 @@ class TestOwnLabels:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert set(vars(P)) <= {"perm", "d", "necklace", "_gale_floors", "_gale_packing"}
+        assert set(vars(P)) <= {"perm", "d", "necklace", "_gale_packing"}
         assert "necklace" in vars(P) and "sets" not in vars(P.necklace)
         assert retained < 1 << 20, retained
         assert len(values) == 300 and max(values) <= P.d

@@ -111,6 +111,41 @@ def test_public_names_listed_by_their_module():
     assert unlisted == []
 
 
+# every name the package exported before its __all__ became the union of
+# its modules' lists; each must stay importable from the package
+EXPORTED = (
+    "ArrowTable", "BasisCollection", "ContractViolationError", "CyclicInterval",
+    "DecoratedPermutation", "EnumerationLimitError", "ExchangeKind", "ExchangeRecord",
+    "GapStatus", "GrassmannNecklace", "IntervalDecomposition", "MorphState",
+    "NonCrossingPartition", "NotAPositroidError", "Positroid", "RankCertificate",
+    "RationalMatrix", "ValidationError", "align_basis", "arrow_table",
+    "bound_for_partition", "ccw_count", "cw_count", "cyclic_leq", "cyclic_less",
+    "decompose", "enumerate_bases", "enumerate_ncp", "first_negative_minor",
+    "format_set_spec", "gale_leq", "half_open", "interval_contains",
+    "interval_exchange", "is_compatible", "is_totally_nonnegative",
+    "loops_and_coloops", "matroid_from_matrix", "maximal_minor", "min_elements",
+    "mimic", "morph_sequence", "natural_bound", "necklace_from_bases", "necklace_of",
+    "open_interval", "parse_set_spec", "permutation_of", "position",
+    "positroid_from_matrix", "random_tnn_matrix", "rank", "rank_bruteforce",
+    "rank_dp", "rank_of_interval", "reduce", "row_rank", "witness_basis",
+)
+
+MODULES = ("cyclic", "errors", "morph", "positroid", "rank", "realize")
+
+
+def test_package_exports_the_union_of_its_modules_lists():
+    package = importlib.import_module("positroids")
+    lists = [importlib.import_module(f"positroids.{m}").__all__ for m in MODULES]
+    assert package.__all__ == [name for names in lists for name in names] + ["__version__"]
+    assert len(EXPORTED) == 58
+    missing = [name for name in EXPORTED if not hasattr(package, name)]
+    assert missing == []
+    assert set(package.__all__) - set(EXPORTED) == {"next_element", "prev_element", "__version__"}
+    namespace: dict = {}
+    exec("from positroids import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+
+
 def test_rank_module_has_no_recursion():
     # partitions are enumerated and certificates walked on explicit stacks,
     # so no query on validated input ends in a RecursionError: no cycle may
