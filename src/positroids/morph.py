@@ -9,7 +9,8 @@ One private walker yields the stages: morph_sequence lists them, the witness
 advances all s walkers lazily and stops at the first gap-free basis. Its
 pieces are aligned without align_basis's checks, both phases of an
 alignment trading through one partner search; the one check of the
-construction is witness_basis's final test of its result.
+construction is witness_basis's final test of its result. The recursion,
+up to s levels deep, runs on an explicit stack.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -381,12 +382,15 @@ def _align(
     return B
 
 
-def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
-    """A basis, as a mask, maximizing the union of the sorted, maximal intervals (a, b)."""
+def _witness_level(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list:
+    """One level of the morph recursion on the sorted, maximal intervals
+    (a, b), up to its sub-witnesses: [seed, order, pieces]. Each piece (g, x)
+    still needs a basis maximizing the rotated intervals order[g:x], aligned
+    and spliced into the seed; with no pieces the seed is the level's answer."""
     s = len(intervals)
     masks = P.necklace.masks
     if s == 0:
-        return masks[0] if P.n else 0
+        return [masks[0] if P.n else 0, (), []]
     rotations = [intervals[i:] + intervals[:i] for i in range(s)]
     walkers = [_stages(P, order) for order in rotations]
     seqs = [[next(walker)[0]] for walker in walkers]
@@ -401,39 +405,55 @@ def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
         # every stage kept gaps everywhere, so the fully morphed set is a
         # basis meeting each gap of E minimally: it attains the one-block bound
         # (with s == 1 that is I_{a_1} itself)
-        return seqs[0][s - 1]
+        return [seqs[0][s - 1], (), []]
 
     order, seq = rotations[i], seqs[i]
     n = P.n
-
-    def gamma(x: int) -> int:
-        # the last stage g < x that already agrees with I_a, a = order[g][0],
-        # on the arc from a to the end of order[x - 1]; stage 0 always does
-        for g in range(x - 1, -1, -1):
-            a = order[g][0]
-            if not (seq[g] ^ masks[a - 1]) & _arc(a, order[x - 1][1], n):
-                return g
-        raise ContractViolationError("merge scan failed; stage 0 must always match")
-
-    pieces: list[tuple[int, int]] = []  # (g, x): rotated intervals g..x-1
+    pieces = []  # (g, x): rotated intervals g..x-1
     x = t
     while x > 0:
-        g = gamma(x)
+        # the last stage g < x that already agrees with I_a, a = order[g][0],
+        # on the arc from a to the end of order[x - 1]; stage 0 always does
+        g, end = x - 1, order[x - 1][1]
+        while (seq[g] ^ masks[order[g][0] - 1]) & _arc(order[g][0], end, n):
+            g -= 1
         pieces.append((g, x))
         x = g
     pieces.append((t, s))  # the tail the gap-free stage fully filled
+    pieces.reverse()  # taken from the end, so spliced in the order found
+    return [seq[t], order, pieces]
 
-    spliced = seq[t]
-    for g, x in pieces:
+
+def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
+    """A basis, as a mask, maximizing the union of the sorted, maximal intervals (a, b).
+
+    The morph recursion, whose depth can reach s, runs on an explicit stack
+    of levels. The top level's next piece gets a level of its own, which is
+    finished, its own pieces included, before it is aligned and spliced into
+    the seed of the level below: the order the recursion takes.
+    """
+    n = P.n
+    stack = [_witness_level(P, intervals)]
+    while True:
+        seed, order, pieces = stack[-1]
+        if pieces:
+            g, x = pieces[-1]
+            stack.append(_witness_level(P, tuple(sorted(order[g:x]))))
+            continue
+        stack.pop()
+        if seed.bit_count() != P.d:
+            raise ContractViolationError("splice changed the set's size")
+        if not stack:
+            return seed
+        below = stack[-1]
+        _, order, pieces = below
+        g, x = pieces.pop()
         (a, b), b_prev = order[g], order[x - 1][1]
         # each piece is maximal on its own, and its anchor (a, b) follows the
         # interval ending at b_prev; the piece spans the arc [a, b_prev]
-        K = _align(P, _witness_rec(P, tuple(sorted(order[g:x]))), a, b, b_prev, None)
+        K = _align(P, seed, a, b, b_prev, None)
         arc = _arc(a, b_prev, n)
-        spliced = spliced & ~arc | K & arc
-    if spliced.bit_count() != P.d:
-        raise ContractViolationError("splice changed the set's size")
-    return spliced
+        below[0] = below[0] & ~arc | K & arc
 
 
 def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:

@@ -28,9 +28,10 @@ one from the other measured slower (CHANGES.md has the timings):
   certificate passes every scanned basis at once, and _gale_holds splits
   such a list into batches of at most _GALE_BATCH_FIELDS fields.
 The floor rows themselves, `_floor_rows`, are walked again on each call of
-enumerate_bases (n <= 20 by its cap), which tests one anchor at a time and
-stops at the first failure, as most of its subsets fail early; a caller
-that enumerates one positroid many times pays that O(n d) walk each time.
+enumerate_bases (n <= 20 by its cap), which costs one C-level comparison per
+d-subset with a feasible least member plus O(d^2) per subset that passes it;
+a caller that enumerates one positroid many times pays that O(n d) walk each
+time.
 
 Inputs are validated once, when a DecoratedPermutation or GrassmannNecklace
 is made; code that holds one indexes it with raw (x - k) % n arithmetic.
@@ -50,7 +51,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from operator import ge, mul
 from struct import pack
 from typing import Iterable, Iterator, Sequence
@@ -197,10 +198,14 @@ class DecoratedPermutation:
             raise ValidationError('"colors" must be an object')
         white, black = set(), set()
         for key, value in colors.items():
+            # only the form to_json writes, str(i): int() would also read
+            # " +1 ", "01" and "1_0"
             try:
                 i = int(key)
             except (TypeError, ValueError):
-                raise ValidationError(f"color key {key!r} is not an element") from None
+                i = None
+            if i is None or key != str(i):
+                raise ValidationError(f"color key {key!r} is not an element")
             if value not in _COLOR_NAMES:
                 raise ValidationError(f"color of {i} must be white or black, got {value!r}")
             (white if value == "white" else black).add(i)
@@ -517,14 +522,15 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
     """All bases in lexicographic order, capped at n = 20.
 
     A basis x_1 < ... < x_d read from its least member x_1 needs no wrap,
-    so x_1's own Gale condition is x_t >= row_t of I_{x_1} for each t. The
-    subsets are walked depth-first and a prefix is only extended by values
-    at or above its next floor (an x_1 whose last floor exceeds n starts no
-    walk); each complete subset is then lifted once and compared with its
-    other anchors' floors one at a time, stopping at the first failure, which
-    beats is_basis's packed test here because most of these subsets fail
-    early. The cost is O(d^2) per subset that passes x_1's condition, not
-    per d-subset.
+    so x_1's own Gale condition is x_t >= row_t of I_{x_1} for each t, and
+    an x_1 outside I_{x_1} or whose last floor exceeds n leads no basis.
+    For each other x_1, itertools.combinations lists the larger elements'
+    (d - 1)-subsets in lex order, and one C-level comparison keeps those at
+    or above the rest of x_1's row. Each kept subset is lifted once and
+    compared with its other anchors' floors one at a time, stopping at the
+    first failure, which beats is_basis's packed test here because most of
+    these subsets fail early. The cost is one comparison per d-subset with a
+    feasible least member, plus O(d^2) per subset that passes it.
     """
     _check_type(P, Positroid, "P")
     if P.n > BASIS_ENUMERATION_CAP:
@@ -539,32 +545,17 @@ def enumerate_bases(P: Positroid) -> Iterator[frozenset[int]]:
     for first, floor in enumerate(floors, start=1):
         if floor[0] != first or floor[-1] > n:
             continue
-        if d == 1:
-            yield frozenset((first,))
-            continue
-        prefix = [first]
-        # walks[t - 1] runs over the candidates for x_{t + 1}; the largest
-        # leaves room for the d - t - 1 members after it
-        walks = [iter(range(floor[1], n - d + 3))]
-        while walks:
-            t = len(walks)
-            x = next(walks[-1], None)
-            if x is None:
-                walks.pop()
+        rest = floor[1:]
+        for tail in combinations(range(first + 1, n + 1), d - 1):
+            if not all(map(ge, tail, rest)):
                 continue
-            del prefix[t:]
-            prefix.append(x)
-            if t + 1 < d:
-                walks.append(iter(range(max(x + 1, floor[t + 1]), n - d + t + 3)))
+            B = (first, *tail)
+            lifted = B + tuple(y + n for y in B)
+            for i in range(1, d):
+                if not all(map(ge, lifted[i : i + d], floors[B[i] - 1])):
+                    break
             else:
-                # the other anchors one at a time, stopping at the first
-                # failure: most subsets that get here are no bases
-                lifted = prefix + [y + n for y in prefix]
-                for i in range(1, d):
-                    if not all(map(ge, lifted[i : i + d], floors[prefix[i] - 1])):
-                        break
-                else:
-                    yield frozenset(prefix)
+                yield frozenset(B)
 
 
 def rank_bruteforce(P: Positroid, E: Iterable[int]) -> int:

@@ -1,6 +1,8 @@
 import pytest
 
+import hashlib
 import random
+import sys
 
 from positroids import (
     ContractViolationError,
@@ -378,6 +380,41 @@ class TestWitness:
                     W = witness_basis(P, E)
                     assert P.is_basis(W), (P.perm, E)
                     assert len(W & E) == expected, (P.perm, E)
+
+    def test_exhaustive_small_outputs_are_pinned(self):
+        # every witness for every decorated (P, E) with n <= 6, one "x,y,z"
+        # line each, in decorated_positroids and all_subsets order, as a
+        # SHA-256 digest: the construction's search order, pieces, alignments
+        # and splices fix each returned basis
+        h = hashlib.sha256()
+        queries = 0
+        for n in range(7):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    h.update((",".join(map(str, sorted(witness_basis(P, E)))) + "\n").encode())
+                    queries += 1
+        assert (queries, h.hexdigest()) == (
+            136873, "358424005be182b70e22bfe46ce9e4fb62a9ec45187ed03bf07d8f470da90ca4"
+        )
+
+    def test_deep_morph_recursion_needs_no_interpreter_stack(self):
+        # pi = [n, 1, ..., n - 1] with E the odd elements nests the morph
+        # recursion s = n / 2 levels deep; it runs on an explicit stack, so it
+        # finishes with only 100 frames to spare above this one
+        n = 240
+        P = Positroid.from_oneline([n, *range(1, n)])
+        E = range(1, n + 1, 2)
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            W = witness_basis(P, E)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert P.is_basis(W)
+        assert len(W & set(E)) == rank_dp(P, E) == n // 2
 
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))

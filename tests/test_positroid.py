@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import struct
@@ -116,6 +117,18 @@ class TestDecoratedPermutation:
             DecoratedPermutation.from_json({"pi": [1, 3, 2], "colors": {"x": "white"}})
         with pytest.raises(ValidationError):
             DecoratedPermutation.from_json({"no": "pi"})
+
+    @pytest.mark.parametrize("key", [" +1 ", "+1", "01", "1_0"])
+    def test_json_color_keys_are_canonical(self, key):
+        # int() would read the first three as 1 and "1_0" as 10, each in
+        # place of the key it replaces here; only str(i), the form to_json
+        # writes, names an element
+        pi = list(range(1, 11))
+        canonical = {str(i): "black" for i in pi}
+        assert DecoratedPermutation.from_json({"pi": pi, "colors": canonical}).black == set(pi)
+        colors = {k: c for k, c in canonical.items() if k != str(int(key))} | {key: "black"}
+        with pytest.raises(ValidationError, match=re.escape(f"color key {key!r} is not an element")):
+            DecoratedPermutation.from_json({"pi": pi, "colors": colors})
 
     @pytest.mark.parametrize("n", BAD_JSON_SIZES)
     def test_json_n_must_be_a_nonnegative_int(self, n):
@@ -654,6 +667,22 @@ class TestPackedGale:
                     assert P._gale_holds(batch, anchors) == j, (cap, F, j)
 
 
+# each case's bases in enumeration order, one "x,y,z" line each, as a SHA-256
+# digest: the repro demo (n = 14), random_decorated_positroid(20, Random(0))
+# and (20, Random(1)) from helpers, and the positroid of the sparse 6 x 20
+# matrix random_tnn_matrix(6, 20, Random(1), ops=400), with 175 bases
+PINNED_ENUMERATIONS = [
+    ((2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12), (), (), 624,
+     "83acebb94d8f2e4bc6872fbd999635994aa93424c9c6addfeb7436805ec648de"),
+    ((11, 19, 3, 4, 1, 18, 12, 17, 15, 10, 6, 8, 5, 20, 7, 16, 9, 2, 14, 13), (3, 4), (10, 16),
+     8929, "6a0b56aee37cddd85579888f16848e8d97db8d04103678dfb55f94a2014c91de"),
+    ((12, 6, 18, 4, 10, 1, 17, 8, 9, 7, 11, 14, 15, 13, 2, 20, 16, 3, 19, 5), (4, 11, 19), (8, 9),
+     1622, "c3d8260b9d1077c37fcd5732aeb30132861522754c80c838f57fd968e4eb26c5"),
+    ((7, 1, 2, 8, 3, 4, 9, 5, 10, 11, 12, 13, 6, 14, 15, 16, 17, 18, 19, 20), range(14, 21), (),
+     175, "c8f1326193f4a5856897da2ad54abfcb572849d93c7d6c0a4216653e72c5fc49"),
+]
+
+
 class TestEnumerateBases:
     def test_matrix_positroid(self):
         neck = GrassmannNecklace.from_sets(({1, 2}, {2, 3}, {3, 4}, {2, 4}), 4)
@@ -672,20 +701,36 @@ class TestEnumerateBases:
         assert sum(1 for _ in enumerate_bases(P)) == comb(n, d)
 
     def test_matches_the_gale_reference_in_lex_order(self):
+        # every decorated permutation up to n = 6 and a seeded sample of
+        # those at n = 7, where all 13,700 take about 10 s
+        perms = [perm for n in range(7) for perm in decorated_permutations(n)]
+        perms += random.Random(7).sample(list(decorated_permutations(7)), 1500)
         extremes = set()
-        for n in range(7):
-            for perm in decorated_permutations(n):
-                P = Positroid(perm)
-                expected = [
-                    frozenset(c)
-                    for c in combinations(range(1, n + 1), P.d)
-                    if gale_reference(P, c)
-                ]
-                assert list(enumerate_bases(P)) == expected, perm
-                if n and P.d in (0, n):
-                    extremes.add(P.d == n)
+        for perm in perms:
+            P = Positroid(perm)
+            n = P.n
+            expected = [
+                frozenset(c)
+                for c in combinations(range(1, n + 1), P.d)
+                if gale_reference(P, c)
+            ]
+            assert list(enumerate_bases(P)) == expected, perm
+            if n and P.d in (0, n):
+                extremes.add(P.d == n)
         # all loops (d = 0) and all coloops (d = n) are both among them
         assert extremes == {False, True}
+
+    @pytest.mark.parametrize(
+        "images, white, black, count, digest", PINNED_ENUMERATIONS,
+        ids=["demo_n14", "seed0_n20", "seed1_n20", "sparse_6x20"],
+    )
+    def test_pinned_lex_order(self, images, white, black, count, digest):
+        h = hashlib.sha256()
+        bases = 0
+        for B in enumerate_bases(Positroid.from_oneline(images, white, black)):
+            h.update((",".join(map(str, sorted(B))) + "\n").encode())
+            bases += 1
+        assert (bases, h.hexdigest()) == (count, digest)
 
     def test_cap(self):
         P = Positroid.from_oneline(tuple(range(2, 22)) + (1,))

@@ -146,11 +146,10 @@ def test_package_exports_the_union_of_its_modules_lists():
     assert set(EXPORTED) <= set(namespace)
 
 
-def test_rank_module_has_no_recursion():
-    # partitions are enumerated and certificates walked on explicit stacks,
-    # so no query on validated input ends in a RecursionError: no cycle may
-    # run through the calls between rank.py's own functions
-    path = SOURCE / "rank.py"
+def _self_reaching_functions(module: str) -> list[str]:
+    """The module's functions that reach themselves through calls between
+    its own functions, matched by name."""
+    path = SOURCE / module
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {
         node.name: node for node in ast.walk(tree)
@@ -177,7 +176,21 @@ def test_rank_module_has_no_recursion():
         return False
 
     assert functions
-    assert [name for name in functions if reaches(name, name)] == []
+    return [name for name in functions if reaches(name, name)]
+
+
+def test_rank_module_has_no_recursion():
+    # partitions are enumerated and certificates walked on explicit stacks,
+    # so no query on validated input ends in a RecursionError: no cycle may
+    # run through the calls between rank.py's own functions
+    assert _self_reaching_functions("rank.py") == []
+
+
+def test_morph_module_has_no_recursion():
+    # the witness's morph recursion, up to s levels deep, runs on an
+    # explicit stack of levels, so rank --witness cannot end in a
+    # RecursionError either
+    assert _self_reaching_functions("morph.py") == []
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
