@@ -5,12 +5,15 @@ repeatedly mimics the necklace member of the next interval inside a shrinking
 window, trading excessive elements for missing ones. Tracking where the
 mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
-One private walker yields the stages: morph_sequence lists them, the witness
-advances all s walkers lazily and stops at the first gap-free basis. Its
-pieces are aligned without align_basis's checks, both phases of an
-alignment trading through one partner search; the one check of the
-construction is witness_basis's final test of its result. The recursion,
-up to s levels deep, runs on an explicit stack.
+One private walker yields the stages: morph_sequence lists them. The witness
+first tries walker 0's fully morphed set, s - 1 mimics from the first
+interval of E, under the construction's one check, witness_basis's final
+test of a basis meeting E in rank(E) elements. Only when that check fails
+does the recursion run: it advances all s walkers lazily, stops at the first
+gap-free basis and aligns its pieces without align_basis's checks, both
+phases of an alignment trading through one partner search; its result goes
+through the same check. The recursion, up to s levels deep, runs on an
+explicit stack.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -41,8 +44,8 @@ from .cyclic import (
     _check_type,
     _checked_subset,
     _elements,
-    _intervals_of,
     _mask,
+    _mask_intervals,
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
@@ -459,28 +462,42 @@ def _witness_rec(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
 def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
-    Follows the morph recursion on P itself, on n-bit masks; loops and
-    coloops need no special case. Morph stages are built only up to the
-    first gap-free basis, and the pieces are spliced unchecked. The result
-    is then checked, the construction's one check, to be a basis meeting E
-    in rank(E) elements: a construction that misses that target, or that
-    fails inside with a ValidationError, raises ContractViolationError.
+    Works on P itself, on n-bit masks; loops and coloops need no special
+    case. Walker 0's fully morphed set, the last of the s - 1 mimics from
+    the first interval of E, is tried first; only when it misses does the
+    morph recursion run, building stages up to the first gap-free basis and
+    splicing its pieces unchecked. Each of the two is put to the
+    construction's one check, a basis meeting E in rank(E) elements, and
+    the first that passes is returned: a recursion that misses that target
+    too, or a construction that fails inside with a ValidationError, raises
+    ContractViolationError.
     """
     elements = _as_tuple(E, "set elements")
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
     return _witness(P, frozenset(elements), target)
 
 
+def _constructions(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> Iterator[int]:
+    """witness_basis's two constructions, as masks, each built only when
+    asked for: walker 0's last stage (none when E is empty), then the morph
+    recursion."""
+    if intervals:
+        for found, *_ in _stages(P, intervals):
+            pass
+        yield found
+    yield _witness_rec(P, intervals)
+
+
 def _witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
     """witness_basis on a checked E whose rank, target, is already known."""
+    E = _mask(members)
     try:
-        found = _witness_rec(P, _intervals_of(members, P.n).intervals)
+        for found in _constructions(P, _mask_intervals(E, P.n)):
+            if (found & E).bit_count() == target and P.is_basis(listing := _elements(found)):
+                return frozenset(listing)
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
-    candidate = frozenset(_elements(found))
-    if not (P.is_basis(candidate) and len(candidate & members) == target):
-        raise ContractViolationError(
-            f"constructed witness {sorted(candidate)} is not a basis meeting E "
-            f"in rank(E) = {target} elements"
-        )
-    return candidate
+    raise ContractViolationError(
+        f"constructed witness {_elements(found)} is not a basis meeting E "
+        f"in rank(E) = {target} elements"
+    )

@@ -160,11 +160,15 @@ class TestRankVerb:
         assert witness_basis(P, {1, 2, 3, 8, 9, 10}) == {1, 3, 4, 5, 10, 11, 12}
         assert len(tables) == 2
 
-    def test_witness_missing_its_target_exits_2(self, capsys, ref_perm_file, monkeypatch):
-        # the recursion builds masks; this one is {1..7}, not a basis
-        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: _mask(range(1, 8)))
-        code = main(["rank", "--perm", ref_perm_file, "--set", "1-3,8-10", "--witness"])
-        assert code == 2
+    def test_witness_missing_its_target_exits_2(self, capsys, tmp_path, monkeypatch):
+        # walker 0's candidate {2, 4, 6} is not a basis here, so the recursion
+        # runs; it builds masks, and this one is {1, 2, 3}, holding the loop 1
+        path = tmp_path / "dec6.json"
+        path.write_text(json.dumps({"n": 6, "pi": [1, 5, 6, 3, 4, 2], "colors": {"1": "white"}}))
+        calls = []
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: calls.append(1) or _mask({1, 2, 3}))
+        code = main(["rank", "--perm", str(path), "--set", "2,4,6", "--witness"])
+        assert code == 2 and calls == [1]
         assert "internal error:" in capsys.readouterr().err
 
     def test_empty_set(self, capsys, ref_perm_file):

@@ -33,6 +33,39 @@ from helpers import all_subsets, decorated_positroids, dual, random_decorated_po
 
 E4 = frozenset({1, 2, 3, 8, 9, 10})
 
+# n = 6 queries (one-line pi, white, black, E) whose walker-0 candidate, the
+# fully morphed set, misses rank(E), so the witness runs the morph recursion;
+# on the first, rank(E) = 2 and the candidate {2, 4, 6} is not a basis
+REJECTED_CANDIDATES = [
+    ((1, 5, 6, 3, 4, 2), (1,), (), frozenset({2, 4, 6})),
+    ((2, 5, 6, 3, 4, 1), (), (), frozenset({2, 4, 6})),
+    ((1, 6, 5, 4, 3, 2), (), (1, 4), frozenset({2, 4, 6})),
+    ((4, 5, 2, 3, 6, 1), (), (), frozenset({1, 3, 5})),
+    ((5, 4, 3, 2, 1, 6), (3, 6), (), frozenset({1, 3, 5})),
+]
+
+
+def _rejected(k):
+    images, white, black, E = REJECTED_CANDIDATES[k]
+    return Positroid.from_oneline(images, white=white, black=black), E
+
+
+def _deep_query(n):
+    """pi = [n, 1, ..., n - 1] with E the odd elements: the morph recursion
+    nests s = n / 2 levels deep on it."""
+    return Positroid.from_oneline([n, *range(1, n)]), range(1, n + 1, 2)
+
+
+@pytest.fixture
+def recursion_calls(monkeypatch):
+    """The interval tuples witness_basis hands to the morph recursion."""
+    calls = []
+    recursion = morph._witness_rec
+    monkeypatch.setattr(
+        morph, "_witness_rec", lambda P, intervals: calls.append(intervals) or recursion(P, intervals)
+    )
+    return calls
+
 
 class TestExchangeRecord:
     def test_lengths_must_match(self):
@@ -394,27 +427,78 @@ class TestWitness:
                     h.update((",".join(map(str, sorted(witness_basis(P, E)))) + "\n").encode())
                     queries += 1
         assert (queries, h.hexdigest()) == (
-            136873, "358424005be182b70e22bfe46ce9e4fb62a9ec45187ed03bf07d8f470da90ca4"
+            136873, "0bd9d2e49f18a0a5a17b79ca6a42d3d688a5833f9d5e6c2c6d66d31d495fb2c2"
         )
 
     def test_deep_morph_recursion_needs_no_interpreter_stack(self):
-        # pi = [n, 1, ..., n - 1] with E the odd elements nests the morph
-        # recursion s = n / 2 levels deep; it runs on an explicit stack, so it
-        # finishes with only 100 frames to spare above this one
+        # witness_basis takes walker 0's candidate on the deep query, so the
+        # recursion is called directly: it runs its s = n / 2 levels on an
+        # explicit stack and finishes with only 100 frames to spare above
+        # this one
         n = 240
-        P = Positroid.from_oneline([n, *range(1, n)])
-        E = range(1, n + 1, 2)
+        P, E = _deep_query(n)
         frame, depth = sys._getframe(), 0
         while frame:
             frame, depth = frame.f_back, depth + 1
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            W = witness_basis(P, E)
+            W = _elements(morph._witness_rec(P, decompose(E, n).intervals))
         finally:
             sys.setrecursionlimit(limit)
         assert P.is_basis(W)
-        assert len(W & set(E)) == rank_dp(P, E) == n // 2
+        assert len(set(W) & set(E)) == rank_dp(P, E) == n // 2
+
+    def test_deep_query_takes_one_gale_test(self, monkeypatch, recursion_calls):
+        # the candidate's s - 1 mimics test nothing; the final check is the
+        # one Gale test, and it accepts
+        n = 240
+        P, E = _deep_query(n)
+        sets = []
+        gale = Positroid._gale_holds
+        monkeypatch.setattr(
+            Positroid, "_gale_holds", lambda self, B, anchors: sets.append(len(B)) or gale(self, B, anchors)
+        )
+        W = witness_basis(P, E)
+        assert sets == [1] and recursion_calls == []
+        assert len(W & set(E)) == n // 2
+
+    def test_readme_query_takes_the_candidate(self, ref_positroid, recursion_calls):
+        assert witness_basis(ref_positroid, E4) == {1, 3, 4, 5, 10, 11, 12}
+        assert recursion_calls == []
+
+    def test_a_basis_missing_the_target_is_no_witness(self, ref_positroid, monkeypatch, recursion_calls):
+        # I_4 is a basis but meets E4 in 2 < rank(E4) = 3 elements: as walker
+        # 0's candidate, the first walk built, it must be passed over
+        stages, walks = morph._stages, []
+
+        def candidate_is_I4(P, order):
+            walks.append(order)
+            if len(walks) == 1:
+                yield P.necklace.masks[3], None, None, None, (), ()
+            else:
+                yield from stages(P, order)
+
+        monkeypatch.setattr(morph, "_stages", candidate_is_I4)
+        assert witness_basis(ref_positroid, E4) == {1, 3, 4, 5, 10, 11, 12}
+        assert len(recursion_calls) == 1
+
+    def test_rejected_candidate_example(self):
+        P, E = _rejected(0)
+        *_, (candidate, *_) = morph._stages(P, decompose(E, P.n).intervals)
+        assert _elements(candidate) == [2, 4, 6] and not P.is_basis(_elements(candidate))
+        assert rank_dp(P, E) == 2
+
+    @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
+    def test_rejected_candidate_runs_the_recursion_once(self, recursion_calls, k):
+        P, E = _rejected(k)
+        *_, (candidate, *_) = morph._stages(P, decompose(E, P.n).intervals)
+        assert not (
+            P.is_basis(_elements(candidate)) and len(E.intersection(_elements(candidate))) == rank_dp(P, E)
+        )
+        W = witness_basis(P, E)
+        assert len(recursion_calls) == 1
+        assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
@@ -423,19 +507,34 @@ class TestWitness:
             assert P.is_basis(W)
             assert len(W & E) == rank_bruteforce(P, E)
 
-    def test_missed_target_is_a_contract_violation(self, ref_positroid, monkeypatch):
-        # {1..7}, as the recursion's mask, is not a basis of the reference positroid
-        monkeypatch.setattr(morph, "_witness_rec", lambda P, decomp: _mask(range(1, 8)))
-        with pytest.raises(ContractViolationError, match="not a basis"):
-            witness_basis(ref_positroid, E4)
+    def test_missed_target_is_a_contract_violation(self, monkeypatch):
+        # the candidate {2, 4, 6} is not a basis, so the recursion runs; its
+        # mask here is {1, 2, 3}, and the loop 1 lies in no basis either
+        calls = []
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: calls.append(1) or _mask({1, 2, 3}))
+        with pytest.raises(ContractViolationError, match=r"witness \[1, 2, 3\] is not a basis"):
+            witness_basis(*_rejected(0))
+        assert calls == [1]
 
-    def test_failure_inside_is_a_contract_violation(self, ref_positroid, monkeypatch):
-        def broken(P, decomp):
+    def test_failure_inside_is_a_contract_violation(self, monkeypatch):
+        # the candidate misses, and the recursion then fails inside
+        def broken(P, intervals):
             raise ValidationError("element 0 out of range")
 
         monkeypatch.setattr(morph, "_witness_rec", broken)
-        with pytest.raises(ContractViolationError, match="witness construction failed"):
+        with pytest.raises(ContractViolationError, match="witness construction failed: element 0"):
+            witness_basis(*_rejected(0))
+
+    def test_failure_in_the_candidate_is_a_contract_violation(
+        self, ref_positroid, monkeypatch, recursion_calls
+    ):
+        def broken(P, J, c, window):
+            raise ValidationError(f"set is not compatible with I_{c}")
+
+        monkeypatch.setattr(morph, "_mimic_parts", broken)
+        with pytest.raises(ContractViolationError, match="witness construction failed: set is not"):
             witness_basis(ref_positroid, E4)
+        assert recursion_calls == []
 
 
 class TestGroundSetAndIndices:
