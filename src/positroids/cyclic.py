@@ -354,9 +354,11 @@ def _checked_subset(members: Iterable[int], n: int) -> frozenset[int]:
 
 
 def decompose(members: Iterable[int], n: int) -> IntervalDecomposition:
-    """Write a subset of {1..n} as its maximal cyclic intervals."""
+    """Write a subset of {1..n} as its maximal cyclic intervals, built
+    unchecked: once the subset is checked, its runs are valid by construction."""
     _check_nonnegative(n, "n")
-    return _intervals_of(_checked_subset(members, n), n)
+    runs = _mask_intervals(_mask(_checked_subset(members, n)), n)
+    return _unchecked(IntervalDecomposition, n=n, intervals=runs)
 
 
 # bin() digits to the bytes 0 and 1, which compress() reads as flags
@@ -390,15 +392,6 @@ def _mask_intervals(m: int, n: int) -> tuple[tuple[int, int], ...]:
         # the run through n and 1 comes last
         ends.append(ends.pop(0))
     return tuple(zip(starts, ends))
-
-
-def _intervals_of(mem: frozenset[int], n: int) -> IntervalDecomposition:
-    """decompose() for a set that _checked_subset has already checked.
-
-    Its maximal runs, listed by start, are sorted, disjoint and maximal by
-    construction, so the decomposition is built unchecked.
-    """
-    return _unchecked(IntervalDecomposition, n=n, intervals=_mask_intervals(_mask(mem), n))
 
 
 def gale_leq(S: Iterable[int], T: Iterable[int], i: int, n: int) -> bool:

@@ -6,14 +6,14 @@ window, trading excessive elements for missing ones. Tracking where the
 mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages: morph_sequence lists them. The witness
-first tries walker 0's fully morphed set, s - 1 mimics from the first
-interval of E, under the construction's one check, witness_basis's final
-test of a basis meeting E in rank(E) elements. Only when that check fails
-does the recursion run: it advances all s walkers lazily, stops at the first
+first tries one candidate, I_1 for an empty E and else walker 0's fully
+morphed set, s - 1 mimics from E's first interval; only when it misses does
+the recursion run: it advances all s walkers lazily, stops at the first
 gap-free basis and aligns its pieces without align_basis's checks, both
-phases of an alignment trading through one partner search; its result goes
-through the same check. The recursion, up to s levels deep, runs on an
-explicit stack.
+phases of an alignment trading through one partner search, on an explicit
+stack up to s levels deep. Each set built, interval_exchange's result too,
+is one mask checked once: no bit past n, d members, its count, then one
+one-set Gale test, without is_basis's re-check of a caller's listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -128,8 +128,8 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
 
     J must be a basis with as many elements in [a, b] as any basis has,
     rank([a, b]) = |I_a ∩ [a, b]|; any other J raises ValidationError. The
-    result is then again a basis; if it is not, the exchange itself is at
-    fault and ContractViolationError says so.
+    result is then again a basis, as one Gale test of its mask confirms; if
+    it is not, the exchange is at fault and ContractViolationError says so.
     """
     _check_type(P, Positroid, "P")
     n = P.n
@@ -145,10 +145,10 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
         raise ValidationError(
             f"basis meets [{a},{b}] in {have} elements, but the maximum is {target}"
         )
-    result = frozenset(_elements(members & ~arc | Ia & arc))
-    if not P.is_basis(result):
+    result = members & ~arc | Ia & arc
+    if not _attains(P, result, arc, target):
         raise ContractViolationError(f"interval exchange on [{a},{b}] left a non-basis")
-    return result
+    return frozenset(_elements(result))
 
 
 def _window_arcs(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple[int, int, bool]:
@@ -386,14 +386,12 @@ def _align(
 
 
 def _witness_level(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list:
-    """One level of the morph recursion on the sorted, maximal intervals
+    """One level of the morph recursion on s >= 1 sorted, maximal intervals
     (a, b), up to its sub-witnesses: [seed, order, pieces]. Each piece (g, x)
     still needs a basis maximizing the rotated intervals order[g:x], aligned
     and spliced into the seed; with no pieces the seed is the level's answer."""
     s = len(intervals)
     masks = P.necklace.masks
-    if s == 0:
-        return [masks[0] if P.n else 0, (), []]
     rotations = [intervals[i:] + intervals[:i] for i in range(s)]
     walkers = [_stages(P, order) for order in rotations]
     seqs = [[next(walker)[0]] for walker in walkers]
@@ -463,41 +461,49 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
     Works on P itself, on n-bit masks; loops and coloops need no special
-    case. Walker 0's fully morphed set, the last of the s - 1 mimics from
-    the first interval of E, is tried first; only when it misses does the
-    morph recursion run, building stages up to the first gap-free basis and
-    splicing its pieces unchecked. Each of the two is put to the
-    construction's one check, a basis meeting E in rank(E) elements, and
-    the first that passes is returned: a recursion that misses that target
-    too, or a construction that fails inside with a ValidationError, raises
-    ContractViolationError.
+    case. One candidate is tried first: I_1 when E is empty, else walker
+    0's fully morphed set, the last of the s - 1 mimics from the first
+    interval of E. Only when it misses does the morph recursion run,
+    building stages up to the first gap-free basis and splicing its pieces
+    unchecked. Each of the two is put to the construction's one check, a
+    basis meeting E in rank(E) elements, and the first that passes is
+    returned: a recursion that misses that target too, or a construction
+    that fails inside with a ValidationError, raises ContractViolationError.
     """
     elements = _as_tuple(E, "set elements")
     target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
     return _witness(P, frozenset(elements), target)
 
 
-def _constructions(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> Iterator[int]:
-    """witness_basis's two constructions, as masks, each built only when
-    asked for: walker 0's last stage (none when E is empty), then the morph
-    recursion."""
-    if intervals:
-        for found, *_ in _stages(P, intervals):
-            pass
-        yield found
-    yield _witness_rec(P, intervals)
+def _attains(P: Positroid, found: int, E: int, target: int) -> bool:
+    """Whether the package's own mask found is a basis meeting the mask E in
+    target elements: a mask is sorted and repeat-free, so no bit past n and d
+    members are all the one-set Gale test needs, and the cheap count goes first."""
+    return (
+        not found >> P.n
+        and found.bit_count() == P.d
+        and (found & E).bit_count() == target
+        and P._gale_holds([_elements(found)], range(P.d)) == 1
+    )
 
 
 def _witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
     """witness_basis on a checked E whose rank, target, is already known."""
     E = _mask(members)
+    intervals = _mask_intervals(E, P.n)
+    found = P.necklace.masks[0] if P.n else 0  # I_1, the candidate for an empty E
     try:
-        for found in _constructions(P, _mask_intervals(E, P.n)):
-            if (found & E).bit_count() == target and P.is_basis(listing := _elements(found)):
-                return frozenset(listing)
+        for found, *_ in _stages(P, intervals) if intervals else ():
+            pass
+        # the morph recursion runs only where the candidate misses
+        if not (ok := _attains(P, found, E, target)) and intervals:
+            found = _witness_rec(P, intervals)
+            ok = _attains(P, found, E, target)
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
-    raise ContractViolationError(
-        f"constructed witness {_elements(found)} is not a basis meeting E "
-        f"in rank(E) = {target} elements"
-    )
+    if not ok:
+        raise ContractViolationError(
+            f"constructed witness {_elements(found)} is not a basis meeting E "
+            f"in rank(E) = {target} elements"
+        )
+    return frozenset(_elements(found))

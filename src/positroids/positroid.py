@@ -23,10 +23,10 @@ one from the other measured slower (CHANGES.md has the timings):
 - the packed rows `_gale_packing`: the one packed Gale test `_gale_holds`,
   which packs the chosen anchors' windows of a batch of sorted sets and
   their floor rows into fixed-width fields of one int each and compares
-  every set and anchor with one subtraction. is_basis and the witness
-  path's exchange tests pass a batch of one set; the matrix path's
-  certificate passes every scanned basis at once, and _gale_holds splits
-  such a list into batches of at most _GALE_BATCH_FIELDS fields.
+  every set and anchor with one subtraction. is_basis and the witness path
+  (its exchange tests and built sets) pass a batch of one set; the matrix
+  path's certificate passes every scanned basis at once, and _gale_holds
+  splits such a list into batches of at most _GALE_BATCH_FIELDS fields.
 The floor rows themselves, `_floor_rows`, are walked again on each call of
 enumerate_bases (n <= 20 by its cap), which costs one C-level comparison per
 d-subset with a feasible least member plus O(d^2) per subset that passes it;

@@ -251,7 +251,7 @@ def maximal_minor(A: RationalMatrix, cols: Iterable[int]) -> Fraction:
     idx = A._columns(cols)
     if len(idx) != A.r:
         raise ValidationError(f"maximal minors take exactly {A.r} columns, got {len(idx)}")
-    columns, scale = _integer_columns(A.column_submatrix(idx))
+    columns, scale = _integer_columns([[row[c - 1] for c in idx] for row in A.entries])
     # the one r-subset of r columns, kept in the given order; no basis, minor 0
     value = next((value for _, value in _lex_minors(columns, A.r)), 0)
     return Fraction(value, scale)

@@ -67,6 +67,23 @@ def recursion_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def basis_tests(monkeypatch):
+    """The listings passed to Positroid.is_basis, and the number of sets in
+    each batch passed to Positroid._gale_holds, is_basis's own batches too."""
+    calls = {"is_basis": [], "_gale_holds": []}
+    is_basis, gale = Positroid.is_basis, Positroid._gale_holds
+    monkeypatch.setattr(
+        Positroid, "is_basis", lambda self, B: calls["is_basis"].append(B) or is_basis(self, B)
+    )
+    monkeypatch.setattr(
+        Positroid,
+        "_gale_holds",
+        lambda self, sets, anchors: calls["_gale_holds"].append(len(sets)) or gale(self, sets, anchors),
+    )
+    return calls
+
+
 class TestExchangeRecord:
     def test_lengths_must_match(self):
         ExchangeRecord(ExchangeKind.MIMIC, (5,), (7,))
@@ -93,6 +110,22 @@ class TestIntervalExchange:
     def test_non_basis_refused(self, ref_positroid):
         with pytest.raises(ValidationError, match="needs a basis"):
             interval_exchange(ref_positroid, {1, 2, 3, 4, 5, 6, 7}, 1, 2)
+
+    def test_only_the_callers_set_goes_through_is_basis(self, ref_positroid, basis_tests):
+        # the result is the package's own mask: one Gale test, no is_basis
+        J = (1, 4, 7, 8, 10, 11, 13)
+        assert interval_exchange(ref_positroid, J, 13, 2) == {4, 7, 8, 10, 11, 13, 14}
+        assert basis_tests == {"is_basis": [J], "_gale_holds": [1, 1]}
+
+    def test_a_non_basis_result_is_a_contract_violation(self, ref_positroid, monkeypatch):
+        gale = Positroid._gale_holds
+
+        def result_fails(self, sets, anchors):
+            return 0 if sets == [[4, 7, 8, 10, 11, 13, 14]] else gale(self, sets, anchors)
+
+        monkeypatch.setattr(Positroid, "_gale_holds", result_fails)
+        with pytest.raises(ContractViolationError, match=r"exchange on \[13,2\] left a non-basis"):
+            interval_exchange(ref_positroid, {1, 4, 7, 8, 10, 11, 13}, 13, 2)
 
 
 class TestCompatibility:
@@ -414,11 +447,13 @@ class TestWitness:
                     assert P.is_basis(W), (P.perm, E)
                     assert len(W & E) == expected, (P.perm, E)
 
-    def test_exhaustive_small_outputs_are_pinned(self):
+    def test_exhaustive_small_outputs_are_pinned(self, recursion_calls, basis_tests):
         # every witness for every decorated (P, E) with n <= 6, one "x,y,z"
         # line each, in decorated_positroids and all_subsets order, as a
         # SHA-256 digest: the construction's search order, pieces, alignments
-        # and splices fix each returned basis
+        # and splices fix each returned basis. The morph recursion runs only
+        # on the 36 queries whose candidate misses, and no set the witness
+        # builds goes through is_basis
         h = hashlib.sha256()
         queries = 0
         for n in range(7):
@@ -429,6 +464,7 @@ class TestWitness:
         assert (queries, h.hexdigest()) == (
             136873, "0bd9d2e49f18a0a5a17b79ca6a42d3d688a5833f9d5e6c2c6d66d31d495fb2c2"
         )
+        assert len(recursion_calls) == 36 and basis_tests["is_basis"] == []
 
     def test_deep_morph_recursion_needs_no_interpreter_stack(self):
         # witness_basis takes walker 0's candidate on the deep query, so the
@@ -449,23 +485,59 @@ class TestWitness:
         assert P.is_basis(W)
         assert len(set(W) & set(E)) == rank_dp(P, E) == n // 2
 
-    def test_deep_query_takes_one_gale_test(self, monkeypatch, recursion_calls):
+    def test_deep_query_takes_one_gale_test(self, recursion_calls, basis_tests):
         # the candidate's s - 1 mimics test nothing; the final check is the
         # one Gale test, and it accepts
         n = 240
         P, E = _deep_query(n)
-        sets = []
-        gale = Positroid._gale_holds
-        monkeypatch.setattr(
-            Positroid, "_gale_holds", lambda self, B, anchors: sets.append(len(B)) or gale(self, B, anchors)
-        )
         W = witness_basis(P, E)
-        assert sets == [1] and recursion_calls == []
+        assert basis_tests == {"is_basis": [], "_gale_holds": [1]} and recursion_calls == []
         assert len(W & set(E)) == n // 2
 
-    def test_readme_query_takes_the_candidate(self, ref_positroid, recursion_calls):
+    def test_readme_query_takes_the_candidate(self, ref_positroid, recursion_calls, basis_tests):
         assert witness_basis(ref_positroid, E4) == {1, 3, 4, 5, 10, 11, 12}
         assert recursion_calls == []
+        assert basis_tests == {"is_basis": [], "_gale_holds": [1]}
+
+    def test_empty_set_takes_I1(self, ref_positroid, recursion_calls, basis_tests):
+        assert witness_basis(ref_positroid, ()) == ref_positroid.necklace.at(1)
+        assert recursion_calls == []
+        assert basis_tests == {"is_basis": [], "_gale_holds": [1]}
+
+    def test_a_piece_over_two_intervals_steps_back(self, recursion_calls):
+        # the candidate misses, and the top level's first piece found, (0, 2),
+        # spans two intervals: its start is found by stepping back from stage 1
+        P = Positroid.from_oneline(
+            [5, 9, 10, 12, 7, 6, 11, 13, 2, 3, 8, 4, 1, 14], black=(6,), white=(14,)
+        )
+        E = frozenset({1, 5, 7, 13})
+        intervals = decompose(E, P.n).intervals
+        *_, (candidate, *_) = morph._stages(P, intervals)
+        assert _elements(candidate) == [1, 5, 6, 8, 9, 13] and not P.is_basis(_elements(candidate))
+        assert morph._witness_level(P, intervals)[2] == [(2, 4), (0, 2)]
+        W = witness_basis(P, E)
+        assert W == {5, 6, 8, 9, 10, 13} and len(recursion_calls) == 1
+        assert W in set(enumerate_bases(P)) and len(W & E) == rank_bruteforce(P, E) == 2
+
+    @pytest.mark.parametrize(
+        "found",
+        [
+            {4, 6, 7},  # an element past n = 6
+            {4, 6, 70001},  # an element past any 16-bit field
+            {3, 4, 5, 6},  # d + 1 members
+            {4, 6},  # d - 1 members
+            {3, 4, 5},  # a basis meeting E in 1 < rank(E) = 2 elements
+            {2, 3, 6},  # d members, 2 of them in E, but no basis
+        ],
+    )
+    def test_every_guard_refuses_a_bad_construction(self, monkeypatch, found):
+        # the candidate {2, 4, 6} is not a basis, so the patched recursion's
+        # mask is checked next; each fails one guard, and the refusal is a
+        # ContractViolationError, never the Gale kernel's IndexError or
+        # struct.error
+        monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: _mask(found))
+        with pytest.raises(ContractViolationError, match="is not a basis meeting E"):
+            witness_basis(*_rejected(0))
 
     def test_a_basis_missing_the_target_is_no_witness(self, ref_positroid, monkeypatch, recursion_calls):
         # I_4 is a basis but meets E4 in 2 < rank(E4) = 3 elements: as walker

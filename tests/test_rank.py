@@ -724,8 +724,8 @@ class TestChecksOnce:
         assert set_checks() == 1
         rank_dp(P, E)
         assert set_checks() == 2
-        witness_basis(P, E)  # E once, and the final is_basis of the result
-        assert set_checks() == 4
+        witness_basis(P, E)  # E once; its result is the package's own mask
+        assert set_checks() == 3
 
 
 @settings(deadline=None, max_examples=120)

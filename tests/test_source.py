@@ -38,7 +38,7 @@ def test_no_module_level_caches():
 # the only constructions allowed to skip validation: each is valid by proof
 UNCHECKED_CALLERS = {
     ("cyclic.py", "IntervalDecomposition.restrict"),
-    ("cyclic.py", "_intervals_of"),
+    ("cyclic.py", "decompose"),
     ("positroid.py", "necklace_of"),
     ("positroid.py", "permutation_of"),
     ("positroid.py", "reduce"),
@@ -83,6 +83,25 @@ def test_unchecked_construction_is_fenced():
             assert id(node) in calls, f"{path.name}:{node.lineno}: _unchecked used without a call"
             callers.add((path.name, scope))
     assert callers == UNCHECKED_CALLERS
+
+
+def test_is_basis_checks_only_sets_from_outside():
+    # is_basis re-validates a listing, so it serves the sets a caller hands
+    # to the morph entry points, and repro's checks of documented results
+    # through the public API; a set the package builds is its own mask, and
+    # its check calls the Gale kernel directly
+    callers = {
+        (path.name, scope)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for scope, _ in _references(ast.parse(path.read_text(), filename=str(path)), "is_basis")
+    }
+    assert callers == {
+        ("morph.py", "align_basis"),
+        ("morph.py", "interval_exchange"),
+        ("repro.py", "_basis_membership"),
+        ("repro.py", "_matrix_positroid"),
+        ("repro.py", "_witness_basis"),
+    }
 
 
 def test_only_pi_inv_reads_the_inverse():

@@ -19,6 +19,7 @@ from positroids import (
     GrassmannNecklace,
     IntervalDecomposition,
     NonCrossingPartition,
+    decompose,
     Positroid,
     enumerate_ncp,
     matroid_from_matrix,
@@ -29,7 +30,6 @@ from positroids import (
     reduce,
 )
 from positroids import realize
-from positroids.cyclic import _intervals_of
 
 from helpers import (
     all_subsets,
@@ -158,7 +158,7 @@ def test_every_valid_necklace_through_permutation_of(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_intervals_and_restrictions(n):
     for members in all_subsets(n):
-        D = _intervals_of(members, n)
+        D = decompose(members, n)
         assert D == IntervalDecomposition(n, D.intervals)
         assert D.members == members
         for k in range(D.s + 1):
