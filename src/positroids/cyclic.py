@@ -300,10 +300,10 @@ class IntervalDecomposition:
 
     @cached_property
     def members(self) -> frozenset[int]:
-        out: set[int] = set()
+        m = 0
         for a, b in self.intervals:
-            out |= CyclicInterval.span(a, b, self.n).members
-        return frozenset(out)
+            m |= _arc(a, b, self.n)
+        return frozenset(_elements(m))
 
     def interval(self, i: int) -> CyclicInterval:
         """The i-th interval, 1-based."""
@@ -371,6 +371,12 @@ def _mask(S: Iterable[int]) -> int:
     for x in S:
         m |= 1 << (x - 1)
     return m
+
+
+def _arc(a: int, b: int, n: int) -> int:
+    """The mask of the closed cyclic interval [a, b]; [a, a - 1] is the full circle."""
+    below_a, up_to_b = (1 << (a - 1)) - 1, (1 << b) - 1
+    return up_to_b ^ below_a if a <= b else ((1 << n) - 1) ^ below_a | up_to_b
 
 
 def _elements(m: int) -> list[int]:

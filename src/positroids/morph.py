@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 
 from .cyclic import (
     IntervalDecomposition,
+    _arc,
     _as_pair,
     _as_tuple,
     _check_element,
@@ -108,12 +109,6 @@ class MorphState:
     window: tuple[int, int] | None
     center: int | None
     exchange: ExchangeRecord | None
-
-
-def _arc(a: int, b: int, n: int) -> int:
-    """The mask of the closed cyclic interval [a, b]; [a, a - 1] is the full circle."""
-    below_a, up_to_b = (1 << (a - 1)) - 1, (1 << b) - 1
-    return up_to_b ^ below_a if a <= b else ((1 << n) - 1) ^ below_a | up_to_b
 
 
 def _rotate(m: int, b: int, n: int) -> int:

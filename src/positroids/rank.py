@@ -21,10 +21,12 @@ since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
 of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
 one run of bits. A query builds its s x s gap matrix from s masks in O(s^2)
 shifts and popcounts and keeps nothing, neither per query nor per anchor; the
-necklace itself is built once and kept on the Positroid. Every count here
-reads that one kernel, _gap_matrix. ArrowTable, the reference the popcounts
-are tested against, counts the arrows off pi's images by prefix sums, one
-row per anchor that arrow_table builds on demand; no query reads them.
+necklace itself is built once and kept on the Positroid. A query over a
+decomposition reads its counts off _gap_matrix; a one-interval count
+(_gap_ccw) is I_a's mask less the arc [a, b] (cyclic._arc), one popcount.
+ArrowTable, the reference the popcounts are tested against, counts the
+arrows off pi's images by prefix sums, one row per anchor that arrow_table
+builds on demand; no query reads them.
 rank() and rank_dp() answer queries on positroids with loops or coloops as
 on the reduction (see _query), but on P's own labels: no reduced positroid is
 built. witness_basis (positroids.morph) works on the positroid itself.
@@ -41,6 +43,7 @@ from typing import Iterable, Iterator
 from .cyclic import (
     CyclicInterval,
     IntervalDecomposition,
+    _arc,
     _as_tuple,
     _check_element,
     _check_ground,
@@ -240,10 +243,10 @@ def arrow_table(P: Positroid) -> ArrowTable:
 
 
 def _gap_ccw(P: Positroid, b: int, a: int) -> int:
-    """ccw((b, a)) = |I_a ∩ (b, a)|, the one entry of [a, b]'s gap matrix."""
+    """ccw((b, a)) = |I_a ∩ (b, a)|: I_a's bits off the arc [a, b], one popcount."""
     _check_element(b, P.n)
     _check_element(a, P.n)
-    return _gap_matrix(P, ((a, b),))[0][0]
+    return (P.necklace.masks[a - 1] & ~_arc(a, b, P.n)).bit_count()
 
 
 def cw_count(P: Positroid, T: CyclicInterval) -> int:

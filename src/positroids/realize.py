@@ -1,16 +1,21 @@
 """Realizable matroids from exact rational matrices.
 
 Entries are exact rationals: integers, Fractions or "p/q" strings, never
-floating point. Minors are computed over the integers. Each row is scaled by
-the positive lcm of its denominators, which changes no minor's sign and no
-minor's zero-ness; the rational minor is the integer one divided by the
-product of those lcms. Integer minors come from fraction-free (Bareiss)
+floating point or an exponent such as "1e5". Minors are computed over the
+integers. Each row is scaled by the positive lcm of its denominators, which
+changes no minor's sign and no minor's zero-ness; the rational minor is the
+integer one divided by the product of those lcms. Integer minors come from fraction-free (Bareiss)
 elimination, whose every division is exact.
 
 One lex-order scan (_lex_minors) yields the minor of every basis, the
 r-subsets of columns with a nonzero minor. It walks the prefix tree of the
 subsets: each column prefix is eliminated once, for all of its extensions,
 and a column that depends on the prefix is dropped with its whole subtree.
+The scan is also the row-rank check: its first descent is the greedy column
+basis, and it ends empty, within n*r candidate steps, exactly when the rank
+is below r. That empty scan is the conversions' row-rank refusal; only the
+refusal, to name the rank, and row_rank run the separate elimination _rank.
+
 The matroid is a positroid iff every maximal minor is nonnegative, so
 positroid_from_matrix reads the bases and their signs off that one scan,
 and its Grassmann necklace too, walked by the transition rule from the
@@ -86,6 +91,12 @@ def _parse_entry(value: object) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would expand "1e999999999" into a 10^999999999 integer
+        if "e" in value or "E" in value:
+            raise ValidationError(
+                f"matrix entry {value!r} has an exponent; use an integer, "
+                f"a Fraction or a 'p/q' string"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -211,11 +222,18 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
     parity of its dropped coordinates. A node with one column left to choose
     has one coordinate, the minor, left per candidate.
 
+    The first descent takes the first candidate at every node, so it keeps
+    each column independent of those kept before it: the greedy column
+    basis. It reaches r columns exactly when the rank is r, so when it
+    dead-ends no basis exists and the scan stops there, empty.
+
     Within MINOR_SCAN_CAP subsets the scan always runs to the end. Past it,
     it counts its work, the candidates each node pivots on or reduces (those
     from its next child on) and the subsets a last-column node yields, and
     raises EnumerationLimitError once that passes the cap: a sparse matrix
-    with few bases still converts, a dense one is refused.
+    with few bases still converts, a dense one is refused. The first descent
+    is r nodes of at most n candidates, so a rank-deficient matrix is
+    refused for its rank, not the cap, whenever n*r <= MINOR_SCAN_CAP.
     """
     n = len(columns)
     if r == 0:
@@ -223,6 +241,7 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
         return
     limit = MINOR_SCAN_CAP if comb(n, r) > MINOR_SCAN_CAP else inf
     work = 0
+    found = False
     stack = [([(c, v) for c, v in enumerate(columns, start=1) if any(v)], 0, (), 1, 1)]
     while stack:
         cands, i, prefix, prev, sign = stack.pop()
@@ -232,11 +251,15 @@ def _lex_minors(columns: list[list[int]], r: int) -> Iterator[tuple[tuple[int, .
                 f"scanning C({n},{r}) column subsets: the work passes the cap {MINOR_SCAN_CAP}"
             )
         need = r - len(prefix)
+        if i > len(cands) - need:
+            if not found:
+                # the greedy descent dead-ends: the rank is below r
+                return
+            continue
         if need == 1:
+            found = True
             for col, v in cands:
                 yield prefix + (col,), sign * v[0]
-            continue
-        if i > len(cands) - need:
             continue
         stack.append((cands, i + 1, prefix, prev, sign))
         col, v = cands[i]
@@ -274,10 +297,9 @@ def row_rank(A: RationalMatrix) -> int:
     return _rank(_integer_columns(A.entries)[0])
 
 
-def _require_full_row_rank(A: RationalMatrix, columns: list[list[int]]) -> None:
-    rank = _rank(columns)
-    if rank != A.r:
-        raise ValidationError(f"matrix row rank is {rank}, less than the row count {A.r}")
+def _rank_refusal(A: RationalMatrix, columns: list[list[int]]) -> ValidationError:
+    """The error for a matrix whose minor scan is empty: its rank is below r."""
+    return ValidationError(f"matrix row rank is {_rank(columns)}, less than the row count {A.r}")
 
 
 @dataclass(frozen=True)
@@ -335,12 +357,15 @@ def matroid_from_matrix(A: RationalMatrix) -> BasisCollection:
     """Bases = column subsets with nonzero maximal minor. Needs full row rank.
 
     A full-row-rank matrix has a nonzero maximal minor, and the nonzero ones
-    satisfy basis exchange, so the collection is built unchecked.
+    satisfy basis exchange, so the collection is built unchecked. An empty
+    scan, which ends after its first descent, the greedy column basis, is
+    the refusal of a rank-deficient matrix.
     """
     _check_type(A, RationalMatrix, "A")
     columns, _ = _integer_columns(A.entries)
-    _require_full_row_rank(A, columns)
     bases = frozenset(frozenset(cols) for cols, _ in _lex_minors(columns, A.r))
+    if not bases:
+        raise _rank_refusal(A, columns)
     return _unchecked(BasisCollection, n=A.n, d=A.r, bases=bases)
 
 
@@ -419,10 +444,12 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
     """The positroid of a full-row-rank matrix with nonnegative maximal minors.
 
     One scan of the minors stops at the first negative one and otherwise
-    keeps the nonzero subsets, the bases, in lex order. _transition_walk
-    reads a necklace I'_1..I'_n off them, and P is the positroid it
-    determines. P is certified at every n by two checks, n set lookups and
-    a packed Gale test of every scanned basis, with no listing of P's bases:
+    keeps the nonzero subsets, the bases, in lex order. It is also the
+    row-rank check: it ends empty after its first descent, the greedy column
+    basis, exactly when the rank is below r. _transition_walk reads a
+    necklace I'_1..I'_n off the bases, and P is the positroid it determines.
+    P is certified at every n by two checks, n set lookups and a packed Gale
+    test of every scanned basis, with no listing of P's bases:
 
     (a) every walked entry I'_k is a scanned basis;
     (b) every scanned basis B passes P's Gale test.
@@ -445,7 +472,6 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
     """
     _check_type(A, RationalMatrix, "A")
     columns, scale = _integer_columns(A.entries)
-    _require_full_row_rank(A, columns)
     scanned = []
     for cols, value in _lex_minors(columns, A.r):
         if value < 0:
@@ -454,6 +480,8 @@ def positroid_from_matrix(A: RationalMatrix) -> Positroid:
                 f"{cols} equals {Fraction(value, scale)}"
             )
         scanned.append(cols)
+    if not scanned:
+        raise _rank_refusal(A, columns)
     bases = frozenset(map(frozenset, scanned))
     sets = _transition_walk(A.n, frozenset(scanned[0]), bases)
     mismatch = "the necklace of a TNN matrix does not match its nonzero minors"

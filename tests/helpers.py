@@ -198,6 +198,16 @@ def reference_rank_table(w: list[list[int]], d: int) -> list[list[int]]:
     return seg_to
 
 
+def dense_rank_deficient_rows(seed: int = 0) -> list[list[int]]:
+    """A dense 13 x 30 matrix of row rank 12: twelve rows of random ints
+    1-9 and row 13 = row 1 + row 2. C(30, 13) is past the minor scan's
+    subset cap, and every 13-subset of columns is singular."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(1, 9) for _ in range(30)] for _ in range(12)]
+    rows.append([x + y for x, y in zip(rows[0], rows[1])])
+    return rows
+
+
 def seeded_tnn_matrices(seed: int = 2024, count: int = 220):
     """Seeded full-row-rank TNN matrices with n <= 9, each row scaled by a
     positive rational (which keeps every minor's sign); the stream

@@ -15,6 +15,8 @@ from positroids import (
 from positroids.cli import main
 from positroids.cyclic import _mask
 
+from helpers import dense_rank_deficient_rows
+
 # the package binds `rank` to the function, so the module is looked up by name
 RANK_MODULE = importlib.import_module("positroids.rank")
 
@@ -359,6 +361,20 @@ class TestCheckVerb:
         assert code == 1
         assert obj["valid"] is False
         assert obj["negative_minor"] == {"columns": [1, 2], "value": "-1"}
+
+    def test_dense_rank_deficient_matrix(self, capsys, tmp_path):
+        # C(30, 13) is past the scan cap, but the scan ends after the greedy
+        # descent: a verdict, not an error
+        path = tmp_path / "deficient.json"
+        path.write_text(json.dumps(dense_rank_deficient_rows()))
+        code = main(["check", "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "valid": False, "kind": "matrix", "rows": 13, "columns": 30,
+            "full_row_rank": False, "totally_nonnegative": True,
+        }
+        assert captured.err == ""
 
     def test_exactly_one_input(self, capsys, ref_perm_file, matrix_file):
         code = main(["check", "--perm", ref_perm_file, "--matrix", matrix_file])

@@ -28,7 +28,12 @@ from positroids import GrassmannNecklace, realize
 from positroids.positroid import _GALE_BATCH_FIELDS, BASIS_ENUMERATION_CAP
 from positroids.cli import main
 
-from helpers import decorated_positroids, rotate, seeded_tnn_matrices
+from helpers import (
+    decorated_positroids,
+    dense_rank_deficient_rows,
+    rotate,
+    seeded_tnn_matrices,
+)
 
 A_ROWS = ((1, 0, -3, -1), (0, 1, 4, 0))
 
@@ -106,6 +111,18 @@ class TestRationalMatrix:
             RationalMatrix.from_rows([["1/0"]])
         with pytest.raises(ValidationError):
             RationalMatrix.from_rows([["abc"]])
+
+    @pytest.mark.parametrize("entry", ["1e5", "2E-3", "-3.5e2"])
+    def test_exponent_entries_rejected(self, entry):
+        # Fraction would expand the exponent into a 10^|e| integer, so a
+        # 13-byte "1e999999999" would take minutes and hundreds of MB
+        with pytest.raises(ValidationError, match="exponent.*'p/q' string") as info:
+            RationalMatrix.from_rows([[entry]])
+        assert repr(entry) in str(info.value)
+
+    def test_plain_string_entries_still_parse(self):
+        A = RationalMatrix.from_rows([["1/2", "-2/3", "0.5"]])
+        assert A.entries == ((Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2)),)
 
     def test_constructor_takes_parsed_entries_only(self):
         with pytest.raises(ValidationError, match="from_rows parses strings"):
@@ -204,6 +221,13 @@ class TestMinors:
         assert dependent
         for cols in dependent:
             assert maximal_minor(A, cols) == Fraction(0)
+
+    @pytest.mark.parametrize("cols", [(1, 2), (2, 1), (1, 1), (3, 3)])
+    def test_singular_and_repeated_columns_have_minor_zero(self, cols):
+        # columns 1 and 2 are parallel; a repeated column is its own span
+        A = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 7]])
+        assert maximal_minor(A, cols) == 0
+        assert maximal_minor(A, (1, 3)) == 1
 
     def test_row_rank(self):
         assert row_rank(RationalMatrix.from_rows(A_ROWS)) == 2
@@ -377,6 +401,43 @@ class TestPositroidFromMatrix:
         for convert in (positroid_from_matrix, matroid_from_matrix):
             with pytest.raises(ValidationError, match="row rank is 12, less than the row count"):
                 convert(A)
+
+    def test_the_scan_is_the_only_elimination(self, monkeypatch):
+        # full row rank is read off a nonempty scan; the separate elimination
+        # runs only to name the rank in a refusal
+        calls = []
+        rank = realize._rank
+        monkeypatch.setattr(realize, "_rank", lambda columns: calls.append(1) or rank(columns))
+        for A in seeded_tnn_matrices(count=60):
+            positroid_from_matrix(A)
+            matroid_from_matrix(A)
+        assert calls == []
+        for convert in (positroid_from_matrix, matroid_from_matrix):
+            with pytest.raises(ValidationError, match="row rank is 1, less than the row count 2"):
+                convert(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
+        assert len(calls) == 2
+
+    def test_a_dense_rank_deficient_matrix_ends_after_one_descent(self, monkeypatch):
+        # every 13-subset is singular and C(30, 13) is past the cap, but the
+        # greedy descent dead-ends at once, after at most n*r reductions
+        A = RationalMatrix.from_rows(dense_rank_deficient_rows())
+        assert comb(30, 13) > realize.MINOR_SCAN_CAP
+        assert row_rank(A) == 12
+        for convert in (positroid_from_matrix, matroid_from_matrix):
+            with pytest.raises(ValidationError, match="row rank is 12, less than the row count 13"):
+                convert(A)
+        calls = 0
+        reduce = realize._reduce
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reduce(*args)
+
+        monkeypatch.setattr(realize, "_reduce", counted)
+        assert first_negative_minor(A) is None
+        assert 0 < calls <= A.n * A.r
+        assert is_totally_nonnegative(A)
 
     def test_matches_the_basis_collection_path(self):
         rng = random.Random(2024)
