@@ -31,12 +31,7 @@ from .errors import ContractViolationError, EnumerationLimitError, ValidationErr
 from .morph import MorphState, _witness, morph_sequence
 from .positroid import GrassmannNecklace, Positroid, enumerate_bases, loops_and_coloops
 from .rank import DEFAULT_PARTITION_LIMIT, RankCertificate, rank
-from .realize import (
-    RationalMatrix,
-    first_negative_minor,
-    positroid_from_matrix,
-    row_rank,
-)
+from .realize import RationalMatrix, _signs, positroid_from_matrix
 
 __all__ = ["main"]
 
@@ -243,8 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         if kind == "matrix":
             A = RationalMatrix.from_json(_read_json(path))
-            full = row_rank(A) == A.r
-            witness = first_negative_minor(A)
+            full, witness = _signs(A)
             obj: dict[str, Any] = {
                 "valid": full and witness is None,
                 "kind": "matrix",

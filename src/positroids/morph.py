@@ -7,13 +7,17 @@ mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages: morph_sequence lists them. The witness
 first tries one candidate, I_1 for an empty E and else walker 0's fully
-morphed set, s - 1 mimics from E's first interval; only when it misses does
-the recursion run: it advances all s walkers lazily, stops at the first
-gap-free basis and aligns its pieces without align_basis's checks, both
-phases of an alignment trading through one partner search, on an explicit
-stack up to s levels deep. Each set built, interval_exchange's result too,
-is one mask checked once: no bit past n, d members, its count, then one
-one-set Gale test, without is_basis's re-check of a caller's listing.
+morphed set, s - 1 mimics from E's first interval. A candidate that is a
+basis and meets some non-crossing partition's gaps tightly is maximal
+(rank._tight_partition), with no rank table built; rank_dp tries the same
+candidate through _certified. Only when it misses are rank(E) read off the
+table and the recursion run: it advances all s walkers lazily, stops at
+the first gap-free basis and aligns its pieces without align_basis's
+checks, both phases of an alignment trading through one partner search, on
+an explicit stack up to s levels deep. Each set built, interval_exchange's
+result too, is one mask checked once: no bit past n, d members, its count
+where the target is known, then one one-set Gale test, without is_basis's
+re-check of a caller's listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -50,7 +54,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import rank_dp
+from .rank import _query, _rank_table, _tight_partition, rank_dp
 
 __all__ = [
     "GapStatus",
@@ -458,47 +462,88 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     Works on P itself, on n-bit masks; loops and coloops need no special
     case. One candidate is tried first: I_1 when E is empty, else walker
     0's fully morphed set, the last of the s - 1 mimics from the first
-    interval of E. Only when it misses does the morph recursion run,
-    building stages up to the first gap-free basis and splicing its pieces
-    unchecked. Each of the two is put to the construction's one check, a
-    basis meeting E in rank(E) elements, and the first that passes is
-    returned: a recursion that misses that target too, or a construction
-    that fails inside with a ValidationError, raises ContractViolationError.
+    interval of E. When it is a basis and some non-crossing partition of E
+    closes only over gaps it meets tightly, it is returned as it is: that
+    proves it meets E in rank(E) elements (rank._tight_partition), and no
+    rank table is built. Only when it misses is the target rank(E) read off
+    the O(s^3) table and the morph recursion run, building stages up to the
+    first gap-free basis and splicing its pieces unchecked; its result is
+    put to the construction's one check, a basis meeting E in rank(E)
+    elements. A result that fails it, or a construction that fails inside
+    with a ValidationError, raises ContractViolationError.
     """
-    elements = _as_tuple(E, "set elements")
-    target = rank_dp(P, elements)  # checks E, so its frozen copy needs no check
-    return _witness(P, frozenset(elements), target)
+    query = _query(P, E)
+    intervals, w, d, bonus, _, members = query
+    found, proved = _certified(P, members, query)
+    if proved:
+        return frozenset(_elements(found))
+    return _recursion_witness(P, members, _rank_table(w, d)[len(intervals)][1] + bonus, found)
 
 
-def _attains(P: Positroid, found: int, E: int, target: int) -> bool:
-    """Whether the package's own mask found is a basis meeting the mask E in
-    target elements: a mask is sorted and repeat-free, so no bit past n and d
-    members are all the one-set Gale test needs, and the cheap count goes first."""
+def _candidate(P: Positroid, E: int) -> int:
+    """The witness's candidate for the mask E, as a mask: walker 0's fully
+    morphed set, s - 1 mimics from E's first interval, or I_1 when E is empty."""
+    found = P.necklace.masks[0] if P.n else 0
+    try:
+        for found, *_ in _stages(P, _mask_intervals(E, P.n)) if E else ():
+            pass
+    except ValidationError as exc:
+        raise ContractViolationError(f"witness construction failed: {exc}") from exc
+    return found
+
+
+def _is_basis(P: Positroid, found: int) -> bool:
+    """Whether the package's own mask found is a basis: a mask is sorted and
+    repeat-free, so no bit past n and d members are all the one-set Gale
+    test needs."""
     return (
         not found >> P.n
         and found.bit_count() == P.d
-        and (found & E).bit_count() == target
         and P._gale_holds([_elements(found)], range(P.d)) == 1
     )
 
 
+def _attains(P: Positroid, found: int, E: int, target: int) -> bool:
+    """Whether the mask found is a basis meeting the mask E in target
+    elements; the cheap count goes first."""
+    return (found & E).bit_count() == target and _is_basis(P, found)
+
+
+def _certified(P: Positroid, E: int, query: tuple) -> tuple[int, bool]:
+    """The candidate for the mask E, and whether it is proved to meet E in
+    rank(E) elements: a basis that some partition of rank._query's E*
+    closes over tightly. Its coloops, all in any basis, are left out of the
+    gap counts, and it holds no loop, so it meets E* where it meets E less
+    the coloops."""
+    intervals, w, d, _, fixed, _ = query
+    found = _candidate(P, E)
+    return found, _is_basis(P, found) and _tight_partition(intervals, w, d, found & ~fixed)
+
+
 def _witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
-    """witness_basis on a checked E whose rank, target, is already known."""
+    """witness_basis on a checked E whose rank, target, is already known:
+    the candidate if it attains the target, else the morph recursion."""
     E = _mask(members)
-    intervals = _mask_intervals(E, P.n)
-    found = P.necklace.masks[0] if P.n else 0  # I_1, the candidate for an empty E
-    try:
-        for found, *_ in _stages(P, intervals) if intervals else ():
-            pass
-        # the morph recursion runs only where the candidate misses
-        if not (ok := _attains(P, found, E, target)) and intervals:
-            found = _witness_rec(P, intervals)
-            ok = _attains(P, found, E, target)
-    except ValidationError as exc:
-        raise ContractViolationError(f"witness construction failed: {exc}") from exc
-    if not ok:
-        raise ContractViolationError(
-            f"constructed witness {_elements(found)} is not a basis meeting E "
-            f"in rank(E) = {target} elements"
-        )
-    return frozenset(_elements(found))
+    found = _candidate(P, E)
+    if _attains(P, found, E, target):
+        return frozenset(_elements(found))
+    return _recursion_witness(P, E, target, found)
+
+
+def _recursion_witness(P: Positroid, E: int, target: int, candidate: int) -> frozenset[int]:
+    """The morph recursion's basis for the mask E, once the candidate has
+    missed, checked to meet E in target = rank(E) elements. An empty E has
+    no recursion: its candidate I_1 always attains 0, so a miss there is
+    reported like a failed construction."""
+    found = candidate
+    if E:
+        try:
+            found = _witness_rec(P, _mask_intervals(E, P.n))
+        except ValidationError as exc:
+            raise ContractViolationError(f"witness construction failed: {exc}") from exc
+        if _attains(P, found, E, target):
+            return frozenset(_elements(found))
+    raise ContractViolationError(
+        f"constructed witness {_elements(found)} is not a basis meeting E "
+        f"in rank(E) = {target} elements"
+    )

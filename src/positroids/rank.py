@@ -11,10 +11,19 @@ complement is the open gap (b, a):
 where minelts is the fewest elements a basis can have in the open gap
 (b, a). For a union E of s intervals, every non-crossing partition of the
 interval indices gives an upper bound on rank(E), and the minimum over all
-of them is exact. rank_dp() and rank() read it, and rank() a certificate by
-(bound, nodes) keys, off one O(s^3) table, which builds its s^2/2 chain steps
-once and spends the about s^3/3 remaining additions in C-level min/map; only
-all_bounds=True lists partitions, by enumerate_ncp(), which never recurses.
+of them is exact. rank() reads it, and a certificate by (bound, nodes) keys,
+off one O(s^3) table, which builds its s^2/2 chain steps once and spends the
+about s^3/3 remaining additions in C-level min/map; only all_bounds=True
+lists partitions, by enumerate_ncp(), which never recurses.
+
+rank_dp() and witness_basis() try a primal-dual certificate first. Any
+basis W meets E in at most rank(E) elements, and a block meets W in d less
+W's elements in the gaps it closes over; so a partition that closes only
+over gaps W meets in their minimum, ccw, elements proves |W ∩ E| = rank(E)
+(_tight_partition, O(s^2) big-int steps). W is the witness's candidate,
+walker 0's fully morphed set (positroids.morph), checked to be a basis by
+one Gale test; the table is the fallback when it proves nothing, and
+rank_dp keeps the table for small s, where it is the cheaper of the two.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
@@ -36,8 +45,8 @@ Nothing is cached at module level, so memory is freed with the positroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from operator import add
+from itertools import accumulate, combinations, repeat
+from operator import add, eq
 from typing import Iterable, Iterator
 
 from .cyclic import (
@@ -370,9 +379,10 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
 
 def _query(
     P: Positroid, E: Iterable[int]
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int, int, int]:
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int, int, int, int]:
     """E checked on P's ground set and answered as on P's reduction, on P's
-    own labels: (E*'s intervals, their gap matrix, d', |E ∩ K|, F's mask).
+    own labels: (E*'s intervals, their gap matrix, d', |E ∩ K|, F's mask,
+    E's mask).
 
     K is the coloops (black fixed points) and F all fixed points. E* is E
     without F, plus each run of fixed points whose nearest non-fixed element
@@ -397,7 +407,8 @@ def _query(
     members = _checked_subset(E, n)
     coloops = _mask(perm.black)
     fixed = coloops | _mask(perm.white)
-    kept = _mask(members) & ~fixed
+    given = _mask(members)
+    kept = given & ~fixed
     # a bit added at the foot of a run of fixed points carries through the
     # run, so the runs after a kept element are the bits the sum clears; the
     # ground written twice carries a run through n and 1 as well
@@ -406,7 +417,7 @@ def _query(
     star = (kept | folded | folded >> n) & (1 << n) - 1
     intervals = _mask_intervals(star, n)
     bonus = len(members & perm.black)
-    return intervals, _gap_matrix(P, intervals, coloops), P.d - coloops.bit_count(), bonus, fixed
+    return intervals, _gap_matrix(P, intervals, coloops), P.d - coloops.bit_count(), bonus, fixed, given
 
 
 def _reduced_intervals(
@@ -476,6 +487,64 @@ def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
     return seg_to
 
 
+def _tight_partition(
+    intervals: tuple[tuple[int, int], ...], w: list[list[int]], d: int, W: int
+) -> bool:
+    """Whether some non-crossing partition of the intervals closes only over
+    gaps that the mask W, a basis less the coloops, meets tightly: in its
+    gap matrix's w[i][j] elements, the fewest any basis can have there.
+
+    A block's intervals are the circle less the gaps it closes over, so W
+    meets E* in the sum over the blocks of d' less W's counts in their gaps,
+    and with every gap tight that is the partition's bound: W, which can meet
+    E* in no more than rank(E*) elements, meets it in exactly that many. The
+    converse needs the rank theorem: every optimal partition of a maximum
+    basis is all tight. So False only says W is not a maximum basis.
+
+    The search is _rank_table's recursion with booleans in place of minima,
+    over sets kept as ints with one byte per flag, so that a row of flags is
+    one bytes() call: O(s^2) big-int operations. Byte j of tight_from[i] says
+    the gap (b_i, a_j) is tight and byte i of tight_into[j] the same; byte
+    v + 1 of ranges[x] says intervals x..v partition over tight gaps (byte x,
+    the empty range, always), and byte j of reach[i] that a block's chain
+    steps from i to j over tight gaps, the runs between partitioned. A step
+    i -> j does not depend on where the chain started, so reach[u] is u and
+    the reach of u's steps; u's block closes at any j in reach[u] whose gap
+    (b_j, a_u) is tight, and the ranges from u are those from j + 1.
+    """
+    s = len(intervals)
+    # |W ∩ (b_i, a_j)| is W's members below a_j less those up to b_i, plus
+    # all d' of them when the gap wraps past n: when a_j <= b_i, so j <= i,
+    # unless interval i wraps itself and so ends before every start
+    before = [(W & (1 << a - 1) - 1).bit_count() for a, _ in intervals]
+    wrapped = [c + d for c in before]
+    tight_from = []
+    for i, (a, b) in enumerate(intervals):
+        k = i + 1 if a <= b else 0
+        upto = (W & (1 << b) - 1).bit_count()
+        tight_from.append(bytes(map(eq, map(add, w[i], repeat(upto)), wrapped[:k] + before[k:])))
+    tight_into = [int.from_bytes(bytes(column), "little") for column in zip(*tight_from)]
+    tight_from = [int.from_bytes(row, "little") for row in tight_from]
+    ranges = [1 << 8 * x for x in range(s + 1)]
+    reach = [0] * s
+    for u in range(s - 1, -1, -1):
+        r = 1 << 8 * u
+        # a step u -> j needs the gap (b_u, a_j) tight and u + 1..j - 1 partitioned;
+        # a step already reached adds nothing new
+        steps = tight_from[u] & ranges[u + 1]
+        while steps:
+            r |= reach[(steps & -steps).bit_length() >> 3]
+            steps &= ~r
+        reach[u] = r
+        closes, v = r & tight_into[u], ranges[u]
+        while closes:
+            low = closes & -closes
+            closes ^= low
+            v |= ranges[(low.bit_length() >> 3) + 1]
+        ranges[u] = v
+    return bool(ranges[0] >> 8 * s & 1)
+
+
 def rank(
     P: Positroid,
     E: Iterable[int],
@@ -494,7 +563,7 @@ def rank(
     by enumerate_ncp's `limit`. Blocks come out canonical, none re-checked.
     """
     _check_ints((limit,), "limit")
-    intervals, w, d, bonus, fixed = _query(P, E)
+    intervals, w, d, bonus, fixed, _ = _query(P, E)
     s = len(intervals)
     listing = all_bounds and list(enumerate_ncp(s, limit=max(limit, 0)))
     seg_to = _rank_table(w, d)
@@ -538,8 +607,32 @@ def rank(
     )
 
 
+def _candidate_first(s: int, d: int) -> bool:
+    """Whether rank_dp tries the candidate before the table, for s intervals
+    of E* and rank d: from 15 intervals on, once the table's s^3 steps
+    outnumber the d^2 fields of the candidate's Gale test. Below either,
+    building and proving the candidate costs more than the table (measured
+    crossovers: s = 18 at d = 75, 30 at d = 200, 53 at d = 485)."""
+    return s >= 15 and s ** 3 >= d * d
+
+
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
-    """Same value as rank(...).value, in O(s^3) without touching partitions:
-    the corner entry of the table rank() reads its certificate from."""
-    _, w, d, bonus, _ = _query(P, E)
-    return _rank_table(w, d)[len(w)][1] + bonus
+    """Same value as rank(...).value, without touching partitions.
+
+    For enough intervals of E* (_candidate_first), the witness's candidate
+    W is tried first (positroids.morph): when it is a basis and some
+    partition closes only over gaps it meets tightly, |W ∩ E| is the rank
+    (_tight_partition), proved in O(s^2) after one Gale test of d^2 fields.
+    Otherwise, and for fewer intervals, where the candidate costs more than
+    the table, the answer is the corner entry of the O(s^3) table rank()
+    reads its certificate from."""
+    query = _query(P, E)
+    _, w, d, bonus, _, members = query
+    s = len(w)
+    if _candidate_first(s, P.d):
+        from .morph import _certified  # morph builds on this module
+
+        W, proved = _certified(P, members, query)
+        if proved:
+            return (W & members).bit_count()
+    return _rank_table(w, d)[s][1] + bonus

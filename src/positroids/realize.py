@@ -14,7 +14,8 @@ and a column that depends on the prefix is dropped with its whole subtree.
 The scan is also the row-rank check: its first descent is the greedy column
 basis, and it ends empty, within n*r candidate steps, exactly when the rank
 is below r. That empty scan is the conversions' row-rank refusal; only the
-refusal, to name the rank, and row_rank run the separate elimination _rank.
+refusal, to name the rank, and row_rank run the separate elimination _rank;
+check --matrix reads both its verdicts off one scan (_signs).
 
 The matroid is a positroid iff every maximal minor is nonnegative, so
 positroid_from_matrix reads the bases and their signs off that one scan,
@@ -369,14 +370,22 @@ def matroid_from_matrix(A: RationalMatrix) -> BasisCollection:
     return _unchecked(BasisCollection, n=A.n, d=A.r, bases=bases)
 
 
+def _signs(A: RationalMatrix) -> tuple[bool, tuple[tuple[int, ...], Fraction] | None]:
+    """(full row rank, the first negative minor) off one scan, which stops
+    at that minor: the scan yields a basis exactly when the rank is r."""
+    columns, scale = _integer_columns(A.entries)
+    full = False
+    for cols, value in _lex_minors(columns, A.r):
+        full = True
+        if value < 0:
+            return full, (cols, Fraction(value, scale))
+    return full, None
+
+
 def first_negative_minor(A: RationalMatrix) -> tuple[tuple[int, ...], Fraction] | None:
     """The lexicographically first column subset with a negative minor, if any."""
     _check_type(A, RationalMatrix, "A")
-    columns, scale = _integer_columns(A.entries)
-    for cols, value in _lex_minors(columns, A.r):
-        if value < 0:
-            return cols, Fraction(value, scale)
-    return None
+    return _signs(A)[1]
 
 
 def is_totally_nonnegative(A: RationalMatrix) -> bool:

@@ -153,7 +153,7 @@ def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...
     order, on an explicit stack. It tries up to 2^(s-1) heads per range, so
     it is a reference for s up to about 14, past enumeration's reach."""
     rank_module = importlib.import_module("positroids.rank")
-    intervals, w, d, bonus, _ = rank_module._query(P, E)
+    intervals, w, d, bonus, *_ = rank_module._query(P, E)
     seg_to = rank_module._rank_table(w, d)
     s = len(intervals)
 

@@ -151,7 +151,8 @@ class TestRankVerb:
 
     def test_witness_builds_one_rank_table(self, capsys, ref_perm_file, monkeypatch):
         # the witness reuses the certificate's rank instead of building the
-        # table again through rank_dp
+        # table again through rank_dp; witness_basis proves its candidate
+        # by a tight partition and builds no table either
         tables = []
         build = RANK_MODULE._rank_table
         monkeypatch.setattr(RANK_MODULE, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
@@ -160,7 +161,7 @@ class TestRankVerb:
         capsys.readouterr()
         P = Positroid.from_oneline(REF_PI)
         assert witness_basis(P, {1, 2, 3, 8, 9, 10}) == {1, 3, 4, 5, 10, 11, 12}
-        assert len(tables) == 2
+        assert len(tables) == 1
 
     def test_witness_missing_its_target_exits_2(self, capsys, tmp_path, monkeypatch):
         # walker 0's candidate {2, 4, 6} is not a basis here, so the recursion
@@ -375,6 +376,29 @@ class TestCheckVerb:
             "full_row_rank": False, "totally_nonnegative": True,
         }
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "rows, verdict",
+        [
+            (MATRIX_A, (True, True)),
+            ([[1, 0, -3, -1], [0, -1, -4, 0]], (True, False)),
+            (dense_rank_deficient_rows(), (False, True)),
+        ],
+    )
+    def test_matrix_verdicts_take_one_scan(self, capsys, tmp_path, monkeypatch, rows, verdict):
+        # full row rank is a nonempty minor scan, so the separate
+        # elimination realize._rank never runs, and the scan runs once
+        realize = importlib.import_module("positroids.realize")
+        scans, eliminations = [], []
+        scan, eliminate = realize._lex_minors, realize._rank
+        monkeypatch.setattr(realize, "_lex_minors", lambda c, r: scans.append(r) or scan(c, r))
+        monkeypatch.setattr(realize, "_rank", lambda c: eliminations.append(c) or eliminate(c))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        code, obj = run_json(capsys, ["check", "--matrix", str(path)])
+        assert (obj["full_row_rank"], obj["totally_nonnegative"]) == verdict
+        assert code == (0 if all(verdict) else 1)
+        assert len(scans) == 1 and eliminations == []
 
     def test_exactly_one_input(self, capsys, ref_perm_file, matrix_file):
         code = main(["check", "--perm", ref_perm_file, "--matrix", matrix_file])

@@ -1,6 +1,7 @@
 import pytest
 
 import hashlib
+import importlib
 import random
 import sys
 
@@ -572,6 +573,30 @@ class TestWitness:
         assert len(recursion_calls) == 1
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
+    @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
+    def test_rejected_candidate_falls_back_to_the_table(self, monkeypatch, recursion_calls, k):
+        # the candidate is no basis, so rank_dp, made to try it at any s,
+        # and witness_basis each build one rank table; the witness builds
+        # its candidate once
+        rank_module = importlib.import_module("positroids.rank")
+        tables, candidates = [], []
+        build, candidate = rank_module._rank_table, morph._candidate
+
+        def counted(w, d):
+            tables.append(d)
+            return build(w, d)
+
+        monkeypatch.setattr(rank_module, "_rank_table", counted)
+        monkeypatch.setattr(morph, "_rank_table", counted)
+        monkeypatch.setattr(morph, "_candidate", lambda P, E: candidates.append(E) or candidate(P, E))
+        monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
+        P, E = _rejected(k)
+        assert rank_dp(P, E) == rank_bruteforce(P, E)
+        assert len(tables) == len(candidates) == 1
+        W = witness_basis(P, E)
+        assert len(tables) == len(candidates) == 2 and len(recursion_calls) == 1
+        assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
+
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
         for E in all_subsets(5):
@@ -634,10 +659,11 @@ class TestGroundSetAndIndices:
 
 class TestLazyWitness:
     def test_no_public_reentry(self, ref_positroid, monkeypatch):
-        # the recursion walks private stages and aligns without re-checks:
-        # rank_dp runs once, for the final check, and the public morph entry
-        # points and IntervalDecomposition.restrict not at all
-        calls = {"rank_dp": 0, "morph_sequence": 0, "align_basis": 0, "restrict": 0}
+        # the candidate of each of these queries is proved maximal by a
+        # tight partition, so the witness builds no rank table; rank_dp, the
+        # public morph entry points and IntervalDecomposition.restrict do not
+        # run at all
+        calls = {"rank_dp": 0, "_rank_table": 0, "morph_sequence": 0, "align_basis": 0, "restrict": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -645,7 +671,7 @@ class TestLazyWitness:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("rank_dp", "morph_sequence", "align_basis"):
+        for name in ("rank_dp", "_rank_table", "morph_sequence", "align_basis"):
             monkeypatch.setattr(morph, name, counted(name, getattr(morph, name)))
         monkeypatch.setattr(
             IntervalDecomposition, "restrict", counted("restrict", IntervalDecomposition.restrict)
@@ -659,7 +685,7 @@ class TestLazyWitness:
             W = witness_basis(P, E)
             assert P.is_basis(W)
             assert {k: calls[k] - before[k] for k in calls} == {
-                "rank_dp": 1, "morph_sequence": 0, "align_basis": 0, "restrict": 0
+                "rank_dp": 0, "_rank_table": 0, "morph_sequence": 0, "align_basis": 0, "restrict": 0
             }, (P.perm, sorted(E))
 
     def test_seeded_deep_recursion(self):

@@ -24,6 +24,7 @@ from positroids import (
     ccw_count,
     cw_count,
     decompose,
+    enumerate_bases,
     enumerate_ncp,
     min_elements,
     natural_bound,
@@ -699,6 +700,87 @@ class TestOwnLabels:
         assert "necklace" in vars(P) and "sets" not in vars(P.necklace)
         assert retained < 1 << 20, retained
         assert len(values) == 300 and max(values) <= P.d
+
+
+class TestCandidateFirst:
+    """rank_dp proves the witness candidate maximal by a tight partition and
+    falls back to the table's corner; with the crossover at 0 every query
+    takes the candidate path, which must give the table's value."""
+
+    @pytest.fixture
+    def candidate_always(self, monkeypatch):
+        monkeypatch.setattr(RANK_MODULE, "_candidate_first", lambda s, d: True)
+
+    @staticmethod
+    def corner(P, E):
+        _, w, d, bonus, *_ = RANK_MODULE._query(P, E)
+        return RANK_MODULE._rank_table(w, d)[len(w)][1] + bonus
+
+    def test_tight_partition_says_yes_exactly_on_maximum_bases(self):
+        # every basis W of every decorated positroid with n <= 5, against
+        # every E: some partition closes over W's tight gaps only iff W
+        # meets E in rank(E) elements
+        triples = 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
+                for E in all_subsets(n):
+                    intervals, w, d, bonus, fixed, members = RANK_MODULE._query(P, E)
+                    top = RANK_MODULE._rank_table(w, d)[len(w)][1] + bonus
+                    for W in bases:
+                        tight = RANK_MODULE._tight_partition(intervals, w, d, W & ~fixed)
+                        assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W)
+                        triples += 1
+        assert triples == 40525
+
+    def test_a_basis_short_of_the_rank_is_refused(self, ref_positroid):
+        # I_4 is a basis meeting E4 in 2 < rank(E4) = 3 elements; the witness
+        # meets it in 3
+        intervals, w, d, _, fixed, members = RANK_MODULE._query(ref_positroid, E4)
+        short = sum(1 << x - 1 for x in ref_positroid.necklace.at(4))
+        best = sum(1 << x - 1 for x in witness_basis(ref_positroid, E4))
+        assert (short & members).bit_count() == 2 and (best & members).bit_count() == 3
+        assert not RANK_MODULE._tight_partition(intervals, w, d, short & ~fixed)
+        assert RANK_MODULE._tight_partition(intervals, w, d, best & ~fixed)
+
+    def test_every_small_decorated_query_takes_the_tables_value(self, candidate_always):
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    assert rank_dp(P, E) == self.corner(P, E), (P.perm, sorted(E))
+
+    def test_seeded_large_queries_take_the_tables_value(self, candidate_always):
+        rng = random.Random(3000)
+        sizes = set()
+        for n, s in ((100, 20), (150, 60), (250, 40), (400, 100), (600, 150), (1000, 300)):
+            P = random_decorated_positroid(n, rng, fixed=n // 20)
+            E = random_union(n, s, rng)
+            assert rank_dp(P, E) == self.corner(P, E), (n, s)
+            sizes.add(decompose(E, n).s)
+        assert max(sizes) == 300
+
+    def test_small_queries_build_no_gale_packing(self):
+        # below the crossover rank_dp reads the table only, so a fresh
+        # positroid never packs its Gale rows: one interval, 14 intervals,
+        # and 20 intervals against d = 200, where s^3 < d^2
+        rng = random.Random(77)
+        for s, n in ((1, 400), (14, 150), (20, 400)):
+            P = random_decorated_positroid(n, rng)
+            E = random_union(n, s, rng)
+            assert len(RANK_MODULE._query(P, E)[1]) == s and (s < 15 or s ** 3 < P.d ** 2)
+            assert rank_dp(P, E) == rank(P, E).value
+            assert "_gale_packing" not in vars(P)
+
+    def test_large_queries_take_the_candidate(self, monkeypatch):
+        tables = []
+        build = RANK_MODULE._rank_table
+        monkeypatch.setattr(RANK_MODULE, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
+        rng = random.Random(5)
+        P = random_decorated_positroid(150, rng)
+        E = random_union(150, 40, rng)
+        value = rank_dp(P, E)
+        assert tables == [] and "_gale_packing" in vars(P)
+        assert value == rank(P, E).value and len(tables) == 1
 
 
 class TestChecksOnce:
