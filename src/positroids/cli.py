@@ -28,7 +28,7 @@ from typing import Any
 
 from .cyclic import decompose, format_set_spec, parse_set_spec
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
-from .morph import MorphState, _witness, morph_sequence
+from .morph import MorphState, morph_sequence, witness_basis
 from .positroid import GrassmannNecklace, Positroid, enumerate_bases, loops_and_coloops
 from .rank import DEFAULT_PARTITION_LIMIT, RankCertificate, rank
 from .realize import RationalMatrix, _signs, positroid_from_matrix
@@ -145,8 +145,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         obj["bounds"] = {str(p): v for p, v in cert.all_bounds}
         lines += [f"nbd {p} = {v}" for p, v in cert.all_bounds]
     if args.witness:
-        # the certificate's value is the rank witness_basis would compute
-        W = _witness(P, members, cert.value)
+        # the table and the witness's tight partition prove the rank apart
+        W = witness_basis(P, members)
+        if len(W & members) != cert.value:
+            raise ContractViolationError(
+                f"witness meets the set in {len(W & members)} elements, not rank {cert.value}"
+            )
         obj["witness"] = sorted(W)
         lines.append(f"witness basis = {_fmt_set(W)}")
     _emit(args, obj, lines)

@@ -418,7 +418,20 @@ def gale_leq(S: Iterable[int], T: Iterable[int], i: int, n: int) -> bool:
     )
 
 
-_RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
+# ASCII digits only: a bare \d also matches other scripts' digits, "٣" as 3
+_RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$", re.ASCII)
+
+
+def _spec_element(digits: str, n: int) -> int:
+    """The element a set term's digits name. More digits than n has are
+    refused by their count, before int() would meet its digit limit."""
+    significant = digits.lstrip("0")
+    if len(significant) > 1 and 10 ** (len(significant) - 1) > n:
+        raise ValidationError(f"a {len(significant)}-digit element is out of range 1..{n}")
+    try:
+        return int(significant or "0")
+    except ValueError as exc:  # past int()'s digit limit, with n as long
+        raise ValidationError(f"cannot read a {len(significant)}-digit element") from exc
 
 
 def parse_set_spec(text: str, n: int) -> frozenset[int]:
@@ -439,8 +452,8 @@ def parse_set_spec(text: str, n: int) -> frozenset[int]:
         m = _RANGE_RE.match(part)
         if not m:
             raise ValidationError(f"cannot parse set term {part!r}")
-        a = int(m.group(1))
-        b = int(m.group(2)) if m.group(2) else a
+        a = _spec_element(m.group(1), n)
+        b = _spec_element(m.group(2), n) if m.group(2) else a
         out |= CyclicInterval.span(a, b, n).members
     return frozenset(out)
 

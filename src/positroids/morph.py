@@ -7,16 +7,16 @@ mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages: morph_sequence lists them. The witness
 first tries one candidate, I_1 for an empty E and else walker 0's fully
-morphed set, s - 1 mimics from E's first interval. A candidate that is a
-basis and meets some non-crossing partition's gaps tightly is maximal
-(rank._tight_partition), with no rank table built; rank_dp tries the same
-candidate through _certified. Only when it misses are rank(E) read off the
-table and the recursion run: it advances all s walkers lazily, stops at
-the first gap-free basis and aligns its pieces without align_basis's
-checks, both phases of an alignment trading through one partner search, on
-an explicit stack up to s levels deep. Each set built, interval_exchange's
-result too, is one mask checked once: no bit past n, d members, its count
-where the target is known, then one one-set Gale test, without is_basis's
+morphed set, s - 1 mimics from E's first interval; rank_dp tries the same
+candidate through _certified. Only when it misses does the recursion run:
+it advances all s walkers lazily, stops at the first gap-free basis and
+aligns its pieces without align_basis's checks, both phases of an alignment
+trading through one partner search, on an explicit stack up to s levels
+deep. Whichever set the witness returns is proved maximal the same way: it
+is a basis, and some non-crossing partition of E closes only over gaps it
+meets tightly (rank._tight_partition). No witness builds the rank table.
+Each set built, interval_exchange's result too, is one mask checked once:
+no bit past n and d members, then one one-set Gale test, without is_basis's
 re-check of a caller's listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
@@ -54,7 +54,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import _query, _rank_table, _tight_partition, rank_dp
+from .rank import _query, _tight_partition, rank_dp
 
 __all__ = [
     "GapStatus",
@@ -145,7 +145,8 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
             f"basis meets [{a},{b}] in {have} elements, but the maximum is {target}"
         )
     result = members & ~arc | Ia & arc
-    if not _attains(P, result, arc, target):
+    # result equals I_a on [a, b], so it meets the arc in target elements
+    if not _is_basis(P, result):
         raise ContractViolationError(f"interval exchange on [{a},{b}] left a non-basis")
     return frozenset(_elements(result))
 
@@ -462,22 +463,26 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     Works on P itself, on n-bit masks; loops and coloops need no special
     case. One candidate is tried first: I_1 when E is empty, else walker
     0's fully morphed set, the last of the s - 1 mimics from the first
-    interval of E. When it is a basis and some non-crossing partition of E
-    closes only over gaps it meets tightly, it is returned as it is: that
-    proves it meets E in rank(E) elements (rank._tight_partition), and no
-    rank table is built. Only when it misses is the target rank(E) read off
-    the O(s^3) table and the morph recursion run, building stages up to the
-    first gap-free basis and splicing its pieces unchecked; its result is
-    put to the construction's one check, a basis meeting E in rank(E)
-    elements. A result that fails it, or a construction that fails inside
-    with a ValidationError, raises ContractViolationError.
+    interval of E. When it misses, the morph recursion runs, building
+    stages up to the first gap-free basis and splicing its pieces
+    unchecked. Either set is returned only when _proved, by a tight
+    partition, to be a basis meeting E in rank(E) elements; no rank table
+    is built. A recursion result that fails the proof, or a construction
+    that fails inside with a ValidationError, raises ContractViolationError.
     """
     query = _query(P, E)
-    intervals, w, d, bonus, _, members = query
+    members = query[-1]
     found, proved = _certified(P, members, query)
-    if proved:
-        return frozenset(_elements(found))
-    return _recursion_witness(P, members, _rank_table(w, d)[len(intervals)][1] + bonus, found)
+    if not proved:
+        try:
+            found = _witness_rec(P, _mask_intervals(members, P.n))
+        except ValidationError as exc:
+            raise ContractViolationError(f"witness construction failed: {exc}") from exc
+        if not _proved(P, found, query):
+            raise ContractViolationError(
+                f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
+            )
+    return frozenset(_elements(found))
 
 
 def _candidate(P: Positroid, E: int) -> int:
@@ -503,47 +508,17 @@ def _is_basis(P: Positroid, found: int) -> bool:
     )
 
 
-def _attains(P: Positroid, found: int, E: int, target: int) -> bool:
-    """Whether the mask found is a basis meeting the mask E in target
-    elements; the cheap count goes first."""
-    return (found & E).bit_count() == target and _is_basis(P, found)
+def _proved(P: Positroid, found: int, query: tuple) -> bool:
+    """Whether the mask found is proved to meet rank._query's E in rank(E)
+    elements: a basis that some partition of E* closes over tightly. Its
+    coloops, all in any basis, are left out of the gap counts, and it holds
+    no loop, so it meets E* where it meets E less the coloops. The basis
+    test goes first, as _tight_partition assumes one."""
+    intervals, w, d, _, fixed, _ = query
+    return _is_basis(P, found) and _tight_partition(intervals, w, d, found & ~fixed)
 
 
 def _certified(P: Positroid, E: int, query: tuple) -> tuple[int, bool]:
-    """The candidate for the mask E, and whether it is proved to meet E in
-    rank(E) elements: a basis that some partition of rank._query's E*
-    closes over tightly. Its coloops, all in any basis, are left out of the
-    gap counts, and it holds no loop, so it meets E* where it meets E less
-    the coloops."""
-    intervals, w, d, _, fixed, _ = query
+    """The candidate for the mask E, and whether it is _proved."""
     found = _candidate(P, E)
-    return found, _is_basis(P, found) and _tight_partition(intervals, w, d, found & ~fixed)
-
-
-def _witness(P: Positroid, members: frozenset[int], target: int) -> frozenset[int]:
-    """witness_basis on a checked E whose rank, target, is already known:
-    the candidate if it attains the target, else the morph recursion."""
-    E = _mask(members)
-    found = _candidate(P, E)
-    if _attains(P, found, E, target):
-        return frozenset(_elements(found))
-    return _recursion_witness(P, E, target, found)
-
-
-def _recursion_witness(P: Positroid, E: int, target: int, candidate: int) -> frozenset[int]:
-    """The morph recursion's basis for the mask E, once the candidate has
-    missed, checked to meet E in target = rank(E) elements. An empty E has
-    no recursion: its candidate I_1 always attains 0, so a miss there is
-    reported like a failed construction."""
-    found = candidate
-    if E:
-        try:
-            found = _witness_rec(P, _mask_intervals(E, P.n))
-        except ValidationError as exc:
-            raise ContractViolationError(f"witness construction failed: {exc}") from exc
-        if _attains(P, found, E, target):
-            return frozenset(_elements(found))
-    raise ContractViolationError(
-        f"constructed witness {_elements(found)} is not a basis meeting E "
-        f"in rank(E) = {target} elements"
-    )
+    return found, _proved(P, found, query)

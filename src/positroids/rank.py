@@ -22,8 +22,10 @@ W's elements in the gaps it closes over; so a partition that closes only
 over gaps W meets in their minimum, ccw, elements proves |W ∩ E| = rank(E)
 (_tight_partition, O(s^2) big-int steps). W is the witness's candidate,
 walker 0's fully morphed set (positroids.morph), checked to be a basis by
-one Gale test; the table is the fallback when it proves nothing, and
-rank_dp keeps the table for small s, where it is the cheaper of the two.
+one Gale test. When it proves nothing, rank_dp falls back to the table, and
+witness_basis runs the morph recursion and proves that basis by the same
+tight check: no witness builds the table. rank_dp keeps the table for small
+s, where it is the cheaper of the two.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits

@@ -19,6 +19,7 @@ from helpers import dense_rank_deficient_rows
 
 # the package binds `rank` to the function, so the module is looked up by name
 RANK_MODULE = importlib.import_module("positroids.rank")
+CLI_MODULE = importlib.import_module("positroids.cli")
 
 REF_PI = [2, 8, 6, 7, 9, 4, 5, 14, 13, 3, 10, 11, 1, 12]
 MATRIX_A = [[1, 0, -3, -1], [0, 1, 4, 0]]
@@ -150,9 +151,9 @@ class TestRankVerb:
         assert obj == expected
 
     def test_witness_builds_one_rank_table(self, capsys, ref_perm_file, monkeypatch):
-        # the witness reuses the certificate's rank instead of building the
-        # table again through rank_dp; witness_basis proves its candidate
-        # by a tight partition and builds no table either
+        # the one table is the certificate's: witness_basis proves its basis,
+        # the candidate or the morph recursion's, by a tight partition and
+        # builds none
         tables = []
         build = RANK_MODULE._rank_table
         monkeypatch.setattr(RANK_MODULE, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
@@ -173,6 +174,16 @@ class TestRankVerb:
         code = main(["rank", "--perm", str(path), "--set", "2,4,6", "--witness"])
         assert code == 2 and calls == [1]
         assert "internal error:" in capsys.readouterr().err
+
+    def test_witness_short_of_the_certificate_exits_2(self, capsys, ref_perm_file, monkeypatch):
+        # the table and the witness's tight partition prove the rank
+        # independently; a witness meeting the set in fewer elements than the
+        # certificate's rank is reported as an internal error
+        monkeypatch.setattr(CLI_MODULE, "witness_basis", lambda P, E: P.necklace.at(4))
+        code = main(["rank", "--perm", ref_perm_file, "--set", "1-3,8-10", "--witness"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("internal error:") and "not rank 3" in captured.err
 
     def test_empty_set(self, capsys, ref_perm_file):
         code, obj = run_json(capsys, ["rank", "--perm", ref_perm_file, "--set", ""])
@@ -197,6 +208,14 @@ class TestRankVerb:
         code = main(["rank", "--perm", ref_perm_file, "--set", "1-15"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["\u0663", "9" * 5000])
+    def test_unreadable_set_term(self, capsys, ref_perm_file, spec):
+        # a non-ASCII digit, and an element past int()'s digit limit: one
+        # error line, exit 1, no traceback
+        code = main(["rank", "--perm", ref_perm_file, "--set", spec])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
     def test_partition_cap(self, capsys, tmp_path):
         # 13 and 17 intervals: past the default cap of 12, which bounds only

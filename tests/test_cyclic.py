@@ -275,6 +275,29 @@ def test_parse_set_spec():
         parse_set_spec("1;3", 14)
 
 
+def test_parse_set_spec_reads_ascii_digits_only():
+    # \d alone would read the Arabic-Indic digit three as 3
+    with pytest.raises(ValidationError, match="cannot parse set term"):
+        parse_set_spec("\u0663", 14)
+    with pytest.raises(ValidationError, match="cannot parse set term"):
+        parse_set_spec("1-\u0663", 14)
+
+
+def test_parse_set_spec_refuses_a_long_element_before_reading_it():
+    # 5,000 digits is past int()'s 4,300-digit limit; the digit count alone
+    # refuses it, and leading zeros do not count
+    with pytest.raises(ValidationError, match="5000-digit element is out of range 1..14"):
+        parse_set_spec("9" * 5000, 14)
+    with pytest.raises(ValidationError, match="out of range 1..14"):
+        parse_set_spec("2-" + "9" * 5000, 14)
+    with pytest.raises(ValidationError, match="2-digit element is out of range 1..9"):
+        parse_set_spec("10", 9)
+    assert parse_set_spec("0" * 5000 + "3", 14) == {3}
+    # an n as long lets the count through, and int() refusing is refused too
+    with pytest.raises(ValidationError, match="cannot read a 5000-digit element"):
+        parse_set_spec("9" * 5000, 10 ** 5000)
+
+
 def test_format_set_spec():
     assert format_set_spec({1, 2, 3, 8, 9, 10}, 14) == "1-3,8-10"
     assert format_set_spec({13}, 14) == "13"

@@ -574,28 +574,37 @@ class TestWitness:
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
-    def test_rejected_candidate_falls_back_to_the_table(self, monkeypatch, recursion_calls, k):
+    def test_rejected_candidate_builds_a_table_only_in_rank_dp(self, monkeypatch, recursion_calls, k):
         # the candidate is no basis, so rank_dp, made to try it at any s,
-        # and witness_basis each build one rank table; the witness builds
-        # its candidate once
+        # falls back to one rank table; witness_basis builds its candidate
+        # once, runs the recursion and proves its basis by a tight partition,
+        # with no table
         rank_module = importlib.import_module("positroids.rank")
         tables, candidates = [], []
         build, candidate = rank_module._rank_table, morph._candidate
-
-        def counted(w, d):
-            tables.append(d)
-            return build(w, d)
-
-        monkeypatch.setattr(rank_module, "_rank_table", counted)
-        monkeypatch.setattr(morph, "_rank_table", counted)
+        monkeypatch.setattr(rank_module, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
         monkeypatch.setattr(morph, "_candidate", lambda P, E: candidates.append(E) or candidate(P, E))
         monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
         P, E = _rejected(k)
         assert rank_dp(P, E) == rank_bruteforce(P, E)
         assert len(tables) == len(candidates) == 1
         W = witness_basis(P, E)
-        assert len(tables) == len(candidates) == 2 and len(recursion_calls) == 1
+        assert len(tables) == 1 and len(candidates) == 2 and len(recursion_calls) == 1
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
+
+    def test_seeded_large_miss_builds_no_table(self, monkeypatch, recursion_calls):
+        # at n = 400 and s = 60 walker 0's candidate misses; the recursion's
+        # basis is proved by a tight partition, with no rank table built
+        rank_module = importlib.import_module("positroids.rank")
+        rng = random.Random(52)
+        P = random_decorated_positroid(400, rng)
+        E = random_union(400, 60, rng)
+        tables = []
+        build = rank_module._rank_table
+        monkeypatch.setattr(rank_module, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
+        W = witness_basis(P, E)
+        assert tables == [] and len(recursion_calls) == 1
+        assert P.is_basis(W) and len(W & E) == rank_dp(P, E)
 
     def test_with_fixed_points(self):
         P = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
@@ -671,8 +680,11 @@ class TestLazyWitness:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("rank_dp", "_rank_table", "morph_sequence", "align_basis"):
+        for name in ("rank_dp", "morph_sequence", "align_basis"):
             monkeypatch.setattr(morph, name, counted(name, getattr(morph, name)))
+        # every rank table, rank_dp's and rank()'s too, is built here
+        rank_module = importlib.import_module("positroids.rank")
+        monkeypatch.setattr(rank_module, "_rank_table", counted("_rank_table", rank_module._rank_table))
         monkeypatch.setattr(
             IntervalDecomposition, "restrict", counted("restrict", IntervalDecomposition.restrict)
         )
