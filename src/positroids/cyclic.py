@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
+from math import log10
 from typing import Iterable, Iterator, TypeVar
 
 from .errors import ValidationError
@@ -48,6 +49,22 @@ def _unchecked(cls: type[_T], **fields: object) -> _T:
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+# an int longer than this is named in messages by its number of digits
+_SHOWN_DIGITS = 100
+
+
+def _shown(x: int) -> str:
+    """The int x as a message writes it: its digits, or past _SHOWN_DIGITS
+    of them their count, so that no message meets str()'s digit limit."""
+    m = abs(x)
+    if m < 10 ** _SHOWN_DIGITS:
+        return str(x)
+    # 10**k <= m < 10**(k + 1), from the bit length give or take one
+    k = int((m.bit_length() - 1) * log10(2))
+    k += (m >= 10 ** (k + 1)) - (m < 10 ** k)
+    return f"<{'negative ' if x < 0 else ''}{k + 1}-digit integer>"
 
 
 def _check_ints(values: Iterable, what: str) -> None:
@@ -90,7 +107,7 @@ def _check_type(value: object, cls: type, what: str) -> None:
 def _check_ground(m: int, n: int) -> None:
     """Reject an argument on {1..m} paired with a positroid on {1..n}."""
     if m != n:
-        raise ValidationError(f"argument lives on 1..{m}, but the positroid on 1..{n}")
+        raise ValidationError(f"argument lives on 1..{_shown(m)}, but the positroid on 1..{_shown(n)}")
 
 
 def _check_nonnegative(value: int, what: str) -> None:
@@ -107,14 +124,14 @@ def _check_element(x: int, n: int) -> None:
     if type(n) is not int:
         raise ValidationError(f"n must be an integer, got {n!r}")
     if not 1 <= x <= n:
-        raise ValidationError(f"element {x} out of range 1..{n}")
+        raise ValidationError(f"element {_shown(x)} out of range 1..{_shown(n)}")
 
 
 def _check_index(i: int, s: int, what: str) -> None:
     """Reject anything but a plain int in 1..s, such as a 1-based interval index."""
     _check_ints((i,), what)
     if not 1 <= i <= s:
-        raise ValidationError(f"{what} {i} out of range 1..{s}")
+        raise ValidationError(f"{what} {_shown(i)} out of range 1..{_shown(s)}")
 
 
 def position(x: int, i: int, n: int) -> int:

@@ -8,16 +8,17 @@ with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages: morph_sequence lists them. The witness
 first tries one candidate, I_1 for an empty E and else walker 0's fully
 morphed set, s - 1 mimics from E's first interval; rank_dp tries the same
-candidate through _certified. Only when it misses does the recursion run:
-it advances all s walkers lazily, stops at the first gap-free basis and
-aligns its pieces without align_basis's checks, both phases of an alignment
-trading through one partner search, on an explicit stack up to s levels
-deep. Whichever set the witness returns is proved maximal the same way: it
-is a basis, and some non-crossing partition of E closes only over gaps it
-meets tightly (rank._tight_partition). No witness builds the rank table.
-Each set built, interval_exchange's result too, is one mask checked once:
-no bit past n and d members, then one one-set Gale test, without is_basis's
-re-check of a caller's listing.
+candidate. Only when it misses does the recursion run: it advances all s
+walkers lazily, stops at the first gap-free basis and aligns its pieces
+without align_basis's checks, both phases of an alignment trading through
+one partner search, on an explicit stack up to s levels deep. One proof of
+maximality serves rank_dp's candidate, both witness constructions and
+align_basis's precondition: the set is a basis, and some non-crossing
+partition of E closes only over gaps it meets tightly (rank._maximal). None
+of them computes rank(E) or builds the rank table. Each set built,
+interval_exchange's result and each gap-free stage too, is one mask checked
+once by _is_basis: no bit past n and d members, then one one-set Gale test,
+without is_basis's re-check of a caller's listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -54,7 +55,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import _query, _tight_partition, rank_dp
+from .rank import _maximal, _query
 
 __all__ = [
     "GapStatus",
@@ -290,7 +291,9 @@ def align_basis(
 ) -> frozenset[int]:
     """Exchange B until it agrees with I_{a_i} on the window (b_{i-1}, b_i].
 
-    B must be a basis with |B ∩ E| = rank(E) (checked). Single-element
+    B must be a basis with |B ∩ E| = rank(E): it is proved maximum by a
+    partition of E that closes only over gaps B meets tightly, and no rank
+    is computed; any other B raises ValidationError. Single-element
     exchanges preserve that count throughout: first the excess in the gap
     before a_i is flushed (largest first, partners tried in the order
     starting at a_i), then the missing part of I_{a_i} on [a_i, b_i] is
@@ -307,14 +310,13 @@ def align_basis(
     B = _as_tuple(B, "set elements")
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
-    B = frozenset(B)
-    target = rank_dp(P, E.members)
-    if len(B & E.members) != target:
+    B, query = _mask(B), _query(P, E.members)
+    if not _maximal(query, B):
         raise ValidationError(
-            f"basis meets the set in {len(B & E.members)} elements, "
-            f"but the maximum is {target}"
+            f"basis meets the set in {(B & query[-1]).bit_count()} elements, "
+            "fewer than the maximum"
         )
-    aligned = _align(P, _mask(B), *E.intervals[i - 1], E.intervals[(i - 2) % E.s][1], trace)
+    aligned = _align(P, B, *E.intervals[i - 1], E.intervals[(i - 2) % E.s][1], trace)
     return frozenset(_elements(aligned))
 
 
@@ -400,7 +402,7 @@ def _witness_level(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list
     for t, i in product(range(1, s), range(s)):
         members, status = next(walkers[i])[:2]
         seqs[i].append(members)
-        if status is GapStatus.GAP_FREE and P._gale_holds([_elements(members)], range(P.d)) == 1:
+        if status is GapStatus.GAP_FREE and _is_basis(P, members):
             break
     else:
         # every stage kept gaps everywhere, so the fully morphed set is a
@@ -472,8 +474,8 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """
     query = _query(P, E)
     members = query[-1]
-    found, proved = _certified(P, members, query)
-    if not proved:
+    found = _candidate(P, members)
+    if not _proved(P, found, query):
         try:
             found = _witness_rec(P, _mask_intervals(members, P.n))
         except ValidationError as exc:
@@ -510,15 +512,6 @@ def _is_basis(P: Positroid, found: int) -> bool:
 
 def _proved(P: Positroid, found: int, query: tuple) -> bool:
     """Whether the mask found is proved to meet rank._query's E in rank(E)
-    elements: a basis that some partition of E* closes over tightly. Its
-    coloops, all in any basis, are left out of the gap counts, and it holds
-    no loop, so it meets E* where it meets E less the coloops. The basis
-    test goes first, as _tight_partition assumes one."""
-    intervals, w, d, _, fixed, _ = query
-    return _is_basis(P, found) and _tight_partition(intervals, w, d, found & ~fixed)
-
-
-def _certified(P: Positroid, E: int, query: tuple) -> tuple[int, bool]:
-    """The candidate for the mask E, and whether it is _proved."""
-    found = _candidate(P, E)
-    return found, _proved(P, found, query)
+    elements: a basis, rank._maximal by a tight partition. The basis test
+    goes first, as _maximal assumes one."""
+    return _is_basis(P, found) and _maximal(query, found)

@@ -66,6 +66,7 @@ from .cyclic import (
     _checked_subset,
     _elements,
     _mask,
+    _shown,
     _unchecked,
 )
 from .errors import EnumerationLimitError, ValidationError
@@ -99,9 +100,10 @@ def _json_size(obj: dict, key: str) -> int:
     count = len(obj[key])
     n = obj.get("n", count)
     if type(n) is not int or n < 0:
-        raise ValidationError(f'"n" must be a nonnegative integer, got {n!r}')
+        shown = _shown(n) if type(n) is int else repr(n)
+        raise ValidationError(f'"n" must be a nonnegative integer, got {shown}')
     if n != count:
-        raise ValidationError(f'"n" is {n} but "{key}" has {count} entries')
+        raise ValidationError(f'"n" is {_shown(n)} but "{key}" has {count} entries')
     return n
 
 
@@ -247,7 +249,7 @@ class GrassmannNecklace:
         if lo < 1 or hi > n:
             x = lo if lo < 1 else hi
             i = next(i for i, I in enumerate(sets, start=1) if x in I)
-            raise ValidationError(f"I_{i} contains {x}, outside 1..{n}")
+            raise ValidationError(f"I_{i} contains {_shown(x)}, outside 1..{n}")
         # the masks follow the rule as it is checked: a step that drops i
         # gains exactly one element, as the sizes are equal
         m = _mask(sets[0]) if n else 0

@@ -16,16 +16,17 @@ off one O(s^3) table, which builds its s^2/2 chain steps once and spends the
 about s^3/3 remaining additions in C-level min/map; only all_bounds=True
 lists partitions, by enumerate_ncp(), which never recurses.
 
-rank_dp() and witness_basis() try a primal-dual certificate first. Any
-basis W meets E in at most rank(E) elements, and a block meets W in d less
-W's elements in the gaps it closes over; so a partition that closes only
-over gaps W meets in their minimum, ccw, elements proves |W ∩ E| = rank(E)
-(_tight_partition, O(s^2) big-int steps). W is the witness's candidate,
-walker 0's fully morphed set (positroids.morph), checked to be a basis by
-one Gale test. When it proves nothing, rank_dp falls back to the table, and
-witness_basis runs the morph recursion and proves that basis by the same
-tight check: no witness builds the table. rank_dp keeps the table for small
-s, where it is the cheaper of the two.
+A basis W is proved maximum without computing rank(E) by a primal-dual
+certificate. W meets E in at most rank(E) elements, and a block meets W in
+d less W's elements in the gaps it closes over; so a partition that closes
+only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
+rank(E) (_tight_partition, O(s^2) big-int steps, run by _maximal on a
+query's own data). It is the one proof for rank_dp's candidate, walker 0's
+fully morphed set (positroids.morph) checked to be a basis by one Gale test,
+for both witness constructions and for align_basis's precondition. When the
+candidate proves nothing, rank_dp falls back to the table, which it keeps
+for small s, where it is the cheaper of the two; no witness or alignment
+builds it.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
@@ -64,6 +65,7 @@ from .cyclic import (
     _checked_subset,
     _mask,
     _mask_intervals,
+    _shown,
     _unchecked,
 )
 from .errors import ContractViolationError, EnumerationLimitError, ValidationError
@@ -199,8 +201,8 @@ def enumerate_ncp(s: int, *, limit: int = DEFAULT_PARTITION_LIMIT) -> Iterator[N
     _check_ints((limit,), "limit")
     if s > limit:
         raise EnumerationLimitError(
-            f"enumerating non-crossing partitions of {s} intervals exceeds the "
-            f"limit {limit}; rank and rank_dp answer without listing them"
+            f"enumerating non-crossing partitions of {_shown(s)} intervals exceeds the "
+            f"limit {_shown(limit)}; rank and rank_dp answer without listing them"
         )
     for raw in _raw_ncps(1, s):
         yield _unchecked(NonCrossingPartition, s=s, blocks=raw)
@@ -311,7 +313,7 @@ def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossing
     _check_type(E, IntervalDecomposition, "E")
     _check_type(ncp, NonCrossingPartition, "ncp")
     if ncp.s != E.s:
-        raise ValidationError(f"partition of {ncp.s} blocks a decomposition with s = {E.s}")
+        raise ValidationError(f"partition of {_shown(ncp.s)} blocks a decomposition with s = {E.s}")
     _check_ground(E.n, P.n)
     w = _gap_matrix(P, E.intervals)
     return sum(_block_bound(block, w, P.d) for block in ncp.blocks)
@@ -547,6 +549,16 @@ def _tight_partition(
     return bool(ranges[0] >> 8 * s & 1)
 
 
+def _maximal(query: tuple, W: int) -> bool:
+    """Whether the basis W, a mask, meets _query's E in rank(E) elements:
+    some partition of E*'s intervals closes only over gaps that W meets
+    tightly. W's coloops, in every basis, are left out of the gap counts,
+    and it holds no loop, so it meets E* where it meets E less the coloops.
+    No rank is computed; the caller proves W a basis first."""
+    intervals, w, d, _, fixed, _ = query
+    return _tight_partition(intervals, w, d, W & ~fixed)
+
+
 def rank(
     P: Positroid,
     E: Iterable[int],
@@ -557,7 +569,7 @@ def rank(
     """rank(E) as the minimum of nbd(E, Π) over non-crossing partitions Π.
 
     Every Π is an upper bound and at least one is tight, so the minimum is
-    the exact rank, read off the rank_dp table. So is the certificate, the
+    the exact rank, read off the rank table. So is the certificate, the
     first optimal partition in enumeration order, in O(s^3): per range
     lo..hi on its path, key[j] = bound * (s + 1) + nodes is the cheapest end
     of lo's block from node j, and the head steps to the least node
@@ -624,7 +636,7 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     For enough intervals of E* (_candidate_first), the witness's candidate
     W is tried first (positroids.morph): when it is a basis and some
     partition closes only over gaps it meets tightly, |W ∩ E| is the rank
-    (_tight_partition), proved in O(s^2) after one Gale test of d^2 fields.
+    (_maximal), proved in O(s^2) after one Gale test of d^2 fields.
     Otherwise, and for fewer intervals, where the candidate costs more than
     the table, the answer is the corner entry of the O(s^3) table rank()
     reads its certificate from."""
@@ -632,9 +644,9 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     _, w, d, bonus, _, members = query
     s = len(w)
     if _candidate_first(s, P.d):
-        from .morph import _certified  # morph builds on this module
+        from .morph import _candidate, _proved  # morph builds on this module
 
-        W, proved = _certified(P, members, query)
-        if proved:
+        W = _candidate(P, members)
+        if _proved(P, W, query):
             return (W & members).bit_count()
     return _rank_table(w, d)[s][1] + bonus

@@ -48,6 +48,7 @@ from .cyclic import (
     _check_nonnegative,
     _check_type,
     _checked_subset,
+    _shown,
     _unchecked,
 )
 from .errors import (
@@ -169,7 +170,7 @@ class RationalMatrix:
         _check_ints(idx, "column indices")
         for c in idx:
             if not 1 <= c <= self.n:
-                raise ValidationError(f"column {c} outside 1..{self.n}")
+                raise ValidationError(f"column {_shown(c)} outside 1..{self.n}")
         return idx
 
 
@@ -522,7 +523,7 @@ def random_tnn_matrix(
     _check_ints((r, n, ops), "r, n and ops")
     _check_type(rng, random.Random, "rng")
     if not 1 <= r <= n:
-        raise ValidationError(f"need 1 <= r <= n, got r = {r}, n = {n}")
+        raise ValidationError(f"need 1 <= r <= n, got r = {_shown(r)}, n = {_shown(n)}")
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(ops):
         kind = rng.randrange(3)

@@ -250,6 +250,37 @@ def test_empty_sets_still_check_their_ground_set(call):
         call()
 
 
+# past 4,300 digits str() refuses an int, so a message names it by its length
+HUGE = 10**5000
+SMALL = Positroid.from_oneline([2, 3, 1])
+HUGE_CALLS = {
+    "is_basis": lambda: SMALL.is_basis({HUGE}),
+    "rank": lambda: rank(SMALL, {HUGE}),
+    "parse_set_spec": lambda: parse_set_spec("0", HUGE),
+    "decompose": lambda: decompose({0}, HUGE),
+    "interval": lambda: decompose({1, 3}, 3).interval(HUGE),
+    "NonCrossingPartition": lambda: NonCrossingPartition(1, ((HUGE,),)),
+    "from_json": lambda: DecoratedPermutation.from_json({"n": HUGE, "pi": [1]}),
+    "from_json-negative": lambda: DecoratedPermutation.from_json({"n": -HUGE, "pi": [1]}),
+    "GrassmannNecklace": lambda: GrassmannNecklace.from_sets([[HUGE]]),
+    "BasisCollection": lambda: BasisCollection.from_sets([[HUGE]], 3),
+    "maximal_minor": lambda: maximal_minor(MATRIX, (1, HUGE)),
+    "morph_sequence": lambda: morph_sequence(SMALL, decompose({1}, 3), HUGE),
+    "interval_exchange": lambda: interval_exchange(SMALL, {1}, HUGE, 1),
+    "natural_bound": lambda: natural_bound(SMALL, IntervalDecomposition(HUGE, ())),
+    "position": lambda: position(1, HUGE, 3),
+    "random_tnn_matrix": lambda: random_tnn_matrix(HUGE, 2, random.Random(0)),
+    "enumerate_ncp": lambda: next(enumerate_ncp(HUGE)),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CALLS)
+def test_a_huge_int_is_refused_by_its_length(name):
+    error = EnumerationLimitError if name == "enumerate_ncp" else ValidationError
+    with pytest.raises(error, match="5001-digit integer>"):
+        HUGE_CALLS[name]()
+
+
 # -- CLI verbs: junk file contents and junk --set specs, flags held fixed ----
 
 _JSON_LEAF = st.one_of(

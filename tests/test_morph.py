@@ -311,6 +311,27 @@ class TestAlignBasis:
             align_basis(P, {2, 4}, E, 1)
         assert align_basis(P, {2, 3}, E, 1) == {2, 3}
 
+    def test_maximum_proved_without_a_rank(self, monkeypatch):
+        # on the n = 400, s = 60 query whose walker-0 candidate misses, the
+        # precondition is one tight check: no candidate and no rank table
+        rank_module = importlib.import_module("positroids.rank")
+        rng = random.Random(52)
+        P = random_decorated_positroid(400, rng)
+        members = random_union(400, 60, rng)
+        E = decompose(members, 400)
+        W = witness_basis(P, members)
+        calls = []
+        for module, name in ((morph, "_candidate"), (rank_module, "_rank_table")):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+        out = align_basis(P, W, E, 1)
+        assert calls == []
+        assert P.is_basis(out) and len(out & members) == len(W & members) == 149
+        short = P.necklace.at(1)
+        assert len(short & members) == 66
+        with pytest.raises(ValidationError, match="66 elements, fewer than the maximum"):
+            align_basis(P, short, E, 1)
+
     def test_window_agreement_and_count_preserved(self, ref_positroid):
         P = ref_positroid
         for members in (E4, {1, 2, 7, 8, 9, 10, 13}, {2, 3, 4, 7, 8, 9, 10}):
@@ -680,11 +701,12 @@ class TestLazyWitness:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("rank_dp", "morph_sequence", "align_basis"):
+        for name in ("morph_sequence", "align_basis"):
             monkeypatch.setattr(morph, name, counted(name, getattr(morph, name)))
         # every rank table, rank_dp's and rank()'s too, is built here
         rank_module = importlib.import_module("positroids.rank")
-        monkeypatch.setattr(rank_module, "_rank_table", counted("_rank_table", rank_module._rank_table))
+        for name in ("rank_dp", "_rank_table"):
+            monkeypatch.setattr(rank_module, name, counted(name, getattr(rank_module, name)))
         monkeypatch.setattr(
             IntervalDecomposition, "restrict", counted("restrict", IntervalDecomposition.restrict)
         )

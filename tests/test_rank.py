@@ -347,6 +347,20 @@ class TestBounds:
         for ncp in enumerate_ncp(3):
             assert bound_for_partition(ref_positroid, E, ncp) >= true_rank
 
+    def test_least_bound_is_the_rank_on_decorated_positroids(self):
+        # the rank theorem on P itself, loops and coloops in place: the least
+        # bound over the partitions of E's own intervals is the brute-force
+        # rank; an empty E has one empty partition, of bound 0
+        pairs = 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for members in all_subsets(n):
+                    E = decompose(members, n)
+                    least = min(bound_for_partition(P, E, ncp) for ncp in enumerate_ncp(E.s))
+                    assert least == rank_bruteforce(P, members), (P.perm, sorted(members))
+                    pairs += 1
+        assert pairs == 11625
+
 
 class TestRank:
     def test_reference_rank(self, ref_positroid):
@@ -468,7 +482,7 @@ def small_d_positroid(n: int, rng: random.Random) -> Positroid:
 
 
 class TestOneEngine:
-    """rank() reads its certificate off the rank_dp table; plain enumeration
+    """rank() reads its certificate off the rank table; plain enumeration
     of the partitions is the reference it must match, ties included."""
 
     @staticmethod
@@ -725,10 +739,11 @@ class TestCandidateFirst:
             for P in decorated_positroids(n):
                 bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
                 for E in all_subsets(n):
-                    intervals, w, d, bonus, fixed, members = RANK_MODULE._query(P, E)
+                    query = RANK_MODULE._query(P, E)
+                    _, w, d, bonus, _, members = query
                     top = RANK_MODULE._rank_table(w, d)[len(w)][1] + bonus
                     for W in bases:
-                        tight = RANK_MODULE._tight_partition(intervals, w, d, W & ~fixed)
+                        tight = RANK_MODULE._maximal(query, W)
                         assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W)
                         triples += 1
         assert triples == 40525
@@ -736,12 +751,13 @@ class TestCandidateFirst:
     def test_a_basis_short_of_the_rank_is_refused(self, ref_positroid):
         # I_4 is a basis meeting E4 in 2 < rank(E4) = 3 elements; the witness
         # meets it in 3
-        intervals, w, d, _, fixed, members = RANK_MODULE._query(ref_positroid, E4)
+        query = RANK_MODULE._query(ref_positroid, E4)
+        members = query[-1]
         short = sum(1 << x - 1 for x in ref_positroid.necklace.at(4))
         best = sum(1 << x - 1 for x in witness_basis(ref_positroid, E4))
         assert (short & members).bit_count() == 2 and (best & members).bit_count() == 3
-        assert not RANK_MODULE._tight_partition(intervals, w, d, short & ~fixed)
-        assert RANK_MODULE._tight_partition(intervals, w, d, best & ~fixed)
+        assert not RANK_MODULE._maximal(query, short)
+        assert RANK_MODULE._maximal(query, best)
 
     def test_every_small_decorated_query_takes_the_tables_value(self, candidate_always):
         for n in range(6):
