@@ -403,16 +403,18 @@ def _elements(m: int) -> list[int]:
 
 def _mask_intervals(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """The maximal cyclic runs of the n-bit mask m as (start, end) pairs
-    sorted by start, the whole circle as (1, n)."""
-    if m == (1 << n) - 1:
+    sorted by start, the whole circle as (1, n). No mask of n bits is
+    built, so a huge n with few members costs only m's bits."""
+    if m.bit_count() == n:
         return ((1, n),) if n else ()
     if not m:
         return ()
     # a start's predecessor and an end's successor lie outside m
-    starts = _elements(m & ~(m << 1 | m >> (n - 1)))
-    ends = _elements(m & ~(m >> 1 | (m & 1) << (n - 1)))
-    if ends[0] < starts[0]:
-        # the run through n and 1 comes last
+    starts = _elements(m & ~(m << 1))
+    ends = _elements(m & ~(m >> 1))
+    if m & 1 and m >> (n - 1):
+        # a run through n and 1 neither starts at 1 nor ends at n; it comes last
+        del starts[0], ends[-1]
         ends.append(ends.pop(0))
     return tuple(zip(starts, ends))
 

@@ -311,7 +311,7 @@ def align_basis(
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
     B, query = _mask(B), _query(P, E.members)
-    if not _maximal(query, B):
+    if not _maximal(P, query, B):
         raise ValidationError(
             f"basis meets the set in {(B & query[-1]).bit_count()} elements, "
             "fewer than the maximum"
@@ -514,4 +514,4 @@ def _proved(P: Positroid, found: int, query: tuple) -> bool:
     """Whether the mask found is proved to meet rank._query's E in rank(E)
     elements: a basis, rank._maximal by a tight partition. The basis test
     goes first, as _maximal assumes one."""
-    return _is_basis(P, found) and _maximal(query, found)
+    return _is_basis(P, found) and _maximal(P, query, found)

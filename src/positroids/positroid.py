@@ -41,8 +41,9 @@ permutation (the two maps are mutually inverse bijections, Postnikov §16),
 and reduce()'s relabeled permutation, which maps the non-fixed points
 bijectively to themselves. Every public constructor and from_* method still
 checks its input in full.
-Everything a Positroid derives lazily (necklace, d and the packed Gale
-rows) is cached on the Positroid itself and freed with it. Arrow
+Everything a Positroid derives lazily (necklace, d, the packed Gale rows
+and, once rank() answers on a positroid with loops or coloops, its
+reduction) is cached on the Positroid itself and freed with it. Arrow
 counts and rank queries live in positroids.rank.
 """
 
@@ -379,8 +380,9 @@ def permutation_of(neck: GrassmannNecklace) -> DecoratedPermutation:
 
 @dataclass(frozen=True)
 class Positroid:
-    """A positroid, carried by its decorated permutation alone; the necklace
-    and d are derived from perm when first read, so reduce() builds none."""
+    """A positroid, carried by its decorated permutation alone; the necklace,
+    d and the reduction are derived from perm when first read, so reduce()
+    builds no necklace for the positroid it returns."""
 
     perm: DecoratedPermutation
 
@@ -422,6 +424,12 @@ class Positroid:
     @cached_property
     def necklace(self) -> GrassmannNecklace:
         return necklace_of(self.perm)
+
+    @cached_property
+    def _reduction(self) -> tuple["Positroid", dict[int, int]]:
+        # reduce(self), built once: rank() presents every certificate of a
+        # positroid with loops or coloops on it
+        return reduce(self)
 
     def _floor_rows(self) -> Iterator[list[int]]:
         # row k-1: I_k read from k, each member written as k plus its position

@@ -20,10 +20,10 @@ A basis W is proved maximum without computing rank(E) by a primal-dual
 certificate. W meets E in at most rank(E) elements, and a block meets W in
 d less W's elements in the gaps it closes over; so a partition that closes
 only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
-rank(E) (_tight_partition, O(s^2) big-int steps, run by _maximal on a
-query's own data). It is the one proof for rank_dp's candidate, walker 0's
-fully morphed set (positroids.morph) checked to be a basis by one Gale test,
-for both witness constructions and for align_basis's precondition. When the
+rank(E) (_maximal, O(s^2) big-int steps on a query's own data). It is the
+one proof for rank_dp's candidate, walker 0's fully morphed set
+(positroids.morph) checked to be a basis by one Gale test, for both
+witness constructions and for align_basis's precondition. When the
 candidate proves nothing, rank_dp falls back to the table, which it keeps
 for small s, where it is the cheaper of the two; no witness or alignment
 builds it.
@@ -39,9 +39,11 @@ decomposition reads its counts off _gap_matrix; a one-interval count
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
 builds on demand; no query reads them.
-rank() and rank_dp() answer queries on positroids with loops or coloops as
-on the reduction (see _query), but on P's own labels: no reduced positroid is
-built. witness_basis (positroids.morph) works on the positroid itself.
+rank_dp, the maximality proof and witness_basis (positroids.morph) work on
+P itself, loops and coloops included: E's own intervals over P's own masks
+and P's d (see _query). Only rank() reduces, to present its certificate on
+reduce(P), which it builds on its first query of a positroid with fixed
+points and keeps on the Positroid; E's coloops come back as coloop_bonus.
 Nothing is cached at module level, so memory is freed with the positroid.
 """
 
@@ -118,8 +120,11 @@ class NonCrossingPartition:
             if list(block) != sorted(block):
                 raise ValidationError(f"block {block} is not ascending")
         if len(owner) != self.s:
-            missing = sorted(set(range(1, self.s + 1)) - owner.keys())
-            raise ValidationError(f"elements {missing} not covered")
+            # named by the first and counted: listing them all costs O(s)
+            first = next(x for x in range(1, self.s + 1) if x not in owner)
+            raise ValidationError(
+                f"element {first} not covered, {_shown(self.s - len(owner))} in all"
+            )
         firsts = [b[0] for b in self.blocks]
         if firsts != sorted(firsts):
             raise ValidationError("blocks must be sorted by smallest element")
@@ -327,10 +332,11 @@ class RankCertificate:
     partition in enumeration order to attain the minimum; it and value =
     sum(per_block_bounds) + coloop_bonus are read off the rank table. When the
     positroid has loops or coloops, the query is answered on the reduced
-    (fixed-point-free, relabeled) positroid: `reduced` is then True,
-    `decomposition` and `partition` refer to the relabeled ground set (see
-    reduce() for the label map), and every element of E that is a coloop
-    contributes 1 via coloop_bonus. all_bounds, present when requested,
+    (fixed-point-free, relabeled) positroid reduce(P), kept on P after its
+    first such query: `reduced` is then True, `decomposition` and
+    `partition` refer to the relabeled ground set (see reduce() for the
+    label map), and every element of E that is a coloop contributes 1 via
+    coloop_bonus. all_bounds, present when requested,
     lists (partition, bound) for every non-crossing partition, sorted by
     block count then lexicographically.
     """
@@ -344,26 +350,23 @@ class RankCertificate:
     all_bounds: tuple[tuple[NonCrossingPartition, int], ...] | None = None
 
 
-def _gap_matrix(
-    P: Positroid, intervals: tuple[tuple[int, int], ...], coloops: int = 0
-) -> list[list[int]]:
-    """w[i][j] = |(I_{a_j} - K) ∩ (b_i, a_j)|, for the intervals (a, b) of
-    a decomposition on P's ground set, sorted by start, and K the mask
-    `coloops`; with K empty, ccw over the open gap from interval i's end to
-    interval j's start.
+def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """w[i][j] = ccw((b_i, a_j)) = |I_{a_j} ∩ (b_i, a_j)|, for the intervals
+    (a, b) of a decomposition on P's ground set, sorted by start: ccw over
+    the open gap from interval i's end to interval j's start.
 
-    Since |I_{a_j} - K| = d - |K| = d', this is d' - |(I_{a_j} - K) ∩
-    [a_j, b_i]|. Column j reads one mask, I_{a_j} - K written twice and
-    cut to the n bits from a_j - 1, so that bit x - 1 or x + n - 1 stands
-    for x as read from a_j. The gap after b_i then starts at bit b_i when
-    b_i comes after a_j (j <= i, unless the last interval wraps) and at
-    bit b_i + n otherwise, so each entry is one shift and one popcount.
+    Since |I_{a_j}| = d, this is d - |I_{a_j} ∩ [a_j, b_i]|. Column j reads
+    one mask, I_{a_j} written twice and cut to the n bits from a_j - 1, so
+    that bit x - 1 or x + n - 1 stands for x as read from a_j. The gap
+    after b_i then starts at bit b_i when b_i comes after a_j (j <= i,
+    unless the last interval wraps) and at bit b_i + n otherwise, so each
+    entry is one shift and one popcount.
     """
     n, masks = P.n, P.necklace.masks
-    circle, keep = (1 << n) - 1, ~coloops
+    circle = (1 << n) - 1
     columns = []
     for a, _ in intervals:
-        m = masks[a - 1] & keep
+        m = masks[a - 1]
         columns.append((m | m << n) & circle << a - 1)
     w = []
     for i, (a, b) in enumerate(intervals):
@@ -383,61 +386,21 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
 
 def _query(
     P: Positroid, E: Iterable[int]
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int, int, int, int]:
-    """E checked on P's ground set and answered as on P's reduction, on P's
-    own labels: (E*'s intervals, their gap matrix, d', |E ∩ K|, F's mask,
-    E's mask).
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int]:
+    """E checked on P's ground set: (E's maximal intervals, their gap
+    matrix, E's mask).
 
-    K is the coloops (black fixed points) and F all fixed points. E* is E
-    without F, plus each run of fixed points whose nearest non-fixed element
-    before it is in E; when every element is fixed, E* is empty, and when
-    every non-fixed element is in E, the whole circle. The gap matrix reads
-    I_a - K and d' = d - |K|. Why that is the reduced query exactly:
-    - loops lie in no basis and coloops in every one, so the reduction's
-      necklace entry at a non-fixed a is I_a - K, relabeled (reduce() keeps
-      the cyclic order of the non-fixed elements);
-    - with K cleared no fixed point carries a mask bit, so every arc of P
-      counts what the reduced arc over its non-fixed elements counts;
-    - E*'s intervals start at non-fixed elements, and each gap of E*
-      starts with one too (a fixed point there would have been folded in),
-      so E*'s intervals and gaps correspond one to one, in order, to those
-      of E's image on the reduction.
-    So s, d' and w equal the reduced ones, and the rank table, its ties and
-    the certificate read off it are the reduced query's. With no fixed
-    points, E* is E, K is empty and d' is d.
+    P's own intervals need no reduction, loops and coloops included. On any
+    positroid I_a is the greedy basis read from a (Oh, 2011), so every
+    basis has at least minelts((b, a)) = ccw((b, a)) elements in a gap, and
+    every partition's bound caps rank(E): weak duality. The rank theorem
+    applied to P makes the least bound rank(E) itself. rank() alone
+    reduces, to present its certificate on reduce(P).
     """
     _check_type(P, Positroid, "P")
-    n, perm = P.n, P.perm
-    members = _checked_subset(E, n)
-    coloops = _mask(perm.black)
-    fixed = coloops | _mask(perm.white)
-    given = _mask(members)
-    kept = given & ~fixed
-    # a bit added at the foot of a run of fixed points carries through the
-    # run, so the runs after a kept element are the bits the sum clears; the
-    # ground written twice carries a run through n and 1 as well
-    twice = fixed | fixed << n
-    folded = twice & ~(twice + ((kept | kept << n) << 1 & twice))
-    star = (kept | folded | folded >> n) & (1 << n) - 1
-    intervals = _mask_intervals(star, n)
-    bonus = len(members & perm.black)
-    return intervals, _gap_matrix(P, intervals, coloops), P.d - coloops.bit_count(), bonus, fixed, given
-
-
-def _reduced_intervals(
-    n: int, fixed: int, intervals: tuple[tuple[int, int], ...]
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(m, E*'s intervals relabeled onto the reduction, of size m, of a
-    positroid on [n] whose fixed points are the mask `fixed`): x becomes the
-    number of non-fixed elements up to x, so a start keeps its reduce()
-    label and an end steps back over a trailing run of fixed points."""
-    m = n - fixed.bit_count()
-    if intervals == ((1, n),):
-        # the whole circle, which may start at a fixed point
-        return m, ((1, m),)
-    labels = [x - (fixed & (1 << x) - 1).bit_count() for iv in intervals for x in iv]
-    # an end with no non-fixed element up to it wraps to the last label
-    return m, tuple((a, (b - 1) % m + 1) for a, b in zip(labels[::2], labels[1::2]))
+    given = _mask(_checked_subset(E, P.n))
+    intervals = _mask_intervals(given, P.n)
+    return intervals, _gap_matrix(P, intervals), given
 
 
 def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
@@ -491,19 +454,21 @@ def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
     return seg_to
 
 
-def _tight_partition(
-    intervals: tuple[tuple[int, int], ...], w: list[list[int]], d: int, W: int
-) -> bool:
-    """Whether some non-crossing partition of the intervals closes only over
-    gaps that the mask W, a basis less the coloops, meets tightly: in its
-    gap matrix's w[i][j] elements, the fewest any basis can have there.
+def _maximal(P: Positroid, query: tuple, W: int) -> bool:
+    """Whether the basis W, a mask, meets _query's E in rank(E) elements:
+    whether some non-crossing partition of E's own intervals closes only
+    over gaps that W meets tightly, in the gap matrix's w[i][j] elements,
+    the fewest any basis can have there. No rank is computed; the caller
+    proves W a basis first.
 
     A block's intervals are the circle less the gaps it closes over, so W
-    meets E* in the sum over the blocks of d' less W's counts in their gaps,
+    meets E in the sum over the blocks of d less W's counts in their gaps,
     and with every gap tight that is the partition's bound: W, which can meet
-    E* in no more than rank(E*) elements, meets it in exactly that many. The
+    E in no more than rank(E) elements, meets it in exactly that many. The
     converse needs the rank theorem: every optimal partition of a maximum
-    basis is all tight. So False only says W is not a maximum basis.
+    basis is all tight. So False only says W is not a maximum basis. P's
+    own intervals suffice, loops and coloops included: weak duality holds
+    on any positroid (see _query), and the theorem is applied to P itself.
 
     The search is _rank_table's recursion with booleans in place of minima,
     over sets kept as ints with one byte per flag, so that a row of flags is
@@ -516,9 +481,10 @@ def _tight_partition(
     the reach of u's steps; u's block closes at any j in reach[u] whose gap
     (b_j, a_u) is tight, and the ranges from u are those from j + 1.
     """
+    (intervals, w, _), d = query, P.d
     s = len(intervals)
     # |W ∩ (b_i, a_j)| is W's members below a_j less those up to b_i, plus
-    # all d' of them when the gap wraps past n: when a_j <= b_i, so j <= i,
+    # all d of them when the gap wraps past n: when a_j <= b_i, so j <= i,
     # unless interval i wraps itself and so ends before every start
     before = [(W & (1 << a - 1) - 1).bit_count() for a, _ in intervals]
     wrapped = [c + d for c in before]
@@ -549,15 +515,6 @@ def _tight_partition(
     return bool(ranges[0] >> 8 * s & 1)
 
 
-def _maximal(query: tuple, W: int) -> bool:
-    """Whether the basis W, a mask, meets _query's E in rank(E) elements:
-    some partition of E*'s intervals closes only over gaps that W meets
-    tightly. W's coloops, in every basis, are left out of the gap counts,
-    and it holds no loop, so it meets E* where it meets E less the coloops.
-    No rank is computed; the caller proves W a basis first."""
-    intervals, w, d, _, fixed, _ = query
-    return _tight_partition(intervals, w, d, W & ~fixed)
-
 
 def rank(
     P: Positroid,
@@ -575,10 +532,19 @@ def rank(
     of lo's block from node j, and the head steps to the least node
     keeping the key: _heads order. Only all_bounds lists partitions, capped
     by enumerate_ncp's `limit`. Blocks come out canonical, none re-checked.
+    On a positroid with loops or coloops, E is checked on P and answered on
+    P's kept reduction, relabeled there, plus its coloops (RankCertificate).
     """
     _check_ints((limit,), "limit")
-    intervals, w, d, bonus, fixed, _ = _query(P, E)
-    s = len(intervals)
+    _check_type(P, Positroid, "P")
+    members = _checked_subset(E, P.n)
+    bonus, reduced = len(members & P.perm.black), bool(P.perm.fixed_points)
+    if reduced:
+        # loops lie in no basis and coloops in every one (reduce())
+        P, relabel = P._reduction
+        members = [relabel[x] for x in members if x in relabel]
+    intervals = _mask_intervals(_mask(members), P.n)
+    w, d, s = _gap_matrix(P, intervals), P.d, len(intervals)
     listing = all_bounds and list(enumerate_ncp(s, limit=max(limit, 0)))
     seg_to = _rank_table(w, d)
     m = s + 1
@@ -604,16 +570,13 @@ def rank(
             block.append(j)
         best.append(tuple(block))
         pending.extend(reversed(_runs(best[-1], hi)))
-    # E*'s intervals relabeled are the maximal runs of E's image on the
-    # reduction, in order (see _query), so the decomposition is valid
-    ground, labeled = _reduced_intervals(P.n, fixed, intervals)
     return RankCertificate(
         value=seg_to[s][1] + bonus,
-        decomposition=_unchecked(IntervalDecomposition, n=ground, intervals=labeled),
+        decomposition=_unchecked(IntervalDecomposition, n=P.n, intervals=intervals),
         partition=_unchecked(NonCrossingPartition, s=s, blocks=tuple(best)),
         per_block_bounds=tuple(_block_bound(block, w, d) for block in best),
         coloop_bonus=bonus,
-        reduced=bool(fixed),
+        reduced=reduced,
         all_bounds=tuple(sorted(
             ((ncp, sum(_block_bound(b, w, d) for b in ncp.blocks)) for ncp in listing),
             key=lambda pair: (len(pair[0].blocks), pair[0].blocks),
@@ -623,7 +586,7 @@ def rank(
 
 def _candidate_first(s: int, d: int) -> bool:
     """Whether rank_dp tries the candidate before the table, for s intervals
-    of E* and rank d: from 15 intervals on, once the table's s^3 steps
+    of E and rank d: from 15 intervals on, once the table's s^3 steps
     outnumber the d^2 fields of the candidate's Gale test. Below either,
     building and proving the candidate costs more than the table (measured
     crossovers: s = 18 at d = 75, 30 at d = 200, 53 at d = 485)."""
@@ -633,15 +596,16 @@ def _candidate_first(s: int, d: int) -> bool:
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     """Same value as rank(...).value, without touching partitions.
 
-    For enough intervals of E* (_candidate_first), the witness's candidate
-    W is tried first (positroids.morph): when it is a basis and some
-    partition closes only over gaps it meets tightly, |W ∩ E| is the rank
-    (_maximal), proved in O(s^2) after one Gale test of d^2 fields.
-    Otherwise, and for fewer intervals, where the candidate costs more than
-    the table, the answer is the corner entry of the O(s^3) table rank()
-    reads its certificate from."""
+    Runs on P itself, E's own intervals over P's masks, with no reduction
+    and no coloop bonus (see _query). For enough intervals of E
+    (_candidate_first), the witness's candidate W is tried first
+    (positroids.morph): when it is a basis and some partition closes only
+    over gaps it meets tightly, |W ∩ E| is the rank (_maximal), proved in
+    O(s^2) after one Gale test of d^2 fields. Otherwise, and for fewer
+    intervals, where the candidate costs more than the table, the answer is
+    the corner entry of the O(s^3) rank table of E's intervals."""
     query = _query(P, E)
-    _, w, d, bonus, _, members = query
+    _, w, members = query
     s = len(w)
     if _candidate_first(s, P.d):
         from .morph import _candidate, _proved  # morph builds on this module
@@ -649,4 +613,4 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
         W = _candidate(P, members)
         if _proved(P, W, query):
             return (W & members).bit_count()
-    return _rank_table(w, d)[s][1] + bonus
+    return _rank_table(w, P.d)[s][1]

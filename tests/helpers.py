@@ -151,9 +151,12 @@ def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...
     block containing lo, by size and then lexicographically, whose bound plus
     its runs' table entries reaches the range's entry; then its runs, in
     order, on an explicit stack. It tries up to 2^(s-1) heads per range, so
-    it is a reference for s up to about 14, past enumeration's reach."""
+    it is a reference for s up to about 14, past enumeration's reach. Like
+    rank(), it answers on P's reduction, plus E's coloops."""
     rank_module = importlib.import_module("positroids.rank")
-    intervals, w, d, bonus, *_ = rank_module._query(P, E)
+    Q, relabel = reduce(P)
+    intervals, w, _ = rank_module._query(Q, [relabel[x] for x in E if x in relabel])
+    d, bonus = Q.d, len(frozenset(E) & P.perm.black)
     seg_to = rank_module._rank_table(w, d)
     s = len(intervals)
 

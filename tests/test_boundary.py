@@ -281,6 +281,14 @@ def test_a_huge_int_is_refused_by_its_length(name):
         HUGE_CALLS[name]()
 
 
+def test_a_huge_ground_set_decomposes_without_its_mask():
+    # the runs of a few members are read off their own bits: no n-bit mask
+    # of the ground set is built, which would overflow here
+    assert decompose({1, 2, 3}, HUGE).intervals == ((1, 3),)
+    assert decompose({2, 5, 6}, HUGE).intervals == ((2, 2), (5, 6))
+    assert decompose((), HUGE).intervals == ()
+
+
 # -- CLI verbs: junk file contents and junk --set specs, flags held fixed ----
 
 _JSON_LEAF = st.one_of(

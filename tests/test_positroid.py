@@ -395,12 +395,13 @@ class TestPositroid:
         # the Gale test reads floor rows only
         assert Q.is_basis(REF_NECKLACE[0]) and not Q.is_basis(range(1, 8))
         assert "necklace" not in vars(Q)
-        # rank queries read the necklace's masks, on P's own labels: no
-        # frozenset view, no reduced positroid and no per-anchor rows
+        # rank queries read the necklace's masks: no frozenset view and no
+        # per-anchor rows; rank() keeps the reduction it answers on
         assert rank_dp(P, {2, 4, 5}) == 2
+        assert vars(P).keys() == {"perm", "d", "necklace"}
         assert rank(P, {3}).value == 1
         assert rank(P, {2, 4, 5}, all_bounds=True).value == 2
-        assert vars(P).keys() == {"perm", "d", "necklace"}
+        assert vars(P).keys() == {"perm", "d", "necklace", "_reduction"}
         assert "sets" not in vars(P.necklace)
         # the witness reads the masks too
         assert P.is_basis(witness_basis(P, {2, 4, 5}))

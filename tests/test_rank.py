@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib
 import json
 import random
@@ -19,6 +20,7 @@ from positroids import (
     Positroid,
     RankCertificate,
     ValidationError,
+    align_basis,
     arrow_table,
     bound_for_partition,
     ccw_count,
@@ -39,7 +41,6 @@ from positroids import (
 from positroids.cli import main
 from helpers import (
     all_subsets,
-    brute_rank_table,
     decorated_positroids,
     first_min_by_enumeration,
     head_search_certificate,
@@ -51,6 +52,7 @@ from helpers import (
 )
 
 RANK_MODULE = importlib.import_module("positroids.rank")
+POSITROID_MODULE = importlib.import_module("positroids.positroid")
 CYCLIC_MODULE = importlib.import_module("positroids.cyclic")
 
 E4 = frozenset({1, 2, 3, 8, 9, 10})
@@ -79,6 +81,15 @@ class TestNonCrossingPartition:
 
     def test_empty(self):
         assert NonCrossingPartition.from_blocks(0, []).blocks == ()
+
+    def test_uncovered_elements_are_named_by_the_first(self):
+        # the refusal names the first uncovered element and counts the rest,
+        # so a large s costs no list of its members
+        with pytest.raises(ValidationError, match="element 3 not covered, 2 in all"):
+            NonCrossingPartition(4, ((1,), (2,)))
+        with pytest.raises(ValidationError) as caught:
+            NonCrossingPartition(200000, ())
+        assert len(str(caught.value)) < 200
 
     @pytest.mark.parametrize(
         "blocks, message",
@@ -225,13 +236,15 @@ class TestArrowCounts:
 class TestCaches:
     def test_queries_keep_no_rows(self, ref_positroid):
         # queries read the necklace masks and leave P holding only them and
-        # d: no reduced positroid, no arrow rows, no frozenset view
+        # d: no arrow rows, no frozenset view, and a reduced positroid only
+        # once rank() has answered on a P with loops or coloops
         P = Positroid.from_oneline(ref_positroid.perm.images)
         D = Positroid.from_oneline((1, 3, 4, 2, 6, 5, 7), white=(1,), black=(7,))
         for Q, E in ((P, {3, 4, 5}), (P, E4), (P, E5), (D, {1, 2, 5, 7}), (D, {3, 6})):
             rank_dp(Q, E)
             rank(Q, E, all_bounds=True)
-            assert vars(Q).keys() == {"perm", "d", "necklace"}, (Q.perm, E)
+            reduced = {"_reduction"} if Q is D else set()
+            assert vars(Q).keys() == {"perm", "d", "necklace"} | reduced, (Q.perm, E)
             assert "sets" not in vars(Q.necklace)
         # an arrow table is the caller's: a new one per call, its rows built
         # as they are read and kept in it, never on P
@@ -600,22 +613,19 @@ class TestRankTable:
     """Every entry of the table rank() and rank_dp() read, not only the corner."""
 
     def test_every_entry_is_a_rank_on_small_decorated_positroids(self):
-        # seg_to[v][u] is the rank, on the reduction, of intervals u..v of
-        # E's image there; the query runs on P's own labels
+        # seg_to[v][u] is the rank of intervals u..v of E, on P's own
+        # labels and masks, loops and coloops included: no reduction
         for n in range(6):
             for P in decorated_positroids(n):
-                Q, relabel = reduce(P)
-                brute = brute_rank_table(Q)
                 for E in all_subsets(n):
-                    decomp = decompose({relabel[x] for x in E if x in relabel}, Q.n)
-                    _, w, d, *_ = RANK_MODULE._query(P, E)
-                    assert (len(w), d) == (decomp.s, Q.d)
-                    seg_to = RANK_MODULE._rank_table(w, d)
-                    runs = [CyclicInterval.span(a, b, Q.n).members for a, b in decomp.intervals]
-                    for v in range(1, decomp.s + 1):
+                    intervals, w, _ = RANK_MODULE._query(P, E)
+                    assert intervals == decompose(E, n).intervals
+                    seg_to = RANK_MODULE._rank_table(w, P.d)
+                    runs = [CyclicInterval.span(a, b, n).members for a, b in intervals]
+                    for v in range(1, len(runs) + 1):
                         for u in range(1, v + 2):
                             union = frozenset().union(*runs[u - 1:v])
-                            assert seg_to[v][u] == brute[union], (P.perm, sorted(E), u, v)
+                            assert seg_to[v][u] == rank_bruteforce(P, union), (P.perm, sorted(E), u, v)
 
     def test_every_entry_matches_the_per_term_recurrence(self):
         rng = random.Random(4711)
@@ -623,13 +633,11 @@ class TestRankTable:
         for k in range(40):
             P = random_decorated_positroid(150, rng)
             E = random_union(150, 1 + k * 59 // 39, rng)
-            _, w, d, *_ = RANK_MODULE._query(P, E)
-            # the gap matrix read off P's masks is the reduction's, counted
-            # by its CCW rows: w[i][j] = ccw((b_i, a_j))
-            Q, relabel = reduce(P)
-            decomp = decompose({relabel[x] for x in E if x in relabel}, Q.n)
-            rows, m = arrow_table(Q), Q.n
-            assert d == Q.d
+            _, w, _ = RANK_MODULE._query(P, E)
+            # the gap matrix read off P's masks is counted by P's own CCW
+            # rows: w[i][j] = ccw((b_i, a_j))
+            decomp, d = decompose(E, 150), P.d
+            rows, m = arrow_table(P), P.n
             assert w == [[rows.ccw_row(b % m + 1)[(a - b - 1) % m] for a, _ in decomp.intervals]
                          for _, b in decomp.intervals], (P.perm, decomp)
             seg_to = RANK_MODULE._rank_table(w, d)
@@ -667,8 +675,9 @@ def reduced_reference(P, E) -> RankCertificate:
 
 
 class TestOwnLabels:
-    """Queries run on P's own labels and necklace masks; the reduction is
-    only the reference they must equal, field by field."""
+    """rank() answers on the reduction kept on P, rank_dp on P's own labels
+    and necklace masks; the reduction's arrow rows are the reference they
+    must equal, field by field."""
 
     def test_every_small_decorated_query_is_the_reduced_one(self):
         for n in range(6):
@@ -716,6 +725,44 @@ class TestOwnLabels:
         assert len(values) == 300 and max(values) <= P.d
 
 
+class TestReduction:
+    """rank() answers a decorated query on reduce(P), built once and kept on
+    P; rank_dp and the witness path never reduce."""
+
+    def test_certificates_are_pinned(self):
+        # every decorated (P, E) with n <= 5, all bounds listed: the digest
+        # of the certificates' reprs, in decorated_positroids/all_subsets order
+        digest, count = hashlib.sha256(), 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    digest.update(repr(rank(P, E, all_bounds=True)).encode())
+                    count += 1
+        assert count == 1 + 2 * 2 + 5 * 4 + 16 * 8 + 65 * 16 + 326 * 32
+        assert digest.hexdigest() == (
+            "1a087fe6409fd98e33f7a4c77e5d4740fabe6c2d3b2af5f72850c129fcd0b95b"
+        )
+
+    def test_reduce_runs_once_per_positroid(self, monkeypatch):
+        calls = []
+        build = POSITROID_MODULE.reduce
+        monkeypatch.setattr(POSITROID_MODULE, "reduce", lambda P: calls.append(P) or build(P))
+        P = Positroid.from_oneline((1, 3, 4, 2, 6, 5, 7), white=(1,), black=(7,))
+        for E in ({1, 2, 5, 7}, {3, 6}, {2, 3, 4}, set()):
+            rank_dp(P, E)
+            W = witness_basis(P, E)
+            if E:
+                align_basis(P, W, decompose(E, 7), 1)
+        assert calls == []
+        rng = random.Random(100)
+        for _ in range(100):
+            E = frozenset(x for x in range(1, 8) if rng.random() < 0.5)
+            assert rank(P, E).value == rank_dp(P, E), sorted(E)
+        assert calls == [P]
+        assert rank(Positroid.from_oneline((2, 3, 1)), {1}).value == 1
+        assert calls == [P]
+
+
 class TestCandidateFirst:
     """rank_dp proves the witness candidate maximal by a tight partition and
     falls back to the table's corner; with the crossover at 0 every query
@@ -727,23 +774,23 @@ class TestCandidateFirst:
 
     @staticmethod
     def corner(P, E):
-        _, w, d, bonus, *_ = RANK_MODULE._query(P, E)
-        return RANK_MODULE._rank_table(w, d)[len(w)][1] + bonus
+        _, w, _ = RANK_MODULE._query(P, E)
+        return RANK_MODULE._rank_table(w, P.d)[len(w)][1]
 
     def test_tight_partition_says_yes_exactly_on_maximum_bases(self):
         # every basis W of every decorated positroid with n <= 5, against
-        # every E: some partition closes over W's tight gaps only iff W
-        # meets E in rank(E) elements
+        # every E, on E's own intervals: some partition closes over W's
+        # tight gaps only iff W meets E in rank(E) elements
         triples = 0
         for n in range(6):
             for P in decorated_positroids(n):
                 bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
                 for E in all_subsets(n):
                     query = RANK_MODULE._query(P, E)
-                    _, w, d, bonus, _, members = query
-                    top = RANK_MODULE._rank_table(w, d)[len(w)][1] + bonus
+                    members = query[-1]
+                    top = max((W & members).bit_count() for W in bases)
                     for W in bases:
-                        tight = RANK_MODULE._maximal(query, W)
+                        tight = RANK_MODULE._maximal(P, query, W)
                         assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W)
                         triples += 1
         assert triples == 40525
@@ -756,8 +803,8 @@ class TestCandidateFirst:
         short = sum(1 << x - 1 for x in ref_positroid.necklace.at(4))
         best = sum(1 << x - 1 for x in witness_basis(ref_positroid, E4))
         assert (short & members).bit_count() == 2 and (best & members).bit_count() == 3
-        assert not RANK_MODULE._maximal(query, short)
-        assert RANK_MODULE._maximal(query, best)
+        assert not RANK_MODULE._maximal(ref_positroid, query, short)
+        assert RANK_MODULE._maximal(ref_positroid, query, best)
 
     def test_every_small_decorated_query_takes_the_tables_value(self, candidate_always):
         for n in range(6):
