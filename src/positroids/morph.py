@@ -5,20 +5,26 @@ repeatedly mimics the necklace member of the next interval inside a shrinking
 window, trading excessive elements for missing ones. Tracking where the
 mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
-One private walker yields the stages: morph_sequence lists them. The witness
+One private walker yields the stages, each a mask and its gap status, and
+morph_sequence lists them, reading each exchange record off two
+consecutive masks: no mimic lists the elements it trades. The witness
 first tries one candidate, I_1 for an empty E and else walker 0's fully
 morphed set, s - 1 mimics from E's first interval; rank_dp tries the same
-candidate. Only when it misses does the recursion run: it advances all s
+candidate and, when that is no basis, for enough intervals a second one,
+the walk from the interval where walker 0 stopped making bases. Only when
+the witness's candidate misses does the recursion run: it advances all s
 walkers lazily, stops at the first gap-free basis and aligns its pieces
 without align_basis's checks, both phases of an alignment trading through
 one partner search, on an explicit stack up to s levels deep. One proof of
 maximality serves rank_dp's candidate, both witness constructions and
 align_basis's precondition: the set is a basis, and some non-crossing
-partition of E closes only over gaps it meets tightly (rank._maximal). None
-of them computes rank(E) or builds the rank table. Each set built,
-interval_exchange's result and each gap-free stage too, is one mask checked
-once by _is_basis: no bit past n and d members, then one one-set Gale test,
-without is_basis's re-check of a caller's listing.
+partition of E closes only over gaps it meets tightly (rank._maximal), a
+search over a band of gaps near the diagonal that widens only on a miss.
+None of them computes rank(E) or builds the rank table or its s x s gap
+matrix. Each set built, interval_exchange's result and each gap-free stage
+too, is one mask checked once by _is_basis: no bit past n and d members,
+then one one-set Gale test, without is_basis's re-check of a caller's
+listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
@@ -34,6 +40,7 @@ frozensets and convert at that boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -51,7 +58,6 @@ from .cyclic import (
     _checked_subset,
     _elements,
     _mask,
-    _mask_intervals,
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
@@ -187,11 +193,9 @@ def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int
     return _window_arcs(P, J, c, _checked_window(P, c, window))[2]
 
 
-def _mimic_parts(
-    P: Positroid, J: int, c: int, window: tuple[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...], int, GapStatus]:
-    """mimic on the mask J: the removed and added elements, the resulting
-    mask and its status."""
+def _mimic_parts(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple[int, GapStatus]:
+    """mimic on the mask J: the resulting mask and its status. The trade
+    itself is read off J and the result when it is recorded (_mimic_record)."""
     over, missing, compatible = _window_arcs(P, J, c, window)
     b, d = window
     if not compatible:
@@ -200,31 +204,43 @@ def _mimic_parts(
         )
     n = P.n
     alpha = min(over.bit_count(), missing.bit_count())
-    # J ⊆ I_c on [c, d] already and only `added` lands there, so the result
-    # agrees with I_c on [c, d] exactly when every missing element is added
+    # J ⊆ I_c on [c, d] already and only the joining elements land there, so
+    # the result agrees with I_c on [c, d] exactly when every missing one joins
     status = GapStatus.GAP_FREE if alpha == missing.bit_count() else GapStatus.HAS_GAPS
-    # back from position p to the element (p + b) % n + 1: the last alpha of
-    # the excess, last first, and the first alpha missing ones in (x - b) % n
-    # order; `moved` collects the positions that change
+    # position p is the element (p + b) % n + 1: the last alpha of the
+    # excess leave and the first alpha missing ones in (x - b) % n order
+    # join; `moved` collects the positions that change
     moved = 0
-    removed, added = [], []
     for _ in range(alpha):
         top = 1 << (over.bit_length() - 1)
         over ^= top
         moved |= top
-        removed.append((top.bit_length() + b - 1) % n + 1)
     if alpha and missing >> (n - 1):
         # only the full circle (b, b] reaches position n - 1, b itself, which
         # the (x - b) % n order puts first
         missing ^= 1 << (n - 1)
         moved |= 1 << (n - 1)
-        added.append(b)
-    while len(added) < alpha:
+        alpha -= 1
+    for _ in range(alpha):
         low = missing & -missing
         missing ^= low
         moved |= low
-        added.append((low.bit_length() + b - 1) % n + 1)
-    return tuple(removed), tuple(added), J ^ _rotate(moved, -b, n), status
+    return J ^ _rotate(moved, -b, n), status
+
+
+def _mimic_record(n: int, J: int, K: int, b: int) -> ExchangeRecord:
+    """The trade of the mimic that took the mask J to K in a window opened
+    at b: the removed elements last first and the added ones first first,
+    both in the order (x - b) % n that mimic ranks them by."""
+
+    def key(x: int) -> int:
+        return (x - b) % n
+
+    return ExchangeRecord(
+        ExchangeKind.MIMIC,
+        tuple(sorted(_elements(J & ~K), key=key, reverse=True)),
+        tuple(sorted(_elements(K & ~J), key=key)),
+    )
 
 
 def mimic(
@@ -241,24 +257,24 @@ def mimic(
     """
     _check_type(P, Positroid, "P")
     J = _mask(_checked_subset(J, P.n))
-    removed, added, result, status = _mimic_parts(P, J, c, _checked_window(P, c, window))
+    result, status = _mimic_parts(P, J, c, _checked_window(P, c, window))
     return frozenset(_elements(result)), status
 
 
 def _stages(
     P: Positroid, order: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[int, GapStatus | None, tuple[int, int] | None, int | None, tuple, tuple]]:
+) -> Iterator[tuple[int, GapStatus | None, tuple[int, int] | None, int | None]]:
     """The morph's stages one at a time, for intervals already rotated to
-    start at interval i: (members as a mask, status, window, center, removed,
-    added), with no status, window or center at stage 0."""
+    start at interval i: (members as a mask, status, window, center), with
+    no status, window or center at stage 0."""
     s = len(order)
     members = P.necklace.masks[order[0][0] - 1]
-    yield members, None, None, None, (), ()
+    yield members, None, None, None
     for t in range(1, s):
         window = (order[t - 1][1], order[s - 1][1])
         center = order[t][0]
-        removed, added, members, status = _mimic_parts(P, members, center, window)
-        yield members, status, window, center, removed, added
+        members, status = _mimic_parts(P, members, center, window)
+        yield members, status, window, center
 
 
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
@@ -266,19 +282,20 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
 
     The intervals are read cyclically from interval i; J^0 = I_{a_i}, and
     stage t mimics the necklace member of the (t+1)-st interval in that
-    order, in the window (b_t, b_s].
+    order, in the window (b_t, b_s]. Stage t's exchange record is read off
+    the masks of stages t - 1 and t (_mimic_record).
     """
     _check_type(P, Positroid, "P")
     _check_type(E, IntervalDecomposition, "E")
     _check_index(i, E.s, "start index")
     _check_ground(E.n, P.n)
-    stages = _stages(P, E.intervals[i - 1:] + E.intervals[:i - 1])
+    stages = list(_stages(P, E.intervals[i - 1:] + E.intervals[:i - 1]))
     return [
         MorphState(
             i, t, frozenset(_elements(members)), status, window, center,
-            None if t == 0 else ExchangeRecord(ExchangeKind.MIMIC, removed, added),
+            None if t == 0 else _mimic_record(P.n, stages[t - 1][0], members, window[0]),
         )
-        for t, (members, status, window, center, removed, added) in enumerate(stages)
+        for t, (members, status, window, center) in enumerate(stages)
     ]
 
 
@@ -310,10 +327,10 @@ def align_basis(
     B = _as_tuple(B, "set elements")
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
-    B, query = _mask(B), _query(P, E.members)
-    if not _maximal(P, query, B):
+    B, (intervals, members) = _mask(B), _query(P, E.members)
+    if not _maximal(P, intervals, B):
         raise ValidationError(
-            f"basis meets the set in {(B & query[-1]).bit_count()} elements, "
+            f"basis meets the set in {(B & members).bit_count()} elements, "
             "fewer than the maximum"
         )
     aligned = _align(P, B, *E.intervals[i - 1], E.intervals[(i - 2) % E.s][1], trace)
@@ -472,31 +489,56 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     is built. A recursion result that fails the proof, or a construction
     that fails inside with a ValidationError, raises ContractViolationError.
     """
-    query = _query(P, E)
-    members = query[-1]
-    found = _candidate(P, members)
-    if not _proved(P, found, query):
+    intervals, _ = _query(P, E)
+    found = _candidate(P, intervals)
+    if not _proved(P, found, intervals):
         try:
-            found = _witness_rec(P, _mask_intervals(members, P.n))
+            found = _witness_rec(P, intervals)
         except ValidationError as exc:
             raise ContractViolationError(f"witness construction failed: {exc}") from exc
-        if not _proved(P, found, query):
+        if not _proved(P, found, intervals):
             raise ContractViolationError(
                 f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
             )
     return frozenset(_elements(found))
 
 
-def _candidate(P: Positroid, E: int) -> int:
-    """The witness's candidate for the mask E, as a mask: walker 0's fully
-    morphed set, s - 1 mimics from E's first interval, or I_1 when E is empty."""
+def _candidate(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
+    """The witness's candidate for E's sorted, maximal intervals, as a mask:
+    walker 0's fully morphed set, s - 1 mimics from E's first interval, or
+    I_1 when E is empty."""
     found = P.necklace.masks[0] if P.n else 0
     try:
-        for found, *_ in _stages(P, _mask_intervals(E, P.n)) if E else ():
+        for found, *_ in _stages(P, intervals) if intervals else ():
             pass
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
     return found
+
+
+def _second_candidate(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
+    """rank_dp's second candidate, for when walker 0's fully morphed set is
+    no basis: the fully morphed set of the walker that starts at the
+    interval walker 0 last mimicked while its stages were still bases.
+
+    Walker 0 starts at the basis I_{a_1} and ends at a non-basis. Its first
+    stage that is no basis has, wherever measured, failed the Gale test at
+    its mimic's center c, at the anchor of its first member from c on: on
+    perfbench's rank_queries inputs (n = 150, seeds 1-3) that found the
+    same stage as a full Gale test of every stage on all 37 misses with
+    s >= 20. So each stage is tested at that one anchor only, up to the
+    first that fails there. The set is a guess like the first; the caller
+    proves it (on the same inputs, seeds 1-6, it was a maximum basis on
+    134 of 139 misses).
+    """
+    d, last = P.d, 0
+    for t, (members, _, _, c) in enumerate(_stages(P, intervals)):
+        if t:
+            B = _elements(members)
+            if not P._gale_holds([B], (bisect_left(B, c) % d,)):
+                break
+            last = t
+    return _candidate(P, intervals[last:] + intervals[:last])
 
 
 def _is_basis(P: Positroid, found: int) -> bool:
@@ -510,8 +552,8 @@ def _is_basis(P: Positroid, found: int) -> bool:
     )
 
 
-def _proved(P: Positroid, found: int, query: tuple) -> bool:
-    """Whether the mask found is proved to meet rank._query's E in rank(E)
-    elements: a basis, rank._maximal by a tight partition. The basis test
-    goes first, as _maximal assumes one."""
-    return _is_basis(P, found) and _maximal(P, query, found)
+def _proved(P: Positroid, found: int, intervals: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the mask found is proved to meet the union of rank._query's
+    intervals of E in rank(E) elements: a basis, rank._maximal by a tight
+    partition. The basis test goes first, as _maximal assumes one."""
+    return _is_basis(P, found) and _maximal(P, intervals, found)

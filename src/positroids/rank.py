@@ -20,22 +20,26 @@ A basis W is proved maximum without computing rank(E) by a primal-dual
 certificate. W meets E in at most rank(E) elements, and a block meets W in
 d less W's elements in the gaps it closes over; so a partition that closes
 only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
-rank(E) (_maximal, O(s^2) big-int steps on a query's own data). It is the
-one proof for rank_dp's candidate, walker 0's fully morphed set
-(positroids.morph) checked to be a basis by one Gale test, for both
-witness constructions and for align_basis's precondition. When the
-candidate proves nothing, rank_dp falls back to the table, which it keeps
-for small s, where it is the cheaper of the two; no witness or alignment
-builds it.
+rank(E) (_maximal). It counts the gaps in a band of cyclic diagonals
+around the main one, widened only when the band's tight gaps prove
+nothing, so a maximum basis is nearly always proved from about 5s of the
+s^2 gaps. It is the one proof for rank_dp's candidate, walker 0's fully
+morphed set (positroids.morph) checked to be a basis by one Gale test, for
+both witness constructions and for align_basis's precondition. When the
+candidate is no basis, rank_dp tries a second one (_second_first), and when
+that proves nothing too, falls back to the table, which it keeps for small
+s, where it is the cheaper of the two; no witness or alignment builds it.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
 of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
-one run of bits. A query builds its s x s gap matrix from s masks in O(s^2)
-shifts and popcounts and keeps nothing, neither per query nor per anchor; the
-necklace itself is built once and kept on the Positroid. A query over a
-decomposition reads its counts off _gap_matrix; a one-interval count
-(_gap_ccw) is I_a's mask less the arc [a, b] (cyclic._arc), one popcount.
+one run of bits. The table's users, rank(), rank_dp's fallback,
+natural_bound and bound_for_partition, build the s x s gap matrix from s
+masks in O(s^2) shifts and popcounts (_gap_matrix); _maximal makes the same
+shifts and popcounts for its band's diagonals only. Nothing is kept, neither
+per query nor per anchor; the necklace itself is built once and kept on the
+Positroid. A one-interval count (_gap_ccw) is I_a's mask less the arc
+[a, b] (cyclic._arc), one popcount.
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
 builds on demand; no query reads them.
@@ -50,8 +54,8 @@ Nothing is cached at module level, so memory is freed with the positroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat
-from operator import add, eq
+from itertools import accumulate, combinations, compress
+from operator import add, eq, rshift
 from typing import Iterable, Iterator
 
 from .cyclic import (
@@ -384,23 +388,21 @@ def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
     return acc
 
 
-def _query(
-    P: Positroid, E: Iterable[int]
-) -> tuple[tuple[tuple[int, int], ...], list[list[int]], int]:
-    """E checked on P's ground set: (E's maximal intervals, their gap
-    matrix, E's mask).
+def _query(P: Positroid, E: Iterable[int]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """E checked on P's ground set: (E's maximal intervals, E's mask).
 
     P's own intervals need no reduction, loops and coloops included. On any
     positroid I_a is the greedy basis read from a (Oh, 2011), so every
     basis has at least minelts((b, a)) = ccw((b, a)) elements in a gap, and
     every partition's bound caps rank(E): weak duality. The rank theorem
     applied to P makes the least bound rank(E) itself. rank() alone
-    reduces, to present its certificate on reduce(P).
+    reduces, to present its certificate on reduce(P). No gap is counted
+    here: the table's users build _gap_matrix, and _maximal counts only
+    the gaps its bands reach.
     """
     _check_type(P, Positroid, "P")
     given = _mask(_checked_subset(E, P.n))
-    intervals = _mask_intervals(given, P.n)
-    return intervals, _gap_matrix(P, intervals), given
+    return _mask_intervals(given, P.n), given
 
 
 def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
@@ -454,12 +456,18 @@ def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
     return seg_to
 
 
-def _maximal(P: Positroid, query: tuple, W: int) -> bool:
-    """Whether the basis W, a mask, meets _query's E in rank(E) elements:
-    whether some non-crossing partition of E's own intervals closes only
-    over gaps that W meets tightly, in the gap matrix's w[i][j] elements,
-    the fewest any basis can have there. No rank is computed; the caller
-    proves W a basis first.
+# the first band of _maximal: the gaps (b_i, a_j) with cyclic offset j - i
+# in [-2, 2]; each miss widens the band fourfold, up to all s offsets
+_FIRST_WIDTH = 2
+_GROWTH = 4
+
+
+def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bool:
+    """Whether the basis W, a mask, meets the union of E's own intervals,
+    as _query gives them, in rank(E) elements: whether some non-crossing
+    partition of the intervals closes only over gaps that W meets tightly,
+    in ccw((b_i, a_j)) elements, the fewest any basis can have there. No
+    rank is computed; the caller proves W a basis first.
 
     A block's intervals are the circle less the gaps it closes over, so W
     meets E in the sum over the blocks of d less W's counts in their gaps,
@@ -470,50 +478,99 @@ def _maximal(P: Positroid, query: tuple, W: int) -> bool:
     own intervals suffice, loops and coloops included: weak duality holds
     on any positroid (see _query), and the theorem is applied to P itself.
 
-    The search is _rank_table's recursion with booleans in place of minima,
-    over sets kept as ints with one byte per flag, so that a row of flags is
-    one bytes() call: O(s^2) big-int operations. Byte j of tight_from[i] says
-    the gap (b_i, a_j) is tight and byte i of tight_into[j] the same; byte
-    v + 1 of ranges[x] says intervals x..v partition over tight gaps (byte x,
-    the empty range, always), and byte j of reach[i] that a block's chain
-    steps from i to j over tight gaps, the runs between partitioned. A step
-    i -> j does not depend on where the chain started, so reach[u] is u and
-    the reach of u's steps; u's block closes at any j in reach[u] whose gap
-    (b_j, a_u) is tight, and the ranges from u are those from j + 1.
+    The gaps are counted one cyclic diagonal j = i + k (mod s) at a time,
+    in a band of offsets k from -_FIRST_WIDTH to _FIRST_WIDTH first, each
+    diagonal one C-level map of _gap_matrix's shift and popcount over the s
+    columns, its counts compared with W's. Only the tight gaps are kept, as
+    bit sets, and _partitioned searches them; when it finds no partition,
+    the band widens _GROWTH-fold, counting only the new diagonals. Every gap
+    a partition uses was checked tight, so True is sound at any width, and
+    the last band is all s^2 gaps, so False is exact. A maximum basis is
+    nearly always proved over gaps near the diagonal: of the 612 rank_dp
+    candidates that were bases in perfbench's rank_queries inputs (n = 150,
+    seeds 1-3, passes 0-3), all were maximum and 609 were proved by the
+    first band, and an s = 60 query there has a median of 131 tight gaps
+    of 3,600.
     """
-    (intervals, w, _), d = query, P.d
     s = len(intervals)
-    # |W ∩ (b_i, a_j)| is W's members below a_j less those up to b_i, plus
-    # all d of them when the gap wraps past n: when a_j <= b_i, so j <= i,
-    # unless interval i wraps itself and so ends before every start
-    before = [(W & (1 << a - 1) - 1).bit_count() for a, _ in intervals]
-    wrapped = [c + d for c in before]
-    tight_from = []
-    for i, (a, b) in enumerate(intervals):
-        k = i + 1 if a <= b else 0
+    if not s:
+        return True
+    n, d, masks = P.n, P.d, P.necklace.masks
+    circle = (1 << n) - 1
+    # |W ∩ (b_i, a_j)| = before[j] - |W ∩ [1, b_i]|, plus all d of W when
+    # the gap wraps past n: when a_j <= b_i, so j <= i, unless interval i
+    # wraps itself and so ends before every start. Such a column reads b_i
+    # unwrapped (low); every other one reads b_i + n (high), as in _gap_matrix
+    columns, before, lo_shift, hi_shift, lo_less, hi_less = [], [], [], [], [], []
+    for a, b in intervals:
+        m = masks[a - 1]
+        columns.append((m | m << n) & circle << a - 1)
+        before.append((W & (1 << a - 1) - 1).bit_count())
         upto = (W & (1 << b) - 1).bit_count()
-        tight_from.append(bytes(map(eq, map(add, w[i], repeat(upto)), wrapped[:k] + before[k:])))
-    tight_into = [int.from_bytes(bytes(column), "little") for column in zip(*tight_from)]
-    tight_from = [int.from_bytes(row, "little") for row in tight_from]
-    ranges = [1 << 8 * x for x in range(s + 1)]
+        hi_shift.append(b + n)
+        hi_less.append(upto)
+        lo_shift.append(b if a <= b else b + n)
+        lo_less.append(upto - d if a <= b else upto)
+    columns += columns
+    before += before
+    tight_from, tight_into = [0] * s, [0] * s
+    width, done = _FIRST_WIDTH, set()
+    while True:
+        fresh = False
+        for k in range(-width, width + 1):
+            k %= s
+            if k in done:
+                continue
+            done.add(k)
+            # row i meets column j = i + k, which is j <= i (low) from row t on
+            t = s - k if k else 0
+            counts = map(int.bit_count, map(rshift, columns[k:k + s], hi_shift[:t] + lo_shift[t:]))
+            tight = map(eq, map(add, counts, hi_less[:t] + lo_less[t:]), before[k:k + s])
+            for i in compress(range(s), tight):
+                j = (i + k) % s
+                tight_from[i] |= 1 << j
+                tight_into[j] |= 1 << i
+                fresh = True
+        if fresh and _partitioned(tight_from, tight_into):
+            return True
+        if len(done) == s:
+            return False
+        width = width * _GROWTH or 1
+
+
+def _partitioned(tight_from: list[int], tight_into: list[int]) -> bool:
+    """Whether some non-crossing partition of s intervals closes only over
+    tight gaps: bit j of tight_from[i] and bit i of tight_into[j] say the
+    gap (b_i, a_j) is tight.
+
+    _rank_table's recursion with booleans in place of minima, over sets
+    kept as ints: bit v + 1 of ranges[x] says intervals x..v partition over
+    tight gaps (bit x, the empty range, always), and bit j of reach[i] that a
+    block's chain steps from i to j over tight gaps, the runs between
+    partitioned. A step i -> j does not depend on where the chain started,
+    so reach[u] is u and the reach of u's steps; u's block closes at any j
+    in reach[u] whose gap (b_j, a_u) is tight, and the ranges from u are
+    those from j + 1.
+    """
+    s = len(tight_from)
+    ranges = [1 << x for x in range(s + 1)]
     reach = [0] * s
     for u in range(s - 1, -1, -1):
-        r = 1 << 8 * u
+        r = 1 << u
         # a step u -> j needs the gap (b_u, a_j) tight and u + 1..j - 1 partitioned;
         # a step already reached adds nothing new
         steps = tight_from[u] & ranges[u + 1]
         while steps:
-            r |= reach[(steps & -steps).bit_length() >> 3]
+            r |= reach[(steps & -steps).bit_length() - 1]
             steps &= ~r
         reach[u] = r
         closes, v = r & tight_into[u], ranges[u]
         while closes:
             low = closes & -closes
             closes ^= low
-            v |= ranges[(low.bit_length() >> 3) + 1]
+            v |= ranges[low.bit_length()]
         ranges[u] = v
-    return bool(ranges[0] >> 8 * s & 1)
-
+    return bool(ranges[0] >> s & 1)
 
 
 def rank(
@@ -587,10 +644,22 @@ def rank(
 def _candidate_first(s: int, d: int) -> bool:
     """Whether rank_dp tries the candidate before the table, for s intervals
     of E and rank d: from 15 intervals on, once the table's s^3 steps
-    outnumber the d^2 fields of the candidate's Gale test. Below either,
-    building and proving the candidate costs more than the table (measured
-    crossovers: s = 18 at d = 75, 30 at d = 200, 53 at d = 485)."""
-    return s >= 15 and s ** 3 >= d * d
+    reach half the d^2 fields of the candidate's Gale test. Below either,
+    building and proving the candidate costs more than the table, or about
+    as much, and a miss pays for both (measured crossovers, with the Gale
+    rows packed: s = 13-14 at d = 73, 25-26 at d = 205, 45-47 at d = 498)."""
+    return s >= 15 and 2 * s ** 3 >= d * d
+
+
+def _second_first(s: int, d: int) -> bool:
+    """Whether rank_dp, once walker 0's candidate has failed its Gale test,
+    tries the second candidate (positroids.morph._second_candidate) before
+    the table, for s intervals of E and rank d: from s^2 >= 8d on. Finding
+    and building it costs up to 2s mimics, up to s one-anchor Gale tests and
+    one full test of d^2 fields, against the table's s^3 steps (measured
+    crossovers on such misses, random decorated positroids: s = 18 at
+    d = 33, 25 at d = 75 and about 33 at d = 200)."""
+    return s * s >= 8 * d
 
 
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
@@ -600,17 +669,25 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     and no coloop bonus (see _query). For enough intervals of E
     (_candidate_first), the witness's candidate W is tried first
     (positroids.morph): when it is a basis and some partition closes only
-    over gaps it meets tightly, |W ∩ E| is the rank (_maximal), proved in
-    O(s^2) after one Gale test of d^2 fields. Otherwise, and for fewer
-    intervals, where the candidate costs more than the table, the answer is
-    the corner entry of the O(s^3) rank table of E's intervals."""
-    query = _query(P, E)
-    _, w, members = query
-    s = len(w)
+    over gaps it meets tightly, |W ∩ E| is the rank (_maximal), proved from
+    a band of usually about 5s of the s^2 gaps after one Gale test of d^2
+    fields, with no gap matrix. Otherwise, and for fewer intervals, where
+    the candidate costs about as much as the table or more, the answer is
+    the corner entry of the O(s^3) rank table over E's s x s gap matrix.
+    Before that, when W is no basis and E has enough intervals
+    (_second_first), a second candidate gets the same proof: a miss then
+    costs up to two more walks and s one-anchor Gale tests instead of the
+    table's O(s^3) steps."""
+    intervals, members = _query(P, E)
+    s = len(intervals)
     if _candidate_first(s, P.d):
-        from .morph import _candidate, _proved  # morph builds on this module
+        from .morph import _candidate, _is_basis, _second_candidate  # morph builds on this module
 
-        W = _candidate(P, members)
-        if _proved(P, W, query):
+        W = _candidate(P, intervals)
+        basis = _is_basis(P, W)
+        if not basis and _second_first(s, P.d):
+            W = _second_candidate(P, intervals)
+            basis = _is_basis(P, W)
+        if basis and _maximal(P, intervals, W):
             return (W & members).bit_count()
-    return _rank_table(w, P.d)[s][1]
+    return _rank_table(_gap_matrix(P, intervals), P.d)[s][1]

@@ -155,7 +155,8 @@ def head_search_certificate(P: Positroid, E) -> tuple[int, tuple, tuple[int, ...
     rank(), it answers on P's reduction, plus E's coloops."""
     rank_module = importlib.import_module("positroids.rank")
     Q, relabel = reduce(P)
-    intervals, w, _ = rank_module._query(Q, [relabel[x] for x in E if x in relabel])
+    intervals, _ = rank_module._query(Q, [relabel[x] for x in E if x in relabel])
+    w = rank_module._gap_matrix(Q, intervals)
     d, bonus = Q.d, len(frozenset(E) & P.perm.black)
     seg_to = rank_module._rank_table(w, d)
     s = len(intervals)

@@ -69,6 +69,18 @@ def recursion_calls(monkeypatch):
 
 
 @pytest.fixture
+def gap_matrices(monkeypatch):
+    """The interval tuples rank._gap_matrix, the rank table's s x s input,
+    is built for."""
+    rank_module = importlib.import_module("positroids.rank")
+    calls, build = [], rank_module._gap_matrix
+    monkeypatch.setattr(
+        rank_module, "_gap_matrix", lambda P, intervals: calls.append(intervals) or build(P, intervals)
+    )
+    return calls
+
+
+@pytest.fixture
 def basis_tests(monkeypatch):
     """The listings passed to Positroid.is_basis, and the number of sets in
     each batch passed to Positroid._gale_holds, is_basis's own batches too."""
@@ -216,9 +228,11 @@ def _set_mimic_parts(P, J, c, window):
 
 
 def _mask_mimic_parts(P, J, c, window):
-    """morph._mimic_parts, which works on masks, read with sets."""
-    removed, added, result, status = morph._mimic_parts(P, _mask(J), c, window)
-    return removed, added, frozenset(_elements(result)), status
+    """morph._mimic_parts, which works on masks, read with sets, and the
+    trade morph._mimic_record reads off its input and result."""
+    result, status = morph._mimic_parts(P, _mask(J), c, window)
+    record = morph._mimic_record(P.n, _mask(J), result, window[0])
+    return record.removed, record.added, frozenset(_elements(result)), status
 
 
 class TestWindowArcs:
@@ -265,6 +279,23 @@ class TestMorphSequence:
         assert s1.exchange.removed == ()
         assert s1.members == ref_positroid.necklace.at(7)
         assert s1.status is GapStatus.HAS_GAPS
+
+    def test_exhaustive_small_sequences_are_pinned(self):
+        # every decorated positroid with n <= 5, every nonempty E and every
+        # start i: the digest of the morph sequences' reprs, exchange
+        # records included, in decorated_positroids/all_subsets order
+        digest, count = hashlib.sha256(), 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    if E:
+                        D = decompose(E, n)
+                        for i in range(1, D.s + 1):
+                            digest.update(repr(morph_sequence(P, D, i)).encode())
+                            count += 1
+        assert (count, digest.hexdigest()) == (
+            14600, "1973c749297bad59aaa53012f032397818ea79a5c379bd1c151cdfd1b862072d"
+        )
 
     def test_single_interval(self, ref_positroid):
         E = decompose({8, 9, 10}, 14)
@@ -612,6 +643,29 @@ class TestWitness:
         W = witness_basis(P, E)
         assert len(tables) == 1 and len(candidates) == 2 and len(recursion_calls) == 1
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
+
+    def test_a_candidate_hit_builds_no_gap_matrix(self, ref_positroid, monkeypatch, gap_matrices):
+        # the deep query's candidate proves itself at s = 120, and so does
+        # the README query's with the candidate forced first at s = 2:
+        # rank_dp, the witness and its alignment count gaps in bands only
+        rank_module = importlib.import_module("positroids.rank")
+        for forced, (P, E) in ((False, _deep_query(240)), (True, (ref_positroid, E4))):
+            if forced:
+                monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
+            W = witness_basis(P, E)
+            assert rank_dp(P, E) == len(W & set(E))
+            assert len(align_basis(P, W, decompose(E, P.n), 1) & set(E)) == len(W & set(E))
+        assert gap_matrices == []
+
+    @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
+    def test_rejected_candidate_builds_one_gap_matrix(self, monkeypatch, gap_matrices, k):
+        # with the candidate forced first, its miss costs rank_dp the table's
+        # one gap matrix, over E's own intervals
+        rank_module = importlib.import_module("positroids.rank")
+        monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
+        P, E = _rejected(k)
+        assert rank_dp(P, E) == rank_bruteforce(P, E)
+        assert gap_matrices == [decompose(E, P.n).intervals]
 
     def test_seeded_large_miss_builds_no_table(self, monkeypatch, recursion_calls):
         # at n = 400 and s = 60 walker 0's candidate misses; the recursion's

@@ -52,6 +52,7 @@ from helpers import (
 )
 
 RANK_MODULE = importlib.import_module("positroids.rank")
+MORPH_MODULE = importlib.import_module("positroids.morph")
 POSITROID_MODULE = importlib.import_module("positroids.positroid")
 CYCLIC_MODULE = importlib.import_module("positroids.cyclic")
 
@@ -618,9 +619,9 @@ class TestRankTable:
         for n in range(6):
             for P in decorated_positroids(n):
                 for E in all_subsets(n):
-                    intervals, w, _ = RANK_MODULE._query(P, E)
+                    intervals, _ = RANK_MODULE._query(P, E)
                     assert intervals == decompose(E, n).intervals
-                    seg_to = RANK_MODULE._rank_table(w, P.d)
+                    seg_to = RANK_MODULE._rank_table(RANK_MODULE._gap_matrix(P, intervals), P.d)
                     runs = [CyclicInterval.span(a, b, n).members for a, b in intervals]
                     for v in range(1, len(runs) + 1):
                         for u in range(1, v + 2):
@@ -633,7 +634,7 @@ class TestRankTable:
         for k in range(40):
             P = random_decorated_positroid(150, rng)
             E = random_union(150, 1 + k * 59 // 39, rng)
-            _, w, _ = RANK_MODULE._query(P, E)
+            w = RANK_MODULE._gap_matrix(P, RANK_MODULE._query(P, E)[0])
             # the gap matrix read off P's masks is counted by P's own CCW
             # rows: w[i][j] = ccw((b_i, a_j))
             decomp, d = decompose(E, 150), P.d
@@ -774,7 +775,7 @@ class TestCandidateFirst:
 
     @staticmethod
     def corner(P, E):
-        _, w, _ = RANK_MODULE._query(P, E)
+        w = RANK_MODULE._gap_matrix(P, RANK_MODULE._query(P, E)[0])
         return RANK_MODULE._rank_table(w, P.d)[len(w)][1]
 
     def test_tight_partition_says_yes_exactly_on_maximum_bases(self):
@@ -786,11 +787,10 @@ class TestCandidateFirst:
             for P in decorated_positroids(n):
                 bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
                 for E in all_subsets(n):
-                    query = RANK_MODULE._query(P, E)
-                    members = query[-1]
+                    intervals, members = RANK_MODULE._query(P, E)
                     top = max((W & members).bit_count() for W in bases)
                     for W in bases:
-                        tight = RANK_MODULE._maximal(P, query, W)
+                        tight = RANK_MODULE._maximal(P, intervals, W)
                         assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W)
                         triples += 1
         assert triples == 40525
@@ -798,13 +798,12 @@ class TestCandidateFirst:
     def test_a_basis_short_of_the_rank_is_refused(self, ref_positroid):
         # I_4 is a basis meeting E4 in 2 < rank(E4) = 3 elements; the witness
         # meets it in 3
-        query = RANK_MODULE._query(ref_positroid, E4)
-        members = query[-1]
+        intervals, members = RANK_MODULE._query(ref_positroid, E4)
         short = sum(1 << x - 1 for x in ref_positroid.necklace.at(4))
         best = sum(1 << x - 1 for x in witness_basis(ref_positroid, E4))
         assert (short & members).bit_count() == 2 and (best & members).bit_count() == 3
-        assert not RANK_MODULE._maximal(ref_positroid, query, short)
-        assert RANK_MODULE._maximal(ref_positroid, query, best)
+        assert not RANK_MODULE._maximal(ref_positroid, intervals, short)
+        assert RANK_MODULE._maximal(ref_positroid, intervals, best)
 
     def test_every_small_decorated_query_takes_the_tables_value(self, candidate_always):
         for n in range(6):
@@ -830,7 +829,7 @@ class TestCandidateFirst:
         for s, n in ((1, 400), (14, 150), (20, 400)):
             P = random_decorated_positroid(n, rng)
             E = random_union(n, s, rng)
-            assert len(RANK_MODULE._query(P, E)[1]) == s and (s < 15 or s ** 3 < P.d ** 2)
+            assert len(RANK_MODULE._query(P, E)[0]) == s and (s < 15 or s ** 3 < P.d ** 2)
             assert rank_dp(P, E) == rank(P, E).value
             assert "_gale_packing" not in vars(P)
 
@@ -844,6 +843,173 @@ class TestCandidateFirst:
         value = rank_dp(P, E)
         assert tables == [] and "_gale_packing" in vars(P)
         assert value == rank(P, E).value and len(tables) == 1
+
+
+class TestSecondCandidate:
+    """When walker 0's candidate is no basis, rank_dp tries the walk from
+    the interval where walker 0 stopped making bases (morph._second_candidate)
+    before the table, from s^2 >= 8d on (_second_first)."""
+
+    @pytest.fixture
+    def seconds(self, monkeypatch):
+        calls, second = [], MORPH_MODULE._second_candidate
+        monkeypatch.setattr(
+            MORPH_MODULE, "_second_candidate", lambda P, intervals: calls.append(intervals) or second(P, intervals)
+        )
+        return calls
+
+    @pytest.fixture
+    def gap_matrices(self, monkeypatch):
+        calls, build = [], RANK_MODULE._gap_matrix
+        monkeypatch.setattr(
+            RANK_MODULE, "_gap_matrix", lambda P, intervals: calls.append(intervals) or build(P, intervals)
+        )
+        return calls
+
+    @staticmethod
+    def seeded(n, s, seed):
+        rng = random.Random(seed)
+        P = random_decorated_positroid(n, rng)
+        return P, random_union(n, s, rng)
+
+    def test_every_small_decorated_query_takes_the_tables_value(self, monkeypatch, seconds):
+        # both candidates forced at any s: the 36 queries with n <= 6 whose
+        # walker-0 candidate is no basis take the second candidate, and the
+        # value is the table's whichever path answers
+        monkeypatch.setattr(RANK_MODULE, "_candidate_first", lambda s, d: True)
+        monkeypatch.setattr(RANK_MODULE, "_second_first", lambda s, d: True)
+        queries = 0
+        for n in range(7):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    assert rank_dp(P, E) == TestCandidateFirst.corner(P, E), (P.perm, sorted(E))
+                    queries += 1
+        assert (queries, len(seconds)) == (136873, 36)
+
+    @pytest.mark.parametrize("seed, stop", [(17, 20), (39, 23), (55, 12)])
+    def test_a_seeded_miss_is_proved_by_the_second(self, seconds, gap_matrices, seed, stop):
+        # n = 150, s = 30: walker 0's stages are bases up to stage stop - 1;
+        # the one-anchor test stops there too, and the walk from interval
+        # stop - 1 is proved maximum with no gap matrix
+        P, E = self.seeded(150, 30, seed)
+        intervals, _ = RANK_MODULE._query(P, E)
+        stages = [m for m, *_ in MORPH_MODULE._stages(P, intervals)]
+        assert [MORPH_MODULE._is_basis(P, m) for m in stages] == [True] * stop + [False] * (30 - stop)
+        walk = intervals[stop - 1:] + intervals[:stop - 1]
+        assert MORPH_MODULE._second_candidate(P, intervals) == MORPH_MODULE._candidate(P, walk)
+        seconds.clear()
+        value = rank_dp(P, E)
+        assert seconds == [intervals] and gap_matrices == []
+        assert value == rank(P, E).value
+
+    def test_a_second_miss_falls_back_to_the_table(self, seconds, gap_matrices):
+        # n = 60, s = 20, d = 29: 400 >= 8d, and the second candidate is no
+        # basis either, so rank_dp builds the table's one gap matrix
+        P, E = self.seeded(60, 20, 124)
+        intervals, _ = RANK_MODULE._query(P, E)
+        assert (len(intervals), P.d) == (20, 29)
+        assert not MORPH_MODULE._is_basis(P, MORPH_MODULE._second_candidate(P, intervals))
+        seconds.clear()
+        value = rank_dp(P, E)
+        assert seconds == [intervals] and gap_matrices == [intervals]
+        assert value == rank(P, E).value
+
+    def test_below_the_rule_a_miss_takes_the_table(self, seconds, gap_matrices):
+        # n = 150, s = 20, d = 74: the candidate is tried (s >= 15) but
+        # 400 < 8d, so its miss goes straight to the table
+        P, E = self.seeded(150, 20, 4)
+        intervals, _ = RANK_MODULE._query(P, E)
+        assert (len(intervals), P.d) == (20, 74)
+        assert not MORPH_MODULE._is_basis(P, MORPH_MODULE._candidate(P, intervals))
+        value = rank_dp(P, E)
+        assert seconds == [] and gap_matrices == [intervals]
+        assert value == rank(P, E).value
+
+
+def full_tight_sets(P, intervals, W):
+    """(tight_from, tight_into) over all s^2 gaps: bit j of tight_from[i]
+    and bit i of tight_into[j] when the basis W meets the gap (b_i, a_j) in
+    the gap matrix's w[i][j] elements, W's members there counted one by one."""
+    n, s = P.n, len(intervals)
+    w = RANK_MODULE._gap_matrix(P, intervals)
+    tight_from, tight_into = [0] * s, [0] * s
+    for i, (_, b) in enumerate(intervals):
+        for j, (a, _) in enumerate(intervals):
+            gap = [(b + k - 1) % n + 1 for k in range(1, (a - b - 1) % n + 1)]
+            if sum(W >> x - 1 & 1 for x in gap) == w[i][j]:
+                tight_from[i] |= 1 << j
+                tight_into[j] |= 1 << i
+    return tight_from, tight_into
+
+
+class TestBands:
+    """_maximal counts the gaps one cyclic diagonal at a time, in a band
+    around the diagonal that widens only when its tight gaps prove nothing;
+    the last band holds every gap, so the answer is the full matrix's."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """(tight_from, tight_into, found) for each _partitioned call, the sets copied."""
+        calls = []
+        search = RANK_MODULE._partitioned
+
+        def recording(tight_from, tight_into):
+            found = search(tight_from, tight_into)
+            calls.append((list(tight_from), list(tight_into), found))
+            return found
+
+        monkeypatch.setattr(RANK_MODULE, "_partitioned", recording)
+        return calls
+
+    def test_every_first_band_gives_the_full_answer(self, monkeypatch):
+        # the 40,525 (P, E, basis) triples with n <= 5 once more, the search
+        # started from the diagonal alone, from offsets -1..1 and from all s
+        triples = 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
+                for E in all_subsets(n):
+                    intervals, members = RANK_MODULE._query(P, E)
+                    top = max((W & members).bit_count() for W in bases)
+                    for first in (0, 1, len(intervals)):
+                        monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", first)
+                        for W in bases:
+                            tight = RANK_MODULE._maximal(P, intervals, W)
+                            assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W, first)
+                    triples += len(bases)
+        assert triples == 40525
+
+    def test_a_maximum_basis_proved_only_by_a_wider_band(self, searches):
+        # n = 40, s = 8: the witness, a maximum basis, has no all-tight
+        # partition over the gaps of offset -2..2; the next band, offsets
+        # -8..8, holds all 64 gaps and proves it
+        rng = random.Random(112)
+        P = random_decorated_positroid(40, rng)
+        E = random_union(40, 8, rng)
+        intervals, members = RANK_MODULE._query(P, E)
+        W = sum(1 << x - 1 for x in witness_basis(P, E))
+        assert len(intervals) == 8 and (W & members).bit_count() == rank(P, E).value
+        searches.clear()
+        assert RANK_MODULE._maximal(P, intervals, W)
+        assert [found for *_, found in searches] == [False, True]
+        assert searches[0][:2] != searches[1][:2] == full_tight_sets(P, intervals, W)
+
+    def test_a_basis_short_of_the_rank_widens_to_every_gap(self, monkeypatch, searches):
+        # a necklace member meeting E in fewer than rank(E) elements, the
+        # search started from the diagonal alone: it widens through offsets
+        # -1..1, -4..4 and -16..16, which holds all 900 gaps, and says no
+        # with every tight gap in hand
+        rng = random.Random(35)
+        P = random_decorated_positroid(150, rng)
+        E = random_union(150, 30, rng)
+        intervals, members = RANK_MODULE._query(P, E)
+        target = rank(P, E).value
+        W = next(m for m in P.necklace.masks if (m & members).bit_count() < target)
+        monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", 0)
+        assert len(intervals) == 30
+        assert not RANK_MODULE._maximal(P, intervals, W)
+        assert len(searches) >= 2 and not any(found for *_, found in searches)
+        assert searches[-1][:2] == full_tight_sets(P, intervals, W)
 
 
 class TestChecksOnce:
