@@ -5,21 +5,21 @@ repeatedly mimics the necklace member of the next interval inside a shrinking
 window, trading excessive elements for missing ones. Tracking where the
 mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
-One private walker yields the stages, each a mask and its gap status, and
-morph_sequence lists them, reading each exchange record off two
-consecutive masks: no mimic lists the elements it trades. The witness
-first tries one candidate, I_1 for an empty E and else walker 0's fully
-morphed set, s - 1 mimics from E's first interval; rank_dp tries the same
-candidate and, when that is no basis, for enough intervals a second one,
-the walk from the interval where walker 0 stopped making bases. Only when
-the witness's candidate misses does the recursion run: it advances all s
-walkers lazily, stops at the first gap-free basis and aligns its pieces
-without align_basis's checks, both phases of an alignment trading through
-one partner search, on an explicit stack up to s levels deep. One proof of
-maximality serves rank_dp's candidate, both witness constructions and
-align_basis's precondition: the set is a basis, and some non-crossing
-partition of E closes only over gaps it meets tightly (rank._maximal), a
-search over a band of gaps near the diagonal that widens only on a miss.
+One private walker yields the stages, each a mask, its gap status and its
+center, and morph_sequence lists them, reading each exchange record off
+two consecutive masks: no mimic lists the elements it trades. rank_dp and
+witness_basis share one search for a proved maximum basis
+(_maximum_basis): I_{a_1} for at most one interval, else walker 0's fully
+morphed set, s - 1 mimics from E's first interval, else the walk from the
+interval where walker 0 last made a basis, found on its kept stages. Only
+the witness goes on to the recursion: it advances all s walkers lazily,
+stops at the first gap-free basis and aligns its pieces without
+align_basis's checks, both phases of an alignment trading through one
+partner search, on an explicit stack up to s levels deep. One proof of
+maximality serves every set tried and align_basis's precondition: the set
+is a basis, and some non-crossing partition of E closes only over gaps it
+meets tightly (rank._maximal), a search over a band of gaps near the
+diagonal that widens only on a miss.
 None of them computes rank(E) or builds the rank table or its s x s gap
 matrix. Each set built, interval_exchange's result and each gap-free stage
 too, is one mask checked once by _is_basis: no bit past n and d members,
@@ -28,19 +28,20 @@ listing.
 
 Inside, every subset is an n-bit int, bit x - 1 standing for x. The
 necklace entries are read straight off P.necklace.masks, the form in which
-the necklace is stored. A window (b, d] is read rotated right by b, so that
-bit p is the element at position p counted from b + 1: its arcs are low-bit
-masks, compatibility is two AND tests, a mimic's counts are bit counts and
-its moves are read off with bit_length and m & -m. An exchange B - e + f of
-a basis B can only break the Gale condition at its anchors in (e, f] (the
-lemma in _align's docstring), and those anchors are compared at once by the
-Positroid's packed Gale test. The public functions take and return
-frozensets and convert at that boundary.
+the necklace is stored. A mimic (_trade, the one step that mimic and the
+walker read) holds its set rotated right by the window's end d, so that
+bit p is the element at position p counted from d + 1: the window (b, d]
+is the top bits, compatibility is two AND tests, and a mimic's counts and
+moves are bit counts, bit_length and m & -m. A walk's windows all end at
+the same d, so it keeps its set rotated from one mimic to the next. An
+exchange B - e + f of a basis B can only break the Gale condition at its
+anchors in (e, f] (the lemma in _align's docstring), and those anchors are
+compared at once by the Positroid's packed Gale test. The public functions
+take and return frozensets and convert at that boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -61,7 +62,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import _maximal, _query
+from .rank import _maximal, _query, _second_first
 
 __all__ = [
     "GapStatus",
@@ -158,31 +159,55 @@ def interval_exchange(P: Positroid, J: Iterable[int], a: int, b: int) -> frozens
     return frozenset(_elements(result))
 
 
-def _window_arcs(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple[int, int, bool]:
-    """J's members outside I_c on the arc (b, c) of the window (b, d] and
-    I_c's members outside J on [c, d], as masks rotated right by b, and
-    whether J is compatible: J ⊇ I_c on (b, c) and J ⊆ I_c on [c, d].
-
-    Counted from b + 1, the window is the positions up to d's, so (b, b] is
-    the full circle; (b, c) lies below c's position and [c, d] from it on.
-    """
-    b, d = window
-    n = P.n
-    pc, past_d = (c - b - 1) % n, (d - b - 1) % n + 1
-    if pc >= past_d:
-        raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
-    Ic = P.necklace.masks[c - 1]
-    extra, lack = _rotate(J & ~Ic, b, n), _rotate(Ic & ~J, b, n)
-    before, inside = (1 << pc) - 1, (1 << past_d) - 1
-    compatible = not (lack & before or extra & inside & ~before)
-    return extra & before, lack & inside, compatible
+def _trade(J: int, Ic: int, b: int, c: int, d: int, n: int) -> tuple[int, GapStatus]:
+    """The one mimic step, on J rotated right by the window's end d (bit p
+    is the element at position p from d + 1) and on Ic = I_c as stored: the
+    result, rotated likewise, and its status. The window (b, d] is the bits
+    from lo = (b - d) % n up, all n on the full circle, and c's bit pc
+    splits it into (b, c) and [c, d]. J must be compatible, J ⊇ I_c on
+    (b, c) and J ⊆ I_c on [c, d], or ValidationError. The trade is read off
+    J and the result when recorded (_mimic_record)."""
+    r = d % n
+    Ic = (Ic >> r | Ic << n - r) & (1 << n) - 1
+    lo, pc = (b - d) % n, (c - d - 1) % n
+    both = J & Ic
+    over, missing = J ^ both, Ic ^ both
+    arc = (1 << pc) - (1 << lo)
+    if missing & arc or over >> pc:
+        raise ValidationError(f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic")
+    over &= arc
+    missing = missing >> pc << pc
+    alpha, lack = over.bit_count(), missing.bit_count()
+    # the last alpha of the excess leave and the first alpha missing ones in
+    # (x - b) % n order join, so one side moves whole; the result agrees
+    # with I_c on [c, d] (gap-free) exactly when every missing one joins
+    if alpha >= lack:
+        for _ in range(alpha - lack):  # the lowest alpha - lack stay
+            over &= over - 1
+        return J ^ over ^ missing, GapStatus.GAP_FREE
+    moved = over
+    if alpha and not lo and missing >> n - 1:
+        # on the full circle the top bit is b = d itself, which the
+        # (x - b) % n order puts first
+        missing ^= 1 << n - 1
+        moved |= 1 << n - 1
+        alpha -= 1
+    for _ in range(alpha):
+        low = missing & -missing
+        missing ^= low
+        moved |= low
+    return J ^ moved, GapStatus.HAS_GAPS
 
 
 def _checked_window(P: Positroid, c: int, window: object) -> tuple[int, int]:
-    """window as a pair (b, d) of elements, with the center c an element too."""
+    """window as a pair (b, d) of elements, with the center c an element of
+    the window (b, d]: read from d + 1, c comes no earlier than b + 1."""
     b, d = _as_pair(window, "window")
+    n = P.n
     for x in (b, d, c):
-        _check_element(x, P.n)
+        _check_element(x, n)
+    if (c - d - 1) % n < (b - d) % n:
+        raise ValidationError(f"center {c} lies outside the window ({b},{d}]")
     return b, d
 
 
@@ -190,42 +215,12 @@ def is_compatible(P: Positroid, J: Iterable[int], c: int, window: tuple[int, int
     """True when J ⊇ I_c strictly before c and J ⊆ I_c from c on, inside (b, d]."""
     _check_type(P, Positroid, "P")
     J = _mask(_checked_subset(J, P.n))
-    return _window_arcs(P, J, c, _checked_window(P, c, window))[2]
-
-
-def _mimic_parts(P: Positroid, J: int, c: int, window: tuple[int, int]) -> tuple[int, GapStatus]:
-    """mimic on the mask J: the resulting mask and its status. The trade
-    itself is read off J and the result when it is recorded (_mimic_record)."""
-    over, missing, compatible = _window_arcs(P, J, c, window)
-    b, d = window
-    if not compatible:
-        raise ValidationError(
-            f"set is not compatible with I_{c} in ({b},{d}]; cannot mimic"
-        )
-    n = P.n
-    alpha = min(over.bit_count(), missing.bit_count())
-    # J ⊆ I_c on [c, d] already and only the joining elements land there, so
-    # the result agrees with I_c on [c, d] exactly when every missing one joins
-    status = GapStatus.GAP_FREE if alpha == missing.bit_count() else GapStatus.HAS_GAPS
-    # position p is the element (p + b) % n + 1: the last alpha of the
-    # excess leave and the first alpha missing ones in (x - b) % n order
-    # join; `moved` collects the positions that change
-    moved = 0
-    for _ in range(alpha):
-        top = 1 << (over.bit_length() - 1)
-        over ^= top
-        moved |= top
-    if alpha and missing >> (n - 1):
-        # only the full circle (b, b] reaches position n - 1, b itself, which
-        # the (x - b) % n order puts first
-        missing ^= 1 << (n - 1)
-        moved |= 1 << (n - 1)
-        alpha -= 1
-    for _ in range(alpha):
-        low = missing & -missing
-        missing ^= low
-        moved |= low
-    return J ^ _rotate(moved, -b, n), status
+    b, d = _checked_window(P, c, window)
+    try:
+        _trade(_rotate(J, d, P.n), P.necklace.masks[c - 1], b, c, d, P.n)
+    except ValidationError:
+        return False
+    return True
 
 
 def _mimic_record(n: int, J: int, K: int, b: int) -> ExchangeRecord:
@@ -257,24 +252,27 @@ def mimic(
     """
     _check_type(P, Positroid, "P")
     J = _mask(_checked_subset(J, P.n))
-    result, status = _mimic_parts(P, J, c, _checked_window(P, c, window))
-    return frozenset(_elements(result)), status
+    b, d = _checked_window(P, c, window)
+    K, status = _trade(_rotate(J, d, P.n), P.necklace.masks[c - 1], b, c, d, P.n)
+    return frozenset(_elements(_rotate(K, -d, P.n))), status
 
 
 def _stages(
     P: Positroid, order: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[int, GapStatus | None, tuple[int, int] | None, int | None]]:
+) -> Iterator[tuple[int, GapStatus | None, int | None]]:
     """The morph's stages one at a time, for intervals already rotated to
-    start at interval i: (members as a mask, status, window, center), with
-    no status, window or center at stage 0."""
-    s = len(order)
-    members = P.necklace.masks[order[0][0] - 1]
-    yield members, None, None, None
-    for t in range(1, s):
-        window = (order[t - 1][1], order[s - 1][1])
-        center = order[t][0]
-        members, status = _mimic_parts(P, members, center, window)
-        yield members, status, window, center
+    start at interval i: (members as a mask, status, center), with no
+    status or center at stage 0. Every window ends at b_{s-1}, so the
+    members stay rotated right by it from one _trade to the next."""
+    n, masks = P.n, P.necklace.masks
+    d = order[-1][1]
+    r, circle = d % n, (1 << n) - 1
+    J = masks[order[0][0] - 1]
+    yield J, None, None
+    J = (J >> r | J << n - r) & circle
+    for (_, b), (c, _) in zip(order, order[1:]):
+        J, status = _trade(J, masks[c - 1], b, c, d, n)
+        yield (J << r | J >> n - r) & circle, status, c
 
 
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
@@ -289,14 +287,14 @@ def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[Morph
     _check_type(E, IntervalDecomposition, "E")
     _check_index(i, E.s, "start index")
     _check_ground(E.n, P.n)
-    stages = list(_stages(P, E.intervals[i - 1:] + E.intervals[:i - 1]))
-    return [
-        MorphState(
-            i, t, frozenset(_elements(members)), status, window, center,
-            None if t == 0 else _mimic_record(P.n, stages[t - 1][0], members, window[0]),
-        )
-        for t, (members, status, window, center) in enumerate(stages)
-    ]
+    order = E.intervals[i - 1:] + E.intervals[:i - 1]
+    states, before = [], None
+    for t, (members, status, center) in enumerate(_stages(P, order)):
+        window = (order[t - 1][1], order[-1][1]) if t else None
+        record = _mimic_record(P.n, before, members, window[0]) if t else None
+        states.append(MorphState(i, t, frozenset(_elements(members)), status, window, center, record))
+        before = members
+    return states
 
 
 def align_basis(
@@ -480,65 +478,68 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
     Works on P itself, on n-bit masks; loops and coloops need no special
-    case. One candidate is tried first: I_1 when E is empty, else walker
-    0's fully morphed set, the last of the s - 1 mimics from the first
-    interval of E. When it misses, the morph recursion runs, building
-    stages up to the first gap-free basis and splicing its pieces
-    unchecked. Either set is returned only when _proved, by a tight
-    partition, to be a basis meeting E in rank(E) elements; no rank table
-    is built. A recursion result that fails the proof, or a construction
-    that fails inside with a ValidationError, raises ContractViolationError.
+    case. The basis is _maximum_basis's, the morph recursion allowed: proved
+    by a tight partition, with no rank table built. A construction that
+    fails raises ContractViolationError.
     """
     intervals, _ = _query(P, E)
-    found = _candidate(P, intervals)
-    if not _proved(P, found, intervals):
-        try:
-            found = _witness_rec(P, intervals)
-        except ValidationError as exc:
-            raise ContractViolationError(f"witness construction failed: {exc}") from exc
-        if not _proved(P, found, intervals):
-            raise ContractViolationError(
-                f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
-            )
-    return frozenset(_elements(found))
+    return frozenset(_elements(_maximum_basis(P, intervals, True)))
 
 
-def _candidate(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
-    """The witness's candidate for E's sorted, maximal intervals, as a mask:
-    walker 0's fully morphed set, s - 1 mimics from E's first interval, or
-    I_1 when E is empty."""
-    found = P.necklace.masks[0] if P.n else 0
+def _maximum_basis(P: Positroid, intervals: tuple[tuple[int, int], ...], deep: bool) -> int | None:
+    """A basis, as a mask, proved to meet the union of E's sorted, maximal
+    intervals in rank(E) elements, or None: the search that rank_dp (deep
+    False) and witness_basis (deep True) share.
+
+    For s <= 1 it is I_{a_1} (I_1 for an empty E), untested: a necklace
+    member is a basis, and rank([a, b]) = |I_a ∩ [a, b]|. Otherwise walker
+    0 walks once and its fully morphed set is tried; when that is no basis,
+    the walk from _second_start's interval, found on walker 0's kept
+    stages (for rank_dp only when rank._second_first says so); then, if
+    deep, the morph recursion. A set is returned only when _proved; a
+    recursion result that fails the proof, or a ValidationError inside a
+    construction, raises ContractViolationError.
+    """
+    s, masks = len(intervals), P.necklace.masks
+    if s <= 1:
+        return masks[intervals[0][0] - 1] if s else masks[0] if P.n else 0
     try:
-        for found, *_ in _stages(P, intervals) if intervals else ():
-            pass
+        walk = list(_stages(P, intervals))
+        found = walk[-1][0]
+        if _is_basis(P, found):
+            if _maximal(P, intervals, found):
+                return found
+        elif deep or _second_first(s, P.d):
+            t = _second_start(P, walk)
+            *_, (found, _, _) = _stages(P, intervals[t:] + intervals[:t])
+            if _proved(P, found, intervals):
+                return found
+        if not deep:
+            return None
+        found = _witness_rec(P, intervals)
     except ValidationError as exc:
         raise ContractViolationError(f"witness construction failed: {exc}") from exc
+    if not _proved(P, found, intervals):
+        raise ContractViolationError(
+            f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
+        )
     return found
 
 
-def _second_candidate(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int:
-    """rank_dp's second candidate, for when walker 0's fully morphed set is
-    no basis: the fully morphed set of the walker that starts at the
-    interval walker 0 last mimicked while its stages were still bases.
-
-    Walker 0 starts at the basis I_{a_1} and ends at a non-basis. Its first
-    stage that is no basis has, wherever measured, failed the Gale test at
-    its mimic's center c, at the anchor of its first member from c on: on
+def _second_start(P: Positroid, walk: list) -> int:
+    """The last stage t of walker 0, whose stages walk keeps and whose fully
+    morphed set is no basis, that is still a basis: the second walk starts
+    at interval t. Each stage is Gale-tested at one anchor only, its first
+    member from its mimic's center c on, up to the first that fails: on
     perfbench's rank_queries inputs (n = 150, seeds 1-3) that found the
-    same stage as a full Gale test of every stage on all 37 misses with
-    s >= 20. So each stage is tested at that one anchor only, up to the
-    first that fails there. The set is a guess like the first; the caller
-    proves it (on the same inputs, seeds 1-6, it was a maximum basis on
-    134 of 139 misses).
-    """
-    d, last = P.d, 0
-    for t, (members, _, _, c) in enumerate(_stages(P, intervals)):
-        if t:
-            B = _elements(members)
-            if not P._gale_holds([B], (bisect_left(B, c) % d,)):
-                break
-            last = t
-    return _candidate(P, intervals[last:] + intervals[:last])
+    first non-basis stage of a full test on all 37 misses with s >= 20, and
+    the second walk's set, which the caller proves, was a maximum basis on
+    134 of 139 misses (seeds 1-6)."""
+    for t, (members, _, c) in enumerate(walk[1:], 1):
+        anchor = (members & (1 << c - 1) - 1).bit_count() % P.d
+        if not P._gale_holds([_elements(members)], (anchor,)):
+            return t - 1
+    return len(walk) - 1
 
 
 def _is_basis(P: Positroid, found: int) -> bool:

@@ -23,12 +23,11 @@ only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
 rank(E) (_maximal). It counts the gaps in a band of cyclic diagonals
 around the main one, widened only when the band's tight gaps prove
 nothing, so a maximum basis is nearly always proved from about 5s of the
-s^2 gaps. It is the one proof for rank_dp's candidate, walker 0's fully
-morphed set (positroids.morph) checked to be a basis by one Gale test, for
-both witness constructions and for align_basis's precondition. When the
-candidate is no basis, rank_dp tries a second one (_second_first), and when
-that proves nothing too, falls back to the table, which it keeps for small
-s, where it is the cheaper of the two; no witness or alignment builds it.
+s^2 gaps. It proves every basis that the search rank_dp and the witness
+share tries (positroids.morph._maximum_basis), each first checked to be a
+basis by one Gale test, and align_basis's precondition. When the search
+proves nothing, rank_dp falls back to the table, which it keeps for small
+s, where it is the cheaper; no witness or alignment builds it.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
@@ -642,22 +641,25 @@ def rank(
 
 
 def _candidate_first(s: int, d: int) -> bool:
-    """Whether rank_dp tries the candidate before the table, for s intervals
-    of E and rank d: from 15 intervals on, once the table's s^3 steps
-    reach half the d^2 fields of the candidate's Gale test. Below either,
-    building and proving the candidate costs more than the table, or about
-    as much, and a miss pays for both (measured crossovers, with the Gale
-    rows packed: s = 13-14 at d = 73, 25-26 at d = 205, 45-47 at d = 498)."""
+    """Whether rank_dp runs the search (positroids.morph._maximum_basis)
+    before the table, for s intervals of E and rank d: from 15 intervals
+    on, once the table's s^3 steps reach half the d^2 fields of the
+    candidate's Gale test. Below either, the search costs more than the
+    table, or about as much, and a miss pays for both (measured crossovers,
+    12 queries per point, Gale rows packed: s = 12-13 at d = 75, 22-23 at
+    d = 200, about 46 at d = 498; with a miss's table counted too, about
+    24 at d = 200 and 50 at d = 498)."""
     return s >= 15 and 2 * s ** 3 >= d * d
 
 
 def _second_first(s: int, d: int) -> bool:
     """Whether rank_dp, once walker 0's candidate has failed its Gale test,
-    tries the second candidate (positroids.morph._second_candidate) before
-    the table, for s intervals of E and rank d: from s^2 >= 8d on. Finding
-    and building it costs up to 2s mimics, up to s one-anchor Gale tests and
-    one full test of d^2 fields, against the table's s^3 steps (measured
-    crossovers on such misses, random decorated positroids: s = 18 at
+    tries the second walk (positroids.morph._maximum_basis) before the
+    table, for s intervals of E and rank d: from s^2 >= 8d on. Finding its
+    start on walker 0's kept stages and walking it costs up to s one-anchor
+    Gale tests, up to s mimics and one full test of d^2 fields, against the
+    table's s^3 steps (crossovers on such misses, random decorated
+    positroids, measured when a miss walked walker 0 twice: s = 18 at
     d = 33, 25 at d = 75 and about 33 at d = 200)."""
     return s * s >= 8 * d
 
@@ -667,27 +669,21 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
 
     Runs on P itself, E's own intervals over P's masks, with no reduction
     and no coloop bonus (see _query). For enough intervals of E
-    (_candidate_first), the witness's candidate W is tried first
-    (positroids.morph): when it is a basis and some partition closes only
-    over gaps it meets tightly, |W ∩ E| is the rank (_maximal), proved from
-    a band of usually about 5s of the s^2 gaps after one Gale test of d^2
-    fields, with no gap matrix. Otherwise, and for fewer intervals, where
-    the candidate costs about as much as the table or more, the answer is
-    the corner entry of the O(s^3) rank table over E's s x s gap matrix.
-    Before that, when W is no basis and E has enough intervals
-    (_second_first), a second candidate gets the same proof: a miss then
-    costs up to two more walks and s one-anchor Gale tests instead of the
-    table's O(s^3) steps."""
+    (_candidate_first), the search the witness uses runs first, without its
+    recursion (positroids.morph._maximum_basis): walker 0's fully morphed
+    set W, and, when W is no basis and E has enough intervals
+    (_second_first), the second walk's. A basis that some partition closes
+    over tightly gives |W ∩ E| as the rank (_maximal), proved from a band of
+    usually about 5s of the s^2 gaps after one Gale test of d^2 fields, with
+    no gap matrix. Otherwise, and for fewer intervals, where the search
+    costs about as much as the table or more, the answer is the corner
+    entry of the O(s^3) rank table over E's s x s gap matrix."""
     intervals, members = _query(P, E)
     s = len(intervals)
     if _candidate_first(s, P.d):
-        from .morph import _candidate, _is_basis, _second_candidate  # morph builds on this module
+        from .morph import _maximum_basis  # morph builds on this module
 
-        W = _candidate(P, intervals)
-        basis = _is_basis(P, W)
-        if not basis and _second_first(s, P.d):
-            W = _second_candidate(P, intervals)
-            basis = _is_basis(P, W)
-        if basis and _maximal(P, intervals, W):
+        W = _maximum_basis(P, intervals, False)
+        if W is not None:
             return (W & members).bit_count()
     return _rank_table(_gap_matrix(P, intervals), P.d)[s][1]

@@ -165,11 +165,13 @@ class TestRankVerb:
         assert len(tables) == 1
 
     def test_witness_missing_its_target_exits_2(self, capsys, tmp_path, monkeypatch):
-        # walker 0's candidate {2, 4, 6} is not a basis here, so the recursion
-        # runs; it builds masks, and this one is {1, 2, 3}, holding the loop 1
+        # walker 0's candidate {2, 4, 6} is not a basis here and the second
+        # walk is turned off, so the recursion runs; it builds masks, and
+        # this one is {1, 2, 3}, holding the loop 1
         path = tmp_path / "dec6.json"
         path.write_text(json.dumps({"n": 6, "pi": [1, 5, 6, 3, 4, 2], "colors": {"1": "white"}}))
         calls = []
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: calls.append(1) or _mask({1, 2, 3}))
         code = main(["rank", "--perm", str(path), "--set", "2,4,6", "--witness"])
         assert code == 2 and calls == [1]

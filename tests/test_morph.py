@@ -35,8 +35,9 @@ from helpers import all_subsets, decorated_positroids, dual, random_decorated_po
 E4 = frozenset({1, 2, 3, 8, 9, 10})
 
 # n = 6 queries (one-line pi, white, black, E) whose walker-0 candidate, the
-# fully morphed set, misses rank(E), so the witness runs the morph recursion;
-# on the first, rank(E) = 2 and the candidate {2, 4, 6} is not a basis
+# fully morphed set, misses rank(E), so the witness tries the second walk,
+# which proves its set; on the first, rank(E) = 2 and the candidate
+# {2, 4, 6} is not a basis
 REJECTED_CANDIDATES = [
     ((1, 5, 6, 3, 4, 2), (1,), (), frozenset({2, 4, 6})),
     ((2, 5, 6, 3, 4, 1), (), (), frozenset({2, 4, 6})),
@@ -65,6 +66,14 @@ def recursion_calls(monkeypatch):
     monkeypatch.setattr(
         morph, "_witness_rec", lambda P, intervals: calls.append(intervals) or recursion(P, intervals)
     )
+    return calls
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The interval orders morph._stages walks, one entry per walk started."""
+    calls, stages = [], morph._stages
+    monkeypatch.setattr(morph, "_stages", lambda P, order: calls.append(order) or stages(P, order))
     return calls
 
 
@@ -228,10 +237,14 @@ def _set_mimic_parts(P, J, c, window):
 
 
 def _mask_mimic_parts(P, J, c, window):
-    """morph._mimic_parts, which works on masks, read with sets, and the
-    trade morph._mimic_record reads off its input and result."""
-    result, status = morph._mimic_parts(P, _mask(J), c, window)
-    record = morph._mimic_record(P.n, _mask(J), result, window[0])
+    """morph._trade, the one mimic step, which works on masks rotated right
+    by the window's end d, read with sets after morph._checked_window, and
+    the trade morph._mimic_record reads off its input and result."""
+    n = P.n
+    b, d = morph._checked_window(P, c, window)
+    result, status = morph._trade(morph._rotate(_mask(J), d, n), P.necklace.masks[c - 1], b, c, d, n)
+    result = morph._rotate(result, -d, n)
+    record = morph._mimic_record(n, _mask(J), result, b)
     return record.removed, record.added, frozenset(_elements(result)), status
 
 
@@ -239,7 +252,7 @@ class TestWindowArcs:
     def test_position_space_matches_member_sets(self):
         # every decorated positroid with n <= 4, every J, center and window,
         # the full-circle windows (b, b] included: is_compatible, mimic and
-        # _mimic_parts give the set-based reference's values and messages
+        # _trade give the set-based reference's values and messages
         for n in range(1, 5):
             cases = [(c, (b, d)) for c in range(1, n + 1)
                      for b in range(1, n + 1) for d in range(1, n + 1)]
@@ -344,7 +357,7 @@ class TestAlignBasis:
 
     def test_maximum_proved_without_a_rank(self, monkeypatch):
         # on the n = 400, s = 60 query whose walker-0 candidate misses, the
-        # precondition is one tight check: no candidate and no rank table
+        # precondition is one tight check: no basis search and no rank table
         rank_module = importlib.import_module("positroids.rank")
         rng = random.Random(52)
         P = random_decorated_positroid(400, rng)
@@ -352,7 +365,7 @@ class TestAlignBasis:
         E = decompose(members, 400)
         W = witness_basis(P, members)
         calls = []
-        for module, name in ((morph, "_candidate"), (rank_module, "_rank_table")):
+        for module, name in ((morph, "_maximum_basis"), (rank_module, "_rank_table")):
             f = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
         out = align_basis(P, W, E, 1)
@@ -504,9 +517,10 @@ class TestWitness:
         # every witness for every decorated (P, E) with n <= 6, one "x,y,z"
         # line each, in decorated_positroids and all_subsets order, as a
         # SHA-256 digest: the construction's search order, pieces, alignments
-        # and splices fix each returned basis. The morph recursion runs only
-        # on the 36 queries whose candidate misses, and no set the witness
-        # builds goes through is_basis
+        # and splices fix each returned basis. On the 36 queries whose
+        # walker-0 candidate misses, the second walk proves its set, so the
+        # morph recursion never runs; no set the witness builds goes through
+        # is_basis
         h = hashlib.sha256()
         queries = 0
         for n in range(7):
@@ -517,7 +531,7 @@ class TestWitness:
         assert (queries, h.hexdigest()) == (
             136873, "0bd9d2e49f18a0a5a17b79ca6a42d3d688a5833f9d5e6c2c6d66d31d495fb2c2"
         )
-        assert len(recursion_calls) == 36 and basis_tests["is_basis"] == []
+        assert len(recursion_calls) == 0 and basis_tests["is_basis"] == []
 
     def test_deep_morph_recursion_needs_no_interpreter_stack(self):
         # witness_basis takes walker 0's candidate on the deep query, so the
@@ -553,9 +567,10 @@ class TestWitness:
         assert basis_tests == {"is_basis": [], "_gale_holds": [1]}
 
     def test_empty_set_takes_I1(self, ref_positroid, recursion_calls, basis_tests):
+        # a necklace member is a basis, so I_1 is returned with no Gale test
         assert witness_basis(ref_positroid, ()) == ref_positroid.necklace.at(1)
         assert recursion_calls == []
-        assert basis_tests == {"is_basis": [], "_gale_holds": [1]}
+        assert basis_tests == {"is_basis": [], "_gale_holds": []}
 
     def test_a_piece_over_two_intervals_steps_back(self, recursion_calls):
         # the candidate misses, and the top level's first piece found, (0, 2),
@@ -584,10 +599,11 @@ class TestWitness:
         ],
     )
     def test_every_guard_refuses_a_bad_construction(self, monkeypatch, found):
-        # the candidate {2, 4, 6} is not a basis, so the patched recursion's
-        # mask is checked next; each fails one guard, and the refusal is a
-        # ContractViolationError, never the Gale kernel's IndexError or
-        # struct.error
+        # the candidate {2, 4, 6} is not a basis and the second walk is
+        # turned off, so the patched recursion's mask is checked next; each
+        # fails one guard, and the refusal is a ContractViolationError, never
+        # the Gale kernel's IndexError or struct.error
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: _mask(found))
         with pytest.raises(ContractViolationError, match="is not a basis meeting E"):
             witness_basis(*_rejected(0))
@@ -600,7 +616,7 @@ class TestWitness:
         def candidate_is_I4(P, order):
             walks.append(order)
             if len(walks) == 1:
-                yield P.necklace.masks[3], None, None, None, (), ()
+                yield P.necklace.masks[3], None, None
             else:
                 yield from stages(P, order)
 
@@ -615,7 +631,9 @@ class TestWitness:
         assert rank_dp(P, E) == 2
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
-    def test_rejected_candidate_runs_the_recursion_once(self, recursion_calls, k):
+    def test_rejected_candidate_runs_the_recursion_once(self, monkeypatch, recursion_calls, k):
+        # with the second walk turned off, the miss goes to the recursion
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         P, E = _rejected(k)
         *_, (candidate, *_) = morph._stages(P, decompose(E, P.n).intervals)
         assert not (
@@ -626,22 +644,34 @@ class TestWitness:
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
-    def test_rejected_candidate_builds_a_table_only_in_rank_dp(self, monkeypatch, recursion_calls, k):
-        # the candidate is no basis, so rank_dp, made to try it at any s,
-        # falls back to one rank table; witness_basis builds its candidate
-        # once, runs the recursion and proves its basis by a tight partition,
-        # with no table
+    def test_rejected_candidate_is_proved_by_the_second_walk(self, walks, recursion_calls, k):
+        # walker 0 walks once, the second walk from the interval where it
+        # last made a basis proves its set, and the recursion never runs
+        P, E = _rejected(k)
+        intervals = decompose(E, P.n).intervals
+        W = witness_basis(P, E)
+        assert len(walks) == 2 and walks[0] == intervals != walks[1]
+        assert recursion_calls == [] and morph._proved(P, _mask(W), intervals)
+        assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
+
+    @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
+    def test_rejected_candidate_builds_a_table_only_in_rank_dp(self, monkeypatch, walks, recursion_calls, k):
+        # the candidate is no basis, so rank_dp, made to try it at any s but
+        # below its second-walk rule, falls back to one rank table;
+        # witness_basis walks walker 0 once, proves the second walk's basis
+        # by a tight partition and builds no table
         rank_module = importlib.import_module("positroids.rank")
-        tables, candidates = [], []
-        build, candidate = rank_module._rank_table, morph._candidate
+        tables = []
+        build = rank_module._rank_table
         monkeypatch.setattr(rank_module, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
-        monkeypatch.setattr(morph, "_candidate", lambda P, E: candidates.append(E) or candidate(P, E))
         monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
         P, E = _rejected(k)
+        intervals = decompose(E, P.n).intervals
         assert rank_dp(P, E) == rank_bruteforce(P, E)
-        assert len(tables) == len(candidates) == 1
+        assert len(tables) == 1 and walks == [intervals]
         W = witness_basis(P, E)
-        assert len(tables) == 1 and len(candidates) == 2 and len(recursion_calls) == 1
+        assert len(tables) == 1 and walks.count(intervals) == 2 and len(walks) == 3
+        assert recursion_calls == []
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     def test_a_candidate_hit_builds_no_gap_matrix(self, ref_positroid, monkeypatch, gap_matrices):
@@ -667,18 +697,24 @@ class TestWitness:
         assert rank_dp(P, E) == rank_bruteforce(P, E)
         assert gap_matrices == [decompose(E, P.n).intervals]
 
-    def test_seeded_large_miss_builds_no_table(self, monkeypatch, recursion_calls):
-        # at n = 400 and s = 60 walker 0's candidate misses; the recursion's
-        # basis is proved by a tight partition, with no rank table built
+    def test_seeded_large_miss_builds_no_table(self, monkeypatch, walks, recursion_calls):
+        # at n = 400 and s = 60 walker 0's candidate is no basis; the second
+        # walk's basis is proved by a tight partition, with no rank table
+        # built and no recursion
         rank_module = importlib.import_module("positroids.rank")
         rng = random.Random(52)
         P = random_decorated_positroid(400, rng)
         E = random_union(400, 60, rng)
+        intervals = decompose(E, 400).intervals
+        *_, (candidate, *_) = morph._stages(P, intervals)
+        assert not morph._is_basis(P, candidate)
         tables = []
         build = rank_module._rank_table
         monkeypatch.setattr(rank_module, "_rank_table", lambda w, d: tables.append(d) or build(w, d))
+        walks.clear()
         W = witness_basis(P, E)
-        assert tables == [] and len(recursion_calls) == 1
+        assert tables == [] and recursion_calls == [] and len(walks) == 2
+        assert morph._proved(P, _mask(W), intervals)
         assert P.is_basis(W) and len(W & E) == rank_dp(P, E)
 
     def test_with_fixed_points(self):
@@ -689,19 +725,23 @@ class TestWitness:
             assert len(W & E) == rank_bruteforce(P, E)
 
     def test_missed_target_is_a_contract_violation(self, monkeypatch):
-        # the candidate {2, 4, 6} is not a basis, so the recursion runs; its
-        # mask here is {1, 2, 3}, and the loop 1 lies in no basis either
+        # the candidate {2, 4, 6} is not a basis and the second walk is
+        # turned off, so the recursion runs; its mask here is {1, 2, 3}, and
+        # the loop 1 lies in no basis either
         calls = []
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         monkeypatch.setattr(morph, "_witness_rec", lambda P, intervals: calls.append(1) or _mask({1, 2, 3}))
         with pytest.raises(ContractViolationError, match=r"witness \[1, 2, 3\] is not a basis"):
             witness_basis(*_rejected(0))
         assert calls == [1]
 
     def test_failure_inside_is_a_contract_violation(self, monkeypatch):
-        # the candidate misses, and the recursion then fails inside
+        # the candidate misses, the second walk is turned off, and the
+        # recursion then fails inside
         def broken(P, intervals):
             raise ValidationError("element 0 out of range")
 
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         monkeypatch.setattr(morph, "_witness_rec", broken)
         with pytest.raises(ContractViolationError, match="witness construction failed: element 0"):
             witness_basis(*_rejected(0))
@@ -709,13 +749,78 @@ class TestWitness:
     def test_failure_in_the_candidate_is_a_contract_violation(
         self, ref_positroid, monkeypatch, recursion_calls
     ):
-        def broken(P, J, c, window):
+        def broken(J, Ic, b, c, d, n):
             raise ValidationError(f"set is not compatible with I_{c}")
 
-        monkeypatch.setattr(morph, "_mimic_parts", broken)
+        monkeypatch.setattr(morph, "_trade", broken)
         with pytest.raises(ContractViolationError, match="witness construction failed: set is not"):
             witness_basis(ref_positroid, E4)
         assert recursion_calls == []
+
+
+class TestSearchOrder:
+    """The one search for a proved maximum basis (morph._maximum_basis):
+    I_{a_1} for at most one interval, then walker 0's fully morphed set,
+    then the second walk, then, for the witness, the morph recursion."""
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        """The masks handed to the tight-partition proof."""
+        calls, prove = [], morph._maximal
+        monkeypatch.setattr(morph, "_maximal", lambda P, intervals, W: calls.append(W) or prove(P, intervals, W))
+        return calls
+
+    def test_one_interval_takes_its_necklace_member_untested(
+        self, ref_positroid, basis_tests, proofs, recursion_calls
+    ):
+        # s <= 1: I_{a_1}, or I_1 for an empty set, with no Gale test and no
+        # tight-partition proof, wrapping intervals and loops included
+        dec = Positroid.from_oneline((1, 3, 4, 2, 5), white=(1,), black=(5,))
+        queries = [
+            (ref_positroid, set(), 1), (ref_positroid, {3, 4, 5}, 3), (ref_positroid, {13, 14, 1, 2}, 13),
+            (ref_positroid, set(range(1, 15)), 1), (dec, {1, 2}, 1), (dec, {5, 1}, 5), (dec, set(), 1),
+        ]
+        found = [witness_basis(P, E) for P, E, _ in queries]
+        assert basis_tests == {"is_basis": [], "_gale_holds": []}
+        assert proofs == [] and recursion_calls == []
+        for (P, E, a), W in zip(queries, found):
+            assert W == P.necklace.at(a)
+            assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E), (P.perm, sorted(E))
+
+    def test_where_both_walks_miss_the_recursion_runs(self, recursion_calls):
+        # dec14.json with E = {1, 5, 7, 13}, and Random(124) at n = 60, s = 20:
+        # neither walker 0's set nor the second walk's is proved, so the
+        # recursion runs once, and its set passes the same proof
+        dec14 = Positroid.from_oneline(
+            [5, 9, 10, 12, 7, 6, 11, 13, 2, 3, 8, 4, 1, 14], black=(6,), white=(14,)
+        )
+        rng = random.Random(124)
+        P60 = random_decorated_positroid(60, rng)
+        for P, E in ((dec14, {1, 5, 7, 13}), (P60, random_union(60, 20, rng))):
+            intervals = decompose(E, P.n).intervals
+            walk = list(morph._stages(P, intervals))
+            t = morph._second_start(P, walk)
+            *_, (second, *_) = morph._stages(P, intervals[t:] + intervals[:t])
+            assert not morph._proved(P, walk[-1][0], intervals)
+            assert not morph._proved(P, second, intervals)
+            recursion_calls.clear()
+            W = witness_basis(P, E)
+            assert recursion_calls == [intervals]
+            assert morph._proved(P, _mask(W), intervals)
+
+    def test_the_recursion_alone_is_proved_on_every_small_query(self):
+        # no witness with n <= 6 reaches the recursion any more, so it is
+        # run directly on every decorated (P, E) with n <= 6 and s >= 1
+        queries = 0
+        for n in range(1, 7):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    intervals = decompose(E, n).intervals
+                    if intervals:
+                        W = morph._witness_rec(P, intervals)
+                        assert morph._proved(P, W, intervals), (P.perm, sorted(E))
+                        queries += 1
+        assert queries == 134501
 
 
 class TestGroundSetAndIndices:

@@ -847,15 +847,24 @@ class TestCandidateFirst:
 
 class TestSecondCandidate:
     """When walker 0's candidate is no basis, rank_dp tries the walk from
-    the interval where walker 0 stopped making bases (morph._second_candidate)
-    before the table, from s^2 >= 8d on (_second_first)."""
+    the interval where walker 0 stopped making bases, found on walker 0's
+    kept stages (morph._second_start), before the table, from s^2 >= 8d on
+    (_second_first)."""
 
     @pytest.fixture
     def seconds(self, monkeypatch):
-        calls, second = [], MORPH_MODULE._second_candidate
+        """The stage each second walk starts from, one entry per search."""
+        calls, start = [], MORPH_MODULE._second_start
         monkeypatch.setattr(
-            MORPH_MODULE, "_second_candidate", lambda P, intervals: calls.append(intervals) or second(P, intervals)
+            MORPH_MODULE, "_second_start", lambda P, walk: calls.append(start(P, walk)) or calls[-1]
         )
+        return calls
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The interval orders morph._stages walks, one entry per walk."""
+        calls, stages = [], MORPH_MODULE._stages
+        monkeypatch.setattr(MORPH_MODULE, "_stages", lambda P, order: calls.append(order) or stages(P, order))
         return calls
 
     @pytest.fixture
@@ -872,12 +881,18 @@ class TestSecondCandidate:
         P = random_decorated_positroid(n, rng)
         return P, random_union(n, s, rng)
 
+    @staticmethod
+    def fully_morphed(P, order):
+        *_, (found, *_) = MORPH_MODULE._stages(P, order)
+        return found
+
     def test_every_small_decorated_query_takes_the_tables_value(self, monkeypatch, seconds):
         # both candidates forced at any s: the 36 queries with n <= 6 whose
         # walker-0 candidate is no basis take the second candidate, and the
-        # value is the table's whichever path answers
+        # value is the table's whichever path answers; the second rule is
+        # read where the search runs, in positroids.morph
         monkeypatch.setattr(RANK_MODULE, "_candidate_first", lambda s, d: True)
-        monkeypatch.setattr(RANK_MODULE, "_second_first", lambda s, d: True)
+        monkeypatch.setattr(MORPH_MODULE, "_second_first", lambda s, d: True)
         queries = 0
         for n in range(7):
             for P in decorated_positroids(n):
@@ -887,42 +902,48 @@ class TestSecondCandidate:
         assert (queries, len(seconds)) == (136873, 36)
 
     @pytest.mark.parametrize("seed, stop", [(17, 20), (39, 23), (55, 12)])
-    def test_a_seeded_miss_is_proved_by_the_second(self, seconds, gap_matrices, seed, stop):
+    def test_a_seeded_miss_is_proved_by_the_second(self, seconds, walks, gap_matrices, seed, stop):
         # n = 150, s = 30: walker 0's stages are bases up to stage stop - 1;
         # the one-anchor test stops there too, and the walk from interval
-        # stop - 1 is proved maximum with no gap matrix
+        # stop - 1 is proved maximum with no gap matrix, walker 0 walked once
         P, E = self.seeded(150, 30, seed)
         intervals, _ = RANK_MODULE._query(P, E)
-        stages = [m for m, *_ in MORPH_MODULE._stages(P, intervals)]
-        assert [MORPH_MODULE._is_basis(P, m) for m in stages] == [True] * stop + [False] * (30 - stop)
-        walk = intervals[stop - 1:] + intervals[:stop - 1]
-        assert MORPH_MODULE._second_candidate(P, intervals) == MORPH_MODULE._candidate(P, walk)
+        stages = list(MORPH_MODULE._stages(P, intervals))
+        assert [MORPH_MODULE._is_basis(P, m) for m, *_ in stages] == [True] * stop + [False] * (30 - stop)
+        assert MORPH_MODULE._second_start(P, stages) == stop - 1
         seconds.clear()
+        walks.clear()
         value = rank_dp(P, E)
-        assert seconds == [intervals] and gap_matrices == []
+        walk = intervals[stop - 1:] + intervals[:stop - 1]
+        assert seconds == [stop - 1] and walks == [intervals, walk] and gap_matrices == []
         assert value == rank(P, E).value
 
-    def test_a_second_miss_falls_back_to_the_table(self, seconds, gap_matrices):
+    def test_a_second_miss_falls_back_to_the_table(self, seconds, walks, gap_matrices):
         # n = 60, s = 20, d = 29: 400 >= 8d, and the second candidate is no
-        # basis either, so rank_dp builds the table's one gap matrix
+        # basis either, so rank_dp builds the table's one gap matrix, having
+        # walked walker 0 once and the second walk once
         P, E = self.seeded(60, 20, 124)
         intervals, _ = RANK_MODULE._query(P, E)
         assert (len(intervals), P.d) == (20, 29)
-        assert not MORPH_MODULE._is_basis(P, MORPH_MODULE._second_candidate(P, intervals))
+        t = MORPH_MODULE._second_start(P, list(MORPH_MODULE._stages(P, intervals)))
+        walk = intervals[t:] + intervals[:t]
+        assert t and not MORPH_MODULE._is_basis(P, self.fully_morphed(P, walk))
         seconds.clear()
+        walks.clear()
         value = rank_dp(P, E)
-        assert seconds == [intervals] and gap_matrices == [intervals]
+        assert seconds == [t] and walks == [intervals, walk] and gap_matrices == [intervals]
         assert value == rank(P, E).value
 
-    def test_below_the_rule_a_miss_takes_the_table(self, seconds, gap_matrices):
+    def test_below_the_rule_a_miss_takes_the_table(self, seconds, walks, gap_matrices):
         # n = 150, s = 20, d = 74: the candidate is tried (s >= 15) but
         # 400 < 8d, so its miss goes straight to the table
         P, E = self.seeded(150, 20, 4)
         intervals, _ = RANK_MODULE._query(P, E)
         assert (len(intervals), P.d) == (20, 74)
-        assert not MORPH_MODULE._is_basis(P, MORPH_MODULE._candidate(P, intervals))
+        assert not MORPH_MODULE._is_basis(P, self.fully_morphed(P, intervals))
+        walks.clear()
         value = rank_dp(P, E)
-        assert seconds == [] and gap_matrices == [intervals]
+        assert seconds == [] and walks == [intervals] and gap_matrices == [intervals]
         assert value == rank(P, E).value
 
 
