@@ -7,20 +7,24 @@ mimicking fills all gaps is what lets witness_basis build an actual basis B
 with |B ∩ E| = rank(E), following the recursion that proves the rank formula.
 One private walker yields the stages, each a mask, its gap status and its
 center, and morph_sequence lists them, reading each exchange record off
-two consecutive masks: no mimic lists the elements it trades. rank_dp and
-witness_basis share one search for a proved maximum basis
-(_maximum_basis): I_{a_1} for at most one interval, else walker 0's fully
-morphed set, s - 1 mimics from E's first interval, else the walk from the
-interval where walker 0 last made a basis, found on its kept stages. Only
-the witness goes on to the recursion: it advances all s walkers lazily,
-stops at the first gap-free basis and aligns its pieces without
-align_basis's checks, both phases of an alignment trading through one
-partner search, on an explicit stack up to s levels deep. One proof of
+two consecutive masks: no mimic lists the elements it trades. By the morph
+lemma every stage of a walk is compatible with the next center, so a mimic
+a walk cannot make is the package's fault, ContractViolationError.
+
+rank_dp and witness_basis share one search for a proved maximum basis
+(_maximum_basis), which holds no policy of either: I_{a_1} for at most one
+interval, else walker 0's fully morphed set, s - 1 mimics from E's first
+interval, else the walk from the interval where walker 0 last made a
+basis, found on its kept stages. When it proves nothing, rank_dp reads its
+rank table, and the witness goes on to the recursion: it advances all s
+walkers lazily, stops at the first gap-free basis and aligns its pieces
+without align_basis's checks, both phases of an alignment trading through
+one partner search, on an explicit stack up to s levels deep. One proof of
 maximality serves every set tried and align_basis's precondition: the set
 is a basis, and some non-crossing partition of E closes only over gaps it
 meets tightly (rank._maximal), a search over a band of gaps near the
-diagonal that widens only on a miss.
-None of them computes rank(E) or builds the rank table or its s x s gap
+diagonal that widens only on a miss. Neither the search, the recursion nor
+align_basis computes rank(E) or builds the rank table or its s x s gap
 matrix. Each set built, interval_exchange's result and each gap-free stage
 too, is one mask checked once by _is_basis: no bit past n and d members,
 then one one-set Gale test, without is_basis's re-check of a caller's
@@ -62,7 +66,7 @@ from .cyclic import (
 )
 from .errors import ContractViolationError, ValidationError
 from .positroid import Positroid
-from .rank import _maximal, _query, _second_first
+from .rank import _maximal, _query
 
 __all__ = [
     "GapStatus",
@@ -263,16 +267,22 @@ def _stages(
     """The morph's stages one at a time, for intervals already rotated to
     start at interval i: (members as a mask, status, center), with no
     status or center at stage 0. Every window ends at b_{s-1}, so the
-    members stay rotated right by it from one _trade to the next."""
+    members stay rotated right by it from one _trade to the next. A
+    _trade that refuses raises ContractViolationError, for morph_sequence,
+    the search and the recursion alike: on sorted, maximal intervals every
+    stage is compatible with the next center (the morph lemma)."""
     n, masks = P.n, P.necklace.masks
     d = order[-1][1]
     r, circle = d % n, (1 << n) - 1
     J = masks[order[0][0] - 1]
     yield J, None, None
     J = (J >> r | J << n - r) & circle
-    for (_, b), (c, _) in zip(order, order[1:]):
-        J, status = _trade(J, masks[c - 1], b, c, d, n)
-        yield (J << r | J >> n - r) & circle, status, c
+    try:
+        for (_, b), (c, _) in zip(order, order[1:]):
+            J, status = _trade(J, masks[c - 1], b, c, d, n)
+            yield (J << r | J >> n - r) & circle, status, c
+    except ValidationError as exc:
+        raise ContractViolationError(f"morph walk failed: {exc}") from exc
 
 
 def morph_sequence(P: Positroid, E: IntervalDecomposition, i: int) -> list[MorphState]:
@@ -478,52 +488,43 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     """A basis B with |B ∩ E| = rank(E).
 
     Works on P itself, on n-bit masks; loops and coloops need no special
-    case. The basis is _maximum_basis's, the morph recursion allowed: proved
-    by a tight partition, with no rank table built. A construction that
-    fails raises ContractViolationError.
+    case. The basis is _maximum_basis's, or, when that search proves
+    nothing, the morph recursion's, which must pass the same proof: a tight
+    partition, with no rank table built. A construction that fails raises
+    ContractViolationError.
     """
     intervals, _ = _query(P, E)
-    return frozenset(_elements(_maximum_basis(P, intervals, True)))
+    found = _maximum_basis(P, intervals)
+    if found is None:
+        found = _witness_rec(P, intervals)
+        if not _proved(P, found, intervals):
+            raise ContractViolationError(
+                f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
+            )
+    return frozenset(_elements(found))
 
 
-def _maximum_basis(P: Positroid, intervals: tuple[tuple[int, int], ...], deep: bool) -> int | None:
+def _maximum_basis(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int | None:
     """A basis, as a mask, proved to meet the union of E's sorted, maximal
-    intervals in rank(E) elements, or None: the search that rank_dp (deep
-    False) and witness_basis (deep True) share.
+    intervals in rank(E) elements, or None: the one search that rank_dp and
+    witness_basis share, each deciding for itself what follows a None.
 
     For s <= 1 it is I_{a_1} (I_1 for an empty E), untested: a necklace
     member is a basis, and rank([a, b]) = |I_a ∩ [a, b]|. Otherwise walker
     0 walks once and its fully morphed set is tried; when that is no basis,
     the walk from _second_start's interval, found on walker 0's kept
-    stages (for rank_dp only when rank._second_first says so); then, if
-    deep, the morph recursion. A set is returned only when _proved; a
-    recursion result that fails the proof, or a ValidationError inside a
-    construction, raises ContractViolationError.
+    stages. A set is returned only when _proved.
     """
     s, masks = len(intervals), P.necklace.masks
     if s <= 1:
         return masks[intervals[0][0] - 1] if s else masks[0] if P.n else 0
-    try:
-        walk = list(_stages(P, intervals))
-        found = walk[-1][0]
-        if _is_basis(P, found):
-            if _maximal(P, intervals, found):
-                return found
-        elif deep or _second_first(s, P.d):
-            t = _second_start(P, walk)
-            *_, (found, _, _) = _stages(P, intervals[t:] + intervals[:t])
-            if _proved(P, found, intervals):
-                return found
-        if not deep:
-            return None
-        found = _witness_rec(P, intervals)
-    except ValidationError as exc:
-        raise ContractViolationError(f"witness construction failed: {exc}") from exc
-    if not _proved(P, found, intervals):
-        raise ContractViolationError(
-            f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
-        )
-    return found
+    walk = list(_stages(P, intervals))
+    found = walk[-1][0]
+    if _is_basis(P, found):
+        return found if _maximal(P, intervals, found) else None
+    t = _second_start(P, walk)
+    *_, (found, _, _) = _stages(P, intervals[t:] + intervals[:t])
+    return found if _proved(P, found, intervals) else None
 
 
 def _second_start(P: Positroid, walk: list) -> int:
@@ -532,9 +533,10 @@ def _second_start(P: Positroid, walk: list) -> int:
     at interval t. Each stage is Gale-tested at one anchor only, its first
     member from its mimic's center c on, up to the first that fails: on
     perfbench's rank_queries inputs (n = 150, seeds 1-3) that found the
-    first non-basis stage of a full test on all 37 misses with s >= 20, and
-    the second walk's set, which the caller proves, was a maximum basis on
-    134 of 139 misses (seeds 1-6)."""
+    first non-basis stage of a full test on all 37 misses with s >= 20.
+    The second walk's set, which _maximum_basis proves, was a maximum basis
+    on 134 of 139 witness misses (seeds 1-6), and on 530 of 554 rank_dp
+    misses with s = 20-60 (seeds 1-40, passes 0-4)."""
     for t, (members, _, c) in enumerate(walk[1:], 1):
         anchor = (members & (1 << c - 1) - 1).bit_count() % P.d
         if not P._gale_holds([_elements(members)], (anchor,)):

@@ -25,20 +25,23 @@ around the main one, widened only when the band's tight gaps prove
 nothing, so a maximum basis is nearly always proved from about 5s of the
 s^2 gaps. It proves every basis that the search rank_dp and the witness
 share tries (positroids.morph._maximum_basis), each first checked to be a
-basis by one Gale test, and align_basis's precondition. When the search
-proves nothing, rank_dp falls back to the table, which it keeps for small
-s, where it is the cheaper; no witness or alignment builds it.
+basis by one Gale test, and align_basis's precondition. The search tries
+the same sets for both; rank_dp's one rule, _candidate_first, keeps the
+table for the interval counts where it is the cheaper, and rank_dp falls
+back to it when the search proves nothing; no witness or alignment builds
+it.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
 of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
-one run of bits. The table's users, rank(), rank_dp's fallback,
-natural_bound and bound_for_partition, build the s x s gap matrix from s
-masks in O(s^2) shifts and popcounts (_gap_matrix); _maximal makes the same
-shifts and popcounts for its band's diagonals only. Nothing is kept, neither
-per query nor per anchor; the necklace itself is built once and kept on the
-Positroid. A one-interval count (_gap_ccw) is I_a's mask less the arc
-[a, b] (cyclic._arc), one popcount.
+one run of bits (_columns, the one builder of that form). The table's
+users, rank(), rank_dp's fallback, natural_bound and bound_for_partition,
+build the s x s gap matrix from s masks in O(s^2) shifts and popcounts
+(_gap_matrix); _maximal makes the same shifts and popcounts for its band's
+diagonals only. Nothing is kept, neither per query nor per anchor; the
+necklace itself is built once and kept on the Positroid. A one-interval
+count (_gap_ccw) is I_a's mask less the arc [a, b] (cyclic._arc), one
+popcount.
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
 builds on demand; no query reads them.
@@ -353,24 +356,26 @@ class RankCertificate:
     all_bounds: tuple[tuple[NonCrossingPartition, int], ...] | None = None
 
 
+def _columns(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[int]:
+    """For each interval (a, b), I_a written twice and cut to the n bits
+    from a - 1, so that bit x - 1 or x + n - 1 stands for x as read from a:
+    the gap after any b is then the bits from one shift, b or b + n."""
+    n, masks = P.n, P.necklace.masks
+    circle = (1 << n) - 1
+    return [(masks[a - 1] | masks[a - 1] << n) & circle << a - 1 for a, _ in intervals]
+
+
 def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[list[int]]:
     """w[i][j] = ccw((b_i, a_j)) = |I_{a_j} ∩ (b_i, a_j)|, for the intervals
     (a, b) of a decomposition on P's ground set, sorted by start: ccw over
     the open gap from interval i's end to interval j's start.
 
-    Since |I_{a_j}| = d, this is d - |I_{a_j} ∩ [a_j, b_i]|. Column j reads
-    one mask, I_{a_j} written twice and cut to the n bits from a_j - 1, so
-    that bit x - 1 or x + n - 1 stands for x as read from a_j. The gap
-    after b_i then starts at bit b_i when b_i comes after a_j (j <= i,
-    unless the last interval wraps) and at bit b_i + n otherwise, so each
-    entry is one shift and one popcount.
+    Since |I_{a_j}| = d, this is d - |I_{a_j} ∩ [a_j, b_i]|. Column j is
+    _columns' mask for a_j. The gap after b_i then starts at bit b_i when
+    b_i comes after a_j (j <= i, unless the last interval wraps) and at bit
+    b_i + n otherwise, so each entry is one shift and one popcount.
     """
-    n, masks = P.n, P.necklace.masks
-    circle = (1 << n) - 1
-    columns = []
-    for a, _ in intervals:
-        m = masks[a - 1]
-        columns.append((m | m << n) & circle << a - 1)
+    n, columns = P.n, _columns(P, intervals)
     w = []
     for i, (a, b) in enumerate(intervals):
         # the columns j <= i read b unwrapped, when interval i does not wrap
@@ -494,16 +499,14 @@ def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bo
     s = len(intervals)
     if not s:
         return True
-    n, d, masks = P.n, P.d, P.necklace.masks
-    circle = (1 << n) - 1
+    n, d = P.n, P.d
     # |W ∩ (b_i, a_j)| = before[j] - |W ∩ [1, b_i]|, plus all d of W when
     # the gap wraps past n: when a_j <= b_i, so j <= i, unless interval i
     # wraps itself and so ends before every start. Such a column reads b_i
     # unwrapped (low); every other one reads b_i + n (high), as in _gap_matrix
-    columns, before, lo_shift, hi_shift, lo_less, hi_less = [], [], [], [], [], []
+    columns = _columns(P, intervals)
+    before, lo_shift, hi_shift, lo_less, hi_less = [], [], [], [], []
     for a, b in intervals:
-        m = masks[a - 1]
-        columns.append((m | m << n) & circle << a - 1)
         before.append((W & (1 << a - 1) - 1).bit_count())
         upto = (W & (1 << b) - 1).bit_count()
         hi_shift.append(b + n)
@@ -642,48 +645,38 @@ def rank(
 
 def _candidate_first(s: int, d: int) -> bool:
     """Whether rank_dp runs the search (positroids.morph._maximum_basis)
-    before the table, for s intervals of E and rank d: from 15 intervals
-    on, once the table's s^3 steps reach half the d^2 fields of the
-    candidate's Gale test. Below either, the search costs more than the
-    table, or about as much, and a miss pays for both (measured crossovers,
-    12 queries per point, Gale rows packed: s = 12-13 at d = 75, 22-23 at
-    d = 200, about 46 at d = 498; with a miss's table counted too, about
-    24 at d = 200 and 50 at d = 498)."""
-    return s >= 15 and 2 * s ** 3 >= d * d
-
-
-def _second_first(s: int, d: int) -> bool:
-    """Whether rank_dp, once walker 0's candidate has failed its Gale test,
-    tries the second walk (positroids.morph._maximum_basis) before the
-    table, for s intervals of E and rank d: from s^2 >= 8d on. Finding its
-    start on walker 0's kept stages and walking it costs up to s one-anchor
-    Gale tests, up to s mimics and one full test of d^2 fields, against the
-    table's s^3 steps (crossovers on such misses, random decorated
-    positroids, measured when a miss walked walker 0 twice: s = 18 at
-    d = 33, 25 at d = 75 and about 33 at d = 200)."""
-    return s * s >= 8 * d
+    before the table, for s intervals of E and rank d: at s <= 1, where the
+    search returns a necklace member untested, and from 15 intervals on,
+    once the table's s^3 steps reach half the d^2 fields of the candidate's
+    Gale test. Between, the search costs more than the table, or about as
+    much, and a miss pays for both (measured crossovers, 12 queries per
+    point, Gale rows packed: s = 12-13 at d = 75, 22-23 at d = 200, about
+    46 at d = 498; with a miss's table counted too, about 24 at d = 200 and
+    50 at d = 498)."""
+    return s <= 1 or (s >= 15 and 2 * s ** 3 >= d * d)
 
 
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     """Same value as rank(...).value, without touching partitions.
 
     Runs on P itself, E's own intervals over P's masks, with no reduction
-    and no coloop bonus (see _query). For enough intervals of E
-    (_candidate_first), the search the witness uses runs first, without its
-    recursion (positroids.morph._maximum_basis): walker 0's fully morphed
-    set W, and, when W is no basis and E has enough intervals
-    (_second_first), the second walk's. A basis that some partition closes
-    over tightly gives |W ∩ E| as the rank (_maximal), proved from a band of
-    usually about 5s of the s^2 gaps after one Gale test of d^2 fields, with
-    no gap matrix. Otherwise, and for fewer intervals, where the search
-    costs about as much as the table or more, the answer is the corner
-    entry of the O(s^3) rank table over E's s x s gap matrix."""
+    and no coloop bonus (see _query). Where _candidate_first says so, the
+    search the witness uses runs first (positroids.morph._maximum_basis),
+    every set it tries as the witness tries it: I_{a_1} for at most one
+    interval, else walker 0's fully morphed set, and the second walk's
+    when that is no basis. A basis that some partition closes over tightly
+    gives |W ∩ E| as the rank (_maximal), proved from a band of usually
+    about 5s of the s^2 gaps after one Gale test of d^2 fields, with no gap
+    matrix. When the search proves nothing, and for the other interval
+    counts, where it costs about as much as the table or more, the answer
+    is the corner entry of the O(s^3) rank table over E's s x s gap
+    matrix."""
     intervals, members = _query(P, E)
     s = len(intervals)
     if _candidate_first(s, P.d):
         from .morph import _maximum_basis  # morph builds on this module
 
-        W = _maximum_basis(P, intervals, False)
+        W = _maximum_basis(P, intervals)
         if W is not None:
             return (W & members).bit_count()
     return _rank_table(_gap_matrix(P, intervals), P.d)[s][1]

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -322,6 +323,18 @@ class TestMorphTraceVerb:
         code = main(["morph-trace", "--perm", ref_perm_file, "--set", "1-3", "--start", "2"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_refused_mimic_exits_2(self, capsys, ref_perm_file, monkeypatch):
+        # every stage of a checked input is compatible, so a mimic the walk
+        # cannot make is the package's fault, not the input's
+        def broken(J, Ic, b, c, d, n):
+            raise ValidationError(f"set is not compatible with I_{c}")
+
+        monkeypatch.setattr(morph, "_trade", broken)
+        code = main(["morph-trace", "--perm", ref_perm_file, "--set", "2-4,7-10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("internal error: morph walk failed: set is not compatible with I_7")
 
 
 class TestFromMatrixVerb:
@@ -654,3 +667,30 @@ class TestStartUp:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].startswith("all ")
         assert "Traceback" not in proc.stderr
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+class TestPinnedOutputs:
+    """The stdout of every demo and of repro, text and JSON, byte for byte:
+    a SHA-256 digest each. Each is deterministic, under any hash seed."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ([str(DEMOS / "01_necklaces_and_permutations.py")],
+         "33c31cffa40f797a1ba13b75fe56777a80f1370870718e0a92d1aa4f448dd72f"),
+        ([str(DEMOS / "02_rank_certificates.py")],
+         "e0752de574ca7a3063076527afa6e13716cd3d2612a76054f8e34c71f00fabf4"),
+        ([str(DEMOS / "03_morphs_and_witnesses.py")],
+         "1598cecf8759a00846f09ba828c310286fcc5da0b40759590bac8934da5e34c2"),
+        ([str(DEMOS / "04_matrices_to_positroids.py")],
+         "25a73554e5963ccc70bc2f3795217df397e08b89cacc33e460da8f81b17a614f"),
+        (["-m", "positroids.cli", "repro", "--text"],
+         "24c1014729eb4310f9a894e6eb17bc4fb346df39924878723a49c1828097b392"),
+        (["-m", "positroids.cli", "repro"],
+         "0fc7964f76408efab0975b0a0b14b6302b3ccaea5a2a111b7e6ef6157b103602"),
+    ], ids=["demo-01", "demo-02", "demo-03", "demo-04", "repro-text", "repro-json"])
+    def test_stdout_is_pinned(self, args, digest):
+        proc = run_fresh(args)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

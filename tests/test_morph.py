@@ -656,10 +656,12 @@ class TestWitness:
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
     def test_rejected_candidate_builds_a_table_only_in_rank_dp(self, monkeypatch, walks, recursion_calls, k):
-        # the candidate is no basis, so rank_dp, made to try it at any s but
-        # below its second-walk rule, falls back to one rank table;
-        # witness_basis walks walker 0 once, proves the second walk's basis
-        # by a tight partition and builds no table
+        # the candidate is no basis, so rank_dp, made to try the search at
+        # any s, walks what the witness walks, walker 0 and the second walk,
+        # and proves the second walk's basis with no table. With the second
+        # walk turned off, both walks miss: rank_dp falls back to one rank
+        # table, and the witness runs the recursion, proves its basis by a
+        # tight partition and builds no table
         rank_module = importlib.import_module("positroids.rank")
         tables = []
         build = rank_module._rank_table
@@ -668,10 +670,16 @@ class TestWitness:
         P, E = _rejected(k)
         intervals = decompose(E, P.n).intervals
         assert rank_dp(P, E) == rank_bruteforce(P, E)
-        assert len(tables) == 1 and walks == [intervals]
+        searched = list(walks)
+        assert tables == [] and len(searched) == 2 and searched[0] == intervals != searched[1]
+        witness_basis(P, E)
+        assert tables == [] and walks == searched * 2 and recursion_calls == []
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
+        walks.clear()
+        assert rank_dp(P, E) == rank_bruteforce(P, E)
+        assert len(tables) == 1 and walks == [intervals, intervals]
         W = witness_basis(P, E)
-        assert len(tables) == 1 and walks.count(intervals) == 2 and len(walks) == 3
-        assert recursion_calls == []
+        assert len(tables) == 1 and recursion_calls == [intervals]
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     def test_a_candidate_hit_builds_no_gap_matrix(self, ref_positroid, monkeypatch, gap_matrices):
@@ -689,11 +697,16 @@ class TestWitness:
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
     def test_rejected_candidate_builds_one_gap_matrix(self, monkeypatch, gap_matrices, k):
-        # with the candidate forced first, its miss costs rank_dp the table's
-        # one gap matrix, over E's own intervals
+        # with the search forced first, the second walk proves the basis
+        # and no gap matrix is built; with the second walk turned off, the
+        # candidate's miss costs rank_dp the table's one gap matrix, over
+        # E's own intervals
         rank_module = importlib.import_module("positroids.rank")
         monkeypatch.setattr(rank_module, "_candidate_first", lambda s, d: True)
         P, E = _rejected(k)
+        assert rank_dp(P, E) == rank_bruteforce(P, E)
+        assert gap_matrices == []
+        monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
         assert rank_dp(P, E) == rank_bruteforce(P, E)
         assert gap_matrices == [decompose(E, P.n).intervals]
 
@@ -736,15 +749,23 @@ class TestWitness:
         assert calls == [1]
 
     def test_failure_inside_is_a_contract_violation(self, monkeypatch):
-        # the candidate misses, the second walk is turned off, and the
-        # recursion then fails inside
-        def broken(P, intervals):
-            raise ValidationError("element 0 out of range")
+        # the candidate misses, the second walk is turned off, and a mimic
+        # of the recursion's own walks then refuses
+        recursion, trade, inside = morph._witness_rec, morph._trade, []
+
+        def broken(J, Ic, b, c, d, n):
+            if inside:
+                raise ValidationError(f"set is not compatible with I_{c}")
+            return trade(J, Ic, b, c, d, n)
 
         monkeypatch.setattr(morph, "_second_start", lambda P, walk: 0)
-        monkeypatch.setattr(morph, "_witness_rec", broken)
-        with pytest.raises(ContractViolationError, match="witness construction failed: element 0"):
+        monkeypatch.setattr(
+            morph, "_witness_rec", lambda P, intervals: inside.append(1) or recursion(P, intervals)
+        )
+        monkeypatch.setattr(morph, "_trade", broken)
+        with pytest.raises(ContractViolationError, match="morph walk failed: set is not compatible"):
             witness_basis(*_rejected(0))
+        assert inside == [1]
 
     def test_failure_in_the_candidate_is_a_contract_violation(
         self, ref_positroid, monkeypatch, recursion_calls
@@ -753,7 +774,7 @@ class TestWitness:
             raise ValidationError(f"set is not compatible with I_{c}")
 
         monkeypatch.setattr(morph, "_trade", broken)
-        with pytest.raises(ContractViolationError, match="witness construction failed: set is not"):
+        with pytest.raises(ContractViolationError, match="morph walk failed: set is not"):
             witness_basis(ref_positroid, E4)
         assert recursion_calls == []
 

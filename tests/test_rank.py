@@ -821,10 +821,33 @@ class TestCandidateFirst:
             sizes.add(decompose(E, n).s)
         assert max(sizes) == 300
 
+    def test_one_interval_takes_its_necklace_member(self, monkeypatch):
+        # s <= 1 on every decorated positroid with n <= 6: the search's
+        # untested I_{a_1} (I_1 for an empty set) gives the rank, with no
+        # gap matrix and no Gale rows packed
+        matrices = []
+        build = RANK_MODULE._gap_matrix
+        monkeypatch.setattr(
+            RANK_MODULE, "_gap_matrix", lambda P, intervals: matrices.append(intervals) or build(P, intervals)
+        )
+        queries = 0
+        for n in range(7):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    intervals = decompose(E, n).intervals
+                    if len(intervals) > 1:
+                        continue
+                    expected = rank_of_interval(P, *intervals[0]) if intervals else 0
+                    assert rank_dp(P, E) == expected, (P.perm, sorted(E))
+                    queries += 1
+                assert "_gale_packing" not in vars(P), P.perm
+        assert matrices == [] and queries == 70859
+
     def test_small_queries_build_no_gale_packing(self):
-        # below the crossover rank_dp reads the table only, so a fresh
-        # positroid never packs its Gale rows: one interval, 14 intervals,
-        # and 20 intervals against d = 200, where s^3 < d^2
+        # a fresh positroid packs no Gale rows where rank_dp reads the table
+        # only, nor at one interval, whose necklace member it takes
+        # untested: one interval, 14 intervals, and 20 intervals against
+        # d = 200, where s^3 < d^2
         rng = random.Random(77)
         for s, n in ((1, 400), (14, 150), (20, 400)):
             P = random_decorated_positroid(n, rng)
@@ -846,10 +869,10 @@ class TestCandidateFirst:
 
 
 class TestSecondCandidate:
-    """When walker 0's candidate is no basis, rank_dp tries the walk from
-    the interval where walker 0 stopped making bases, found on walker 0's
-    kept stages (morph._second_start), before the table, from s^2 >= 8d on
-    (_second_first)."""
+    """When walker 0's candidate is no basis, rank_dp, like the witness,
+    tries the walk from the interval where walker 0 stopped making bases,
+    found on walker 0's kept stages (morph._second_start), before the
+    table, at every s the search runs for."""
 
     @pytest.fixture
     def seconds(self, monkeypatch):
@@ -887,12 +910,10 @@ class TestSecondCandidate:
         return found
 
     def test_every_small_decorated_query_takes_the_tables_value(self, monkeypatch, seconds):
-        # both candidates forced at any s: the 36 queries with n <= 6 whose
+        # the search forced at any s: the 36 queries with n <= 6 whose
         # walker-0 candidate is no basis take the second candidate, and the
-        # value is the table's whichever path answers; the second rule is
-        # read where the search runs, in positroids.morph
+        # value is the table's whichever path answers
         monkeypatch.setattr(RANK_MODULE, "_candidate_first", lambda s, d: True)
-        monkeypatch.setattr(MORPH_MODULE, "_second_first", lambda s, d: True)
         queries = 0
         for n in range(7):
             for P in decorated_positroids(n):
@@ -919,9 +940,9 @@ class TestSecondCandidate:
         assert value == rank(P, E).value
 
     def test_a_second_miss_falls_back_to_the_table(self, seconds, walks, gap_matrices):
-        # n = 60, s = 20, d = 29: 400 >= 8d, and the second candidate is no
-        # basis either, so rank_dp builds the table's one gap matrix, having
-        # walked walker 0 once and the second walk once
+        # n = 60, s = 20, d = 29: the second candidate is no basis either,
+        # so rank_dp builds the table's one gap matrix, having walked walker
+        # 0 once and the second walk once
         P, E = self.seeded(60, 20, 124)
         intervals, _ = RANK_MODULE._query(P, E)
         assert (len(intervals), P.d) == (20, 29)
@@ -934,16 +955,18 @@ class TestSecondCandidate:
         assert seconds == [t] and walks == [intervals, walk] and gap_matrices == [intervals]
         assert value == rank(P, E).value
 
-    def test_below_the_rule_a_miss_takes_the_table(self, seconds, walks, gap_matrices):
-        # n = 150, s = 20, d = 74: the candidate is tried (s >= 15) but
-        # 400 < 8d, so its miss goes straight to the table
+    def test_a_miss_with_few_intervals_is_proved_by_the_second(self, seconds, walks, gap_matrices):
+        # n = 150, s = 20, d = 74, few intervals for so large a d: the
+        # candidate is tried (s >= 15) and is no basis, and the second
+        # walk, from stage 13, is proved maximum with no gap matrix
         P, E = self.seeded(150, 20, 4)
         intervals, _ = RANK_MODULE._query(P, E)
         assert (len(intervals), P.d) == (20, 74)
         assert not MORPH_MODULE._is_basis(P, self.fully_morphed(P, intervals))
         walks.clear()
         value = rank_dp(P, E)
-        assert seconds == [] and walks == [intervals] and gap_matrices == [intervals]
+        walk = intervals[13:] + intervals[:13]
+        assert seconds == [13] and walks == [intervals, walk] and gap_matrices == []
         assert value == rank(P, E).value
 
 

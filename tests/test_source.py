@@ -116,6 +116,20 @@ def test_only_pi_inv_reads_the_inverse():
     assert readers == {("positroid.py", "DecoratedPermutation.pi_inv")}
 
 
+def test_morph_reads_only_the_proof_from_rank():
+    # the search holds no policy of rank_dp's: when rank_dp tries it and
+    # when it builds the table stay in rank.py, and morph.py reads only the
+    # query and the maximality proof from there, never the module itself
+    path = SOURCE / "morph.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("rank", "positroids.rank"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names if alias.name.endswith("rank")]
+    assert sorted(imported) == ["_maximal", "_query"]
+
+
 def test_public_names_listed_by_their_module():
     # each public name has one owner: the module that defines it lists it
     # in its own __all__, as the package's __all__ does
