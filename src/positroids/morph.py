@@ -22,8 +22,9 @@ without align_basis's checks, both phases of an alignment trading through
 one partner search, on an explicit stack up to s levels deep. One proof of
 maximality serves every set tried and align_basis's precondition: the set
 is a basis, and some non-crossing partition of E closes only over gaps it
-meets tightly (rank._maximal), a search over a band of gaps near the
-diagonal that widens only on a miss. Neither the search, the recursion nor
+meets tightly (rank._maximal): all singletons or one block, whose bounds
+have closed forms, else a search over a band of gaps near the diagonal
+that widens only on a miss. Neither the search, the recursion nor
 align_basis computes rank(E) or builds the rank table or its s x s gap
 matrix. Each set built, interval_exchange's result and each gap-free stage
 too, is one mask checked once by _is_basis: no bit past n and d members,

@@ -49,13 +49,15 @@ counts and rank queries live in positroids.rank.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, repeat
 from operator import ge, mul
 from struct import pack
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cyclic import (
     _as_tuple,
@@ -431,23 +433,25 @@ class Positroid:
         # positroid with loops or coloops on it
         return reduce(self)
 
-    def _floor_rows(self) -> Iterator[list[int]]:
+    def _floor_rows(self, kind: Callable = list) -> Iterator:
         # row k-1: I_k read from k, each member written as k plus its position
         # from k (x or x + n), sorted; B >=_k I_k when B read the same way
         # lies at or above this row entry by entry. Rows follow necklace_of's
         # walk without building the necklace: moving the anchor past k keeps
         # every other member's value, so a non-fixed k (the row's first
         # entry) leaves and pi(k) joins, a black fixed point k moves to the
-        # end as k + n, and a white one changes nothing
+        # end as k + n, and a white one changes nothing. Each row is a new
+        # sequence of the given kind, a list or _gale_packing's array
         n, black = self.n, self.perm.black
-        row = sorted(_first_entry(self.perm))
+        row = kind(sorted(_first_entry(self.perm)))
         for k, image in enumerate(self.perm.images, start=1):
             yield row
             if image != k:
                 row = row[1:]
                 insort(row, image if image > k else image + n)
             elif k in black:
-                row = row[1:] + [k + n]
+                row = row[1:]
+                row.append(k + n)
 
     @cached_property
     def _gale_packing(self) -> tuple[str, int, tuple[bytes, ...], bytes, int]:
@@ -455,11 +459,19 @@ class Positroid:
         # narrowest field whose top bit, the guard, lies above every lifted
         # value (all are below 2n); the floor rows in such fields; the lift,
         # d guards then d guards plus n, added to a set listed twice; and the
-        # guard bits of d windows, which a test of fewer fields shifts down
+        # guard bits of d windows, which a test of fewer fields shifts down.
+        # The rows are walked as arrays of the field width, each row's bytes
+        # its fields, swapped to little-endian on a big-endian host
         n, d = self.n, self.d
         code, width = ("H", 2) if 2 * n < 1 << 15 else ("I", 4) if 2 * n < 1 << 31 else ("Q", 8)
         guard = 1 << (8 * width - 1)
-        rows = tuple(pack(f"<{d}{code}", *row) for row in self._floor_rows())
+        typecode = next(c for c in "HILQ" if array(c).itemsize == width)
+        rows = tuple(map(array.tobytes, self._floor_rows(partial(array, typecode))))
+        if sys.byteorder == "big":
+            swapped = [array(typecode, raw) for raw in rows]
+            for row in swapped:
+                row.byteswap()
+            rows = tuple(map(array.tobytes, swapped))
         lift = pack(f"<{2 * d}{code}", *[guard] * d, *[guard + n] * d)
         guards = int.from_bytes(lift[:width] * (d * d), "little")
         return code, width, rows, lift, guards

@@ -20,28 +20,29 @@ A basis W is proved maximum without computing rank(E) by a primal-dual
 certificate. W meets E in at most rank(E) elements, and a block meets W in
 d less W's elements in the gaps it closes over; so a partition that closes
 only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
-rank(E) (_maximal). It counts the gaps in a band of cyclic diagonals
-around the main one, widened only when the band's tight gaps prove
-nothing, so a maximum basis is nearly always proved from about 5s of the
-s^2 gaps. It proves every basis that the search rank_dp and the witness
-share tries (positroids.morph._maximum_basis), each first checked to be a
-basis by one Gale test, and align_basis's precondition. The search tries
-the same sets for both; rank_dp's one rule, _candidate_first, keeps the
-table for the interval counts where it is the cheaper, and rank_dp falls
-back to it when the search proves nothing; no witness or alignment builds
-it.
+rank(E) (_maximal). Two partitions have closed-form bounds, all
+singletons and one block (_closed_bounds), and W meeting E in either is
+proved from those 2s gaps alone; otherwise _maximal counts the gaps in a
+band of cyclic diagonals around the main one, widened only when the
+band's tight gaps prove nothing. It proves every basis that the search
+rank_dp and the witness share tries (positroids.morph._maximum_basis),
+each first checked to be a basis by one Gale test, and align_basis's
+precondition. The search tries the same sets for both; rank_dp's one
+rule, _candidate_first, keeps the table for the interval counts where it
+is the cheaper, and rank_dp falls back to it when the search proves
+nothing; no witness or alignment builds it.
 
 Every count above is one popcount on the stored necklace masks (Oh, 2011):
 since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
 of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
 one run of bits (_columns, the one builder of that form). The table's
-users, rank(), rank_dp's fallback, natural_bound and bound_for_partition,
-build the s x s gap matrix from s masks in O(s^2) shifts and popcounts
-(_gap_matrix); _maximal makes the same shifts and popcounts for its band's
-diagonals only. Nothing is kept, neither per query nor per anchor; the
-necklace itself is built once and kept on the Positroid. A one-interval
-count (_gap_ccw) is I_a's mask less the arc [a, b] (cyclic._arc), one
-popcount.
+users, rank(), rank_dp's fallback and bound_for_partition, build the
+s x s gap matrix from s masks in O(s^2) shifts and popcounts (_gap_matrix);
+natural_bound and _maximal make the same shifts and popcounts for the
+diagonals they read only. Nothing is kept, neither per query nor per
+anchor; the necklace itself is built once and kept on the Positroid. A
+one-interval count (_gap_ccw) is I_a's mask less the arc [a, b]
+(cyclic._arc), one popcount.
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
 builds on demand; no query reads them.
@@ -311,11 +312,12 @@ def min_elements(P: Positroid, b: int, a: int) -> int:
 
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
-    """d minus the sum of ccw over the gaps of E; 0 when E is empty."""
+    """d minus the sum of ccw over the gaps of E; 0 when E is empty: the
+    one-block bound, read off s gaps (_closed_bounds)."""
     _check_type(P, Positroid, "P")
     _check_type(E, IntervalDecomposition, "E")
     _check_ground(E.n, P.n)
-    return _block_bound(tuple(range(1, E.s + 1)), _gap_matrix(P, E.intervals), P.d) if E.s else 0
+    return _closed_bounds(P, E.intervals, _columns(P, E.intervals))[1] if E.s else 0
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
@@ -383,6 +385,23 @@ def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[li
         w.append([(m >> b).bit_count() for m in columns[:k]]
                  + [(m >> b + n).bit_count() for m in columns[k:]])
     return w
+
+
+def _closed_bounds(
+    P: Positroid, intervals: tuple[tuple[int, int], ...], columns: list[int]
+) -> tuple[int, int]:
+    """The bounds of the two partitions with closed forms, for s >= 1
+    intervals and their _columns: (all singletons, s·d less the gaps
+    w[i][i], and one block, d less the gaps w[i][i + 1 mod s]), the main and
+    +1 cyclic diagonals of _gap_matrix, one shift and popcount per gap. A
+    column j <= i reads b_i unwrapped unless interval i wraps, as there: on
+    the +1 diagonal only the last row's gap into the first interval does."""
+    n, d, s = P.n, P.d, len(intervals)
+    low = [b if a <= b else b + n for a, b in intervals]
+    high = [b + n for _, b in intervals[:-1]] + low[-1:]
+    singletons = s * d - sum(map(int.bit_count, map(rshift, columns, low)))
+    block = d - sum(map(int.bit_count, map(rshift, columns[1:] + columns[:1], high)))
+    return singletons, block
 
 
 def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
@@ -482,19 +501,25 @@ def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bo
     own intervals suffice, loops and coloops included: weak duality holds
     on any positroid (see _query), and the theorem is applied to P itself.
 
-    The gaps are counted one cyclic diagonal j = i + k (mod s) at a time,
-    in a band of offsets k from -_FIRST_WIDTH to _FIRST_WIDTH first, each
-    diagonal one C-level map of _gap_matrix's shift and popcount over the s
-    columns, its counts compared with W's. Only the tight gaps are kept, as
+    First |W ∩ E| is compared with the two closed-form bounds
+    (_closed_bounds): W meets E in at most rank(E) elements and rank(E) in
+    at most either bound, so equality with one proves W maximum, and says
+    that partition's gaps are all tight, so the verdict is the bands'. Of
+    the rank_dp and witness sets tried on perfbench's rank_queries inputs
+    (n = 150, seeds 1-5, passes 0-2), that proved 685 of the 717 with
+    s = 20-60 (358 by one block, 327 by the singletons alone) and 373 of
+    the 420 witness sets with s = 2-8.
+
+    Otherwise the gaps are counted one cyclic diagonal j = i + k (mod s) at
+    a time, in a band of offsets k from -_FIRST_WIDTH to _FIRST_WIDTH
+    first, each diagonal one C-level map of _gap_matrix's shift and
+    popcount over the s columns, its counts compared with W's. Only the tight gaps are kept, as
     bit sets, and _partitioned searches them; when it finds no partition,
     the band widens _GROWTH-fold, counting only the new diagonals. Every gap
     a partition uses was checked tight, so True is sound at any width, and
-    the last band is all s^2 gaps, so False is exact. A maximum basis is
-    nearly always proved over gaps near the diagonal: of the 612 rank_dp
-    candidates that were bases in perfbench's rank_queries inputs (n = 150,
-    seeds 1-3, passes 0-3), all were maximum and 609 were proved by the
-    first band, and an s = 60 query there has a median of 131 tight gaps
-    of 3,600.
+    the last band is all s^2 gaps, so False is exact. The first band
+    proved 29 of the 32 rank_dp sets above left to the bands and 43 of the
+    47 witness sets.
     """
     s = len(intervals)
     if not s:
@@ -505,14 +530,16 @@ def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bo
     # wraps itself and so ends before every start. Such a column reads b_i
     # unwrapped (low); every other one reads b_i + n (high), as in _gap_matrix
     columns = _columns(P, intervals)
-    before, lo_shift, hi_shift, lo_less, hi_less = [], [], [], [], []
-    for a, b in intervals:
-        before.append((W & (1 << a - 1) - 1).bit_count())
-        upto = (W & (1 << b) - 1).bit_count()
-        hi_shift.append(b + n)
-        hi_less.append(upto)
-        lo_shift.append(b if a <= b else b + n)
-        lo_less.append(upto - d if a <= b else upto)
+    before = [(W & (1 << a - 1) - 1).bit_count() for a, _ in intervals]
+    upto = [(W & (1 << b) - 1).bit_count() for _, b in intervals]
+    # |W ∩ E|: each [a, b] holds W's members up to b less those before a,
+    # plus all d of them when it wraps past n
+    met = sum(upto) - sum(before) + d * sum(a > b for a, b in intervals)
+    if met in _closed_bounds(P, intervals, columns):
+        return True
+    hi_shift, hi_less = [b + n for _, b in intervals], upto
+    lo_shift = [b if a <= b else b + n for a, b in intervals]
+    lo_less = [u - d if a <= b else u for (a, b), u in zip(intervals, upto)]
     columns += columns
     before += before
     tight_from, tight_into = [0] * s, [0] * s
@@ -646,14 +673,14 @@ def rank(
 def _candidate_first(s: int, d: int) -> bool:
     """Whether rank_dp runs the search (positroids.morph._maximum_basis)
     before the table, for s intervals of E and rank d: at s <= 1, where the
-    search returns a necklace member untested, and from 15 intervals on,
+    search returns a necklace member untested, and from 9 intervals on,
     once the table's s^3 steps reach half the d^2 fields of the candidate's
     Gale test. Between, the search costs more than the table, or about as
     much, and a miss pays for both (measured crossovers, 12 queries per
-    point, Gale rows packed: s = 12-13 at d = 75, 22-23 at d = 200, about
-    46 at d = 498; with a miss's table counted too, about 24 at d = 200 and
-    50 at d = 498)."""
-    return s <= 1 or (s >= 15 and 2 * s ** 3 >= d * d)
+    point, Gale rows packed, the closed-form bounds tried first: s = 8 at
+    d = 18, 9 at d = 40, 11 at d = 73, 22-24 at d = 205, 46-48 at d = 497;
+    with a miss's table counted too, 13 at d = 73 and 26-28 at d = 205)."""
+    return s <= 1 or (s >= 9 and 2 * s ** 3 >= d * d)
 
 
 def rank_dp(P: Positroid, E: Iterable[int]) -> int:
@@ -665,9 +692,9 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     every set it tries as the witness tries it: I_{a_1} for at most one
     interval, else walker 0's fully morphed set, and the second walk's
     when that is no basis. A basis that some partition closes over tightly
-    gives |W ∩ E| as the rank (_maximal), proved from a band of usually
-    about 5s of the s^2 gaps after one Gale test of d^2 fields, with no gap
-    matrix. When the search proves nothing, and for the other interval
+    gives |W ∩ E| as the rank (_maximal), proved after one Gale test of d^2
+    fields, nearly always by a closed-form bound read off 2s gaps, else
+    from a band of gaps near the diagonal, with no gap matrix. When the search proves nothing, and for the other interval
     counts, where it costs about as much as the table or more, the answer
     is the corner entry of the O(s^3) rank table over E's s x s gap
     matrix."""

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import struct
+import sys
 from dataclasses import fields
 from itertools import combinations
 from typing import Iterator
@@ -566,6 +567,20 @@ class TestPackedGale:
                         outcomes.add(all(each))
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_packed_rows_are_the_floor_rows_little_endian(self, monkeypatch, byteorder):
+        # each packed row is its floor row in little-endian fields, the
+        # array's bytes swapped when the host reports big-endian order: on a
+        # host of the other order the swap gives big-endian fields instead
+        order = "<" if byteorder == sys.byteorder else ">"
+        monkeypatch.setattr(positroid_module.sys, "byteorder", byteorder)
+        rng = random.Random(431)
+        cases = [P for n in range(7) for P in decorated_positroids(n)]
+        cases += [random_decorated_positroid(n, n // 10, rng) for n in (11, 150, 300, 1000)]
+        for P in cases:
+            code, _, rows, *_ = P._gale_packing
+            assert rows == tuple(struct.pack(f"{order}{P.d}{code}", *row) for row in P._floor_rows()), P.perm
+
     @pytest.mark.parametrize("n,code", [(16383, "H"), (16384, "I")])
     def test_field_width_follows_n(self, n, code):
         # 2n < 2^15 leaves the 16-bit field's top bit free for the guard; one
@@ -582,6 +597,7 @@ class TestPackedGale:
         white = [x for x in range(1, n + 1) if x not in moving]
         P = Positroid.from_oneline(images, white=white)
         assert P._gale_packing[0] == code
+        assert P._gale_packing[2] == tuple(struct.pack(f"<{P.d}{code}", *row) for row in P._floor_rows())
         outcomes = set()
         for B in combinations(sorted([*moving, 4, n - 5]), P.d):
             ordered = list(B)

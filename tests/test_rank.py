@@ -324,6 +324,27 @@ class TestBounds:
         assert natural_bound(ref_positroid, decompose(E5, 14)) == 5
         assert natural_bound(ref_positroid, decompose((), 14)) == 0
 
+    def test_natural_bound_is_the_one_block_bound(self):
+        # natural_bound reads the +1 cyclic diagonal alone; bound_for_partition
+        # reads the same block off the full gap matrix: every decorated
+        # (P, E) with n <= 6, then seeded n = 150 queries up to s = 60
+        def one_block(D):
+            return NonCrossingPartition.from_blocks(D.s, [range(1, D.s + 1)] if D.s else [])
+
+        queries = 0
+        for n in range(7):
+            for P in decorated_positroids(n):
+                for E in all_subsets(n):
+                    D = decompose(E, n)
+                    assert natural_bound(P, D) == bound_for_partition(P, D, one_block(D)), (P.perm, sorted(E))
+                    queries += 1
+        rng = random.Random(150)
+        for s in (1, 2, 8, 30, 60):
+            P = random_decorated_positroid(150, rng, fixed=8)
+            D = decompose(random_union(150, s, rng), 150)
+            assert D.s == s and natural_bound(P, D) == bound_for_partition(P, D, one_block(D))
+        assert queries == 136873
+
     def test_bound_for_partition(self, ref_positroid):
         E = decompose(E5, 14)
         values = {
@@ -846,13 +867,13 @@ class TestCandidateFirst:
     def test_small_queries_build_no_gale_packing(self):
         # a fresh positroid packs no Gale rows where rank_dp reads the table
         # only, nor at one interval, whose necklace member it takes
-        # untested: one interval, 14 intervals, and 20 intervals against
-        # d = 200, where s^3 < d^2
+        # untested: one interval, 8 intervals, 12 intervals against d = 74
+        # and 20 against d = 205, where 2s^3 < d^2
         rng = random.Random(77)
-        for s, n in ((1, 400), (14, 150), (20, 400)):
+        for s, n in ((1, 400), (8, 150), (12, 150), (20, 400)):
             P = random_decorated_positroid(n, rng)
             E = random_union(n, s, rng)
-            assert len(RANK_MODULE._query(P, E)[0]) == s and (s < 15 or s ** 3 < P.d ** 2)
+            assert len(RANK_MODULE._query(P, E)[0]) == s and (s < 9 or 2 * s ** 3 < P.d ** 2)
             assert rank_dp(P, E) == rank(P, E).value
             assert "_gale_packing" not in vars(P)
 
@@ -957,7 +978,7 @@ class TestSecondCandidate:
 
     def test_a_miss_with_few_intervals_is_proved_by_the_second(self, seconds, walks, gap_matrices):
         # n = 150, s = 20, d = 74, few intervals for so large a d: the
-        # candidate is tried (s >= 15) and is no basis, and the second
+        # candidate is tried (2s^3 >= d^2) and is no basis, and the second
         # walk, from stage 13, is proved maximum with no gap matrix
         P, E = self.seeded(150, 20, 4)
         intervals, _ = RANK_MODULE._query(P, E)
@@ -1007,7 +1028,10 @@ class TestBands:
 
     def test_every_first_band_gives_the_full_answer(self, monkeypatch):
         # the 40,525 (P, E, basis) triples with n <= 5 once more, the search
-        # started from the diagonal alone, from offsets -1..1 and from all s
+        # started from the diagonal alone, from offsets -1..1 and from all s,
+        # with the closed-form bounds tried first and, so that every verdict
+        # comes from the bands, with that check off: no count of W's meets -1
+        closed = RANK_MODULE._closed_bounds
         triples = 0
         for n in range(6):
             for P in decorated_positroids(n):
@@ -1015,13 +1039,29 @@ class TestBands:
                 for E in all_subsets(n):
                     intervals, members = RANK_MODULE._query(P, E)
                     top = max((W & members).bit_count() for W in bases)
-                    for first in (0, 1, len(intervals)):
-                        monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", first)
-                        for W in bases:
-                            tight = RANK_MODULE._maximal(P, intervals, W)
-                            assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W, first)
+                    for bounds in (closed, lambda P, intervals, columns: (-1, -1)):
+                        monkeypatch.setattr(RANK_MODULE, "_closed_bounds", bounds)
+                        for first in (0, 1, len(intervals)):
+                            monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", first)
+                            for W in bases:
+                                tight = RANK_MODULE._maximal(P, intervals, W)
+                                assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W, first)
                     triples += len(bases)
         assert triples == 40525
+
+    @pytest.mark.parametrize("E, singletons, block", [(E4, 5, 3), ({1, 5}, 2, 4)])
+    def test_a_closed_form_bound_proves_with_no_band(self, ref_positroid, searches, E, singletons, block):
+        # the witness meets E in rank(E) elements, the one-block bound for
+        # E4 and the all-singletons bound, alone, for {1, 5}: _maximal
+        # proves it from that bound, with no _partitioned search
+        P = ref_positroid
+        intervals, members = RANK_MODULE._query(P, E)
+        W = sum(1 << x - 1 for x in witness_basis(P, E))
+        assert RANK_MODULE._closed_bounds(P, intervals, RANK_MODULE._columns(P, intervals)) == (singletons, block)
+        assert (W & members).bit_count() == min(singletons, block) == rank(P, E).value
+        searches.clear()
+        assert RANK_MODULE._maximal(P, intervals, W)
+        assert searches == []
 
     def test_a_maximum_basis_proved_only_by_a_wider_band(self, searches):
         # n = 40, s = 8: the witness, a maximum basis, has no all-tight
