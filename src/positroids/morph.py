@@ -22,9 +22,10 @@ without align_basis's checks, both phases of an alignment trading through
 one partner search, on an explicit stack up to s levels deep. One proof of
 maximality serves every set tried and align_basis's precondition: the set
 is a basis, and some non-crossing partition of E closes only over gaps it
-meets tightly (rank._maximal): all singletons or one block, whose bounds
-have closed forms, else a search over a band of gaps near the diagonal
-that widens only on a miss. Neither the search, the recursion nor
+meets tightly (rank._maximal, handed rank._query's pair of E's intervals
+and E's mask): all singletons or one block, whose bounds have closed
+forms, else a search over a band of gaps near the diagonal that widens
+only on a miss. Neither the search, the recursion nor
 align_basis computes rank(E) or builds the rank table or its s x s gap
 matrix. Each set built, interval_exchange's result and each gap-free stage
 too, is one mask checked once by _is_basis: no bit past n and d members,
@@ -336,10 +337,10 @@ def align_basis(
     B = _as_tuple(B, "set elements")
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
-    B, (intervals, members) = _mask(B), _query(P, E.members)
-    if not _maximal(P, intervals, B):
+    B, query = _mask(B), _query(P, E.members)
+    if not _maximal(P, query, B):
         raise ValidationError(
-            f"basis meets the set in {(B & members).bit_count()} elements, "
+            f"basis meets the set in {(B & query[1]).bit_count()} elements, "
             "fewer than the maximum"
         )
     aligned = _align(P, B, *E.intervals[i - 1], E.intervals[(i - 2) % E.s][1], trace)
@@ -494,50 +495,50 @@ def witness_basis(P: Positroid, E: Iterable[int]) -> frozenset[int]:
     partition, with no rank table built. A construction that fails raises
     ContractViolationError.
     """
-    intervals, _ = _query(P, E)
-    found = _maximum_basis(P, intervals)
+    query = _query(P, E)
+    found = _maximum_basis(P, query)
     if found is None:
-        found = _witness_rec(P, intervals)
-        if not _proved(P, found, intervals):
+        found = _witness_rec(P, query[0])
+        if not _proved(P, found, query):
             raise ContractViolationError(
                 f"constructed witness {_elements(found)} is not a basis meeting E in rank(E) elements"
             )
     return frozenset(_elements(found))
 
 
-def _maximum_basis(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> int | None:
-    """A basis, as a mask, proved to meet the union of E's sorted, maximal
-    intervals in rank(E) elements, or None: the one search that rank_dp and
-    witness_basis share, each deciding for itself what follows a None.
+def _maximum_basis(P: Positroid, query: tuple[tuple[tuple[int, int], ...], int]) -> int | None:
+    """A basis, as a mask, proved to meet E in rank(E) elements, or None,
+    for E as rank._query's pair (its sorted, maximal intervals, its mask):
+    the one search that rank_dp and witness_basis share, each deciding for
+    itself what follows a None.
 
     For s <= 1 it is I_{a_1} (I_1 for an empty E), untested: a necklace
     member is a basis, and rank([a, b]) = |I_a ∩ [a, b]|. Otherwise walker
-    0 walks once and its fully morphed set is tried; when that is no basis,
-    the walk from _second_start's interval, found on walker 0's kept
-    stages. A set is returned only when _proved.
+    0 walks E's intervals once and its fully morphed set is tried; when
+    that is no basis, the walk from _second_start's interval, found on
+    walker 0's kept stages. A set is returned only when _proved.
     """
-    s, masks = len(intervals), P.necklace.masks
-    if s <= 1:
-        return masks[intervals[0][0] - 1] if s else masks[0] if P.n else 0
+    intervals, masks = query[0], P.necklace.masks
+    if len(intervals) <= 1:
+        return masks[intervals[0][0] - 1] if intervals else masks[0] if P.n else 0
     walk = list(_stages(P, intervals))
     found = walk[-1][0]
     if _is_basis(P, found):
-        return found if _maximal(P, intervals, found) else None
+        return found if _maximal(P, query, found) else None
     t = _second_start(P, walk)
     *_, (found, _, _) = _stages(P, intervals[t:] + intervals[:t])
-    return found if _proved(P, found, intervals) else None
+    return found if _proved(P, found, query) else None
 
 
 def _second_start(P: Positroid, walk: list) -> int:
     """The last stage t of walker 0, whose stages walk keeps and whose fully
     morphed set is no basis, that is still a basis: the second walk starts
     at interval t. Each stage is Gale-tested at one anchor only, its first
-    member from its mimic's center c on, up to the first that fails: on
-    perfbench's rank_queries inputs (n = 150, seeds 1-3) that found the
-    first non-basis stage of a full test on all 37 misses with s >= 20.
-    The second walk's set, which _maximum_basis proves, was a maximum basis
-    on 134 of 139 witness misses (seeds 1-6), and on 530 of 554 rank_dp
-    misses with s = 20-60 (seeds 1-40, passes 0-4)."""
+    member from its mimic's center c on, up to the first that fails: a
+    d-th of a full test, which on the benchmark's queries stopped where a
+    full test would. The second walk's set, which _maximum_basis proves,
+    is then nearly always a maximum basis; a miss costs rank_dp its table
+    and the witness its recursion."""
     for t, (members, _, c) in enumerate(walk[1:], 1):
         anchor = (members & (1 << c - 1) - 1).bit_count() % P.d
         if not P._gale_holds([_elements(members)], (anchor,)):
@@ -556,8 +557,9 @@ def _is_basis(P: Positroid, found: int) -> bool:
     )
 
 
-def _proved(P: Positroid, found: int, intervals: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the mask found is proved to meet the union of rank._query's
-    intervals of E in rank(E) elements: a basis, rank._maximal by a tight
-    partition. The basis test goes first, as _maximal assumes one."""
-    return _is_basis(P, found) and _maximal(P, intervals, found)
+def _proved(P: Positroid, found: int, query: tuple[tuple[tuple[int, int], ...], int]) -> bool:
+    """Whether the mask found is proved to meet E in rank(E) elements, for
+    E as rank._query's pair of intervals and mask: a basis, rank._maximal
+    by a tight partition. The basis test goes first, as _maximal assumes
+    one."""
+    return _is_basis(P, found) and _maximal(P, query, found)

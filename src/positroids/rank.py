@@ -21,28 +21,30 @@ certificate. W meets E in at most rank(E) elements, and a block meets W in
 d less W's elements in the gaps it closes over; so a partition that closes
 only over gaps W meets in their minimum, ccw, elements proves |W ∩ E| =
 rank(E) (_maximal). Two partitions have closed-form bounds, all
-singletons and one block (_closed_bounds), and W meeting E in either is
-proved from those 2s gaps alone; otherwise _maximal counts the gaps in a
-band of cyclic diagonals around the main one, widened only when the
-band's tight gaps prove nothing. It proves every basis that the search
-rank_dp and the witness share tries (positroids.morph._maximum_basis),
-each first checked to be a basis by one Gale test, and align_basis's
-precondition. The search tries the same sets for both; rank_dp's one
-rule, _candidate_first, keeps the table for the interval counts where it
-is the cheaper, and rank_dp falls back to it when the search proves
-nothing; no witness or alignment builds it.
+singletons and one block, and W meeting E in either is proved by one
+popcount of W against E's mask and two diagonals of gaps; otherwise
+_banded counts the gaps in a band of cyclic diagonals around the main
+one, widened only when the band's tight gaps prove nothing. It proves
+every basis that the search rank_dp and the witness share tries
+(positroids.morph._maximum_basis), each first checked to be a basis by
+one Gale test, and align_basis's precondition. The search tries the same
+sets for both; rank_dp's one rule, _candidate_first, keeps the table for
+the interval counts where it is the cheaper, and rank_dp falls back to it
+when the search proves nothing; no witness or alignment builds it.
 
-Every count above is one popcount on the stored necklace masks (Oh, 2011):
-since |I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits
-of I_a's mask past [a, b], the mask written twice so that a wrapping arc is
-one run of bits (_columns, the one builder of that form). The table's
-users, rank(), rank_dp's fallback and bound_for_partition, build the
-s x s gap matrix from s masks in O(s^2) shifts and popcounts (_gap_matrix);
-natural_bound and _maximal make the same shifts and popcounts for the
-diagonals they read only. Nothing is kept, neither per query nor per
-anchor; the necklace itself is built once and kept on the Positroid. A
-one-interval count (_gap_ccw) is I_a's mask less the arc [a, b]
-(cyclic._arc), one popcount.
+Every gap count above is one popcount, by one counter (Oh, 2011): since
+|I_a| = d, ccw((b, a)) = d - |I_a ∩ [a, b]| = |I_a ∩ (b, a)|, the bits of
+I_a's stored mask past [a, b]. _columns writes a mask twice and cuts it to
+the n bits read from a, so that a wrapping gap is one run of bits: I_a's
+for the necklace, or W's, whose count in the same gap is then read the
+same way. _shifts is the one place that picks where the gap after b_i
+starts, at b_i or b_i + n. The table's users, rank(), rank_dp's fallback
+and bound_for_partition, build the s x s gap matrix row by row from s
+columns in O(s^2) shifts and popcounts (_gap_matrix); natural_bound and
+_maximal read only the cyclic diagonals they need (_diagonal). Nothing is
+kept, neither per query nor per anchor; the necklace itself is built once
+and kept on the Positroid. A one-interval count (_gap_ccw) is I_a's mask
+less the arc [a, b] (cyclic._arc), one popcount.
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
 builds on demand; no query reads them.
@@ -313,11 +315,14 @@ def min_elements(P: Positroid, b: int, a: int) -> int:
 
 def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
     """d minus the sum of ccw over the gaps of E; 0 when E is empty: the
-    one-block bound, read off s gaps (_closed_bounds)."""
+    one-block bound, read off the +1 cyclic diagonal of the gap counts
+    (_diagonal), s gaps."""
     _check_type(P, Positroid, "P")
     _check_type(E, IntervalDecomposition, "E")
     _check_ground(E.n, P.n)
-    return _closed_bounds(P, E.intervals, _columns(P, E.intervals))[1] if E.s else 0
+    if not E.s:
+        return 0
+    return P.d - sum(_diagonal(_columns(P, E.intervals), _shifts(P.n, E.intervals), 1 % E.s))
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
@@ -326,7 +331,7 @@ def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossing
     _check_type(E, IntervalDecomposition, "E")
     _check_type(ncp, NonCrossingPartition, "ncp")
     if ncp.s != E.s:
-        raise ValidationError(f"partition of {_shown(ncp.s)} blocks a decomposition with s = {E.s}")
+        raise ValidationError(f"partition of 1..{_shown(ncp.s)}, but E has {_shown(E.s)} intervals")
     _check_ground(E.n, P.n)
     w = _gap_matrix(P, E.intervals)
     return sum(_block_bound(block, w, P.d) for block in ncp.blocks)
@@ -358,13 +363,34 @@ class RankCertificate:
     all_bounds: tuple[tuple[NonCrossingPartition, int], ...] | None = None
 
 
-def _columns(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[int]:
-    """For each interval (a, b), I_a written twice and cut to the n bits
+def _columns(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int | None = None) -> list[int]:
+    """For each interval (a, b), a mask written twice and cut to the n bits
     from a - 1, so that bit x - 1 or x + n - 1 stands for x as read from a:
-    the gap after any b is then the bits from one shift, b or b + n."""
+    the necklace member I_a, or the basis W for every interval when given.
+    A gap (b_i, a), wrapping or not, is then the bits from one shift
+    (_shifts)."""
     n, masks = P.n, P.necklace.masks
     circle = (1 << n) - 1
-    return [(masks[a - 1] | masks[a - 1] << n) & circle << a - 1 for a, _ in intervals]
+    return [(m | m << n) & circle << a - 1
+            for a, _ in intervals for m in [masks[a - 1] if W is None else W]]
+
+
+def _shifts(n: int, intervals: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
+    """(low, high): where the gap after b_i starts in the column of a_j,
+    low[i] for the columns j <= i and high[i] for j > i. It starts at bit
+    b_i when a_j <= b_i, at b_i + n otherwise; the intervals are sorted by
+    start, so a_j <= b_i exactly for j <= i, unless interval i wraps and so
+    ends before every start."""
+    return [b if a <= b else b + n for a, b in intervals], [b + n for _, b in intervals]
+
+
+def _diagonal(columns: list[int], shifts: tuple[list[int], list[int]], k: int) -> Iterator[int]:
+    """Cyclic diagonal k of the gap counts of _columns' masks: for each
+    row i, the mask's members in the gap (b_i, a_j), j = i + k mod s, one
+    shift and popcount. From row s - k on, j <= i."""
+    low, high = shifts
+    t = len(columns) - k if k else 0
+    return map(int.bit_count, map(rshift, columns[k:] + columns[:k], high[:t] + low[t:]))
 
 
 def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[list[int]]:
@@ -373,35 +399,14 @@ def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[li
     the open gap from interval i's end to interval j's start.
 
     Since |I_{a_j}| = d, this is d - |I_{a_j} ∩ [a_j, b_i]|. Column j is
-    _columns' mask for a_j. The gap after b_i then starts at bit b_i when
-    b_i comes after a_j (j <= i, unless the last interval wraps) and at bit
-    b_i + n otherwise, so each entry is one shift and one popcount.
+    _columns' mask for a_j and row i reads it from _shifts' low or high
+    shift, so each entry is one shift and one popcount, row by row; its
+    cyclic diagonals are _diagonal's.
     """
-    n, columns = P.n, _columns(P, intervals)
-    w = []
-    for i, (a, b) in enumerate(intervals):
-        # the columns j <= i read b unwrapped, when interval i does not wrap
-        k = i + 1 if a <= b else 0
-        w.append([(m >> b).bit_count() for m in columns[:k]]
-                 + [(m >> b + n).bit_count() for m in columns[k:]])
-    return w
-
-
-def _closed_bounds(
-    P: Positroid, intervals: tuple[tuple[int, int], ...], columns: list[int]
-) -> tuple[int, int]:
-    """The bounds of the two partitions with closed forms, for s >= 1
-    intervals and their _columns: (all singletons, s·d less the gaps
-    w[i][i], and one block, d less the gaps w[i][i + 1 mod s]), the main and
-    +1 cyclic diagonals of _gap_matrix, one shift and popcount per gap. A
-    column j <= i reads b_i unwrapped unless interval i wraps, as there: on
-    the +1 diagonal only the last row's gap into the first interval does."""
-    n, d, s = P.n, P.d, len(intervals)
-    low = [b if a <= b else b + n for a, b in intervals]
-    high = [b + n for _, b in intervals[:-1]] + low[-1:]
-    singletons = s * d - sum(map(int.bit_count, map(rshift, columns, low)))
-    block = d - sum(map(int.bit_count, map(rshift, columns[1:] + columns[:1], high)))
-    return singletons, block
+    columns, (low, high) = _columns(P, intervals), _shifts(P.n, intervals)
+    return [[(m >> lo).bit_count() for m in columns[:i + 1]]
+            + [(m >> hi).bit_count() for m in columns[i + 1:]]
+            for i, (lo, hi) in enumerate(zip(low, high))]
 
 
 def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
@@ -420,8 +425,9 @@ def _query(P: Positroid, E: Iterable[int]) -> tuple[tuple[tuple[int, int], ...],
     every partition's bound caps rank(E): weak duality. The rank theorem
     applied to P makes the least bound rank(E) itself. rank() alone
     reduces, to present its certificate on reduce(P). No gap is counted
-    here: the table's users build _gap_matrix, and _maximal counts only
-    the gaps its bands reach.
+    here: the table's users build _gap_matrix, and _maximal, handed the
+    pair as it is, counts |W ∩ E| on E's mask and only the diagonals of
+    gaps it reads.
     """
     _check_type(P, Positroid, "P")
     given = _mask(_checked_subset(E, P.n))
@@ -479,18 +485,18 @@ def _rank_table(w: list[list[int]], d: int) -> list[list[int]]:
     return seg_to
 
 
-# the first band of _maximal: the gaps (b_i, a_j) with cyclic offset j - i
+# the first band of _banded: the gaps (b_i, a_j) with cyclic offset j - i
 # in [-2, 2]; each miss widens the band fourfold, up to all s offsets
 _FIRST_WIDTH = 2
 _GROWTH = 4
 
 
-def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bool:
-    """Whether the basis W, a mask, meets the union of E's own intervals,
-    as _query gives them, in rank(E) elements: whether some non-crossing
-    partition of the intervals closes only over gaps that W meets tightly,
-    in ccw((b_i, a_j)) elements, the fewest any basis can have there. No
-    rank is computed; the caller proves W a basis first.
+def _maximal(P: Positroid, query: tuple[tuple[tuple[int, int], ...], int], W: int) -> bool:
+    """Whether the basis W, a mask, meets E in rank(E) elements, for E as
+    _query gives it, (its own intervals, its mask): whether some
+    non-crossing partition of the intervals closes only over gaps that W
+    meets tightly, in ccw((b_i, a_j)) elements, the fewest any basis can
+    have there. No rank is computed; the caller proves W a basis first.
 
     A block's intervals are the circle less the gaps it closes over, so W
     meets E in the sum over the blocks of d less W's counts in their gaps,
@@ -501,47 +507,41 @@ def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bo
     own intervals suffice, loops and coloops included: weak duality holds
     on any positroid (see _query), and the theorem is applied to P itself.
 
-    First |W ∩ E| is compared with the two closed-form bounds
-    (_closed_bounds): W meets E in at most rank(E) elements and rank(E) in
-    at most either bound, so equality with one proves W maximum, and says
-    that partition's gaps are all tight, so the verdict is the bands'. Of
-    the rank_dp and witness sets tried on perfbench's rank_queries inputs
-    (n = 150, seeds 1-5, passes 0-2), that proved 685 of the 717 with
-    s = 20-60 (358 by one block, 327 by the singletons alone) and 373 of
-    the 420 witness sets with s = 2-8.
-
-    Otherwise the gaps are counted one cyclic diagonal j = i + k (mod s) at
-    a time, in a band of offsets k from -_FIRST_WIDTH to _FIRST_WIDTH
-    first, each diagonal one C-level map of _gap_matrix's shift and
-    popcount over the s columns, its counts compared with W's. Only the tight gaps are kept, as
-    bit sets, and _partitioned searches them; when it finds no partition,
-    the band widens _GROWTH-fold, counting only the new diagonals. Every gap
-    a partition uses was checked tight, so True is sound at any width, and
-    the last band is all s^2 gaps, so False is exact. The first band
-    proved 29 of the 32 rank_dp sets above left to the bands and 43 of the
-    47 witness sets.
+    |W ∩ E|, one popcount of W and E's mask, is first compared with the two
+    bounds with closed forms, all singletons (s·d less the necklace's
+    diagonal 0) and one block (d less its diagonal 1): W meets E in at
+    most rank(E) elements and rank(E) in at most either bound, so equality
+    with one proves W maximum, and says that partition's gaps are all
+    tight, so the verdict is the bands' (_banded), which run only
+    otherwise.
     """
+    intervals, members = query
     s = len(intervals)
     if not s:
         return True
-    n, d = P.n, P.d
-    # |W ∩ (b_i, a_j)| = before[j] - |W ∩ [1, b_i]|, plus all d of W when
-    # the gap wraps past n: when a_j <= b_i, so j <= i, unless interval i
-    # wraps itself and so ends before every start. Such a column reads b_i
-    # unwrapped (low); every other one reads b_i + n (high), as in _gap_matrix
-    columns = _columns(P, intervals)
-    before = [(W & (1 << a - 1) - 1).bit_count() for a, _ in intervals]
-    upto = [(W & (1 << b) - 1).bit_count() for _, b in intervals]
-    # |W ∩ E|: each [a, b] holds W's members up to b less those before a,
-    # plus all d of them when it wraps past n
-    met = sum(upto) - sum(before) + d * sum(a > b for a, b in intervals)
-    if met in _closed_bounds(P, intervals, columns):
+    d, shifts, necklace = P.d, _shifts(P.n, intervals), _columns(P, intervals)
+    met = (W & members).bit_count()
+    if (met == s * d - sum(_diagonal(necklace, shifts, 0))
+            or met == d - sum(_diagonal(necklace, shifts, 1 % s))):
         return True
-    hi_shift, hi_less = [b + n for _, b in intervals], upto
-    lo_shift = [b if a <= b else b + n for a, b in intervals]
-    lo_less = [u - d if a <= b else u for (a, b), u in zip(intervals, upto)]
-    columns += columns
-    before += before
+    return _banded(necklace, _columns(P, intervals, W), shifts)
+
+
+def _banded(necklace: list[int], basis: list[int], shifts: tuple[list[int], list[int]]) -> bool:
+    """Whether some non-crossing partition of s >= 1 intervals closes only
+    over gaps the basis meets tightly, for the intervals' _columns of the
+    necklace and of the basis and their _shifts: a gap (b_i, a_j) is tight
+    where the two masks' counts agree.
+
+    The gaps are counted one cyclic diagonal j = i + k (mod s) at a time,
+    both masks through _diagonal, in a band of offsets k from -_FIRST_WIDTH
+    to _FIRST_WIDTH first. Only the tight gaps are kept, as bit sets, and
+    _partitioned searches them; when it finds no partition, the band widens
+    _GROWTH-fold, counting only the new diagonals. Every gap a partition
+    uses was checked tight, so True is sound at any width, and the last
+    band is all s^2 gaps, so False is exact.
+    """
+    s = len(necklace)
     tight_from, tight_into = [0] * s, [0] * s
     width, done = _FIRST_WIDTH, set()
     while True:
@@ -551,10 +551,7 @@ def _maximal(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int) -> bo
             if k in done:
                 continue
             done.add(k)
-            # row i meets column j = i + k, which is j <= i (low) from row t on
-            t = s - k if k else 0
-            counts = map(int.bit_count, map(rshift, columns[k:k + s], hi_shift[:t] + lo_shift[t:]))
-            tight = map(eq, map(add, counts, hi_less[:t] + lo_less[t:]), before[k:k + s])
+            tight = map(eq, _diagonal(necklace, shifts, k), _diagonal(basis, shifts, k))
             for i in compress(range(s), tight):
                 j = (i + k) % s
                 tight_from[i] |= 1 << j
@@ -692,18 +689,20 @@ def rank_dp(P: Positroid, E: Iterable[int]) -> int:
     every set it tries as the witness tries it: I_{a_1} for at most one
     interval, else walker 0's fully morphed set, and the second walk's
     when that is no basis. A basis that some partition closes over tightly
-    gives |W ∩ E| as the rank (_maximal), proved after one Gale test of d^2
-    fields, nearly always by a closed-form bound read off 2s gaps, else
-    from a band of gaps near the diagonal, with no gap matrix. When the search proves nothing, and for the other interval
+    gives |W ∩ E| as the rank (_maximal, handed _query's pair), proved
+    after one Gale test of d^2 fields, by a closed-form bound read off 2s
+    gaps or else from a band of gaps near the diagonal, with no gap
+    matrix. When the search proves nothing, and for the other interval
     counts, where it costs about as much as the table or more, the answer
     is the corner entry of the O(s^3) rank table over E's s x s gap
     matrix."""
-    intervals, members = _query(P, E)
+    query = _query(P, E)
+    intervals, members = query
     s = len(intervals)
     if _candidate_first(s, P.d):
         from .morph import _maximum_basis  # morph builds on this module
 
-        W = _maximum_basis(P, intervals)
+        W = _maximum_basis(P, query)
         if W is not None:
             return (W & members).bit_count()
     return _rank_table(_gap_matrix(P, intervals), P.d)[s][1]

@@ -651,7 +651,7 @@ class TestWitness:
         intervals = decompose(E, P.n).intervals
         W = witness_basis(P, E)
         assert len(walks) == 2 and walks[0] == intervals != walks[1]
-        assert recursion_calls == [] and morph._proved(P, _mask(W), intervals)
+        assert recursion_calls == [] and morph._proved(P, _mask(W), (intervals, _mask(E)))
         assert P.is_basis(W) and len(W & E) == rank_bruteforce(P, E)
 
     @pytest.mark.parametrize("k", range(len(REJECTED_CANDIDATES)))
@@ -727,7 +727,7 @@ class TestWitness:
         walks.clear()
         W = witness_basis(P, E)
         assert tables == [] and recursion_calls == [] and len(walks) == 2
-        assert morph._proved(P, _mask(W), intervals)
+        assert morph._proved(P, _mask(W), (intervals, _mask(E)))
         assert P.is_basis(W) and len(W & E) == rank_dp(P, E)
 
     def test_with_fixed_points(self):
@@ -788,7 +788,7 @@ class TestSearchOrder:
     def proofs(self, monkeypatch):
         """The masks handed to the tight-partition proof."""
         calls, prove = [], morph._maximal
-        monkeypatch.setattr(morph, "_maximal", lambda P, intervals, W: calls.append(W) or prove(P, intervals, W))
+        monkeypatch.setattr(morph, "_maximal", lambda P, query, W: calls.append(W) or prove(P, query, W))
         return calls
 
     def test_one_interval_takes_its_necklace_member_untested(
@@ -822,12 +822,13 @@ class TestSearchOrder:
             walk = list(morph._stages(P, intervals))
             t = morph._second_start(P, walk)
             *_, (second, *_) = morph._stages(P, intervals[t:] + intervals[:t])
-            assert not morph._proved(P, walk[-1][0], intervals)
-            assert not morph._proved(P, second, intervals)
+            query = intervals, _mask(E)
+            assert not morph._proved(P, walk[-1][0], query)
+            assert not morph._proved(P, second, query)
             recursion_calls.clear()
             W = witness_basis(P, E)
             assert recursion_calls == [intervals]
-            assert morph._proved(P, _mask(W), intervals)
+            assert morph._proved(P, _mask(W), query)
 
     def test_the_recursion_alone_is_proved_on_every_small_query(self):
         # no witness with n <= 6 reaches the recursion any more, so it is
@@ -839,7 +840,7 @@ class TestSearchOrder:
                     intervals = decompose(E, n).intervals
                     if intervals:
                         W = morph._witness_rec(P, intervals)
-                        assert morph._proved(P, W, intervals), (P.perm, sorted(E))
+                        assert morph._proved(P, W, (intervals, _mask(E))), (P.perm, sorted(E))
                         queries += 1
         assert queries == 134501
 

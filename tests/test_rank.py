@@ -359,7 +359,7 @@ class TestBounds:
             assert bound_for_partition(ref_positroid, E, ncp) == expected
 
     def test_partition_size_must_match(self, ref_positroid):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^partition of 1\.\.2, but E has 3 intervals$"):
             bound_for_partition(
                 ref_positroid, decompose(E5, 14), NonCrossingPartition.from_blocks(2, [(1, 2)])
             )
@@ -668,6 +668,55 @@ class TestRankTable:
         assert max(sizes) > 50 and min(sizes) <= 2
 
 
+class TestGapCounter:
+    """One gap counter: _columns builds a doubled column per interval, of
+    the necklace member I_a or of a basis W, _shifts picks where each gap
+    starts, and _diagonal reads a cyclic diagonal; _gap_matrix reads the
+    same columns and shifts row by row."""
+
+    @staticmethod
+    def diagonals(P, intervals, W=None):
+        columns, shifts = RANK_MODULE._columns(P, intervals, W), RANK_MODULE._shifts(P.n, intervals)
+        return [list(RANK_MODULE._diagonal(columns, shifts, k)) for k in range(len(intervals))]
+
+    def test_every_diagonal_reads_the_gap_matrix(self):
+        # diagonal k lists w[i][i + k mod s], for every k: every decorated
+        # (P, E) with n <= 6, then seeded n = 150 queries up to s = 60
+        cases = [(P, E) for n in range(7) for P in decorated_positroids(n) for E in all_subsets(n)]
+        rng = random.Random(151)
+        for s in (1, 2, 3, 8, 20, 30, 45, 60):
+            P = random_decorated_positroid(150, rng, fixed=8)
+            cases.append((P, random_union(150, s, rng)))
+        sizes = set()
+        for P, E in cases:
+            intervals, _ = RANK_MODULE._query(P, E)
+            w, s = RANK_MODULE._gap_matrix(P, intervals), len(intervals)
+            expected = [[w[i][(i + k) % s] for i in range(s)] for k in range(s)]
+            assert self.diagonals(P, intervals) == expected, (P.perm, sorted(E))
+            sizes.add(s)
+        assert len(cases) == 136873 + 8 and max(sizes) == 60
+
+    def test_a_basis_diagonals_count_its_members_in_each_gap(self):
+        # W's columns, through the same shifts and reader, give
+        # |W ∩ (b_i, a_j)| counted on sets: every basis W of every decorated
+        # positroid with n <= 5, against every E
+        triples = 0
+        for n in range(6):
+            for P in decorated_positroids(n):
+                bases = list(enumerate_bases(P))
+                for E in all_subsets(n):
+                    intervals, _ = RANK_MODULE._query(P, E)
+                    s = len(intervals)
+                    gaps = [[open_interval(b, intervals[(i + k) % s][0], n).members
+                             for i, (_, b) in enumerate(intervals)] for k in range(s)]
+                    for B in bases:
+                        W = sum(1 << x - 1 for x in B)
+                        counts = [[len(B & gap) for gap in diagonal] for diagonal in gaps]
+                        assert self.diagonals(P, intervals, W) == counts, (P.perm, sorted(E), sorted(B))
+                        triples += 1
+        assert triples == 40525
+
+
 def reduced_reference(P, E) -> RankCertificate:
     """rank(P, E, all_bounds=True) computed the way the reduction defines it:
     E's image on reduce(P), its gap weights counted by the reduction's CCW
@@ -808,10 +857,11 @@ class TestCandidateFirst:
             for P in decorated_positroids(n):
                 bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
                 for E in all_subsets(n):
-                    intervals, members = RANK_MODULE._query(P, E)
+                    query = RANK_MODULE._query(P, E)
+                    members = query[1]
                     top = max((W & members).bit_count() for W in bases)
                     for W in bases:
-                        tight = RANK_MODULE._maximal(P, intervals, W)
+                        tight = RANK_MODULE._maximal(P, query, W)
                         assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W)
                         triples += 1
         assert triples == 40525
@@ -819,12 +869,13 @@ class TestCandidateFirst:
     def test_a_basis_short_of_the_rank_is_refused(self, ref_positroid):
         # I_4 is a basis meeting E4 in 2 < rank(E4) = 3 elements; the witness
         # meets it in 3
-        intervals, members = RANK_MODULE._query(ref_positroid, E4)
+        query = RANK_MODULE._query(ref_positroid, E4)
+        members = query[1]
         short = sum(1 << x - 1 for x in ref_positroid.necklace.at(4))
         best = sum(1 << x - 1 for x in witness_basis(ref_positroid, E4))
         assert (short & members).bit_count() == 2 and (best & members).bit_count() == 3
-        assert not RANK_MODULE._maximal(ref_positroid, intervals, short)
-        assert RANK_MODULE._maximal(ref_positroid, intervals, best)
+        assert not RANK_MODULE._maximal(ref_positroid, query, short)
+        assert RANK_MODULE._maximal(ref_positroid, query, best)
 
     def test_every_small_decorated_query_takes_the_tables_value(self, candidate_always):
         for n in range(6):
@@ -1029,22 +1080,25 @@ class TestBands:
     def test_every_first_band_gives_the_full_answer(self, monkeypatch):
         # the 40,525 (P, E, basis) triples with n <= 5 once more, the search
         # started from the diagonal alone, from offsets -1..1 and from all s,
-        # with the closed-form bounds tried first and, so that every verdict
-        # comes from the bands, with that check off: no count of W's meets -1
-        closed = RANK_MODULE._closed_bounds
+        # through _maximal, the closed-form bounds tried first, and, so that
+        # every verdict comes from the bands, through _banded alone, with no
+        # closed-form check; an empty E needs no band in either
         triples = 0
         for n in range(6):
             for P in decorated_positroids(n):
                 bases = [sum(1 << x - 1 for x in B) for B in enumerate_bases(P)]
                 for E in all_subsets(n):
-                    intervals, members = RANK_MODULE._query(P, E)
+                    query = RANK_MODULE._query(P, E)
+                    intervals, members = query
+                    necklace = RANK_MODULE._columns(P, intervals)
+                    shifts = RANK_MODULE._shifts(n, intervals)
                     top = max((W & members).bit_count() for W in bases)
-                    for bounds in (closed, lambda P, intervals, columns: (-1, -1)):
-                        monkeypatch.setattr(RANK_MODULE, "_closed_bounds", bounds)
-                        for first in (0, 1, len(intervals)):
-                            monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", first)
-                            for W in bases:
-                                tight = RANK_MODULE._maximal(P, intervals, W)
+                    for first in (0, 1, len(intervals)):
+                        monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", first)
+                        for W in bases:
+                            basis = RANK_MODULE._columns(P, intervals, W)
+                            banded = not intervals or RANK_MODULE._banded(necklace, basis, shifts)
+                            for tight in (RANK_MODULE._maximal(P, query, W), banded):
                                 assert tight == ((W & members).bit_count() == top), (P.perm, sorted(E), W, first)
                     triples += len(bases)
         assert triples == 40525
@@ -1055,12 +1109,16 @@ class TestBands:
         # E4 and the all-singletons bound, alone, for {1, 5}: _maximal
         # proves it from that bound, with no _partitioned search
         P = ref_positroid
-        intervals, members = RANK_MODULE._query(P, E)
+        query = RANK_MODULE._query(P, E)
+        intervals, members = query
         W = sum(1 << x - 1 for x in witness_basis(P, E))
-        assert RANK_MODULE._closed_bounds(P, intervals, RANK_MODULE._columns(P, intervals)) == (singletons, block)
+        columns, shifts = RANK_MODULE._columns(P, intervals), RANK_MODULE._shifts(P.n, intervals)
+        s = len(intervals)
+        diagonals = [sum(RANK_MODULE._diagonal(columns, shifts, k)) for k in (0, 1 % s)]
+        assert (s * P.d - diagonals[0], P.d - diagonals[1]) == (singletons, block)
         assert (W & members).bit_count() == min(singletons, block) == rank(P, E).value
         searches.clear()
-        assert RANK_MODULE._maximal(P, intervals, W)
+        assert RANK_MODULE._maximal(P, query, W)
         assert searches == []
 
     def test_a_maximum_basis_proved_only_by_a_wider_band(self, searches):
@@ -1070,11 +1128,12 @@ class TestBands:
         rng = random.Random(112)
         P = random_decorated_positroid(40, rng)
         E = random_union(40, 8, rng)
-        intervals, members = RANK_MODULE._query(P, E)
+        query = RANK_MODULE._query(P, E)
+        intervals, members = query
         W = sum(1 << x - 1 for x in witness_basis(P, E))
         assert len(intervals) == 8 and (W & members).bit_count() == rank(P, E).value
         searches.clear()
-        assert RANK_MODULE._maximal(P, intervals, W)
+        assert RANK_MODULE._maximal(P, query, W)
         assert [found for *_, found in searches] == [False, True]
         assert searches[0][:2] != searches[1][:2] == full_tight_sets(P, intervals, W)
 
@@ -1086,12 +1145,13 @@ class TestBands:
         rng = random.Random(35)
         P = random_decorated_positroid(150, rng)
         E = random_union(150, 30, rng)
-        intervals, members = RANK_MODULE._query(P, E)
+        query = RANK_MODULE._query(P, E)
+        intervals, members = query
         target = rank(P, E).value
         W = next(m for m in P.necklace.masks if (m & members).bit_count() < target)
         monkeypatch.setattr(RANK_MODULE, "_FIRST_WIDTH", 0)
         assert len(intervals) == 30
-        assert not RANK_MODULE._maximal(P, intervals, W)
+        assert not RANK_MODULE._maximal(P, query, W)
         assert len(searches) >= 2 and not any(found for *_, found in searches)
         assert searches[-1][:2] == full_tight_sets(P, intervals, W)
 
