@@ -316,11 +316,16 @@ class IntervalDecomposition:
         return len(self.intervals)
 
     @cached_property
-    def members(self) -> frozenset[int]:
+    def _members_mask(self) -> int:
+        """The members as an n-bit mask: the OR of the intervals' arcs."""
         m = 0
         for a, b in self.intervals:
             m |= _arc(a, b, self.n)
-        return frozenset(_elements(m))
+        return m
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(_elements(self._members_mask))
 
     def interval(self, i: int) -> CyclicInterval:
         """The i-th interval, 1-based."""

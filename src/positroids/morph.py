@@ -337,7 +337,8 @@ def align_basis(
     B = _as_tuple(B, "set elements")
     if not P.is_basis(B):
         raise ValidationError("align_basis needs a basis")
-    B, query = _mask(B), _query(P, E.members)
+    # E is checked on P's ground set, so its own intervals are the query's
+    B, query = _mask(B), (E.intervals, E._members_mask)
     if not _maximal(P, query, B):
         raise ValidationError(
             f"basis meets the set in {(B & query[1]).bit_count()} elements, "

@@ -41,9 +41,10 @@ same way. _shifts is the one place that picks where the gap after b_i
 starts, at b_i or b_i + n. The table's users, rank(), rank_dp's fallback
 and bound_for_partition, build the s x s gap matrix row by row from s
 columns in O(s^2) shifts and popcounts (_gap_matrix); natural_bound and
-_maximal read only the cyclic diagonals they need (_diagonal). Nothing is
-kept, neither per query nor per anchor; the necklace itself is built once
-and kept on the Positroid. A one-interval count (_gap_ccw) is I_a's mask
+_maximal read only the cyclic diagonals they need (_diagonal, one slice
+of the shifts that _counts reads any mask through). Nothing is kept,
+neither per query nor per anchor; the necklace itself is built once and
+kept on the Positroid. A one-interval count (_gap_ccw) is I_a's mask
 less the arc [a, b] (cyclic._arc), one popcount.
 ArrowTable, the reference the popcounts are tested against, counts the
 arrows off pi's images by prefix sums, one row per anchor that arrow_table
@@ -322,7 +323,8 @@ def natural_bound(P: Positroid, E: IntervalDecomposition) -> int:
     _check_ground(E.n, P.n)
     if not E.s:
         return 0
-    return P.d - sum(_diagonal(_columns(P, E.intervals), _shifts(P.n, E.intervals), 1 % E.s))
+    intervals = E.intervals
+    return P.d - sum(_counts(_columns(P, intervals), _diagonal(_shifts(P.n, intervals), 1 % E.s)))
 
 
 def bound_for_partition(P: Positroid, E: IntervalDecomposition, ncp: NonCrossingPartition) -> int:
@@ -375,22 +377,28 @@ def _columns(P: Positroid, intervals: tuple[tuple[int, int], ...], W: int | None
             for a, _ in intervals for m in [masks[a - 1] if W is None else W]]
 
 
-def _shifts(n: int, intervals: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
-    """(low, high): where the gap after b_i starts in the column of a_j,
-    low[i] for the columns j <= i and high[i] for j > i. It starts at bit
-    b_i when a_j <= b_i, at b_i + n otherwise; the intervals are sorted by
-    start, so a_j <= b_i exactly for j <= i, unless interval i wraps and so
-    ends before every start."""
-    return [b if a <= b else b + n for a, b in intervals], [b + n for _, b in intervals]
+def _shifts(n: int, intervals: tuple[tuple[int, int], ...]) -> list[int]:
+    """low + high, 2s entries: where the gap after b_i starts in the column
+    of a_j, low[i] for the columns j <= i and high[i] for j > i. It starts
+    at bit b_i when a_j <= b_i, at b_i + n otherwise; the intervals are
+    sorted by start, so a_j <= b_i exactly for j <= i, unless interval i
+    wraps and so ends before every start."""
+    return [b if a <= b else b + n for a, b in intervals] + [b + n for _, b in intervals]
 
 
-def _diagonal(columns: list[int], shifts: tuple[list[int], list[int]], k: int) -> Iterator[int]:
-    """Cyclic diagonal k of the gap counts of _columns' masks: for each
-    row i, the mask's members in the gap (b_i, a_j), j = i + k mod s, one
-    shift and popcount. From row s - k on, j <= i."""
-    low, high = shifts
-    t = len(columns) - k if k else 0
-    return map(int.bit_count, map(rshift, columns[k:] + columns[:k], high[:t] + low[t:]))
+def _diagonal(shifts: list[int], k: int) -> list[int]:
+    """Where each gap (b_i, a_j) of cyclic diagonal k starts, by column j,
+    i = j - k mod s: columns 0..k - 1 read rows s - k.. and take low, the
+    rest take high, so it is the s shifts from -k mod s on."""
+    s = len(shifts) // 2
+    h = -k % s
+    return shifts[h:h + s]
+
+
+def _counts(columns: list[int], starts: list[int]) -> Iterator[int]:
+    """Each _columns mask's members in its column's gap on a _diagonal,
+    starts: one shift and popcount per column."""
+    return map(int.bit_count, map(rshift, columns, starts))
 
 
 def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[list[int]]:
@@ -403,10 +411,10 @@ def _gap_matrix(P: Positroid, intervals: tuple[tuple[int, int], ...]) -> list[li
     shift, so each entry is one shift and one popcount, row by row; its
     cyclic diagonals are _diagonal's.
     """
-    columns, (low, high) = _columns(P, intervals), _shifts(P.n, intervals)
+    columns, shifts = _columns(P, intervals), _shifts(P.n, intervals)
     return [[(m >> lo).bit_count() for m in columns[:i + 1]]
             + [(m >> hi).bit_count() for m in columns[i + 1:]]
-            for i, (lo, hi) in enumerate(zip(low, high))]
+            for i, (lo, hi) in enumerate(zip(shifts, shifts[len(columns):]))]
 
 
 def _block_bound(block: tuple[int, ...], w: list[list[int]], d: int) -> int:
@@ -521,22 +529,22 @@ def _maximal(P: Positroid, query: tuple[tuple[tuple[int, int], ...], int], W: in
         return True
     d, shifts, necklace = P.d, _shifts(P.n, intervals), _columns(P, intervals)
     met = (W & members).bit_count()
-    if (met == s * d - sum(_diagonal(necklace, shifts, 0))
-            or met == d - sum(_diagonal(necklace, shifts, 1 % s))):
+    if (met == s * d - sum(_counts(necklace, _diagonal(shifts, 0)))
+            or met == d - sum(_counts(necklace, _diagonal(shifts, 1 % s)))):
         return True
     return _banded(necklace, _columns(P, intervals, W), shifts)
 
 
-def _banded(necklace: list[int], basis: list[int], shifts: tuple[list[int], list[int]]) -> bool:
+def _banded(necklace: list[int], basis: list[int], shifts: list[int]) -> bool:
     """Whether some non-crossing partition of s >= 1 intervals closes only
     over gaps the basis meets tightly, for the intervals' _columns of the
     necklace and of the basis and their _shifts: a gap (b_i, a_j) is tight
     where the two masks' counts agree.
 
     The gaps are counted one cyclic diagonal j = i + k (mod s) at a time,
-    both masks through _diagonal, in a band of offsets k from -_FIRST_WIDTH
-    to _FIRST_WIDTH first. Only the tight gaps are kept, as bit sets, and
-    _partitioned searches them; when it finds no partition, the band widens
+    both masks through its one _diagonal, in a band of offsets k from
+    -_FIRST_WIDTH to _FIRST_WIDTH first. Only the tight gaps are kept, as
+    bit sets, and _partitioned searches them; when it finds no partition, the band widens
     _GROWTH-fold, counting only the new diagonals. Every gap a partition
     uses was checked tight, so True is sound at any width, and the last
     band is all s^2 gaps, so False is exact.
@@ -551,9 +559,9 @@ def _banded(necklace: list[int], basis: list[int], shifts: tuple[list[int], list
             if k in done:
                 continue
             done.add(k)
-            tight = map(eq, _diagonal(necklace, shifts, k), _diagonal(basis, shifts, k))
-            for i in compress(range(s), tight):
-                j = (i + k) % s
+            starts = _diagonal(shifts, k)
+            for j in compress(range(s), map(eq, _counts(necklace, starts), _counts(basis, starts))):
+                i = (j - k) % s
                 tight_from[i] |= 1 << j
                 tight_into[j] |= 1 << i
                 fresh = True

@@ -1,13 +1,19 @@
-"""Shared helpers: exhaustive small-instance pools and brute-force oracles."""
+"""Shared helpers: exhaustive small-instance pools, brute-force oracles,
+and a fresh interpreter on the package under test."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Iterator
 
+import positroids
 from positroids import (
     DecoratedPermutation,
     Positroid,
@@ -222,3 +228,19 @@ def seeded_tnn_matrices(seed: int = 2024, count: int = 220):
         A = random_tnn_matrix(rng.randint(1, n), n, rng, ops=rng.randint(0, 14))
         scales = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in A.entries]
         yield RationalMatrix.from_rows([[v * c for v in row] for row, c in zip(A.entries, scales)])
+
+
+def run_fresh(args, log=None, timeout=120):
+    """A fresh interpreter, under this one's -O flags, with the package
+    these tests imported first on its path, the installed one included,
+    and POSITROID_LOG set to `log` (unset for None). Past `timeout`
+    seconds it raises subprocess.TimeoutExpired, so a hang fails fast."""
+    env = {key: val for key, val in os.environ.items() if key != "POSITROID_LOG"}
+    src = str(Path(positroids.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if log is not None:
+        env["POSITROID_LOG"] = log
+    optimize = ["-O"] * sys.flags.optimize
+    return subprocess.run(
+        [sys.executable, *optimize, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )

@@ -3,20 +3,19 @@ import importlib
 import io
 import json
 import logging
-import os
-import subprocess
-import sys
+import random
 from pathlib import Path
 
 import pytest
 
 from positroids import (
-    ContractViolationError, Positroid, ValidationError, morph, rank_dp, repro, witness_basis,
+    ContractViolationError, Positroid, ValidationError, morph, random_tnn_matrix, rank_dp, repro,
+    witness_basis,
 )
 from positroids.cli import main
 from positroids.cyclic import _mask
 
-from helpers import dense_rank_deficient_rows
+from helpers import dense_rank_deficient_rows, run_fresh
 
 # the package binds `rank` to the function, so the module is looked up by name
 RANK_MODULE = importlib.import_module("positroids.rank")
@@ -46,6 +45,30 @@ def colored_perm_file(tmp_path):
     path.write_text(
         json.dumps({"n": 5, "pi": [1, 3, 4, 2, 5], "colors": {"1": "white", "5": "black"}})
     )
+    return str(path)
+
+
+@pytest.fixture
+def cycle_file(tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"pi": [2, 3, 1]}))
+    return str(path)
+
+
+@pytest.fixture
+def dec6_file(tmp_path):
+    path = tmp_path / "dec6.json"
+    path.write_text(json.dumps({"n": 6, "pi": [1, 5, 6, 3, 4, 2], "colors": {"1": "white"}}))
+    return str(path)
+
+
+@pytest.fixture
+def dec14_file(tmp_path):
+    path = tmp_path / "dec14.json"
+    path.write_text(json.dumps({
+        "n": 14, "pi": [5, 9, 10, 12, 7, 6, 11, 13, 2, 3, 8, 4, 1, 14],
+        "colors": {"6": "black", "14": "white"},
+    }))
     return str(path)
 
 
@@ -85,6 +108,23 @@ class TestPermVerb:
         assert code == 0
         assert obj["pi"] == REF_PI
 
+    @pytest.mark.parametrize("sets, colors", [
+        ([[1, 2], [2, 3], [3, 4], [2, 4]], None),
+        ([[2, 4], [2, 4], [3, 4], [2, 4]], {"1": "white", "4": "black"}),
+    ], ids=["readme", "white-1-black-4"])
+    def test_necklace_round_trip_gives_back_the_sets(self, capsys, tmp_path, sets, colors):
+        # necklace -> permutation -> necklace: the README necklace, then one
+        # whose 1 is a white and 4 a black fixed point; the stored masks are
+        # read as sets and the sets as masks
+        neck = tmp_path / "neck.json"
+        neck.write_text(json.dumps({"n": 4, "sets": sets}))
+        code, perm = run_json(capsys, ["perm", "--necklace", str(neck)])
+        assert code == 0 and perm.get("colors") == colors
+        back = tmp_path / "back.json"
+        back.write_text(json.dumps(perm))
+        code, obj = run_json(capsys, ["necklace", "--perm", str(back)])
+        assert code == 0 and obj["sets"] == sets
+
     def test_text_mentions_fixed_points(self, capsys, colored_perm_file):
         code, lines = run_text(capsys, ["perm", "--perm", colored_perm_file])
         assert code == 0
@@ -101,6 +141,16 @@ class TestBasesVerb:
         assert sorted(map(tuple, obj["bases"])) == [
             (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)
         ]
+
+    @pytest.mark.parametrize("fixture, bases", [
+        ("cycle_file", [[1], [2], [3]]),
+        # the loop 1 lies in no basis and the coloop 5 in all
+        ("colored_perm_file", [[2, 5], [3, 5], [4, 5]]),
+    ], ids=["cycle", "loop-and-coloop"])
+    def test_perm_lists_every_basis_in_lex_order(self, capsys, request, fixture, bases):
+        code, obj = run_json(capsys, ["bases", "--perm", request.getfixturevalue(fixture)])
+        assert code == 0
+        assert obj["bases"] == bases and obj["count"] == len(bases)
 
     def test_cap_is_an_input_error(self, capsys, tmp_path):
         big = tmp_path / "big.json"
@@ -150,6 +200,26 @@ class TestRankVerb:
         code, obj = run_json(capsys, ["rank", "--perm", path, "--set", spec, "--witness"])
         assert code == 0
         assert obj == expected
+
+    @pytest.mark.parametrize("fixture, spec, E, value", [
+        # walker 0's fully morphed {2, 4, 6} is no basis, so the witness
+        # comes from the second walk, proved by a tight partition
+        ("dec6_file", "2,4,6", {2, 4, 6}, 2),
+        # both walks miss, and the recursion's first piece spans two
+        # intervals of the set
+        ("dec14_file", "1,5,7,13", {1, 5, 7, 13}, 2),
+        # an empty set's witness is I_1, returned untested
+        ("colored_perm_file", "", set(), 0),
+    ], ids=["second-walk", "recursion", "empty"])
+    def test_witness_is_a_maximum_basis(self, capsys, request, fixture, spec, E, value):
+        path = request.getfixturevalue(fixture)
+        code, obj = run_json(capsys, ["rank", "--perm", path, "--set", spec, "--witness"])
+        assert code == 0 and obj["rank"] == value
+        P = Positroid.from_json(json.loads(Path(path).read_text()))
+        W = set(obj["witness"])
+        assert P.is_basis(W) and len(W & E) == value
+        if not E:
+            assert W == P.necklace.at(1) == {2, 5}
 
     def test_witness_builds_one_rank_table(self, capsys, ref_perm_file, monkeypatch):
         # the one table is the certificate's: witness_basis proves its basis,
@@ -206,6 +276,16 @@ class TestRankVerb:
         assert code == 0
         assert obj["reduced"] is True
         assert obj["coloop_bonus"] == 1
+
+    def test_reduced_intervals_are_relabeled(self, capsys, dec14_file):
+        # with the coloop 6 and the loop 14 in the set, rank answers on the
+        # reduction: 13-14 and 1 become the interval [12, 1] there, and the
+        # coloop is counted on top of the partition's bound
+        code, obj = run_json(capsys, ["rank", "--perm", dec14_file, "--set", "1,5-7,13-14"])
+        assert code == 0
+        assert (obj["reduced"], obj["coloop_bonus"], obj["intervals"], obj["rank"]) == (
+            True, 1, [[5, 6], [12, 1]], 3
+        )
 
     def test_out_of_range_set(self, capsys, ref_perm_file):
         code = main(["rank", "--perm", ref_perm_file, "--set", "1-15"])
@@ -314,6 +394,16 @@ class TestMorphTraceVerb:
         assert lines[0].startswith("stage 0: start from I_7")
         assert "no move" in lines[1]
 
+    def test_stdout_is_pinned(self, capsys, dec14_file):
+        # each exchange record is read off two consecutive stages' masks;
+        # the JSON of every stage, byte for byte
+        code = main(["morph-trace", "--perm", dec14_file, "--set", "1,5,7,13"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9efe1ffbc1677314fabd900d2512c9e684eea719c6ea53de86c0115cbea440e8"
+        )
+
     def test_empty_set(self, capsys, ref_perm_file):
         code, states = run_json(capsys, ["morph-trace", "--perm", ref_perm_file, "--set", ""])
         assert code == 0
@@ -343,11 +433,49 @@ class TestFromMatrixVerb:
         assert code == 0
         assert obj["pi"] == [3, 4, 2, 1]
 
+    def test_zero_column_is_a_loop(self, capsys, tmp_path):
+        # a zero column leaves the minor scan at its root
+        path = tmp_path / "zerocol.json"
+        path.write_text(json.dumps([[1, 0, 1, 0], [0, 0, 1, 1]]))
+        code, obj = run_json(capsys, ["from-matrix", "--matrix", str(path)])
+        assert code == 0
+        assert obj["pi"] == [4, 2, 1, 3] and obj["colors"] == {"2": "white"}
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(MATRIX_A)))
         code, obj = run_json(capsys, ["from-matrix", "--matrix", "-"])
         assert code == 0
         assert obj["pi"] == [3, 4, 2, 1]
+
+    @pytest.mark.parametrize(
+        "r, n, seed, ops", [(8, 24, 1, 400), (6, 16, 2, 3000)], ids=["sparse-8x24", "dense-6x16"]
+    )
+    def test_matrices_past_the_subset_cap_convert_and_check(self, tmp_path, r, n, seed, ops):
+        # the sparse 8 x 24: C(24, 8) is past the scan's subset cap, so it
+        # converts under the work cap, certified by Gale tests at n > 20; the
+        # dense 6 x 16: all C(16, 6) = 8008 subsets are bases, so its Gale
+        # certificate runs in many batches. Each verb runs in a fresh
+        # interpreter under a time limit.
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(random_tnn_matrix(r, n, random.Random(seed), ops=ops).to_json()))
+        proc = run_fresh(["-m", "positroids.cli", "from-matrix", "--matrix", str(path)], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == n
+        proc = run_fresh(["-m", "positroids.cli", "check", "--matrix", str(path)], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "valid": True, "kind": "matrix", "rows": r, "columns": n,
+            "full_row_rank": True, "totally_nonnegative": True,
+        }
+
+    def test_exponent_entry_is_refused_before_it_expands(self, tmp_path):
+        # Fraction would expand 1e999999999 to a billion-digit integer; a
+        # fresh interpreter under a time limit shows it is refused first
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps([["1e999999999"]]))
+        proc = run_fresh(["-m", "positroids.cli", "from-matrix", "--matrix", str(path)], timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_negative_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -365,6 +493,21 @@ class TestCheckVerb:
             "valid": True, "kind": "permutation", "n": 14, "d": 7,
             "loops": [], "coloops": [],
         }
+
+    def test_decorated_perm_names_its_loops_and_coloops(self, capsys, colored_perm_file):
+        code, obj = run_json(capsys, ["check", "--perm", colored_perm_file])
+        assert code == 0
+        assert obj == {
+            "valid": True, "kind": "permutation", "n": 5, "d": 2,
+            "loops": [1], "coloops": [5],
+        }
+
+    def test_readme_necklace_ok(self, capsys, tmp_path):
+        path = tmp_path / "neck.json"
+        path.write_text(json.dumps({"n": 4, "sets": [[1, 2], [2, 3], [3, 4], [2, 4]]}))
+        code, obj = run_json(capsys, ["check", "--necklace", str(path)])
+        assert code == 0
+        assert obj["valid"] is True and obj["pi"] == [3, 4, 2, 1]
 
     def test_necklace_ok(self, capsys, tmp_path, ref_perm_file):
         _, neck = run_json(capsys, ["necklace", "--perm", ref_perm_file])
@@ -623,19 +766,6 @@ class TestErrorPaths:
     def test_json_text_mutually_exclusive(self, ref_perm_file):
         with pytest.raises(SystemExit):
             main(["necklace", "--perm", ref_perm_file, "--json", "--text"])
-
-
-def run_fresh(args, log=None):
-    """A fresh interpreter with this package first on its path and
-    POSITROID_LOG set to `log` (unset for None)."""
-    env = {key: val for key, val in os.environ.items() if key != "POSITROID_LOG"}
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if log is not None:
-        env["POSITROID_LOG"] = log
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
-    )
 
 
 class TestStartUp:

@@ -671,13 +671,21 @@ class TestRankTable:
 class TestGapCounter:
     """One gap counter: _columns builds a doubled column per interval, of
     the necklace member I_a or of a basis W, _shifts picks where each gap
-    starts, and _diagonal reads a cyclic diagonal; _gap_matrix reads the
-    same columns and shifts row by row."""
+    starts, _diagonal slices where a cyclic diagonal's gaps start, and
+    _counts reads a mask's counts there, in column order; _gap_matrix reads
+    the same columns and shifts row by row."""
 
     @staticmethod
     def diagonals(P, intervals, W=None):
+        """Each cyclic diagonal k, read through _counts in column order and
+        listed by row i, whose column is i + k mod s."""
         columns, shifts = RANK_MODULE._columns(P, intervals, W), RANK_MODULE._shifts(P.n, intervals)
-        return [list(RANK_MODULE._diagonal(columns, shifts, k)) for k in range(len(intervals))]
+        s = len(intervals)
+        out = []
+        for k in range(s):
+            by_column = list(RANK_MODULE._counts(columns, RANK_MODULE._diagonal(shifts, k)))
+            out.append([by_column[(i + k) % s] for i in range(s)])
+        return out
 
     def test_every_diagonal_reads_the_gap_matrix(self):
         # diagonal k lists w[i][i + k mod s], for every k: every decorated
@@ -1114,7 +1122,7 @@ class TestBands:
         W = sum(1 << x - 1 for x in witness_basis(P, E))
         columns, shifts = RANK_MODULE._columns(P, intervals), RANK_MODULE._shifts(P.n, intervals)
         s = len(intervals)
-        diagonals = [sum(RANK_MODULE._diagonal(columns, shifts, k)) for k in (0, 1 % s)]
+        diagonals = [sum(RANK_MODULE._counts(columns, RANK_MODULE._diagonal(shifts, k))) for k in (0, 1 % s)]
         assert (s * P.d - diagonals[0], P.d - diagonals[1]) == (singletons, block)
         assert (W & members).bit_count() == min(singletons, block) == rank(P, E).value
         searches.clear()

@@ -4,7 +4,10 @@ import ast
 import importlib
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "positroids"
+import positroids
+
+# the package these tests imported: the source tree, or the installed copy
+SOURCE = Path(positroids.__file__).resolve().parent
 
 
 def test_no_assert_statements():
